@@ -209,12 +209,13 @@ def gram_det_adj(W: np.ndarray):
 
     Returns
     -------
-    gram : (n, k, k), d : (n,), adj : (n, k, k)
+    gram : (n, k, k), d : (n,) clamped at zero, adj : (n, k, k)
     """
     W = np.ascontiguousarray(W, dtype=np.float64)
-    if USE_NUMBA and W.shape[2] <= 4:
-        return _gram_det_adj_nb(W)
-    return _gram_det_adj_numpy(W)
+    nb = USE_NUMBA and W.shape[2] <= 4
+    gram, d, adj = _gram_det_adj_nb(W) if nb else _gram_det_adj_numpy(W)
+    np.maximum(d, 0.0, out=d)  # W'W is PSD: a negative d is cofactor rounding
+    return gram, d, adj
 
 
 def det_adj_single(a: np.ndarray):

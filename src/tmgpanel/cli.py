@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import NumericalError, PanelInputError
+from .errors import NumericalError, PanelInputError, ScenarioError
 from .estimators import DEFAULT_ALPHA_GP, fe, gp, mg, tmg
 from .hausman import hausman_no_te, hausman_te
 from .montecarlo import (
@@ -79,6 +79,25 @@ def _write_manifest(out_dir: Path, command: str, params: dict, seed, outputs, el
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, default=str) + "\n", encoding="utf-8")
     return path
+
+
+def _checked(cast, ok, what: str):
+    """argparse ``type=``: convert with ``cast``, then require ``ok(value)``."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+_ALPHA = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_POSITIVE = _checked(float, lambda v: v > 0.0, "positive")
+_AT_LEAST_1 = _checked(int, lambda v: v >= 1, "at least 1")
+_AT_LEAST_2 = _checked(int, lambda v: v >= 2, "at least 2")
 
 
 def _out_dir(args) -> Path:
@@ -218,10 +237,15 @@ def _prepare_scenario(args, need_estimators: bool = True):
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "reps", None) is not None:
         extras["reps"] = args.reps
-    trim_cfg = TrimConfig(
-        alpha=extras.get("trim_alpha", DEFAULT_ALPHA), c_n=extras.get("trim_c_n")
-    )
+    try:
+        trim_cfg = TrimConfig(
+            alpha=extras.get("trim_alpha", DEFAULT_ALPHA), c_n=extras.get("trim_c_n")
+        )
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"invalid trimming settings: {exc}") from None
     alpha_gp = extras.get("alpha_gp", DEFAULT_ALPHA_GP)
+    if not isinstance(alpha_gp, (int, float)) or not alpha_gp > 0:
+        raise ScenarioError(f"alpha_gp must be a positive number, got {alpha_gp!r}")
     estimators = extras.get("estimators", ["tmg"])
     if need_estimators and not estimators:
         raise PanelInputError("scenario lists no estimators")
@@ -358,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument(
         "--method", choices=["fe", "mg", "tmg", "gp", "fete", "tmgte"], default="tmg"
     )
-    p_est.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
-    p_est.add_argument("--alpha-gp", type=float, default=DEFAULT_ALPHA_GP)
+    p_est.add_argument("--alpha", type=_ALPHA, default=DEFAULT_ALPHA)
+    p_est.add_argument("--alpha-gp", type=_POSITIVE, default=DEFAULT_ALPHA_GP)
     p_est.add_argument("--te", action="store_true", help="include common time effects")
     p_est.add_argument("--dump-units", action="store_true", help="write per-unit estimates")
     p_est.add_argument("--out", default="tmgpanel_out")
@@ -367,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", help="Hausman test of correlated heterogeneity")
     p_test.add_argument("csv")
-    p_test.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p_test.add_argument("--alpha", type=_ALPHA, default=DEFAULT_ALPHA)
     p_test.add_argument("--te", action="store_true")
     p_test.add_argument("--out", default="tmgpanel_out")
     p_test.set_defaults(func=_run_test)
@@ -376,14 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("scenario")
     p_sim.add_argument("--reps", type=int)
     p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--jobs", type=int, default=1)
+    p_sim.add_argument("--jobs", type=_AT_LEAST_1, default=1)
     p_sim.add_argument("--out", default="tmgpanel_out")
     p_sim.set_defaults(func=_run_simulate)
 
     p_cal = sub.add_parser("calibrate", help="calibrate the outcome noise scale")
     p_cal.add_argument("scenario")
     p_cal.add_argument("--reps", type=int, help="calibration replications (default 1000)")
-    p_cal.add_argument("--n-cal", type=int, default=5000)
+    p_cal.add_argument("--n-cal", type=_AT_LEAST_2, default=5000)
     p_cal.add_argument("--seed", type=int)
     p_cal.add_argument("--out", default="tmgpanel_out")
     p_cal.set_defaults(func=_run_calibrate)
@@ -396,10 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_pow.add_argument(
         "--grid-max", type=float, help="default: true slope + 0.5"
     )
-    p_pow.add_argument("--grid-points", type=int, default=21)
+    p_pow.add_argument("--grid-points", type=_AT_LEAST_1, default=21)
     p_pow.add_argument("--reps", type=int)
     p_pow.add_argument("--seed", type=int)
-    p_pow.add_argument("--jobs", type=int, default=1)
+    p_pow.add_argument("--jobs", type=_AT_LEAST_1, default=1)
     p_pow.add_argument("--out", default="tmgpanel_out")
     p_pow.set_defaults(func=_run_power)
     return parser

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import gram_det_adj
-from .errors import SingularDesignError
+from .errors import SingularDesignError, SingularUnitGramError
 from .panel import BalancedPanel
 
 #: Relative determinant floor: d below 1e-12 * (trace(gram)/k)^k counts as zero.
@@ -102,20 +102,43 @@ def unit_ols(design: UnitDesign, y_i: np.ndarray) -> np.ndarray:
     return design.adjugate @ (design.W.T @ y_i) / design.d
 
 
+@dataclass(frozen=True)
+class ChamberlainProjector:
+    """Per-unit annihilators of the de-meaned regressor span and their average."""
+
+    M: np.ndarray  # (n, T, T)
+    M_bar: np.ndarray  # (T, T)
+
+
+def chamberlain_projectors(panel: BalancedPanel) -> ChamberlainProjector:
+    """M_i = I_T - M_T X_i (X_i'M_T X_i)^{-1} X_i'M_T for every unit."""
+    xd = within(panel.x, axis=1)  # M_T X_i
+    psi = np.einsum("ntp,ntq->npq", xd, xd)
+    w = np.linalg.eigvalsh(psi)
+    bad = np.flatnonzero(w[:, 0] <= 1e-12 * np.maximum(w[:, -1], 0.0))
+    if bad.size:
+        raise SingularUnitGramError(f"X'MX singular for units {bad[:10].tolist()}")
+    proj = np.einsum("ntp,npq,nsq->nts", xd, np.linalg.inv(psi), xd)
+    M = np.eye(panel.T)[None] - proj
+    return ChamberlainProjector(M=M, M_bar=M.mean(axis=0))
+
+
 class PanelDesign:
     """Batched designs for all units: the shared input of every estimator.
 
     Holds W (n,T,k), Gram matrices, determinants and adjugates computed in one
-    kernel sweep. Immutable by convention; cheap enough to build per panel.
+    kernel sweep, plus W_i'y_i and the Chamberlain projectors, each built on
+    first use. Immutable by convention; cheap enough to build per panel.
     """
 
-    __slots__ = ("panel", "W", "gram", "d", "adj", "_wty")
+    __slots__ = ("panel", "W", "gram", "d", "adj", "_wty", "_projectors")
 
     def __init__(self, panel: BalancedPanel):
         self.panel = panel
         self.W = panel.design_tensor()
         self.gram, self.d, self.adj = gram_det_adj(self.W)
         self._wty = None
+        self._projectors = None
 
     @property
     def n(self) -> int:
@@ -136,6 +159,12 @@ class PanelDesign:
         if self._wty is None:
             self._wty = np.einsum("ntk,nt->nk", self.W, self.panel.y)
         return self._wty
+
+    def projectors(self) -> ChamberlainProjector:
+        """Chamberlain projectors of the panel's regressors, built once."""
+        if self._projectors is None:
+            self._projectors = chamberlain_projectors(self.panel)
+        return self._projectors
 
     def theta_hat(self) -> np.ndarray:
         """Per-unit OLS estimates, (n, k). Requires all determinants above floor."""

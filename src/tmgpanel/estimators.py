@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import _det_adj_stack
 from .designs import PanelDesign, within
 from .errors import (
     AllTrimmedError,
@@ -37,6 +38,7 @@ class Estimate:
     alpha_used: float | None = None
     per_unit: np.ndarray | None = None
     coef_names: tuple = field(default=())
+    trim: TrimState | None = None  # threshold state of a TMG-family fit
 
     @property
     def se(self) -> np.ndarray:
@@ -90,30 +92,107 @@ def _mg_names(k_prime: int) -> tuple:
     return ("alpha",) + tuple(f"beta{j + 1}" for j in range(k_prime))
 
 
+@dataclass(frozen=True)
+class Weighting:
+    """How units enter a weighted mean-group average: unit i contributes
+    adj(W_i'W_i) W_i'y_i / den_i, and the mean over the kept units is divided
+    by ``scale``. TMG keeps every unit with den_i = max(d_i, a_n) and scale
+    1 + delta_bar; GP keeps d_i > h_n^2 with den_i = d_i and scale 1."""
+
+    keep: np.ndarray | None  # retained-unit mask; None keeps every unit
+    den: np.ndarray  # (n,) per-unit denominators
+    scale: float
+    pi_n: float
+    alpha: float | None
+    trim: TrimState | None = None
+
+    def kept(self, a: np.ndarray) -> np.ndarray:
+        """The rows of a per-unit array that enter the average."""
+        return a if self.keep is None else a[self.keep]
+
+
+def tmg_weighting(pd: PanelDesign, cfg: TrimConfig) -> Weighting:
+    """Every unit, den_i = max(d_i, a_n), scale 1 + delta_bar."""
+    state = delta_weights(pd.d, compute_threshold(pd.d, cfg))
+    if state.pi_n >= 1.0:
+        raise AllTrimmedError("every unit determinant is at or below the threshold")
+    return Weighting(
+        keep=None,
+        den=np.where(state.trimmed, state.a_n, pd.d),
+        scale=state.weight_scale,
+        pi_n=state.pi_n,
+        alpha=cfg.alpha,
+        trim=state,
+    )
+
+
+def gp_threshold(pd: PanelDesign, alpha_gp: float) -> float:
+    """Squared trim-by-exclusion bandwidth h_n^2.
+
+    T = k: h_n = C n^{-alpha} with C = min(sd, IQR/1.34)/2 of det(W_i);
+    T > k: C = sqrt(dbar_n). Units with d_i <= h_n^2 are excluded.
+    """
+    n = pd.n
+    if pd.panel.T == pd.k:
+        # d_i = det(W_i)^2 when W_i is square; bandwidth set on det(W_i) itself
+        det_w = _det_adj_stack(pd.W)[0]
+        q75, q25 = np.percentile(det_w, [75, 25])
+        c = 0.5 * min(det_w.std(ddof=1), (q75 - q25) / IQR_NORMAL_SCALE)
+    else:
+        c = np.sqrt(pd.d.mean())
+    return float((c * n ** (-alpha_gp)) ** 2)
+
+
+def gp_weighting(pd: PanelDesign, alpha_gp: float) -> Weighting:
+    """The units with d_i > h_n^2, den_i = d_i, equal weights."""
+    keep = pd.d > gp_threshold(pd, alpha_gp)
+    m = int(keep.sum())
+    if m == 0:
+        raise AllTrimmedError("bandwidth excluded every unit")
+    return Weighting(keep=keep, den=pd.d, scale=1.0, pi_n=1.0 - m / pd.n, alpha=alpha_gp)
+
+
+def weighted_mean_group(
+    pd: PanelDesign, wt: Weighting, method: str, tilde: np.ndarray | None = None
+) -> Estimate:
+    """The weighted mean-group estimator behind MG, TMG and GP.
+
+    ``tilde`` replaces the per-unit rows adj(W_i'W_i) W_i'y_i / den_i of the
+    kept units (the time-effects routes strip the period effects first).
+    """
+    if tilde is None:
+        adj_wty = np.einsum("nkj,nj->nk", wt.kept(pd.adj), wt.kept(pd.wty()))
+        tilde = adj_wty / wt.kept(wt.den)[:, None]
+    m = tilde.shape[0]
+    coef = tilde.mean(axis=0) / wt.scale
+    dev = tilde - coef
+    if m > 1:
+        cov = dev.T @ dev / (m * (m - 1) * wt.scale**2)
+    else:
+        cov = np.full((pd.k, pd.k), np.nan)
+    return Estimate(
+        method=method,
+        coef=coef,
+        cov=cov,
+        n_used=m,
+        pi_n=wt.pi_n,
+        alpha_used=wt.alpha,
+        per_unit=tilde,
+        coef_names=_mg_names(pd.panel.k_prime),
+        trim=wt.trim,
+    )
+
+
 def mg(panel: BalancedPanel, design: PanelDesign | None = None) -> Estimate:
-    """Mean group estimator: simple average of per-unit OLS, with the
-    nonparametric covariance sum (theta_i - mean)^2 / (n(n-1)).
+    """Mean group estimator: simple average of per-unit OLS (every unit,
+    den_i = d_i, scale 1), with the nonparametric covariance
+    sum (theta_i - mean)^2 / (n(n-1)).
 
     ``design`` lets callers reuse a precomputed :class:`PanelDesign`.
     """
     pd = design if design is not None else PanelDesign(panel)
-    theta = pd.theta_hat()
-    coef = theta.mean(axis=0)
-    dev = theta - coef
-    cov = dev.T @ dev / (panel.n * (panel.n - 1))
-    return Estimate(
-        method="mg",
-        coef=coef,
-        cov=cov,
-        n_used=panel.n,
-        per_unit=theta,
-        coef_names=_mg_names(panel.k_prime),
-    )
-
-
-def _trim_state(pd: PanelDesign, cfg: TrimConfig) -> TrimState:
-    a_n = compute_threshold(pd.d, cfg)
-    return delta_weights(pd.d, a_n)
+    wt = Weighting(keep=None, den=pd.d, scale=1.0, pi_n=0.0, alpha=None)
+    return weighted_mean_group(pd, wt, "mg", pd.theta_hat())  # refuses singular units
 
 
 def tmg(
@@ -128,42 +207,7 @@ def tmg(
     sum to one.
     """
     pd = design if design is not None else PanelDesign(panel)
-    state = _trim_state(pd, cfg)
-    if state.pi_n >= 1.0:
-        raise AllTrimmedError("every unit determinant is at or below the threshold")
-    tilde = pd.theta_tilde(state.a_n, state.trimmed)
-    scale = state.weight_scale
-    coef = tilde.mean(axis=0) / scale
-    dev = tilde - coef
-    cov = dev.T @ dev / (panel.n * (panel.n - 1) * scale**2)
-    return Estimate(
-        method="tmg",
-        coef=coef,
-        cov=cov,
-        n_used=panel.n,
-        pi_n=state.pi_n,
-        alpha_used=cfg.alpha,
-        per_unit=tilde,
-        coef_names=_mg_names(panel.k_prime),
-    )
-
-
-def gp_threshold(pd: PanelDesign, alpha_gp: float) -> float:
-    """Squared trim-by-exclusion bandwidth h_n^2.
-
-    T = k: h_n = C n^{-alpha} with C = min(sd, IQR/1.34)/2 of det(W_i);
-    T > k: C = sqrt(dbar_n). Units with d_i <= h_n^2 are excluded.
-    """
-    n = pd.n
-    if pd.panel.T == pd.k:
-        # d_i = det(W_i)^2 when W_i is square; bandwidth set on det(W_i) itself
-        det_w = np.linalg.det(pd.W)
-        sd = det_w.std(ddof=1)
-        iqr = np.percentile(det_w, 75) - np.percentile(det_w, 25)
-        c = 0.5 * min(sd, iqr / IQR_NORMAL_SCALE)
-    else:
-        c = np.sqrt(pd.d.mean())
-    return float((c * n ** (-alpha_gp)) ** 2)
+    return weighted_mean_group(pd, tmg_weighting(pd, cfg), "tmg")
 
 
 def gp(
@@ -175,25 +219,7 @@ def gp(
     determinant clears the bandwidth, with the untrimmed analogue of the MG
     covariance (sample covariance of retained estimates over their count)."""
     pd = design if design is not None else PanelDesign(panel)
-    h2 = gp_threshold(pd, alpha_gp)
-    keep = pd.d > h2
-    m = int(keep.sum())
-    if m == 0:
-        raise AllTrimmedError("bandwidth excluded every unit")
-    theta = np.einsum("nkj,nj->nk", pd.adj[keep], pd.wty()[keep]) / pd.d[keep, None]
-    coef = theta.mean(axis=0)
-    dev = theta - coef
-    cov = dev.T @ dev / (m * (m - 1)) if m > 1 else np.full((pd.k, pd.k), np.nan)
-    return Estimate(
-        method="gp",
-        coef=coef,
-        cov=cov,
-        n_used=m,
-        pi_n=1.0 - m / panel.n,
-        alpha_used=alpha_gp,
-        per_unit=theta,
-        coef_names=_mg_names(panel.k_prime),
-    )
+    return weighted_mean_group(pd, gp_weighting(pd, alpha_gp), "gp")
 
 
 @dataclass(frozen=True)

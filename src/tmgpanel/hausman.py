@@ -15,10 +15,10 @@ import numpy as np
 
 from .designs import PanelDesign, within
 from .errors import SingularVdeltaError
-from .estimators import fe, tmg
+from .estimators import Estimate, fe, tmg
 from .panel import BalancedPanel
-from .timeeffects import chamberlain_projectors, fete, tmg_te
-from .trimming import TrimConfig, compute_threshold, delta_weights
+from .timeeffects import fete, tmg_te
+from .trimming import TrimConfig
 
 VARIANT_NO_TE = "no_te"
 VARIANT_TE_TEQK = "te_teqk"
@@ -132,13 +132,16 @@ def hausman_no_te(
 ) -> HausmanResult:
     """Test of correlated heterogeneity from the FE-vs-TMG slope difference."""
     pd = design if design is not None else PanelDesign(panel)
-    fe_est = fe(panel)
-    tmg_est = tmg(panel, cfg, design=pd)
-    delta = fe_est.coef - tmg_est.coef[1:]
+    return hausman_no_te_from(pd, fe(panel), tmg(panel, cfg, design=pd))
 
-    a_n = compute_threshold(pd.d, cfg)
-    state = delta_weights(pd.d, a_n)
-    B = pd.bmats(a_n, state.trimmed)
+
+def hausman_no_te_from(pd: PanelDesign, fe_est: Estimate, tmg_est: Estimate) -> HausmanResult:
+    """:func:`hausman_no_te` from FE and TMG estimates already fitted on ``pd``
+    (the TMG estimate carries the trimming state the weights come from)."""
+    panel = pd.panel
+    delta = fe_est.coef - tmg_est.coef[1:]
+    state = tmg_est.trim
+    B = pd.bmats(state.a_n, state.trimmed)
     b_slope = B[:, 1:, 1:]  # (1+delta_i) (X'MX)^{-1}, finite on the trimmed branch
     xd = within(panel.x, axis=1)
     psibar = np.einsum("ntp,ntq->pq", xd, xd) / panel.n
@@ -170,14 +173,16 @@ def hausman_te(
     of the trimmed estimator.
     """
     pd = design if design is not None else PanelDesign(panel)
-    fete_est, _ = fete(panel)
-    tmgte_est, _ = tmg_te(panel, cfg, design=pd)
-    delta = fete_est.coef - tmgte_est.coef[1:]
+    return hausman_te_from(pd, fete(panel)[0], tmg_te(panel, cfg, design=pd)[0])
 
-    a_n = compute_threshold(pd.d, cfg)
-    state = delta_weights(pd.d, a_n)
+
+def hausman_te_from(pd: PanelDesign, fete_est: Estimate, tmgte_est: Estimate) -> HausmanResult:
+    """:func:`hausman_te` from FE-TE and TMG-TE estimates already fitted on ``pd``."""
+    panel = pd.panel
+    delta = fete_est.coef - tmgte_est.coef[1:]
+    state = tmgte_est.trim
     scale = state.weight_scale
-    B = pd.bmats(a_n, state.trimmed)
+    B = pd.bmats(state.a_n, state.trimmed)
     xd = within(panel.x, axis=1)
     qx = np.einsum("ntp,npq->ntq", xd, B[:, 1:, 1:])  # Q_ix
     qx_bar = qx.mean(axis=0) / scale
@@ -203,7 +208,7 @@ def hausman_te(
         scores = s_pool - s_trim
         variant = VARIANT_TE_TEQK
     else:
-        proj = chamberlain_projectors(panel)
+        proj = pd.projectors()
         mbar_inv = np.linalg.inv(proj.M_bar)
         s_trim = np.einsum("ntq,nt->nq", qx, nud) / scale
         mi_nu = np.einsum("nts,ns->nt", proj.M, nud)

@@ -19,7 +19,7 @@ import numpy as np
 from .designs import PanelDesign
 from .errors import NumericalError, ScenarioError
 from .estimators import DEFAULT_ALPHA_GP, fe, gp, mg, tmg
-from .hausman import hausman_no_te, hausman_te
+from .hausman import HausmanResult, hausman_no_te_from, hausman_te_from
 from .panel import BalancedPanel
 from .timeeffects import fete, gp_te, tmg_te
 from .trimming import TrimConfig
@@ -342,6 +342,50 @@ class McResult:
         return out
 
 
+class _Replication:
+    """One replication: its panel, its single design and each tag's fit,
+    computed at most once; the Hausman tags reuse the fits they compare."""
+
+    def __init__(self, cfg: DgpConfig, rep: int, trim_cfg: TrimConfig, alpha_gp: float):
+        self.panel, _ = generate_replication(cfg, rep)
+        self.design = PanelDesign(self.panel)
+        self.trim_cfg, self.alpha_gp = trim_cfg, alpha_gp
+        self._fits = {}
+
+    def fit(self, tag: str):
+        if tag not in self._fits:
+            self._fits[tag] = _TAG_FITS[tag](self)
+        return self._fits[tag]
+
+
+#: What each tag fits: an Estimate, an (Estimate, TimeEffects) pair or a test.
+_TAG_FITS = {
+    "fe": lambda r: fe(r.panel),
+    "mg": lambda r: mg(r.panel, design=r.design),
+    "tmg": lambda r: tmg(r.panel, r.trim_cfg, design=r.design),
+    "gp": lambda r: gp(r.panel, r.alpha_gp, design=r.design),
+    "fete": lambda r: fete(r.panel),
+    "tmgte": lambda r: tmg_te(r.panel, r.trim_cfg, design=r.design),
+    "gpte": lambda r: gp_te(r.panel, r.alpha_gp, design=r.design),
+    "hausman": lambda r: hausman_no_te_from(r.design, r.fit("fe"), r.fit("tmg")),
+    "hausman_te": lambda r: hausman_te_from(r.design, r.fit("fete")[0], r.fit("tmgte")[0]),
+}
+
+
+def _record(fit) -> tuple:
+    """(slope and phi_1..phi_{T-1}, their standard errors, trimmed fraction),
+    or (statistic, p-value, 0) for a test."""
+    if isinstance(fit, HausmanResult):
+        return np.array([fit.statistic]), np.array([fit.p_value]), 0.0
+    est, te = fit if isinstance(fit, tuple) else (fit, None)
+    j = est.coef_names.index("beta1")
+    coef, se = est.coef[[j]], est.se[[j]]
+    if te is not None:
+        coef = np.concatenate([coef, te.phi[:-1]])
+        se = np.concatenate([se, te.se[:-1]])
+    return coef, se, est.pi_n
+
+
 def _rep_records(
     cfg: DgpConfig, rep: int, tags: Sequence[str], trim_cfg: TrimConfig, alpha_gp: float
 ) -> dict:
@@ -350,73 +394,21 @@ def _rep_records(
     Returns per-tag arrays (coef estimates, standard errors, trimmed fraction)
     or (statistic, p-value) for tests; NaN rows flag estimation failures.
     """
-    panel, truth = generate_replication(cfg, rep)
-    pd = PanelDesign(panel)
+    replication = _Replication(cfg, rep, trim_cfg, alpha_gp)
     out = {}
-    te_cache = {}
-
-    def _tmgte():
-        if "est" not in te_cache:
-            te_cache["est"] = tmg_te(panel, trim_cfg, design=pd)
-        return te_cache["est"]
-
     for tag in tags:
+        if tag not in _TAG_FITS:
+            raise ScenarioError(f"unknown estimator tag {tag!r}")
         try:
-            if tag == "fe":
-                est = fe(panel)
-                rec = (np.array([est.coef[0]]), np.array([est.se[0]]), 0.0)
-            elif tag == "mg":
-                est = mg(panel)
-                rec = (np.array([est.coef[1]]), np.array([est.se[1]]), 0.0)
-            elif tag == "tmg":
-                est = tmg(panel, trim_cfg, design=pd)
-                rec = (np.array([est.coef[1]]), np.array([est.se[1]]), est.pi_n)
-            elif tag == "gp":
-                est = gp(panel, alpha_gp)
-                rec = (np.array([est.coef[1]]), np.array([est.se[1]]), est.pi_n)
-            elif tag == "fete":
-                est, te = fete(panel)
-                rec = (
-                    np.concatenate([[est.coef[0]], te.phi[:-1]]),
-                    np.concatenate([[est.se[0]], te.se[:-1]]),
-                    0.0,
-                )
-            elif tag == "tmgte":
-                est, te = _tmgte()
-                rec = (
-                    np.concatenate([[est.coef[1]], te.phi[:-1]]),
-                    np.concatenate([[est.se[1]], te.se[:-1]]),
-                    est.pi_n,
-                )
-            elif tag == "gpte":
-                est, te = gp_te(panel, alpha_gp)
-                rec = (
-                    np.concatenate([[est.coef[1]], te.phi[:-1]]),
-                    np.concatenate([[est.se[1]], te.se[:-1]]),
-                    est.pi_n,
-                )
-            elif tag == "hausman":
-                res = hausman_no_te(panel, trim_cfg, design=pd)
-                rec = (np.array([res.statistic]), np.array([res.p_value]), 0.0)
-            elif tag == "hausman_te":
-                res = hausman_te(panel, trim_cfg, design=pd)
-                rec = (np.array([res.statistic]), np.array([res.p_value]), 0.0)
-            else:
-                raise ScenarioError(f"unknown estimator tag {tag!r}")
+            out[tag] = _record(replication.fit(tag))
         except NumericalError:
-            width = _tag_width(tag, cfg.T)
-            rec = (np.full(width, np.nan), np.full(width, np.nan), np.nan)
-        out[tag] = rec
+            width = len(_tag_coef_names(tag, cfg.T))
+            out[tag] = (np.full(width, np.nan), np.full(width, np.nan), np.nan)
     return out
 
 
-def _tag_width(tag: str, T: int) -> int:
-    if tag in ("fete", "tmgte", "gpte"):
-        return T  # slope + phi_1 .. phi_{T-1}
-    return 1
-
-
 def _tag_coef_names(tag: str, T: int) -> tuple:
+    """Reported coefficients: the slope, then phi_1..phi_{T-1} for TE tags."""
     if tag in ("fete", "tmgte", "gpte"):
         return ("beta",) + tuple(f"phi{t}" for t in range(1, T))
     if tag in TEST_TAGS:
@@ -477,7 +469,8 @@ def run_experiment(
 
     results = []
     for tag in tags:
-        width = _tag_width(tag, cfg.T)
+        names = _tag_coef_names(tag, cfg.T)
+        width = len(names)
         est = np.array([rec[tag][0] for rec in records])  # (R, width)
         se = np.array([rec[tag][1] for rec in records])
         pi = np.array([rec[tag][2] for rec in records])
@@ -485,7 +478,6 @@ def run_experiment(
         failures = int((~ok).sum())
         r_ok = int(ok.sum())
         est, se, pi = est[ok], se[ok], pi[ok]
-        names = _tag_coef_names(tag, cfg.T)
         if tag in TEST_TAGS:
             # se column carries the p-value for test tags
             rejections = (se[:, 0] < 0.05).mean() if r_ok else np.nan

@@ -8,22 +8,28 @@ cross-section-average system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .designs import PanelDesign, within
+from .designs import PanelDesign, chamberlain_projectors, within
 from .errors import (
-    AllTrimmedError,
     RequiresTGreaterKError,
     SingularMbarError,
     SingularPooledGramError,
     SingularTeSystemError,
-    SingularUnitGramError,
 )
-from .estimators import DEFAULT_ALPHA_GP, Estimate, _mg_names, gp_threshold
+from .estimators import (
+    DEFAULT_ALPHA_GP,
+    Estimate,
+    Weighting,
+    _solve_spd,
+    gp_weighting,
+    tmg_weighting,
+    weighted_mean_group,
+)
 from .panel import BalancedPanel
-from .trimming import TrimConfig, compute_threshold, delta_weights
+from .trimming import TrimConfig
 
 METHOD_CHAMBERLAIN = "chamberlain"
 METHOD_SYSTEM = "system"
@@ -51,29 +57,13 @@ class TimeEffects:
         }
 
 
-@dataclass(frozen=True)
-class ChamberlainProjector:
-    """Per-unit annihilators of the de-meaned regressor span and their average."""
-
-    M: np.ndarray  # (n, T, T)
-    M_bar: np.ndarray  # (T, T)
-
-
-def chamberlain_projectors(panel: BalancedPanel) -> ChamberlainProjector:
-    """M_i = I_T - M_T X_i (X_i'M_T X_i)^{-1} X_i'M_T for every unit."""
-    xd = within(panel.x, axis=1)  # M_T X_i
-    psi = np.einsum("ntp,ntq->npq", xd, xd)
-    w = np.linalg.eigvalsh(psi)
-    bad = np.flatnonzero(w[:, 0] <= 1e-12 * np.maximum(w[:, -1], 0.0))
-    if bad.size:
-        raise SingularUnitGramError(f"X'MX singular for units {bad[:10].tolist()}")
-    proj = np.einsum("ntp,npq,nsq->nts", xd, np.linalg.inv(psi), xd)
-    M = np.eye(panel.T)[None] - proj
-    return ChamberlainProjector(M=M, M_bar=M.mean(axis=0))
-
-
-def _mt_sandwich(a: np.ndarray) -> np.ndarray:
-    """M_T A M_T for a (T, T) matrix."""
+def _phi_cov(xbar: np.ndarray, cov_beta: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Covariance of M_T(ybar - Xbar beta): M_T (Xbar V_beta Xbar' + Omega/n) M_T,
+    with Omega the cross-section covariance of the residual paths ``nu``."""
+    n = nu.shape[0]
+    omega = nu[:, :, None] * nu[:, None, :]
+    omega = omega.sum(axis=0) / (n - 1)
+    a = xbar @ cov_beta @ xbar.T + omega / n
     a = a - a.mean(axis=0, keepdims=True)
     return a - a.mean(axis=1, keepdims=True)
 
@@ -87,10 +77,7 @@ def fete(panel: BalancedPanel) -> tuple[Estimate, TimeEffects]:
     xcd = within(xc, axis=1)
     psi = np.einsum("ntp,ntq->pq", xcd, xc)
     sxy = np.einsum("ntp,nt->p", xcd, yc)
-    w = np.linalg.eigvalsh(psi)
-    if w[0] <= 1e-12 * max(w[-1], 0.0) or w[-1] <= 0.0:
-        raise SingularPooledGramError("pooled de-meaned Gram matrix is singular")
-    coef = np.linalg.solve(psi, sxy)
+    coef = _solve_spd(psi, sxy, SingularPooledGramError, "pooled de-meaned Gram matrix")
     nu = yc - np.einsum("ntp,p->nt", xc, coef)  # nu~_{i,FE}
     nud = within(nu, axis=1)
     scores = np.einsum("ntp,nt->np", xcd, nud)
@@ -106,19 +93,19 @@ def fete(panel: BalancedPanel) -> tuple[Estimate, TimeEffects]:
     xbar = x.mean(axis=0)  # (T, k')
     ybar = y.mean(axis=0)
     phi = within(ybar - xbar @ coef, axis=0)
-    omega = nu[:, :, None] * nu[:, None, :]
-    omega = omega.sum(axis=0) / (n - 1)
-    cov_phi = _mt_sandwich(xbar @ cov @ xbar.T + omega / n)
-    return est, TimeEffects(phi=phi, cov=cov_phi, method=METHOD_FETE)
+    return est, TimeEffects(phi=phi, cov=_phi_cov(xbar, cov, nu), method=METHOD_FETE)
 
 
-def chamberlain_phi(panel: BalancedPanel) -> TimeEffects:
-    """Projector-average estimator of the time effects, valid for T > k."""
+def chamberlain_phi(panel: BalancedPanel, design: PanelDesign | None = None) -> TimeEffects:
+    """Projector-average estimator of the time effects, valid for T > k.
+
+    ``design`` supplies projectors already built for this panel.
+    """
     if panel.T == panel.k:
         raise RequiresTGreaterKError(
             f"T={panel.T} equals k={panel.k}; the projector average is singular"
         )
-    proj = chamberlain_projectors(panel)
+    proj = design.projectors() if design is not None else chamberlain_projectors(panel)
     mbar = proj.M_bar
     w = np.linalg.eigvalsh(mbar)
     if w[0] <= 1e-12 * max(w[-1], 0.0):
@@ -134,150 +121,62 @@ def chamberlain_phi(panel: BalancedPanel) -> TimeEffects:
     return TimeEffects(phi=phi, cov=cov, method=METHOD_CHAMBERLAIN)
 
 
-def _trim_parts(pd: PanelDesign, cfg: TrimConfig):
-    a_n = compute_threshold(pd.d, cfg)
-    state = delta_weights(pd.d, a_n)
-    if state.pi_n >= 1.0:
-        raise AllTrimmedError("every unit determinant is at or below the threshold")
-    return state
+def weighted_mean_group_te(
+    pd: PanelDesign, wt: Weighting, method: str
+) -> tuple[Estimate, TimeEffects]:
+    """The weighted mean-group estimator with time effects.
 
+    T > k: the projector-average effects are subtracted before averaging.
+    T = k: coefficients and effects solve the cross-section-average system
+    (I_k - Qbar'M_T Wbar) theta = theta_w - Qbar'M_T ybar jointly.
+    """
+    panel = pd.panel
+    B = wt.kept(pd.adj) / wt.kept(wt.den)[:, None, None]
+    Q = np.einsum("ntk,nkj->ntj", wt.kept(pd.W), B)  # Q_i = w_i W_i (W'W)^{-1}
+    qbar = Q.mean(axis=0) / wt.scale
 
-def _solve_te_system(a: np.ndarray, what: str) -> np.ndarray:
+    if panel.T > panel.k:
+        te = chamberlain_phi(panel, design=pd)
+        tilde = np.einsum("ntk,nt->nk", Q, wt.kept(panel.y) - te.phi[None, :])
+        est = weighted_mean_group(pd, wt, method, tilde)
+        return replace(est, cov=est.cov + qbar.T @ te.cov @ qbar), te
+
+    est = weighted_mean_group(pd, wt, method)
+    m = est.n_used
+    wbar = pd.W.mean(axis=0)  # (T, k)
+    ybar = panel.y.mean(axis=0)
+    a = np.eye(panel.k) - qbar.T @ within(wbar, axis=0)
     sv = np.linalg.svd(a, compute_uv=False)
     if sv[-1] <= 1e-12 * sv[0]:
-        raise SingularTeSystemError(f"{what} is not invertible")
-    return np.linalg.inv(a)
+        raise SingularTeSystemError("I_k - Qbar'M_T Wbar is not invertible")
+    a_inv = np.linalg.inv(a)
+    coef = a_inv @ (est.coef - qbar.T @ within(ybar, axis=0))
+    phi = within(ybar - wbar @ coef, axis=0)
+
+    resid = est.per_unit - np.einsum("ntk,t->nk", Q, phi) - coef
+    v_theta = resid.T @ resid / ((m - 1) * wt.scale**2)
+    cov = a_inv @ v_theta @ a_inv.T / (m - 1)
+    nu = panel.y - np.einsum("ntp,p->nt", panel.x, coef[1:]) - phi[None, :]
+    cov_phi = _phi_cov(panel.x.mean(axis=0), cov[1:, 1:], nu)
+    te = TimeEffects(phi=phi, cov=cov_phi, method=METHOD_SYSTEM)
+    return replace(est, coef=coef, cov=cov), te
 
 
 def tmg_te(
     panel: BalancedPanel, cfg: TrimConfig = TrimConfig(), design: PanelDesign | None = None
 ) -> tuple[Estimate, TimeEffects]:
-    """Trimmed mean group estimator with time effects.
-
-    For T > k the effects come from the cross-section projector average and
-    are subtracted before trimmed averaging; at T = k coefficients and
-    effects solve the cross-section-average system jointly.
-    """
+    """Trimmed mean group estimator with time effects (see
+    :func:`weighted_mean_group_te` for the T > k and T = k routes)."""
     pd = design if design is not None else PanelDesign(panel)
-    state = _trim_parts(pd, cfg)
-    scale = state.weight_scale
-    B = pd.bmats(state.a_n, state.trimmed)
-    Q = np.einsum("ntk,nkj->ntj", pd.W, B)  # Q_i = (1+delta_i) W_i (W'W)^{-1}
-    qbar = Q.mean(axis=0) / scale
-    names = _mg_names(panel.k_prime)
-
-    if panel.T > panel.k:
-        te = chamberlain_phi(panel)
-        yc = panel.y - te.phi[None, :]
-        tilde = np.einsum("ntk,nt->nk", Q, yc)
-        coef = tilde.mean(axis=0) / scale
-        dev = tilde - coef
-        sample = dev.T @ dev / (panel.n * (panel.n - 1) * scale**2)
-        cov = sample + qbar.T @ te.cov @ qbar
-        est = Estimate(
-            method="tmgte",
-            coef=coef,
-            cov=cov,
-            n_used=panel.n,
-            pi_n=state.pi_n,
-            alpha_used=cfg.alpha,
-            per_unit=tilde,
-            coef_names=names,
-        )
-        return est, te
-
-    # T = k: joint system solve
-    tilde = pd.theta_tilde(state.a_n, state.trimmed)
-    theta_tmg = tilde.mean(axis=0) / scale
-    wbar = pd.W.mean(axis=0)  # (T, k)
-    ybar = panel.y.mean(axis=0)
-    a = np.eye(panel.k) - qbar.T @ within(wbar, axis=0)
-    a_inv = _solve_te_system(a, "I_k - Qbar'M_T Wbar")
-    coef = a_inv @ (theta_tmg - qbar.T @ within(ybar, axis=0))
-    phi = within(ybar - wbar @ coef, axis=0)
-
-    resid = tilde - np.einsum("ntk,t->nk", Q, phi) - coef
-    v_theta = resid.T @ resid / ((panel.n - 1) * scale**2)
-    cov = a_inv @ v_theta @ a_inv.T / (panel.n - 1)
-    nu = panel.y - np.einsum("ntp,p->nt", panel.x, coef[1:]) - phi[None, :]
-    omega = (nu[:, :, None] * nu[:, None, :]).sum(axis=0) / (panel.n - 1)
-    xbar = panel.x.mean(axis=0)
-    cov_phi = _mt_sandwich(xbar @ cov[1:, 1:] @ xbar.T + omega / panel.n)
-    est = Estimate(
-        method="tmgte",
-        coef=coef,
-        cov=cov,
-        n_used=panel.n,
-        pi_n=state.pi_n,
-        alpha_used=cfg.alpha,
-        per_unit=tilde,
-        coef_names=names,
-    )
-    return est, TimeEffects(phi=phi, cov=cov_phi, method=METHOD_SYSTEM)
+    return weighted_mean_group_te(pd, tmg_weighting(pd, cfg), "tmgte")
 
 
 def gp_te(
-    panel: BalancedPanel, alpha_gp: float = DEFAULT_ALPHA_GP
+    panel: BalancedPanel,
+    alpha_gp: float = DEFAULT_ALPHA_GP,
+    design: PanelDesign | None = None,
 ) -> tuple[Estimate, TimeEffects]:
-    """Trim-by-exclusion estimator with time effects.
-
-    T > k re-uses the projector-average effects; T = k solves the
-    cross-section-average system with equal weights on retained units.
-    """
-    pd = PanelDesign(panel)
-    h2 = gp_threshold(pd, alpha_gp)
-    keep = pd.d > h2
-    m = int(keep.sum())
-    if m == 0:
-        raise AllTrimmedError("bandwidth excluded every unit")
-    pi_n = 1.0 - m / panel.n
-    names = _mg_names(panel.k_prime)
-    R = np.einsum("ntk,nkj->ntj", pd.W[keep], pd.adj[keep] / pd.d[keep, None, None])
-    rbar = R.mean(axis=0)
-
-    if panel.T > panel.k:
-        te = chamberlain_phi(panel)
-        yc = panel.y[keep] - te.phi[None, :]
-        theta = np.einsum("ntk,nt->nk", R, yc)
-        coef = theta.mean(axis=0)
-        dev = theta - coef
-        sample = dev.T @ dev / (m * (m - 1))
-        cov = sample + rbar.T @ te.cov @ rbar
-        est = Estimate(
-            method="gpte",
-            coef=coef,
-            cov=cov,
-            n_used=m,
-            pi_n=pi_n,
-            alpha_used=alpha_gp,
-            per_unit=theta,
-            coef_names=names,
-        )
-        return est, te
-
-    theta_hat = np.einsum("ntk,nt->nk", R, panel.y[keep])
-    theta_gp = theta_hat.mean(axis=0)
-    wbar = pd.W.mean(axis=0)
-    ybar = panel.y.mean(axis=0)
-    a = np.eye(panel.k) - rbar.T @ within(wbar, axis=0)
-    a_inv = _solve_te_system(a, "I_k - Rbar'M_T Wbar")
-    coef = a_inv @ (theta_gp - rbar.T @ within(ybar, axis=0))
-    phi = within(ybar - wbar @ coef, axis=0)
-    resid = theta_hat - np.einsum("ntk,t->nk", R, phi) - coef
-    v_theta = resid.T @ resid / (m - 1)
-    cov = a_inv @ v_theta @ a_inv.T / (m - 1)
-    nu = panel.y - np.einsum("ntp,p->nt", panel.x, coef[1:]) - phi[None, :]
-    omega = (nu[:, :, None] * nu[:, None, :]).sum(axis=0) / (panel.n - 1)
-    xbar = panel.x.mean(axis=0)
-    cov_phi = _mt_sandwich(xbar @ cov[1:, 1:] @ xbar.T + omega / panel.n)
-    est = Estimate(
-        method="gpte",
-        coef=coef,
-        cov=cov,
-        n_used=m,
-        pi_n=pi_n,
-        alpha_used=alpha_gp,
-        per_unit=theta_hat,
-        coef_names=names,
-    )
-    return est, TimeEffects(phi=phi, cov=cov_phi, method=METHOD_SYSTEM)
+    """Trim-by-exclusion estimator with time effects: equal weights on the
+    retained units, otherwise the same two routes as :func:`tmg_te`."""
+    pd = design if design is not None else PanelDesign(panel)
+    return weighted_mean_group_te(pd, gp_weighting(pd, alpha_gp), "gpte")

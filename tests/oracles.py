@@ -69,7 +69,7 @@ def tmg_oracle(y, x, alpha):
     return coef, cov, float((delta < 0).mean())
 
 
-def gp_oracle(y, x, alpha_gp):
+def gp_kept_units(x, alpha_gp):
     n, T, kp = x.shape
     d = np.array([unit_det(x[i]) for i in range(n)])
     if T == kp + 1:
@@ -81,7 +81,12 @@ def gp_oracle(y, x, alpha_gp):
     else:
         c = np.sqrt(d.mean())
     h2 = (c * n ** (-alpha_gp)) ** 2
-    keep = np.flatnonzero(d > h2)
+    return np.flatnonzero(d > h2)
+
+
+def gp_oracle(y, x, alpha_gp):
+    n = y.shape[0]
+    keep = gp_kept_units(x, alpha_gp)
     thetas = np.array([unit_theta(y[i], x[i]) for i in keep])
     coef = thetas.mean(axis=0)
     dev = thetas - coef
@@ -145,6 +150,26 @@ def tmgte_oracle(y, x, alpha):
     ybar = y.mean(axis=0)
     a = np.eye(kp + 1) - qbar.T @ M @ wbar
     coef = np.linalg.solve(a, theta_tmg - qbar.T @ M @ ybar)
+    phi = M @ (ybar - wbar @ coef)
+    return coef, phi
+
+
+def gpte_oracle(y, x, alpha_gp):
+    # equal weights on the retained units; T = k system on all-unit averages
+    n, T, kp = x.shape
+    M = mt(T)
+    keep = gp_kept_units(x, alpha_gp)
+    rs = [unit_w(x[i]) @ np.linalg.inv(unit_w(x[i]).T @ unit_w(x[i])) for i in keep]
+    rbar = sum(rs) / keep.size
+    if T > kp + 1:
+        phi, _ = chamberlain_oracle(y, x)
+        thetas = np.array([r.T @ (y[i] - phi) for r, i in zip(rs, keep)])
+        return thetas.mean(axis=0), phi
+    theta_gp = np.array([unit_theta(y[i], x[i]) for i in keep]).mean(axis=0)
+    wbar = np.column_stack([np.ones(T), x.mean(axis=0)])
+    ybar = y.mean(axis=0)
+    a = np.eye(kp + 1) - rbar.T @ M @ wbar
+    coef = np.linalg.solve(a, theta_gp - rbar.T @ M @ ybar)
     phi = M @ (ybar - wbar @ coef)
     return coef, phi
 

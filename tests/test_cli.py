@@ -137,6 +137,34 @@ class TestHausmanCommand:
         assert rec["p_value"] > 0.05
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["estimate", "{csv}", "--alpha", "1.5"], "--alpha: must be in (0, 1)"),
+        (["test", "{csv}", "--alpha", "1.5"], "--alpha: must be in (0, 1)"),
+        (["estimate", "{csv}", "--method", "gp", "--alpha-gp", "-1"], "--alpha-gp: must be"),
+        (["power", "{scen}", "--grid-points", "0"], "--grid-points: must be at least 1"),
+        (["simulate", "{scen}", "--jobs", "0"], "--jobs: must be at least 1"),
+        (["calibrate", "{scen}", "--n-cal", "1"], "--n-cal: must be at least 2"),
+        (["simulate", "{bad_trim}"], "alpha must be in (0,1)"),
+    ],
+)
+def test_invalid_values_exit_2_with_message(hetero_csv, tmp_path, capsys, argv, message):
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(scenario_payload(reps=4)))
+    bad_trim = tmp_path / "bad_trim.json"
+    bad_trim.write_text(json.dumps(scenario_payload(reps=4, trim_alpha=1.5)))
+    paths = {"csv": hetero_csv, "scen": scen, "bad_trim": bad_trim}
+    argv = [a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out")]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects a value before any command runs
+        rc = exc.code
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 class TestSimulate:
     def test_results_csv_and_manifest(self, tmp_path):
         scen = tmp_path / "scen.json"

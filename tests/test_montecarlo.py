@@ -231,6 +231,51 @@ class TestRunExperiment:
         assert by_tag["fe"].failures == 0 and by_tag["fe"].reps == 4
 
 
+@pytest.mark.parametrize(
+    "T, tags",
+    [
+        (2, ["fe", "mg", "tmg", "gp", "hausman"]),
+        (3, ["fete", "tmgte", "gpte", "hausman_te"]),
+    ],
+)
+def test_replication_computes_each_shared_piece_once(monkeypatch, T, tags):
+    # the tags of one replication share one design, one set of projectors
+    # and one fit of each estimator that several of them compare
+    import sys
+
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    modules = [m for k, m in sys.modules.items() if k.startswith("tmgpanel")]
+    from tmgpanel import designs, estimators, timeeffects
+
+    for home, name in [
+        (designs, "chamberlain_projectors"),
+        (estimators, "fe"),
+        (estimators, "tmg"),
+        (timeeffects, "fete"),
+        (timeeffects, "tmg_te"),
+    ]:
+        original = getattr(home, name)
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted(name, original))
+    monkeypatch.setattr(
+        PanelDesign, "__init__", counted("PanelDesign", PanelDesign.__init__)
+    )
+    cfg = base_cfg(n=100, T=T, time_effects=T > 2)
+    results = run_experiment(cfg, tags, reps=1)
+    assert all(r.failures == 0 for r in results)
+    assert counts.pop("PanelDesign") == 1
+    assert counts and all(c == 1 for c in counts.values()), counts
+
+
 class TestScenario:
     def test_roundtrip(self, tmp_path):
         import json

@@ -10,6 +10,7 @@ from tmgpanel import (
     fe,
     fete,
     gp,
+    gp_te,
     hausman_no_te,
     hausman_te,
     mg,
@@ -85,6 +86,11 @@ def test_time_effects_match_bruteforce(idx, panel):
     est, te = tmg_te(panel, TrimConfig(alpha=ALPHA))
     np.testing.assert_allclose(est.coef, coef_te, rtol=RTOL, atol=1e-9)
     np.testing.assert_allclose(te.phi, phi_te, rtol=1e-8, atol=1e-9)
+
+    coef_gte, phi_gte = oracles.gpte_oracle(y, x, ALPHA)
+    est, te = gp_te(panel, ALPHA)
+    np.testing.assert_allclose(est.coef, coef_gte, rtol=RTOL, atol=1e-9)
+    np.testing.assert_allclose(te.phi, phi_gte, rtol=1e-8, atol=1e-9)
 
 
 @pytest.mark.parametrize("idx,panel", FIXTURES)

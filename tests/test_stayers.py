@@ -80,3 +80,17 @@ def test_mg_names_offending_unit(panel_with_stayer):
     with pytest.raises(SingularDesignError) as exc:
         mg(panel_with_stayer)
     assert 3 in exc.value.units
+
+
+def test_near_singular_unit_rounds_to_zero_determinant(rng):
+    # a near-stayer whose cofactor determinant rounds to -1.8e-15 at T = 2;
+    # W'W is positive semi-definite, so it must count as d = 0 and be trimmed
+    n = 30
+    x = rng.normal(1, 1, (n, 2, 1))
+    x[0, :, 0] = (1.9341162551252367, 1.9341162432394947)
+    y = rng.standard_normal(n)[:, None] + x[:, :, 0] + 0.4 * rng.standard_normal((n, 2))
+    p = BalancedPanel(y=y, x=x, unit_ids=tuple(range(n)), time_ids=(0, 1))
+    assert PanelDesign(p).d[0] == 0.0
+    est = tmg(p)
+    assert est.trim.trimmed[0]
+    assert np.isfinite(est.coef).all() and np.isfinite(est.se).all()
