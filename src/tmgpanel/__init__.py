@@ -7,14 +7,7 @@ and a reproducible Monte Carlo engine.
 
 __version__ = "0.1.0"
 
-from .designs import (
-    ChamberlainProjector,
-    UnitDesign,
-    WithinOperator,
-    build_unit_design,
-    unit_ols,
-    within,
-)
+from .designs import ChamberlainProjector, within
 from .errors import (
     AllSingularError,
     AllTrimmedError,
@@ -63,13 +56,7 @@ from .timeeffects import (
     gp_te,
     tmg_te,
 )
-from .trimming import (
-    TrimConfig,
-    TrimState,
-    compute_threshold,
-    delta_weights,
-    trimmed_unit_estimate,
-)
+from .trimming import TrimConfig, TrimState, compute_threshold, delta_weights
 
 __all__ = [
     "AllSingularError",
@@ -100,9 +87,6 @@ __all__ = [
     "TrimConfig",
     "TrimState",
     "UnbalancedPanelError",
-    "UnitDesign",
-    "WithinOperator",
-    "build_unit_design",
     "calibrate_kappa",
     "chamberlain_phi",
     "chamberlain_projectors",
@@ -124,8 +108,6 @@ __all__ = [
     "run_experiment",
     "tmg",
     "tmg_te",
-    "trimmed_unit_estimate",
-    "unit_ols",
     "with_calibrated_kappa",
     "within",
 ]

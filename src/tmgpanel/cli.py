@@ -52,18 +52,11 @@ def _config_hash(payload: dict) -> str:
 
 
 def _versions() -> dict:
-    out = {
+    return {
         "tmgpanel": __version__,
         "python": sys.version.split()[0],
         "numpy": np.__version__,
     }
-    try:
-        import numba
-
-        out["numba"] = numba.__version__
-    except ImportError:  # pragma: no cover
-        out["numba"] = None
-    return out
 
 
 def _write_manifest(out_dir: Path, command: str, params: dict, seed, outputs, elapsed: float):
@@ -170,9 +163,9 @@ def _run_estimate(args) -> int:
         dump_path = out / "per_unit.csv"
         with open(dump_path, "w", encoding="utf-8") as fh:
             fh.write("unit_id," + ",".join(names) + "\n")
-            ids = panel.unit_ids if est.per_unit.shape[0] == panel.n else range(
-                est.per_unit.shape[0]
-            )
+            ids = panel.unit_ids
+            if est.keep is not None:
+                ids = [uid for uid, kept in zip(ids, est.keep) if kept]
             for uid, row in zip(ids, est.per_unit):
                 fh.write(str(uid) + "," + ",".join(_fmt(v) for v in row) + "\n")
         outputs.append(dump_path)

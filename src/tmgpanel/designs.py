@@ -1,4 +1,4 @@
-"""Per-unit design construction, exact determinant/adjugate, per-unit OLS.
+"""Batched per-unit designs: exact determinants and adjugates, per-unit OLS.
 
 The adjugate satisfies (W'W) adj(W'W) = det(W'W) I exactly, which lets the
 trimmed estimators evaluate inversion-free even when a unit's determinant is
@@ -27,79 +27,10 @@ def singularity_floor(gram: np.ndarray) -> np.ndarray:
     return DET_FLOOR_REL * (tr / k) ** k
 
 
-@dataclass(frozen=True)
-class WithinOperator:
-    """Time de-meaning projector M_T = I_T - tau tau'/T applied implicitly."""
-
-    T: int
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        return v - v.mean(axis=-1, keepdims=True)
-
-    def as_matrix(self) -> np.ndarray:
-        return np.eye(self.T) - np.full((self.T, self.T), 1.0 / self.T)
-
-
 def within(v: np.ndarray, axis: int = -1) -> np.ndarray:
     """De-mean an array along a time axis."""
     v = np.asarray(v, dtype=np.float64)
     return v - v.mean(axis=axis, keepdims=True)
-
-
-@dataclass(frozen=True)
-class UnitDesign:
-    """W_i = (tau_T, X_i) together with its Gram matrix, determinant and adjugate."""
-
-    W: np.ndarray
-    gram: np.ndarray
-    d: float
-    adjugate: np.ndarray
-    psi_x: np.ndarray
-
-    @property
-    def T(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.W.shape[1]
-
-    def is_singular(self) -> bool:
-        return self.d <= singularity_floor(self.gram)
-
-
-def build_unit_design(panel: BalancedPanel, i: int) -> UnitDesign:
-    """Design matrix, Gram, exact determinant and adjugate for unit ``i``.
-
-    d = 0 is a valid output; downstream code decides how to treat it.
-    """
-    if not 0 <= i < panel.n:
-        raise IndexError(f"unit index {i} out of range [0, {panel.n})")
-    W = panel.design_tensor()[i]
-    gram, d, adj = gram_det_adj(W[None])
-    gram, d, adj = gram[0], float(d[0]), adj[0]
-    _check_adjugate(gram, d, adj)
-    xd = within(panel.x[i], axis=0)
-    psi_x = xd.T @ panel.x[i]
-    return UnitDesign(W=W, gram=gram, d=d, adjugate=adj, psi_x=psi_x)
-
-
-def _check_adjugate(gram, d, adj):
-    # Internal consistency: gram @ adj must reproduce d * I.
-    k = gram.shape[-1]
-    resid = gram @ adj - d * np.eye(k)
-    scale = max(np.abs(gram).max() * max(abs(d), 1.0), 1.0)
-    if np.abs(resid).max() > 1e-9 * scale:  # pragma: no cover - numeric guard
-        raise FloatingPointError("adjugate identity violated beyond tolerance")
-
-
-def unit_ols(design: UnitDesign, y_i: np.ndarray) -> np.ndarray:
-    """Least squares theta_i = (W'W)^{-1} W'y_i via the adjugate."""
-    y_i = np.asarray(y_i, dtype=np.float64)
-    if design.is_singular():
-        raise SingularDesignError(message=f"unit determinant {design.d:g} at or below noise floor")
-    return design.adjugate @ (design.W.T @ y_i) / design.d
 
 
 @dataclass(frozen=True)
@@ -127,11 +58,12 @@ class PanelDesign:
     """Batched designs for all units: the shared input of every estimator.
 
     Holds W (n,T,k), Gram matrices, determinants and adjugates computed in one
-    kernel sweep, plus W_i'y_i and the Chamberlain projectors, each built on
-    first use. Immutable by convention; cheap enough to build per panel.
+    kernel sweep, plus W_i'y_i, the Chamberlain projectors and the
+    projector-average time effects, each built on first use. Immutable by
+    convention; cheap enough to build per panel.
     """
 
-    __slots__ = ("panel", "W", "gram", "d", "adj", "_wty", "_projectors")
+    __slots__ = ("panel", "W", "gram", "d", "adj", "_wty", "_projectors", "_time_effects")
 
     def __init__(self, panel: BalancedPanel):
         self.panel = panel
@@ -139,6 +71,7 @@ class PanelDesign:
         self.gram, self.d, self.adj = gram_det_adj(self.W)
         self._wty = None
         self._projectors = None
+        self._time_effects = None
 
     @property
     def n(self) -> int:
@@ -166,17 +99,20 @@ class PanelDesign:
             self._projectors = chamberlain_projectors(self.panel)
         return self._projectors
 
+    def time_effects(self):
+        """Projector-average time effects of the panel (T > k), solved once."""
+        if self._time_effects is None:
+            from .timeeffects import chamberlain_phi  # timeeffects imports this module
+
+            self._time_effects = chamberlain_phi(self.panel, design=self)
+        return self._time_effects
+
     def theta_hat(self) -> np.ndarray:
         """Per-unit OLS estimates, (n, k). Requires all determinants above floor."""
         bad = self.singular_units()
         if bad.size:
             raise SingularDesignError(units=bad.tolist())
         return np.einsum("nkj,nj->nk", self.adj, self.wty()) / self.d[:, None]
-
-    def theta_tilde(self, a_n: float, trimmed: np.ndarray) -> np.ndarray:
-        """Trimmed per-unit estimates: OLS above the threshold, adjugate form below."""
-        den = np.where(trimmed, a_n, self.d)
-        return np.einsum("nkj,nj->nk", self.adj, self.wty()) / den[:, None]
 
     def bmats(self, a_n: float, trimmed: np.ndarray) -> np.ndarray:
         """(1 + delta_i) (W'W)^{-1} for every unit, finite on the trimmed branch."""

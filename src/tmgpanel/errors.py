@@ -39,14 +39,13 @@ class NumericalError(TmgPanelError):
 class SingularDesignError(NumericalError):
     """Per-unit Gram matrix is singular (determinant at or below the noise floor)."""
 
-    def __init__(self, units=None, message=None):
+    def __init__(self, units=None):
         self.units = list(units) if units is not None else []
-        if message is None:
-            message = "singular unit design"
-            if self.units:
-                message += f" for units {self.units[:10]}"
-                if len(self.units) > 10:
-                    message += f" (+{len(self.units) - 10} more)"
+        message = "singular unit design"
+        if self.units:
+            message += f" for units {self.units[:10]}"
+            if len(self.units) > 10:
+                message += f" (+{len(self.units) - 10} more)"
         super().__init__(message)
 
 

@@ -39,6 +39,7 @@ class Estimate:
     per_unit: np.ndarray | None = None
     coef_names: tuple = field(default=())
     trim: TrimState | None = None  # threshold state of a TMG-family fit
+    keep: np.ndarray | None = None  # units behind the per_unit rows; None is every unit
 
     @property
     def se(self) -> np.ndarray:
@@ -180,6 +181,7 @@ def weighted_mean_group(
         per_unit=tilde,
         coef_names=_mg_names(pd.panel.k_prime),
         trim=wt.trim,
+        keep=wt.keep,
     )
 
 

@@ -474,7 +474,9 @@ def run_experiment(
         est = np.array([rec[tag][0] for rec in records])  # (R, width)
         se = np.array([rec[tag][1] for rec in records])
         pi = np.array([rec[tag][2] for rec in records])
-        ok = np.isfinite(est).all(axis=1)
+        # a finite estimate with a non-finite se (e.g. GP keeping one unit)
+        # cannot be tested, so it counts as a failure, not a non-rejection
+        ok = np.isfinite(est).all(axis=1) & np.isfinite(se).all(axis=1)
         failures = int((~ok).sum())
         r_ok = int(ok.sum())
         est, se, pi = est[ok], se[ok], pi[ok]

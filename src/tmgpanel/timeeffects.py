@@ -136,7 +136,7 @@ def weighted_mean_group_te(
     qbar = Q.mean(axis=0) / wt.scale
 
     if panel.T > panel.k:
-        te = chamberlain_phi(panel, design=pd)
+        te = pd.time_effects()
         tilde = np.einsum("ntk,nt->nk", Q, wt.kept(panel.y) - te.phi[None, :])
         est = weighted_mean_group(pd, wt, method, tilde)
         return replace(est, cov=est.cov + qbar.T @ te.cov @ qbar), te

@@ -1,4 +1,4 @@
-"""Determinant-based trimming: threshold, delta weights, trimmed unit estimates.
+"""Determinant-based trimming: threshold and delta weights.
 
 The threshold a_n = C_n n^{-alpha} with C_n equal to the mean determinant by
 default, which makes the trimming decision d_i/dbar_n > n^{-alpha} invariant
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import UnitDesign
 from .errors import AllSingularError
 
 #: Recommended threshold exponent.
@@ -88,13 +87,3 @@ def delta_weights(d: np.ndarray, a_n: float) -> TrimState:
         pi_n=float(trimmed.mean()),
         trimmed=trimmed,
     )
-
-
-def trimmed_unit_estimate(design: UnitDesign, y_i: np.ndarray, a_n: float) -> np.ndarray:
-    """Per-unit estimate: OLS when d_i > a_n, else the inversion-free
-    adjugate form a_n^{-1} adj(W'W) W'y_i (well defined even at d_i = 0)."""
-    if a_n <= 0.0:
-        raise ValueError(f"threshold must be positive, got {a_n}")
-    y_i = np.asarray(y_i, dtype=np.float64)
-    den = a_n if design.d <= a_n else design.d
-    return design.adjugate @ (design.W.T @ y_i) / den

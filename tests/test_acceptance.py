@@ -182,7 +182,7 @@ def test_criterion_7_property_suite():
     pd = PanelDesign(p)
     cfg = TrimConfig()
     st = delta_weights(pd.d, compute_threshold(pd.d, cfg))
-    tilde = pd.theta_tilde(st.a_n, st.trimmed)
+    tilde = np.einsum("nkj,nj->nk", pd.bmats(st.a_n, st.trimmed), pd.wty())
     kept = ~st.trimmed
     two_form = (
         (1 - st.pi_n) * tilde[kept].mean(axis=0)

@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from tmgpanel import DgpConfig, generate_replication
+from tmgpanel import BalancedPanel, DgpConfig, generate_replication
 from tmgpanel.cli import main
+from tmgpanel.estimators import DEFAULT_ALPHA_GP
+
+import oracles
 
 
 def write_panel_csv(path, panel):
@@ -76,6 +79,29 @@ class TestEstimate:
         dump = (tmp_path / "per_unit.csv").read_text().splitlines()
         assert dump[0] == "unit_id,alpha,beta1"
         assert len(dump) == 5001
+
+    @pytest.mark.parametrize("te", [False, True])
+    def test_gp_dump_units_names_retained_units(self, tmp_path, te):
+        # GP drops units; each per-unit row must carry the id of its own unit
+        rng = np.random.default_rng(11)
+        n = 12
+        x = rng.normal(1.0, 1.0, (n, 2, 1))
+        x[[2, 7], :, 0] = 0.4  # two stayers, d_i = 0
+        y = rng.normal(size=(n, 1)) + (1.0 + 0.3 * rng.normal(size=(n, 1))) * x[:, :, 0]
+        ids = tuple(f"u{100 + i}" for i in range(n))
+        panel = BalancedPanel(y=y, x=x, unit_ids=ids, time_ids=(1, 2))
+        path = tmp_path / "ids.csv"
+        write_panel_csv(path, panel)
+        argv = ["estimate", str(path), "--method", "gp", "--dump-units", "--out", str(tmp_path)]
+        assert main(argv + (["--te"] if te else [])) == 0
+        rows = [r.split(",") for r in (tmp_path / "per_unit.csv").read_text().splitlines()[1:]]
+        keep = oracles.gp_kept_units(x, DEFAULT_ALPHA_GP)
+        assert [r[0] for r in rows] == [ids[i] for i in keep]
+        assert "u102" not in {r[0] for r in rows} and "u107" not in {r[0] for r in rows}
+        if not te:
+            for r, i in zip(rows, keep):
+                want = oracles.unit_theta(y[i], x[i])
+                np.testing.assert_allclose([float(v) for v in r[1:]], want, rtol=1e-9)
 
     def test_malformed_csv_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

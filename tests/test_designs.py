@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
 
-from tmgpanel import (
-    BalancedPanel,
-    SingularDesignError,
-    WithinOperator,
-    build_unit_design,
-    unit_ols,
-)
-from tmgpanel._kernels import det_adj_single, gram_det_adj
+from tmgpanel import BalancedPanel, SingularDesignError, within
+from tmgpanel._kernels import _det_adj_stack, gram_det_adj
 from tmgpanel.designs import PanelDesign
 
+import oracles
 from _helpers import random_panel
 
 
@@ -29,16 +24,16 @@ def panel_from_x(x, y=None):
 class TestDeterminantAdjugate:
     def test_hand_2x2(self):
         # unit with x = (0, 1): W'W = [[2,1],[1,1]], det = 1
-        p = panel_from_x([[0.0, 1.0], [1.0, 2.0]])
-        dz = build_unit_design(p, 0)
-        np.testing.assert_allclose(dz.gram, [[2.0, 1.0], [1.0, 1.0]])
-        assert dz.d == pytest.approx(1.0, abs=1e-14)
+        pd = PanelDesign(panel_from_x([[0.0, 1.0], [1.0, 2.0]]))
+        np.testing.assert_allclose(pd.gram[0], [[2.0, 1.0], [1.0, 1.0]])
+        assert pd.d[0] == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_allclose(pd.adj[0], [[1.0, -1.0], [-1.0, 2.0]])
 
     def test_zero_within_variation(self):
-        p = panel_from_x([[0.0, 0.0], [1.0, 2.0]])
-        dz = build_unit_design(p, 0)
-        assert dz.d == pytest.approx(0.0, abs=1e-14)
-        assert np.isfinite(dz.adjugate).all()
+        pd = PanelDesign(panel_from_x([[0.0, 0.0], [1.0, 2.0]]))
+        assert pd.d[0] == pytest.approx(0.0, abs=1e-14)
+        assert np.isfinite(pd.adj[0]).all()
+        np.testing.assert_array_equal(pd.singular_units(), [0])
 
     @pytest.mark.parametrize("k_prime,T", [(1, 2), (1, 4), (2, 3), (3, 4)])
     def test_det_matches_lu_oracle(self, rng, k_prime, T):
@@ -83,78 +78,88 @@ class TestDeterminantAdjugate:
         detw = np.array([np.linalg.det(W[i]) for i in range(12)])
         np.testing.assert_allclose(d, detw**2, rtol=1e-10)
 
-    def test_det_adj_single_large_k(self, rng):
+    def test_det_adj_stack_large_k(self, rng):
+        # k = 6 takes the LU fallback
         a = rng.normal(0, 1, (6, 6))
         a = a @ a.T
-        d, adj = det_adj_single(a)
+        d, adj = _det_adj_stack(a[None])
+        d, adj = d[0], adj[0]
         np.testing.assert_allclose(d, np.linalg.det(a), rtol=1e-9)
         np.testing.assert_allclose(a @ adj, d * np.eye(6), atol=1e-9 * abs(d))
 
 
 class TestUnitOls:
+    """Per-unit OLS through the batched ``PanelDesign.theta_hat``."""
+
     def test_exact_fit(self, rng):
         x = rng.normal(0, 1, (3, 4, 1))
-        p = panel_from_x(x)
-        dz = build_unit_design(p, 1)
-        y = dz.W @ np.array([1.0, 1.0])
-        np.testing.assert_allclose(unit_ols(dz, y), [1.0, 1.0], atol=1e-12)
+        y = 1.0 + x[:, :, 0]  # every unit on the line (1, 1)
+        theta = PanelDesign(panel_from_x(x, y)).theta_hat()
+        np.testing.assert_allclose(theta, 1.0, atol=1e-12)
 
     def test_hand_line(self):
         # x = (0,1,2), y = (1,3,5): intercept 1, slope 2
-        p = panel_from_x([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]])
-        dz = build_unit_design(p, 0)
-        np.testing.assert_allclose(
-            unit_ols(dz, np.array([1.0, 3.0, 5.0])), [1.0, 2.0], atol=1e-12
-        )
+        y = np.array([[1.0, 3.0, 5.0], [0.0, 0.0, 0.0]])
+        p = panel_from_x([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]], y)
+        np.testing.assert_allclose(PanelDesign(p).theta_hat()[0], [1.0, 2.0], atol=1e-12)
 
     def test_matches_lstsq(self, rng):
         x = rng.normal(0, 1, (20, 4, 2))
         y = rng.normal(0, 1, (20, 4))
-        p = panel_from_x(x, y)
+        pd = PanelDesign(panel_from_x(x, y))
+        theta = pd.theta_hat()
         for i in range(20):
-            dz = build_unit_design(p, i)
-            got = unit_ols(dz, y[i])
-            want = np.linalg.lstsq(dz.W, y[i], rcond=None)[0]
-            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+            want = np.linalg.lstsq(pd.W[i], y[i], rcond=None)[0]
+            np.testing.assert_allclose(theta[i], want, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(
+                theta[i], oracles.unit_theta(y[i], x[i]), rtol=1e-9, atol=1e-12
+            )
 
     def test_residuals_orthogonal(self, rng):
         x = rng.normal(0, 1, (5, 4, 1))
         y = rng.normal(0, 1, (5, 4))
-        p = panel_from_x(x, y)
-        dz = build_unit_design(p, 2)
-        resid = y[2] - dz.W @ unit_ols(dz, y[2])
-        assert np.abs(dz.W.T @ resid).max() <= 1e-9 * max(np.abs(y).max(), 1.0)
+        pd = PanelDesign(panel_from_x(x, y))
+        resid = y - np.einsum("ntk,nk->nt", pd.W, pd.theta_hat())
+        wtr = np.einsum("ntk,nt->nk", pd.W, resid)
+        assert np.abs(wtr).max() <= 1e-9 * max(np.abs(y).max(), 1.0)
 
     def test_singular_raises(self):
-        p = panel_from_x([[1.0, 1.0], [0.0, 1.0]])
-        dz = build_unit_design(p, 0)
-        with pytest.raises(SingularDesignError):
-            unit_ols(dz, np.array([0.0, 1.0]))
+        p = panel_from_x([[1.0, 1.0], [0.0, 1.0]], np.array([[0.0, 1.0], [0.0, 1.0]]))
+        pd = PanelDesign(p)
+        with pytest.raises(SingularDesignError) as exc:
+            pd.theta_hat()
+        assert exc.value.units == [0]
 
 
 class TestWithinOperator:
+    """The time de-meaning operator M_T, applied by ``within``."""
+
     def test_annihilates_constants(self):
-        op = WithinOperator(5)
-        np.testing.assert_allclose(op.apply(np.full(5, 3.3)), 0.0, atol=1e-12)
+        np.testing.assert_allclose(within(np.full(5, 3.3)), 0.0, atol=1e-12)
 
     def test_idempotent_and_zero_mean(self, rng):
-        op = WithinOperator(7)
         v = rng.normal(0, 4, 7)
-        once = op.apply(v)
-        np.testing.assert_allclose(op.apply(once), once, atol=1e-12)
+        once = within(v)
+        np.testing.assert_allclose(within(once), once, atol=1e-12)
         assert abs(once.mean()) <= 1e-12
 
     def test_matches_matrix_form(self, rng):
-        op = WithinOperator(4)
         v = rng.normal(size=4)
-        np.testing.assert_allclose(op.apply(v), op.as_matrix() @ v, atol=1e-12)
+        np.testing.assert_allclose(within(v), oracles.mt(4) @ v, atol=1e-12)
+        x = rng.normal(size=(3, 4, 2))
+        want = np.einsum("ts,nsp->ntp", oracles.mt(4), x)
+        np.testing.assert_allclose(within(x, axis=1), want, atol=1e-12)
 
 
 def test_panel_design_matches_per_unit(rng):
     p = random_panel(rng, n=12, T=3, k_prime=2)
     pd = PanelDesign(p)
     for i in range(p.n):
-        dz = build_unit_design(p, i)
-        np.testing.assert_allclose(pd.gram[i], dz.gram, rtol=1e-12)
-        np.testing.assert_allclose(pd.d[i], dz.d, rtol=1e-10)
-        np.testing.assert_allclose(pd.adj[i], dz.adjugate, rtol=1e-10, atol=1e-12)
+        W = oracles.unit_w(p.x[i])
+        gram = W.T @ W
+        np.testing.assert_allclose(pd.W[i], W, rtol=1e-15)
+        np.testing.assert_allclose(pd.gram[i], gram, rtol=1e-12)
+        np.testing.assert_allclose(pd.d[i], oracles.unit_det(p.x[i]), rtol=1e-10)
+        np.testing.assert_allclose(
+            pd.adj[i], pd.d[i] * np.linalg.inv(gram), rtol=1e-10, atol=1e-12
+        )

@@ -128,7 +128,7 @@ class TestTmg:
             st = delta_weights(pd.d, a_n)
             if not st.trimmed.any() or st.trimmed.all():
                 continue
-            tilde = pd.theta_tilde(a_n, st.trimmed)
+            tilde = np.einsum("nkj,nj->nk", pd.bmats(a_n, st.trimmed), pd.wty())
             kept = ~st.trimmed
             pi = st.pi_n
             part1 = (1 - pi) / st.weight_scale * tilde[kept].mean(axis=0)

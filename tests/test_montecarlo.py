@@ -6,6 +6,7 @@ from tmgpanel import (
     ScenarioError,
     calibrate_kappa,
     generate_replication,
+    gp,
     run_experiment,
     with_calibrated_kappa,
 )
@@ -230,6 +231,21 @@ class TestRunExperiment:
         assert np.isnan(by_tag["tmg"].bias).all()
         assert by_tag["fe"].failures == 0 and by_tag["fe"].reps == 4
 
+    def test_undefined_se_counts_as_failure(self):
+        # with three units GP sometimes keeps one: a finite estimate with no
+        # standard error, which cannot be tested and must not count as a
+        # non-rejection
+        cfg = base_cfg(n=3)
+        reps = 130
+        single = [
+            r for r in range(reps) if gp(generate_replication(cfg, r)[0]).n_used == 1
+        ]
+        assert single
+        (res,) = run_experiment(cfg, ["gp"], reps=reps)
+        assert res.failures == len(single)
+        assert res.reps == reps - len(single)
+        assert np.isfinite(res.size).all()
+
 
 @pytest.mark.parametrize(
     "T, tags",
@@ -259,6 +275,7 @@ def test_replication_computes_each_shared_piece_once(monkeypatch, T, tags):
         (designs, "chamberlain_projectors"),
         (estimators, "fe"),
         (estimators, "tmg"),
+        (timeeffects, "chamberlain_phi"),
         (timeeffects, "fete"),
         (timeeffects, "tmg_te"),
     ]:

@@ -12,15 +12,14 @@ from tmgpanel import (
     BalancedPanel,
     SingularDesignError,
     TrimConfig,
-    build_unit_design,
     gp,
     hausman_no_te,
     mg,
     tmg,
     tmg_te,
-    trimmed_unit_estimate,
 )
 from tmgpanel.designs import PanelDesign
+from tmgpanel.trimming import compute_threshold
 
 
 @pytest.fixture
@@ -49,12 +48,10 @@ def test_tmg_finite_with_stayer(panel_with_stayer):
     # average with a zero contribution (the zero-weighted limit)
     scale = np.abs(panel_with_stayer.y).max()
     np.testing.assert_allclose(est.per_unit[3], 0.0, atol=1e-12 * scale)
-    dz = build_unit_design(panel_with_stayer, 3)
     pd = PanelDesign(panel_with_stayer)
-    from tmgpanel.trimming import compute_threshold
-
     a_n = compute_threshold(pd.d, TrimConfig())
-    want = trimmed_unit_estimate(dz, panel_with_stayer.y[3], a_n)
+    assert est.trim.a_n == a_n and est.trim.trimmed[3]
+    want = pd.adj[3] @ pd.wty()[3] / a_n  # the adjugate form of the trimmed branch
     np.testing.assert_allclose(est.per_unit[3], want, atol=1e-12 * scale)
 
 

@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
-from tmgpanel import (
-    AllSingularError,
-    TrimConfig,
-    build_unit_design,
-    compute_threshold,
-    delta_weights,
-    trimmed_unit_estimate,
-    unit_ols,
-)
+from tmgpanel import AllSingularError, TrimConfig, compute_threshold, delta_weights, tmg
+from tmgpanel.designs import PanelDesign
 
+import oracles
 from _helpers import random_panel
 from test_designs import panel_from_x
 
@@ -80,36 +74,49 @@ class TestDeltaWeights:
         assert state.weights().sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def threshold_config(a_n, n, alpha=0.5):
+    """An explicit-C_n rule whose threshold is a_n on n units."""
+    return TrimConfig(alpha=alpha, c_n=a_n * n**alpha)
+
+
 class TestTrimmedUnitEstimate:
+    """Per-unit rows of ``tmg(...).per_unit``: OLS above the threshold, the
+    inversion-free adjugate form adj(W'W) W'y_i / a_n at or below it."""
+
     def test_untrimmed_equals_ols(self, rng):
         p = random_panel(rng, n=4, T=3)
-        dz = build_unit_design(p, 0)
-        a_n = dz.d / 2.0
-        got = trimmed_unit_estimate(dz, p.y[0], a_n)
-        np.testing.assert_array_equal(got, unit_ols(dz, p.y[0]))
+        pd = PanelDesign(p)
+        est = tmg(p, threshold_config(pd.d.min() / 2.0, p.n))
+        assert not est.trim.trimmed.any()
+        np.testing.assert_array_equal(est.per_unit, pd.theta_hat())
+        for i in range(p.n):
+            np.testing.assert_allclose(
+                est.per_unit[i], oracles.unit_theta(p.y[i], p.x[i]), rtol=1e-10
+            )
 
     def test_zero_design_zero_outcome(self):
         p = panel_from_x([[0.0, 0.0], [0.0, 1.0]])
-        dz = build_unit_design(p, 0)
-        got = trimmed_unit_estimate(dz, np.zeros(2), a_n=0.3)
-        np.testing.assert_array_equal(got, 0.0)
-        assert np.isfinite(got).all()
+        est = tmg(p)
+        assert PanelDesign(p).d[0] == 0.0 and est.trim.trimmed[0]
+        np.testing.assert_array_equal(est.per_unit[0], 0.0)
+        assert np.isfinite(est.per_unit).all()
 
     def test_trimmed_branch_shrinks_ols(self, rng):
         # 0 < d <= a_n: estimate equals (d/a_n) * OLS
         p = random_panel(rng, n=6, T=3)
-        for i in range(p.n):
-            dz = build_unit_design(p, i)
-            a_n = dz.d * 2.5
-            got = trimmed_unit_estimate(dz, p.y[i], a_n)
-            want = (dz.d / a_n) * unit_ols(dz, p.y[i])
-            np.testing.assert_allclose(got, want, rtol=1e-10)
+        pd = PanelDesign(p)
+        top = np.sort(pd.d)[-2:]
+        est = tmg(p, threshold_config(top.mean(), p.n))
+        a_n = est.trim.a_n
+        trimmed = np.flatnonzero(est.trim.trimmed)
+        assert trimmed.size == 5
+        for i in trimmed:
+            want = (pd.d[i] / a_n) * oracles.unit_theta(p.y[i], p.x[i])
+            np.testing.assert_allclose(est.per_unit[i], want, rtol=1e-10)
 
     def test_trimming_set_scale_free(self, rng):
         # with the mean rule, rescaling regressors never changes who is trimmed
         p = random_panel(rng, n=40, T=2)
-        from tmgpanel.designs import PanelDesign
-
         cfg = TrimConfig()
         d1 = PanelDesign(p).d
         s1 = delta_weights(d1, compute_threshold(d1, cfg))
