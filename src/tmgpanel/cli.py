@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import sys
@@ -59,14 +60,16 @@ def _versions() -> dict:
     }
 
 
-def _write_manifest(out_dir: Path, command: str, params: dict, seed, outputs, elapsed: float):
+def _write_manifest(
+    out_dir: Path, command: str, params: dict, seed, outputs, elapsed: float, stages=None
+):
     manifest = {
         "command": command,
         "config_hash": _config_hash(params),
         "parameters": params,
         "seed": seed,
         "versions": _versions(),
-        "timings": {"wall_seconds": elapsed},
+        "timings": {"wall_seconds": elapsed, **(stages or {})},
         "outputs": [str(p) for p in outputs],
     }
     path = out_dir / "manifest.json"
@@ -99,12 +102,19 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _file_sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def _read_input(path):
+    """The panel in ``path`` and the sha256 of the very bytes it was parsed from."""
+    data = Path(path).read_bytes()
+    return read_panel_csv(io.BytesIO(data)), hashlib.sha256(data).hexdigest()
+
+
+def _stages(t0: float, t_read: float, t_fit: float) -> dict:
+    """Read, fit and write seconds of a CSV command; writing runs until now."""
+    return {
+        "read_seconds": t_read - t0,
+        "fit_seconds": t_fit - t_read,
+        "write_seconds": time.perf_counter() - t_fit,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +124,8 @@ def _file_sha256(path) -> str:
 
 def _run_estimate(args) -> int:
     t0 = time.perf_counter()
-    panel = read_panel_csv(args.csv)
+    panel, csv_sha256 = _read_input(args.csv)
+    t_read = time.perf_counter()
     trim_cfg = TrimConfig(alpha=args.alpha)
     method = args.method
     te = args.te or method in ("fete", "tmgte")
@@ -150,6 +161,7 @@ def _run_estimate(args) -> int:
         for t_idx, (p, s) in enumerate(zip(te_result.phi, te_result.se), start=1):
             tt = p / s if s > 0 else math.inf
             rows.append((f"phi{t_idx}", p, s, tt, _normal_two_sided_p(tt)))
+    t_fit = time.perf_counter()
 
     out = _out_dir(args)
     table_path = out / "estimate.csv"
@@ -180,7 +192,7 @@ def _run_estimate(args) -> int:
 
     params = {
         "csv": str(args.csv),
-        "csv_sha256": _file_sha256(args.csv),
+        "csv_sha256": csv_sha256,
         "method": est.method,
         "alpha": args.alpha,
         "alpha_gp": args.alpha_gp,
@@ -189,7 +201,10 @@ def _run_estimate(args) -> int:
         "n": panel.n,
         "T": panel.T,
     }
-    outputs.append(_write_manifest(out, "estimate", params, None, outputs, time.perf_counter() - t0))
+    stages = _stages(t0, t_read, t_fit)
+    outputs.append(
+        _write_manifest(out, "estimate", params, None, outputs, time.perf_counter() - t0, stages)
+    )
     return EXIT_OK
 
 
@@ -200,9 +215,11 @@ def _run_estimate(args) -> int:
 
 def _run_test(args) -> int:
     t0 = time.perf_counter()
-    panel = read_panel_csv(args.csv)
+    panel, csv_sha256 = _read_input(args.csv)
+    t_read = time.perf_counter()
     trim_cfg = TrimConfig(alpha=args.alpha)
     res = hausman_te(panel, trim_cfg) if args.te else hausman_no_te(panel, trim_cfg)
+    t_fit = time.perf_counter()
     out = _out_dir(args)
     path = out / "hausman.json"
     path.write_text(json.dumps(res.to_record(), indent=2) + "\n", encoding="utf-8")
@@ -211,11 +228,12 @@ def _run_test(args) -> int:
     )
     params = {
         "csv": str(args.csv),
-        "csv_sha256": _file_sha256(args.csv),
+        "csv_sha256": csv_sha256,
         "alpha": args.alpha,
         "te": args.te,
     }
-    _write_manifest(out, "test", params, None, [path], time.perf_counter() - t0)
+    stages = _stages(t0, t_read, t_fit)
+    _write_manifest(out, "test", params, None, [path], time.perf_counter() - t0, stages)
     return EXIT_OK
 
 

@@ -3,13 +3,28 @@
 A panel is strictly balanced: every unit is observed at every period.
 Unbalanced input is rejected rather than silently dropped, because every
 downstream formula assumes a common T.
+
+Ingestion is columnar. ``read_panel_csv`` parses the file once, with numpy's
+C reader, into two id columns and a value matrix (y, x1..xk'); ``load_panel``
+turns records into the same columns. One assembler factorises the ids, orders
+them, checks duplicates and balance with ``np.bincount`` over the cell index
+and scatters the values into the (n, T) and (n, T, k') arrays.
+
+Units and periods follow one total order on ids. An id that ``float()``
+parses to a number other than NaN is numeric and sorts first, by that value;
+every other id (NaN-valued ones included) follows. Ties -- ``1``, ``01`` and
+``1.0``, or any two non-numeric ids -- are broken by ``str(id)``. Ids are kept
+verbatim, so `` 1`` and ``1`` are two units.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
+from itertools import chain, islice
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -87,84 +102,141 @@ class BalancedPanel:
         return W
 
 
-def _sort_key(v):
+def _factorise(column) -> tuple[list, np.ndarray]:
+    """Distinct ids in order of first appearance, and each row's index into them."""
+    index: dict = {}
+    codes = [index.setdefault(v, len(index)) for v in column]
+    return list(index), np.asarray(codes, dtype=np.intp)
+
+
+def _numeric_value(v) -> float:
     try:
-        return (0, float(v))
-    except (TypeError, ValueError):
-        return (1, str(v))
+        return float(v)
+    except (TypeError, ValueError, OverflowError):
+        return np.nan
+
+
+def _ranks(order: np.ndarray) -> np.ndarray:
+    rank = np.empty(order.size, dtype=np.intp)
+    rank[order] = np.arange(order.size)
+    return rank
+
+
+def _sort_ids(ids: list) -> tuple[list, np.ndarray]:
+    """``ids`` in the id order of the module docstring, and each id's rank in it."""
+    value = np.fromiter(map(_numeric_value, ids), dtype=np.float64, count=len(ids))
+    is_text = np.isnan(value)
+    text = [str(v) for v in ids]
+    text_rank = _ranks(np.array(sorted(range(len(ids)), key=text.__getitem__), dtype=np.intp))
+    order = np.lexsort((text_rank, np.where(is_text, 0.0, value), is_text))
+    return [ids[i] for i in order], _ranks(order)
+
+
+def _assemble(units, times, values: np.ndarray, label) -> BalancedPanel:
+    """Build the panel from long-format columns.
+
+    ``units`` and ``times`` hold one id per row, ``values`` is the
+    (rows, 1 + k') matrix of y, x1..xk'. ``label(r)`` names row ``r`` in the
+    non-finite error ("line 7" for a CSV, "record 3" for records).
+    """
+    unit_ids, unit_code = _factorise(units)
+    time_ids, time_code = _factorise(times)
+    unit_ids, unit_rank = _sort_ids(unit_ids)
+    time_ids, time_rank = _sort_ids(time_ids)
+    n, T = len(unit_ids), len(time_ids)
+    cell = unit_rank[unit_code] * T + time_rank[time_code]
+    counts = np.bincount(cell, minlength=n * T)
+    if counts.max() > 1:
+        repeat = np.ones(cell.size, dtype=bool)
+        repeat[np.unique(cell, return_index=True)[1]] = False
+        r = int(np.flatnonzero(repeat)[0])
+        raise DuplicateCellError(f"duplicate cell (unit={units[r]!r}, time={times[r]!r})")
+    missing = np.flatnonzero(counts == 0)
+    if missing.size:
+        examples = [(unit_ids[c // T], time_ids[c % T]) for c in missing[:5].tolist()]
+        raise UnbalancedPanelError(f"{missing.size} missing cells, e.g. {examples}")
+    grid = np.empty((n * T, values.shape[1]))
+    grid[cell] = values
+    grid = grid.reshape(n, T, -1)
+    try:
+        return BalancedPanel(
+            y=grid[:, :, 0], x=grid[:, :, 1:], unit_ids=unit_ids, time_ids=time_ids
+        )
+    except NonFiniteValueError:
+        bad = ~np.isfinite(values)
+        r = int(np.flatnonzero(bad.any(axis=1))[0])
+        j = int(np.flatnonzero(bad[r])[0])
+        column = "y" if j == 0 else f"x{j}"
+        raise NonFiniteValueError(
+            f"{label(r)}: NaN or infinite value in column {column}"
+        ) from None
 
 
 def load_panel(rows: Iterable[Mapping | Sequence]) -> BalancedPanel:
     """Assemble a BalancedPanel from long-format records.
 
     Each record is either a mapping with keys ``unit_id``, ``time_id``, ``y``,
-    ``x1`` .. ``xk'`` or a flat sequence in that order. Rows may arrive in any
-    order; the panel is sorted by (unit, time).
+    ``x1`` .. ``xk'`` or a flat sequence in that order; the first record sets
+    the kind for all of them. Rows may arrive in any order; the panel is
+    sorted by (unit, time) in the id order of the module docstring.
     """
-    cells: dict[tuple, tuple[float, tuple[float, ...]]] = {}
-    k_prime = None
-    for row in rows:
-        if isinstance(row, Mapping):
-            unit, time = row["unit_id"], row["time_id"]
-            yv = float(row["y"])
-            if k_prime is None:
-                k_prime = sum(1 for key in row if str(key).startswith("x"))
-                if k_prime == 0:
-                    raise PanelInputError("no regressor columns x1..xk' found")
-            xv = tuple(float(row[f"x{j + 1}"]) for j in range(k_prime))
-        else:
-            seq = list(row)
-            if len(seq) < 4:
-                raise PanelInputError(f"row too short: {seq!r}")
-            unit, time, yv = seq[0], seq[1], float(seq[2])
-            if k_prime is None:
-                k_prime = len(seq) - 3
-            elif len(seq) - 3 != k_prime:
-                raise PanelInputError("inconsistent regressor count across rows")
-            xv = tuple(float(v) for v in seq[3:])
-        key = (unit, time)
-        if key in cells:
-            raise DuplicateCellError(f"duplicate cell (unit={unit!r}, time={time!r})")
-        cells[key] = (yv, xv)
-    if not cells:
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
         raise PanelInputError("empty input")
-
-    units = sorted({u for u, _ in cells}, key=_sort_key)
-    times = sorted({t for _, t in cells}, key=_sort_key)
-    n, T = len(units), len(times)
-    if len(cells) != n * T:
-        missing = [(u, t) for u in units for t in times if (u, t) not in cells]
-        raise UnbalancedPanelError(
-            f"{len(missing)} missing cells, e.g. {missing[:5]}"
-        )
-    y = np.empty((n, T))
-    x = np.empty((n, T, k_prime))
-    for i, u in enumerate(units):
-        for t, tm in enumerate(times):
-            yv, xv = cells[(u, tm)]
-            y[i, t] = yv
-            x[i, t, :] = xv
-    return BalancedPanel(y=y, x=x, unit_ids=tuple(units), time_ids=tuple(times))
+    if isinstance(first, Mapping):
+        k_prime = sum(1 for key in first if str(key).startswith("x"))
+        if k_prime == 0:
+            raise PanelInputError("no regressor columns x1..xk' found")
+        fields = itemgetter("unit_id", "time_id", "y", *(f"x{j + 1}" for j in range(k_prime)))
+        table = list(map(fields, chain([first], rows)))
+    else:
+        table = list(map(tuple, chain([first], rows)))
+        width = len(table[0])
+        for row in table:
+            if len(row) < 4:
+                raise PanelInputError(f"row too short: {list(row)!r}")
+            if len(row) != width:
+                raise PanelInputError("inconsistent regressor count across rows")
+    columns = list(zip(*table))
+    values = np.array(columns[2:], dtype=np.float64).T
+    return _assemble(columns[0], columns[1], values, lambda r: f"record {r + 1}")
 
 
 CSV_HEADER_PREFIX = ("unit_id", "time_id", "y")
 
+_CONTENT = re.compile(rb"[^\r\n]")
+
 
 def read_panel_csv(path_or_buf) -> BalancedPanel:
-    """Read a long-format CSV with header ``unit_id,time_id,y,x1[,x2,...]``."""
+    """Read a long-format CSV with header ``unit_id,time_id,y,x1[,x2,...]``.
+
+    ``path_or_buf`` is a path or an open file, text or binary, holding UTF-8
+    text. Fields are comma-separated and may be quoted with ``"`` (a doubled
+    ``""`` inside quotes is one quote); blank lines are skipped; lines end
+    with LF or CRLF.
+    """
     if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-        with open(path_or_buf, "r", encoding="utf-8", newline="") as fh:
-            return _read_csv(fh)
-    return _read_csv(path_or_buf)
-
-
-def _read_csv(fh: io.TextIOBase) -> BalancedPanel:
-    reader = csv.reader(fh)
+        with open(path_or_buf, "rb") as fh:
+            data = fh.read()
+    else:
+        data = path_or_buf.read()
+        if isinstance(data, str):
+            data = data.encode("utf-8")
     try:
-        header = next(reader)
-    except StopIteration:
-        raise PanelInputError("empty CSV") from None
-    header = [h.strip() for h in header]
+        return _parse_csv(data)
+    except UnicodeDecodeError as exc:
+        raise PanelInputError(f"CSV is not UTF-8 text: {exc}") from None
+    except csv.Error as exc:  # e.g. lines that end in a lone CR
+        raise PanelInputError(f"malformed CSV: {exc}") from None
+
+
+def _parse_csv(data: bytes) -> BalancedPanel:
+    if not data:
+        raise PanelInputError("empty CSV")
+    end = data.find(b"\n")
+    first_line = data if end < 0 else data[:end]
+    header = [h.strip() for h in next(csv.reader([first_line.decode("utf-8")]), [])]
     if tuple(header[:3]) != CSV_HEADER_PREFIX or len(header) < 4:
         raise PanelInputError(
             f"expected header unit_id,time_id,y,x1[,x2,...], got {header!r}"
@@ -172,16 +244,48 @@ def _read_csv(fh: io.TextIOBase) -> BalancedPanel:
     expected_x = [f"x{j + 1}" for j in range(len(header) - 3)]
     if header[3:] != expected_x:
         raise PanelInputError(f"regressor columns must be {expected_x}, got {header[3:]!r}")
+    if end < 0 or not _CONTENT.search(data, end):
+        raise PanelInputError("empty input")
 
-    def rows():
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != len(header):
-                raise PanelInputError(f"line {lineno}: expected {len(header)} fields")
-            try:
-                yield (rec[0], rec[1], *map(float, rec[2:]))
-            except ValueError as exc:
-                raise PanelInputError(f"line {lineno}: {exc}") from None
+    # Without usecols, loadtxt checks every row's field count against the dtype.
+    dtype = np.dtype(
+        [("unit_id", object), ("time_id", object), ("values", np.float64, (len(header) - 2,))]
+    )
+    try:
+        table = np.loadtxt(
+            io.BytesIO(data), dtype=dtype, delimiter=",", quotechar='"', comments=None,
+            skiprows=1, encoding="utf-8", ndmin=1,
+        )
+    except ValueError as exc:
+        raise _first_bad_record(data, len(header)) or PanelInputError(
+            f"could not parse CSV: {exc}"
+        ) from None
+    return _assemble(
+        table["unit_id"], table["time_id"], table["values"],
+        lambda r: f"line {_line_of_row(data, r)}",
+    )
 
-    return load_panel(rows())
+
+def _records(data: bytes):
+    """(line number, fields) of every non-blank data record; error paths only."""
+    reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    next(reader, None)
+    return ((lineno, rec) for lineno, rec in enumerate(reader, start=2) if rec)
+
+
+def _first_bad_record(data: bytes, width: int) -> PanelInputError | None:
+    """The error of the first record with a wrong field count or a non-number."""
+    for lineno, rec in _records(data):
+        if len(rec) != width:
+            return PanelInputError(f"line {lineno}: expected {width} fields")
+        try:
+            for v in rec[2:]:
+                float(v)
+        except ValueError as exc:
+            return PanelInputError(f"line {lineno}: {exc}")
+    return None
+
+
+def _line_of_row(data: bytes, row: int) -> int:
+    """File line number of data row ``row`` (counted without blank lines)."""
+    return next(islice(_records(data), row, None))[0]

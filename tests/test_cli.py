@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -110,6 +111,15 @@ class TestEstimate:
         assert rc == 2
         assert "missing cells" in capsys.readouterr().err
 
+    def test_non_finite_value_exit_2_names_line(self, tmp_path, capsys):
+        path = tmp_path / "inf.csv"
+        path.write_text(
+            "unit_id,time_id,y,x1\n1,1,0.0,1.0\n\n1,2,inf,2.0\n2,1,0.5,1.0\n2,2,1.5,3.0\n"
+        )
+        rc = main(["estimate", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "line 4: NaN or infinite value in column y" in capsys.readouterr().err
+
     def test_mg_te_is_input_error(self, hetero_csv, tmp_path):
         rc = main(
             ["estimate", str(hetero_csv), "--method", "mg", "--te", "--out", str(tmp_path)]
@@ -133,6 +143,19 @@ class TestEstimate:
         rc = main(["estimate", str(path), "--method", "mg", "--out", str(tmp_path)])
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["estimate", "--te"], ["test"]])
+def test_manifest_hashes_the_csv_and_times_each_stage(hetero_csv, tmp_path, command):
+    rc = main([command[0], str(hetero_csv), *command[1:], "--out", str(tmp_path)])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    digest = hashlib.sha256(hetero_csv.read_bytes()).hexdigest()
+    assert manifest["parameters"]["csv_sha256"] == digest
+    timings = manifest["timings"]
+    stages = [timings[k] for k in ("read_seconds", "fit_seconds", "write_seconds")]
+    assert all(s >= 0 for s in stages)
+    assert sum(stages) <= timings["wall_seconds"]
 
 
 class TestHausmanCommand:

@@ -1,7 +1,17 @@
 import io
+import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import tmgpanel
 
 from tmgpanel import (
     BalancedPanel,
@@ -131,3 +141,202 @@ def test_shape_mismatch_rejected():
             unit_ids=(0, 1, 2),
             time_ids=(0, 1),
         )
+
+
+HEADER = "unit_id,time_id,y,x1\n"
+
+
+def test_blank_lines_emit_no_warning(tmp_path):
+    text = HEADER + "\n1,1,0.5,1.0\n\n1,2,1.5,2.0\n\n2,1,0.0,0.5\n2,2,1.0,1.5\n\n"
+    path = tmp_path / "blank.csv"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for source in (io.StringIO(text), path, io.BytesIO(text.encode())):
+            p = read_panel_csv(source)
+            np.testing.assert_array_equal(p.y, [[0.5, 1.5], [0.0, 1.0]])
+
+
+def test_csv_keeps_quoted_and_verbatim_ids():
+    text = (
+        '"unit_id","time_id","y","x1"\n'
+        '"a,b",1,0.5,1\n"a,b",2,"0.5",2\n" 1",1,0,1\n" 1",2,1,3\n'
+        '"q""x",1,0,1\n"q""x",2,1,5\n1,1,0,1\n1,2,1,7\n#2,1,0,1\n#2,2,1,9\n'
+    )
+    p = read_panel_csv(io.StringIO(text))
+    # " 1" and "1" are two units; both parse to 1.0 and tie-break on the string
+    assert p.unit_ids == (" 1", "1", "#2", "a,b", 'q"x')
+    np.testing.assert_array_equal(p.x[:, :, 0], [[1, 3], [1, 7], [1, 9], [1, 2], [1, 5]])
+
+
+ORDERED_IDS = ("-inf", "+1", "01", "1", "1.0", "1e0", "2", "3", "inf", "a", "b", "nan")
+
+
+def _ties_csv(path):
+    lines = [HEADER.strip()]
+    for k, u in enumerate(reversed(ORDERED_IDS)):
+        lines += [f"{u},2001,{k}.5,{k}", f"{u},2002,{k}.25,{k + 1}"]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_id_order_is_total():
+    # numeric ids by value, then the rest; ties broken by the string; a NaN
+    # id is not numeric
+    rows = [(u, t, float(k), float(t + k)) for k, u in enumerate(ORDERED_IDS[::-1]) for t in (1, 2)]
+    p = load_panel(rows)
+    assert p.unit_ids == ORDERED_IDS
+    np.testing.assert_array_equal(p.y[:, 0], np.arange(len(ORDERED_IDS))[::-1])
+
+
+def test_id_order_does_not_depend_on_hash_seed(tmp_path):
+    path = tmp_path / "ties.csv"
+    _ties_csv(path)
+    src = str(Path(tmgpanel.__file__).resolve().parents[1])
+    script = "import sys, tmgpanel; print(tmgpanel.read_panel_csv(sys.argv[1]).unit_ids)"
+    seen = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        seen.append(proc.stdout)
+    assert seen[0] == seen[1] == f"{ORDERED_IDS}\n"
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("", PanelInputError, "empty CSV"),
+        (HEADER, PanelInputError, "empty input"),
+        (
+            "unit,time,y,x1\n1,1,0.0,1.0\n",
+            PanelInputError,
+            "expected header unit_id,time_id,y,x1[,x2,...], got ['unit', 'time', 'y', 'x1']",
+        ),
+        (
+            "unit_id,time_id,y,x2\n1,1,0.0,1.0\n",
+            PanelInputError,
+            "regressor columns must be ['x1'], got ['x2']",
+        ),
+        (HEADER + "1,1,0.5,1.0\n\n1,2,0.5\n", PanelInputError, "line 4: expected 4 fields"),
+        (
+            HEADER + "1,1,0.5,1.0\n\n1,2,0.5,1.0,9\n",
+            PanelInputError,
+            "line 4: expected 4 fields",
+        ),
+        (HEADER + "1,1,0.5,1.0,9\n1,2,0.5,1.0\n", PanelInputError, "line 2: expected 4 fields"),
+        (
+            HEADER + "1,1,0.5,1.0\n\n1,2,abc,1.0\n",
+            PanelInputError,
+            "line 4: could not convert string to float: 'abc'",
+        ),
+        (
+            HEADER + "1,1,0.5,1\n1,2,0.5,1\n2,1,0,1\n2,2,1,1\n1,2,3,3\n",
+            DuplicateCellError,
+            "duplicate cell (unit='1', time='2')",
+        ),
+        (
+            HEADER + "1,1,0.5,1\n1,2,0.5,1\n2,1,0,1\n3,2,1,1\n",
+            UnbalancedPanelError,
+            "2 missing cells, e.g. [('2', '2'), ('3', '1')]",
+        ),
+        (
+            HEADER + "1,1,0.5,1\n\n1,2,0.5,inf\n2,1,nan,1\n2,2,1,1\n",
+            NonFiniteValueError,
+            "line 4: NaN or infinite value in column x1",
+        ),
+    ],
+)
+def test_csv_error_names_the_problem(text, error, message):
+    with pytest.raises(PanelInputError) as info:
+        read_panel_csv(io.StringIO(text))
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "data, prefix",
+    [
+        (HEADER.encode() + b"1,1,1_0,1.0\n", "could not parse CSV: "),
+        (HEADER.replace("\n", "\r").encode() + b"1,1,0.5,1.0\r", "malformed CSV: "),
+        (HEADER.encode() + b"1,1,\xff,1.0\n", "CSV is not UTF-8 text: "),
+    ],
+)
+def test_csv_outside_the_dialect_is_an_input_error(data, prefix):
+    with pytest.raises(PanelInputError) as info:
+        read_panel_csv(io.BytesIO(data))
+    assert str(info.value).startswith(prefix)
+
+
+def test_record_non_finite_names_the_record():
+    bad = rows_2x3()
+    bad[2] = (1, 3, float("nan"), 3.0)
+    with pytest.raises(NonFiniteValueError, match=r"^record 3: NaN or infinite value in column y$"):
+        load_panel(bad)
+
+
+def _id_key(v):
+    """The documented id order, written out for string ids."""
+    try:
+        value = float(v)
+    except ValueError:
+        value = math.nan
+    return (1, 0.0, v) if math.isnan(value) else (0, value, v)
+
+
+def _csv_field(v, quote):
+    if quote or any(c in v for c in ',"'):
+        return '"' + v.replace('"', '""') + '"'
+    return v
+
+
+ids = st.one_of(
+    st.integers(-30, 30).map(str),
+    st.sampled_from(["01", "1.0", "+1", " 1", "nan", "inf", "1_0"]),
+    st.text(alphabet="ab1 ,\"#.", min_size=1, max_size=4),
+)
+
+
+@st.composite
+def long_panels(draw):
+    k_prime = draw(st.integers(1, 3))
+    units = draw(st.lists(ids, min_size=2, max_size=6, unique=True))
+    times = draw(st.lists(ids, min_size=k_prime + 1, max_size=4, unique=True))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(
+        st.lists(
+            st.tuples(*[finite] * (1 + k_prime)),
+            min_size=len(units) * len(times),
+            max_size=len(units) * len(times),
+        )
+    )
+    records = [(u, t, *v) for (u, t), v in zip([(u, t) for u in units for t in times], values)]
+    order = draw(st.permutations(range(len(records))))
+    records = [records[i] for i in order]
+    quoted = draw(st.lists(st.booleans(), min_size=len(records), max_size=len(records)))
+    blank_after = draw(st.lists(st.booleans(), min_size=len(records), max_size=len(records)))
+    return k_prime, units, times, records, quoted, blank_after
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_panels())
+def test_csv_round_trip_matches_records(case):
+    k_prime, units, times, records, quoted, blank_after = case
+    lines = ["unit_id,time_id,y," + ",".join(f"x{j + 1}" for j in range(k_prime))]
+    for (u, t, *v), q, blank in zip(records, quoted, blank_after):
+        lines.append(",".join([_csv_field(u, q), _csv_field(t, q)] + [repr(c) for c in v]))
+        if blank:
+            lines.append("")
+    got = read_panel_csv(io.StringIO("\n".join(lines) + "\n"))
+    want = load_panel(records)
+    assert got.unit_ids == want.unit_ids
+    assert got.time_ids == want.time_ids
+    assert got.y.tobytes() == want.y.tobytes() and got.x.tobytes() == want.x.tobytes()
+
+    assert got.unit_ids == tuple(sorted(units, key=_id_key))
+    assert got.time_ids == tuple(sorted(times, key=_id_key))
+    cells = {(u, t): v for u, t, *v in records}
+    expect = np.array([[cells[u, t] for t in got.time_ids] for u in got.unit_ids])
+    assert got.y.tobytes() == np.ascontiguousarray(expect[:, :, 0]).tobytes()
+    assert got.x.tobytes() == np.ascontiguousarray(expect[:, :, 1:]).tobytes()
