@@ -47,7 +47,7 @@ from .montecarlo import (
     run_experiment,
     with_calibrated_kappa,
 )
-from .panel import BalancedPanel, load_panel, read_panel_csv
+from .panel import BalancedPanel, PanelBlock, load_panel, read_panel_csv
 from .timeeffects import (
     TimeEffects,
     chamberlain_phi,
@@ -71,6 +71,7 @@ __all__ = [
     "McResult",
     "NonFiniteValueError",
     "NumericalError",
+    "PanelBlock",
     "PanelInputError",
     "ReplicationTruth",
     "RequiresTGreaterKError",

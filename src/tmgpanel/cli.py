@@ -122,6 +122,29 @@ def _stages(t0: float, t_read: float, t_fit: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
+#: Rows of per_unit.csv formatted per write: large enough to amortise the
+#: call, small enough that the strings never outweigh the estimates.
+_WRITE_ROWS = 8192
+
+
+def _write_per_unit(path: Path, names, unit_ids, est) -> None:
+    """One row per unit in the average: its id, then its row of ``per_unit``.
+
+    Every row goes through one format string, ``%.17g`` per value, which
+    renders the same bytes as :func:`_fmt`.
+    """
+    rows, ids = est.per_unit, unit_ids
+    if est.keep is not None:
+        rows = rows[est.keep]
+        ids = [uid for uid, kept in zip(ids, est.keep) if kept]
+    line = "%s," + ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("unit_id," + ",".join(names) + "\n")
+        for i in range(0, len(ids), _WRITE_ROWS):
+            chunk = zip(ids[i : i + _WRITE_ROWS], rows[i : i + _WRITE_ROWS].tolist())
+            fh.write("".join([line % (uid, *row) for uid, row in chunk]))
+
+
 def _run_estimate(args) -> int:
     t0 = time.perf_counter()
     panel, csv_sha256 = _read_input(args.csv)
@@ -173,13 +196,7 @@ def _run_estimate(args) -> int:
 
     if args.dump_units and est.per_unit is not None:
         dump_path = out / "per_unit.csv"
-        with open(dump_path, "w", encoding="utf-8") as fh:
-            fh.write("unit_id," + ",".join(names) + "\n")
-            ids = panel.unit_ids
-            if est.keep is not None:
-                ids = [uid for uid, kept in zip(ids, est.keep) if kept]
-            for uid, row in zip(ids, est.per_unit):
-                fh.write(str(uid) + "," + ",".join(_fmt(v) for v in row) + "\n")
+        _write_per_unit(dump_path, names, panel.unit_ids, est)
         outputs.append(dump_path)
 
     print(f"method={est.method}  n={panel.n}  T={panel.T}  k'={panel.k_prime}")
@@ -263,10 +280,24 @@ def _prepare_scenario(args, need_estimators: bool = True):
     return cfg, extras, trim_cfg, alpha_gp, estimators
 
 
-def _ensure_kappa(cfg: DgpConfig) -> tuple[DgpConfig, bool]:
+def _ensure_kappa(cfg: DgpConfig) -> tuple[DgpConfig, bool, float]:
+    """The scenario with kappa^2 set, whether it was calibrated, and the
+    seconds the calibration took (0 when the scenario gives kappa^2)."""
     if cfg.kappa2 is not None:
-        return cfg, False
-    return replace(cfg, kappa2=calibrate_kappa(cfg)), True
+        return cfg, False, 0.0
+    t0 = time.perf_counter()
+    cfg = replace(cfg, kappa2=calibrate_kappa(cfg))
+    return cfg, True, time.perf_counter() - t0
+
+
+def _mc_stages(calibrate: float, replicate: float, t_write: float) -> dict:
+    """Calibrate, replicate and write seconds of a Monte Carlo command;
+    writing runs from ``t_write`` until now."""
+    return {
+        "calibrate_seconds": calibrate,
+        "replicate_seconds": replicate,
+        "write_seconds": time.perf_counter() - t_write,
+    }
 
 
 def _write_results_csv(path: Path, results) -> None:
@@ -280,11 +311,13 @@ def _write_results_csv(path: Path, results) -> None:
 def _run_simulate(args) -> int:
     t0 = time.perf_counter()
     cfg, extras, trim_cfg, alpha_gp, estimators = _prepare_scenario(args)
-    cfg, calibrated = _ensure_kappa(cfg)
+    cfg, calibrated, cal_seconds = _ensure_kappa(cfg)
     reps = int(extras.get("reps", 2000))
+    t_rep = time.perf_counter()
     results = run_experiment(
         cfg, estimators, reps, trim_cfg=trim_cfg, alpha_gp=alpha_gp, jobs=args.jobs
     )
+    t_write = time.perf_counter()
     out = _out_dir(args)
     path = out / "results.csv"
     _write_results_csv(path, results)
@@ -296,6 +329,9 @@ def _run_simulate(args) -> int:
                 f"{res.estimator}: bias={res.bias[0]:+.4f} rmse={res.rmse[0]:.4f} "
                 f"size={res.size[0]:.4f} pi_hat={res.pi_hat:.4f} reps={res.reps}"
             )
+        if res.failures:
+            reasons = ", ".join(f"{k}={v}" for k, v in res.failures_by_reason.items())
+            print(f"{res.estimator}: failures={res.failures} ({reasons})")
     params = {
         "scenario": cfg.to_dict(),
         "estimators": list(estimators),
@@ -304,7 +340,10 @@ def _run_simulate(args) -> int:
         "alpha_gp": alpha_gp,
         "kappa2_calibrated": calibrated,
     }
-    _write_manifest(out, "simulate", params, cfg.seed, [path], time.perf_counter() - t0)
+    stages = _mc_stages(cal_seconds, t_write - t_rep, t_write)
+    _write_manifest(
+        out, "simulate", params, cfg.seed, [path], time.perf_counter() - t0, stages
+    )
     return EXIT_OK
 
 
@@ -312,7 +351,9 @@ def _run_calibrate(args) -> int:
     t0 = time.perf_counter()
     cfg, extras, _, _, _ = _prepare_scenario(args, need_estimators=False)
     r_kappa = int(extras.get("reps", 1000))
+    t_cal = time.perf_counter()
     kappa2 = calibrate_kappa(cfg, r_kappa=r_kappa, n_cal=args.n_cal)
+    t_write = time.perf_counter()
     out = _out_dir(args)
     path = out / "kappa2.json"
     record = {
@@ -326,14 +367,17 @@ def _run_calibrate(args) -> int:
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(f"kappa2(T={cfg.T}) = {kappa2:.6f}")
     params = {"scenario": cfg.to_dict(), "r_kappa": r_kappa, "n_cal": args.n_cal}
-    _write_manifest(out, "calibrate", params, cfg.seed, [path], time.perf_counter() - t0)
+    stages = _mc_stages(t_write - t_cal, 0.0, t_write)
+    _write_manifest(
+        out, "calibrate", params, cfg.seed, [path], time.perf_counter() - t0, stages
+    )
     return EXIT_OK
 
 
 def _run_power(args) -> int:
     t0 = time.perf_counter()
     cfg, extras, trim_cfg, alpha_gp, estimators = _prepare_scenario(args)
-    cfg, calibrated = _ensure_kappa(cfg)
+    cfg, calibrated, cal_seconds = _ensure_kappa(cfg)
     reps = int(extras.get("reps", 2000))
     if extras.get("beta0_grid") is not None:
         grid = np.asarray(extras["beta0_grid"], dtype=np.float64)
@@ -344,6 +388,7 @@ def _run_power(args) -> int:
         grid = np.linspace(lo, hi, args.grid_points)
     else:
         grid = default_power_grid(cfg.theta0[1], points=args.grid_points)
+    t_rep = time.perf_counter()
     results = run_experiment(
         cfg,
         estimators,
@@ -353,6 +398,7 @@ def _run_power(args) -> int:
         alpha_gp=alpha_gp,
         jobs=args.jobs,
     )
+    t_write = time.perf_counter()
     out = _out_dir(args)
     path = out / "power.csv"
     with open(path, "w", encoding="utf-8") as fh:
@@ -371,7 +417,8 @@ def _run_power(args) -> int:
         "alpha_gp": alpha_gp,
         "kappa2_calibrated": calibrated,
     }
-    _write_manifest(out, "power", params, cfg.seed, [path], time.perf_counter() - t0)
+    stages = _mc_stages(cal_seconds, t_write - t_rep, t_write)
+    _write_manifest(out, "power", params, cfg.seed, [path], time.perf_counter() - t0, stages)
     print(f"wrote power curve over {grid.size} grid points to {path}")
     return EXIT_OK
 
@@ -409,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo scenario")
     p_sim.add_argument("scenario")
-    p_sim.add_argument("--reps", type=int)
+    p_sim.add_argument("--reps", type=_AT_LEAST_1)
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--jobs", type=_AT_LEAST_1, default=1)
     p_sim.add_argument("--out", default="tmgpanel_out")
@@ -417,7 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cal = sub.add_parser("calibrate", help="calibrate the outcome noise scale")
     p_cal.add_argument("scenario")
-    p_cal.add_argument("--reps", type=int, help="calibration replications (default 1000)")
+    p_cal.add_argument(
+        "--reps", type=_AT_LEAST_1, help="calibration replications (default 1000)"
+    )
     p_cal.add_argument("--n-cal", type=_AT_LEAST_2, default=5000)
     p_cal.add_argument("--seed", type=int)
     p_cal.add_argument("--out", default="tmgpanel_out")
@@ -432,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid-max", type=float, help="default: true slope + 0.5"
     )
     p_pow.add_argument("--grid-points", type=_AT_LEAST_1, default=21)
-    p_pow.add_argument("--reps", type=int)
+    p_pow.add_argument("--reps", type=_AT_LEAST_1)
     p_pow.add_argument("--seed", type=int)
     p_pow.add_argument("--jobs", type=_AT_LEAST_1, default=1)
     p_pow.add_argument("--out", default="tmgpanel_out")

@@ -4,6 +4,9 @@ The adjugate satisfies (W'W) adj(W'W) = det(W'W) I exactly, which lets the
 trimmed estimators evaluate inversion-free even when a unit's determinant is
 zero. A determinant below the machine-noise floor is treated as singular for
 plain OLS but remains a valid input to the trimmed branch.
+
+Every array carries the panel's leading axes: a single panel has none, a
+block of B replications has one, and the same formulas serve both.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import gram_det_adj
-from .errors import SingularDesignError, SingularUnitGramError
-from .panel import BalancedPanel
+from .errors import SingularUnitGramError, failed, flag, no_failures
+from .panel import BalancedPanel, PanelBlock, within
 
 #: Relative determinant floor: d below 1e-12 * (trace(gram)/k)^k counts as zero.
 DET_FLOOR_REL = 1e-12
@@ -27,51 +30,107 @@ def singularity_floor(gram: np.ndarray) -> np.ndarray:
     return DET_FLOOR_REL * (tr / k) ** k
 
 
-def within(v: np.ndarray, axis: int = -1) -> np.ndarray:
-    """De-mean an array along a time axis."""
-    v = np.asarray(v, dtype=np.float64)
-    return v - v.mean(axis=axis, keepdims=True)
+def mt(a: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes: A' for every matrix of a stack."""
+    return np.swapaxes(a, -1, -2)
+
+
+def mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrix times vector, A v, for every pair of a stack."""
+    return (a @ v[..., None])[..., 0]
+
+
+def col(v) -> np.ndarray:
+    """A per-replication scalar (float or (B,)) with a trailing axis to broadcast."""
+    return np.asarray(v)[..., None]
+
+
+def pooled(spec: str, *ops: np.ndarray) -> np.ndarray:
+    """``np.einsum(spec, ...)`` of a sum over units and periods, one
+    replication at a time: a batched einsum buffers such a sum differently
+    once B > 1, and a replication's fit must not depend on its block."""
+    if ops[0].ndim == len(spec.split(",")[0]):
+        return np.einsum(spec, *ops)
+    return np.stack([np.einsum(spec, *(op[b] for op in ops)) for b in range(len(ops[0]))])
+
+
+def nonsingular(a: np.ndarray, bad) -> np.ndarray:
+    """``a`` with the (..., k, k) matrices of the ``bad`` replications set to
+    the identity, so that a batched LAPACK call cannot fail on them."""
+    if bad is False or not bad.any():
+        return a
+    return np.where(bad[..., None, None], np.eye(a.shape[-1]), a)
+
+
+def void(a: np.ndarray, fail) -> np.ndarray:
+    """``a`` with the rows of the failed replications set to NaN."""
+    bad = failed(fail)
+    if bad is False:
+        return a
+    a = np.array(a, dtype=np.float64)
+    a[bad] = np.nan
+    return a
 
 
 @dataclass(frozen=True)
 class ChamberlainProjector:
     """Per-unit annihilators of the de-meaned regressor span and their average."""
 
-    M: np.ndarray  # (n, T, T)
-    M_bar: np.ndarray  # (T, T)
+    M: np.ndarray  # (..., n, T, T)
+    M_bar: np.ndarray  # (..., T, T)
+    fail: tuple | None = None  # replications with a singular X_i'M_T X_i
 
 
-def chamberlain_projectors(panel: BalancedPanel) -> ChamberlainProjector:
+def chamberlain_projectors(panel: BalancedPanel | PanelBlock) -> ChamberlainProjector:
     """M_i = I_T - M_T X_i (X_i'M_T X_i)^{-1} X_i'M_T for every unit."""
-    xd = within(panel.x, axis=1)  # M_T X_i
-    psi = np.einsum("ntp,ntq->npq", xd, xd)
+    xd = panel.xd  # M_T X_i
+    psi = np.einsum("...ntp,...ntq->...npq", xd, xd)
     w = np.linalg.eigvalsh(psi)
-    bad = np.flatnonzero(w[:, 0] <= 1e-12 * np.maximum(w[:, -1], 0.0))
-    if bad.size:
-        raise SingularUnitGramError(f"X'MX singular for units {bad[:10].tolist()}")
-    proj = np.einsum("ntp,npq,nsq->nts", xd, np.linalg.inv(psi), xd)
-    M = np.eye(panel.T)[None] - proj
-    return ChamberlainProjector(M=M, M_bar=M.mean(axis=0))
+    bad = w[..., 0] <= 1e-12 * np.maximum(w[..., -1], 0.0)
+    fail = flag(
+        no_failures(panel.lead),
+        bad.any(axis=-1),
+        lambda i: SingularUnitGramError(
+            f"X'MX singular for units {np.flatnonzero(bad[i])[:10].tolist()}"
+        ),
+    )
+    inv = np.linalg.inv(nonsingular(psi, bad))
+    proj = np.einsum("...ntp,...npq,...nsq->...nts", xd, inv, xd)
+    M = np.negative(proj, out=proj)  # I_T - proj, in place: the same bits
+    M += np.eye(panel.T)
+    return ChamberlainProjector(M=M, M_bar=M.mean(axis=-3), fail=fail)
 
 
 class PanelDesign:
     """Batched designs for all units: the shared input of every estimator.
 
-    Holds W (n,T,k), Gram matrices, determinants and adjugates computed in one
-    kernel sweep, plus W_i'y_i, the Chamberlain projectors and the
-    projector-average time effects, each built on first use. Immutable by
-    convention; cheap enough to build per panel.
+    Holds W (..., n, T, k), Gram matrices, determinants and adjugates computed
+    in one kernel sweep over the units of every replication, plus W_i'y_i,
+    adj(W_i'W_i) W_i'y_i, the Chamberlain projectors and the projector-average
+    time effects, each built on first use. Immutable by convention; cheap
+    enough to build per panel or per block.
     """
 
-    __slots__ = ("panel", "W", "gram", "d", "adj", "_wty", "_projectors", "_time_effects")
+    __slots__ = (
+        "panel", "W", "gram", "d", "adj", "_wty", "_adj_wty", "_projectors", "_time_effects"
+    )
 
-    def __init__(self, panel: BalancedPanel):
+    def __init__(self, panel: BalancedPanel | PanelBlock):
         self.panel = panel
         self.W = panel.design_tensor()
-        self.gram, self.d, self.adj = gram_det_adj(self.W)
+        *lead, n, T, k = self.W.shape
+        gram, d, adj = gram_det_adj(self.W.reshape(-1, T, k))
+        self.gram = gram.reshape(*lead, n, k, k)
+        self.d = d.reshape(*lead, n)
+        self.adj = adj.reshape(*lead, n, k, k)
         self._wty = None
+        self._adj_wty = None
         self._projectors = None
         self._time_effects = None
+
+    @property
+    def lead(self) -> tuple:
+        return self.panel.lead
 
     @property
     def n(self) -> int:
@@ -84,14 +143,21 @@ class PanelDesign:
     def floor(self) -> np.ndarray:
         return singularity_floor(self.gram)
 
-    def singular_units(self) -> np.ndarray:
-        return np.flatnonzero(self.d <= self.floor())
+    def singular(self) -> np.ndarray:
+        """Units whose determinant is at or below the noise floor, (..., n)."""
+        return self.d <= self.floor()
 
     def wty(self) -> np.ndarray:
-        """W_i'y_i for every unit, (n, k)."""
+        """W_i'y_i for every unit, (..., n, k)."""
         if self._wty is None:
-            self._wty = np.einsum("ntk,nt->nk", self.W, self.panel.y)
+            self._wty = np.einsum("...ntk,...nt->...nk", self.W, self.panel.y)
         return self._wty
+
+    def adj_wty(self) -> np.ndarray:
+        """adj(W_i'W_i) W_i'y_i for every unit, (..., n, k): d_i times its OLS."""
+        if self._adj_wty is None:
+            self._adj_wty = np.einsum("...nkj,...nj->...nk", self.adj, self.wty())
+        return self._adj_wty
 
     def projectors(self) -> ChamberlainProjector:
         """Chamberlain projectors of the panel's regressors, built once."""
@@ -107,14 +173,9 @@ class PanelDesign:
             self._time_effects = chamberlain_phi(self.panel, design=self)
         return self._time_effects
 
-    def theta_hat(self) -> np.ndarray:
-        """Per-unit OLS estimates, (n, k). Requires all determinants above floor."""
-        bad = self.singular_units()
-        if bad.size:
-            raise SingularDesignError(units=bad.tolist())
-        return np.einsum("nkj,nj->nk", self.adj, self.wty()) / self.d[:, None]
-
-    def bmats(self, a_n: float, trimmed: np.ndarray) -> np.ndarray:
-        """(1 + delta_i) (W'W)^{-1} for every unit, finite on the trimmed branch."""
-        den = np.where(trimmed, a_n, self.d)
-        return self.adj / den[:, None, None]
+    def bmats(self, a_n, trimmed: np.ndarray) -> np.ndarray:
+        """(1 + delta_i) (W'W)^{-1} for every unit, finite on the trimmed branch
+        (NaN for a replication of a block without a threshold, a_n = NaN)."""
+        a_n = col(a_n)
+        den = np.where(trimmed | np.isnan(a_n), a_n, self.d)
+        return self.adj / den[..., None, None]

@@ -1,7 +1,9 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the per-replication failure record of a block fit.
 
 Input errors map to CLI exit code 2, numerical errors to exit code 3.
 """
+
+import numpy as np
 
 
 class TmgPanelError(Exception):
@@ -79,3 +81,54 @@ class SingularTeSystemError(NumericalError):
 
 class SingularVdeltaError(NumericalError):
     """Hausman difference covariance is rank deficient."""
+
+
+# ---------------------------------------------------------------------------
+# per-replication failures of a panel block
+# ---------------------------------------------------------------------------
+#
+# A fit of a block of replications records the first NumericalError each
+# replication meets instead of raising it, so one bad draw fails alone. ``fail``
+# is None for a single panel, whose checks raise at once, and a tuple with one
+# exception (or None) per replication for a block.
+
+
+def no_failures(lead: tuple):
+    """The failure record of a fit on panels with leading shape ``lead``."""
+    return (None,) * lead[0] if lead else None
+
+
+def flag(fail, bad, make):
+    """Fail the replications where ``bad`` holds, keeping each one's first reason.
+
+    ``make(i)`` builds the exception of replication ``i``; a single panel
+    (``fail`` None, ``i`` the empty index) raises it instead.
+    """
+    if fail is None:
+        if bad:
+            raise make(())
+        return None
+    if not bad.any():
+        return fail
+    hits = [int(i) for i in np.flatnonzero(bad) if fail[i] is None]
+    if not hits:
+        return fail
+    out = list(fail)
+    for i in hits:
+        out[i] = make(i)
+    return tuple(out)
+
+
+def merge(*fails):
+    """Per replication, the first failure among several upstream records."""
+    if fails[0] is None:
+        return None
+    return tuple(next((f for f in fs if f is not None), None) for fs in zip(*fails))
+
+
+def failed(fail):
+    """Boolean mask of the failed replications, or False when none failed
+    (always for a single panel)."""
+    if fail is None or fail.count(None) == len(fail):
+        return False
+    return np.array([f is not None for f in fail])

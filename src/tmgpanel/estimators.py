@@ -4,6 +4,11 @@ Conventions: mean-group style estimators report the full coefficient vector
 (intercept first, then slopes); the fixed-effects estimator reports slopes
 only. Covariance matrices are for the estimator itself (standard errors are
 the square roots of the diagonal).
+
+Every estimator takes one panel or a block of replications
+(:class:`~tmgpanel.panel.PanelBlock`). A block's results carry a leading
+replication axis, and ``Estimate.fail`` names the failure of each replication
+(its rows are NaN); on one panel the same failure raises.
 """
 
 from __future__ import annotations
@@ -13,17 +18,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import _det_adj_stack
-from .designs import PanelDesign, within
+from .designs import PanelDesign, col, mt, nonsingular, pooled, void, within
 from .errors import (
+    AllSingularError,
     AllTrimmedError,
+    SingularDesignError,
     SingularPooledGramError,
     SingularUnitGramError,
+    failed,
+    flag,
+    no_failures,
 )
-from .panel import BalancedPanel
-from .trimming import TrimConfig, TrimState, compute_threshold, delta_weights
+from .panel import BalancedPanel, PanelBlock
+from .trimming import TrimConfig, TrimState, compute_threshold, delta_weights, scalar_or
 
 DEFAULT_ALPHA_GP = 1.0 / 3.0
 IQR_NORMAL_SCALE = 1.34  # normal-reference scaling of the interquartile range
+
+Panels = BalancedPanel | PanelBlock
 
 
 @dataclass(frozen=True)
@@ -36,14 +48,15 @@ class Estimate:
     n_used: int
     pi_n: float = 0.0
     alpha_used: float | None = None
-    per_unit: np.ndarray | None = None
+    per_unit: np.ndarray | None = None  # (..., n, k); zero rows outside ``keep``
     coef_names: tuple = field(default=())
     trim: TrimState | None = None  # threshold state of a TMG-family fit
-    keep: np.ndarray | None = None  # units behind the per_unit rows; None is every unit
+    keep: np.ndarray | None = None  # units that enter the average; None is every unit
+    fail: tuple | None = None  # per-replication failures of a block fit
 
     @property
     def se(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.cov))
+        return np.sqrt(np.diagonal(self.cov, axis1=-2, axis2=-1))
 
     def to_record(self, n: int | None = None, T: int | None = None) -> dict:
         """Flat serializable record (method, coef, se, pi_n, n, T, alpha)."""
@@ -58,34 +71,41 @@ class Estimate:
         }
 
 
-def _solve_spd(a: np.ndarray, b: np.ndarray, err: type[Exception], what: str):
-    """Solve a symmetric positive definite system, raising ``err`` when rank deficient."""
-    w = np.linalg.eigvalsh(a)
-    if w[0] <= 1e-12 * max(w[-1], 0.0) or w[-1] <= 0.0:
-        raise err(f"{what} is singular (eigenvalues {w[0]:.3e} .. {w[-1]:.3e})")
-    return np.linalg.solve(a, b)
+def _solve_spd(a: np.ndarray, b: np.ndarray, err: type[Exception], what: str, fail):
+    """Solve symmetric positive definite systems; a rank-deficient one fails
+    its replication with ``err``. Returns the solutions and the failures."""
+    w = np.linalg.eigvalsh(nonsingular(a, failed(fail)))
+    bad = (w[..., 0] <= 1e-12 * np.maximum(w[..., -1], 0.0)) | (w[..., -1] <= 0.0)
+    fail = flag(
+        fail,
+        bad,
+        lambda i: err(f"{what} is singular (eigenvalues {w[i][0]:.3e} .. {w[i][-1]:.3e})"),
+    )
+    return np.linalg.solve(nonsingular(a, failed(fail)), b[..., None])[..., 0], fail
 
 
-def fe(panel: BalancedPanel) -> Estimate:
+def fe(panel: Panels) -> Estimate:
     """Pooled fixed-effects estimator of the mean slopes with unit-clustered
     sandwich covariance (robust to heteroskedasticity, serial correlation and
     random slope heterogeneity)."""
-    xd = within(panel.x, axis=1)
-    yd = within(panel.y, axis=1)
-    psi = np.einsum("ntp,ntq->pq", xd, panel.x)  # sum_i X'M X
-    sxy = np.einsum("ntp,nt->p", xd, panel.y)
-    coef = _solve_spd(psi, sxy, SingularPooledGramError, "pooled Gram matrix")
-    resid = yd - np.einsum("ntp,p->nt", xd, coef)
-    scores = np.einsum("ntp,nt->np", xd, resid)  # s_i = X'M u_i
-    psibar_inv = np.linalg.inv(psi / panel.n)
-    meat = scores.T @ scores / panel.n**2
+    xd, yd = panel.xd, panel.yd
+    psi = pooled("ntp,ntq->pq", xd, panel.x)  # sum_i X'M X
+    sxy = pooled("ntp,nt->p", xd, panel.y)
+    coef, fail = _solve_spd(
+        psi, sxy, SingularPooledGramError, "pooled Gram matrix", no_failures(panel.lead)
+    )
+    resid = yd - np.einsum("...ntp,...p->...nt", xd, coef)
+    scores = np.einsum("...ntp,...nt->...np", xd, resid)  # s_i = X'M u_i
+    psibar_inv = np.linalg.inv(nonsingular(psi / panel.n, failed(fail)))
+    meat = mt(scores) @ scores / panel.n**2
     cov = psibar_inv @ meat @ psibar_inv
     return Estimate(
         method="fe",
-        coef=coef,
-        cov=cov,
+        coef=void(coef, fail),
+        cov=void(cov, fail),
         n_used=panel.n,
         coef_names=tuple(f"beta{j + 1}" for j in range(panel.k_prime)),
+        fail=fail,
     )
 
 
@@ -100,57 +120,109 @@ class Weighting:
     by ``scale``. TMG keeps every unit with den_i = max(d_i, a_n) and scale
     1 + delta_bar; GP keeps d_i > h_n^2 with den_i = d_i and scale 1."""
 
-    keep: np.ndarray | None  # retained-unit mask; None keeps every unit
-    den: np.ndarray  # (n,) per-unit denominators
-    scale: float
-    pi_n: float
+    keep: np.ndarray | None  # (..., n) retained-unit mask; None keeps every unit
+    den: np.ndarray  # (..., n) per-unit denominators
+    scale: float | np.ndarray
+    pi_n: float | np.ndarray
     alpha: float | None
     trim: TrimState | None = None
+    fail: tuple | None = None
 
-    def kept(self, a: np.ndarray) -> np.ndarray:
-        """The rows of a per-unit array that enter the average."""
-        return a if self.keep is None else a[self.keep]
+    @property
+    def m(self):
+        """Units in the average: an int, or (B,) counts when a block drops units."""
+        if self.keep is None:
+            return self.den.shape[-1]
+        m = self.keep.sum(axis=-1)
+        return m if m.ndim else int(m)
+
+
+def unit_mean(a: np.ndarray, keep: np.ndarray | None, lead: tuple) -> np.ndarray:
+    """Mean over the unit axis (the first after ``lead``) of the kept units.
+
+    Rows of two or more entries are summed over units one row at a time, so
+    zero rows for the dropped units leave the bits of a sum over the kept
+    rows alone.
+    """
+    if keep is None:
+        return a.mean(axis=len(lead))
+    keep = keep.reshape(keep.shape + (1,) * (a.ndim - keep.ndim))
+    m = np.maximum(keep.sum(axis=len(lead)), 1)  # a block's empty replication fails
+    return np.where(keep, a, 0.0).sum(axis=len(lead)) / m
+
+
+def unit_gram(a: np.ndarray, keep: np.ndarray | None, lead: tuple) -> np.ndarray:
+    """sum_i a_i a_i' over the kept units of (..., n, k) rows.
+
+    Dropped units are compressed away one replication at a time: a matrix
+    product with zero rows in place of them would round differently.
+    """
+    if keep is None:
+        return mt(a) @ a
+    if not lead:
+        return a[keep].T @ a[keep]
+    return np.stack([unit_gram(a[b], keep[b], ()) for b in range(lead[0])])
 
 
 def tmg_weighting(pd: PanelDesign, cfg: TrimConfig) -> Weighting:
     """Every unit, den_i = max(d_i, a_n), scale 1 + delta_bar."""
-    state = delta_weights(pd.d, compute_threshold(pd.d, cfg))
-    if state.pi_n >= 1.0:
-        raise AllTrimmedError("every unit determinant is at or below the threshold")
+    a_n = compute_threshold(pd.d, cfg)  # one panel with every d_i = 0 raises here
+    fail = flag(
+        no_failures(pd.lead),
+        ~(np.asarray(a_n) > 0.0),
+        lambda i: AllSingularError("every determinant is zero; mean rule undefined"),
+    )
+    state = delta_weights(pd.d, np.where(a_n > 0.0, a_n, np.nan) if pd.lead else a_n)
+    fail = flag(
+        fail,
+        np.asarray(state.pi_n) >= 1.0,
+        lambda i: AllTrimmedError("every unit determinant is at or below the threshold"),
+    )
+    den = np.where(state.trimmed, col(state.a_n), pd.d)
+    if failed(fail) is not False:  # a replication without a threshold divides by 1
+        den = np.where(col(failed(fail)), 1.0, den)
     return Weighting(
         keep=None,
-        den=np.where(state.trimmed, state.a_n, pd.d),
+        den=den,
         scale=state.weight_scale,
         pi_n=state.pi_n,
         alpha=cfg.alpha,
         trim=state,
+        fail=fail,
     )
 
 
-def gp_threshold(pd: PanelDesign, alpha_gp: float) -> float:
-    """Squared trim-by-exclusion bandwidth h_n^2.
+def gp_threshold(pd: PanelDesign, alpha_gp: float):
+    """Squared trim-by-exclusion bandwidth h_n^2 (a float, or (B,) for a block).
 
     T = k: h_n = C n^{-alpha} with C = min(sd, IQR/1.34)/2 of det(W_i);
     T > k: C = sqrt(dbar_n). Units with d_i <= h_n^2 are excluded.
     """
-    n = pd.n
     if pd.panel.T == pd.k:
         # d_i = det(W_i)^2 when W_i is square; bandwidth set on det(W_i) itself
         det_w = _det_adj_stack(pd.W)[0]
-        q75, q25 = np.percentile(det_w, [75, 25])
-        c = 0.5 * min(det_w.std(ddof=1), (q75 - q25) / IQR_NORMAL_SCALE)
+        q75, q25 = np.percentile(det_w, [75, 25], axis=-1)
+        c = 0.5 * np.minimum(det_w.std(axis=-1, ddof=1), (q75 - q25) / IQR_NORMAL_SCALE)
     else:
-        c = np.sqrt(pd.d.mean())
-    return float((c * n ** (-alpha_gp)) ** 2)
+        c = np.sqrt(pd.d.mean(axis=-1))
+    return scalar_or((c * pd.n ** (-alpha_gp)) ** 2)
 
 
 def gp_weighting(pd: PanelDesign, alpha_gp: float) -> Weighting:
     """The units with d_i > h_n^2, den_i = d_i, equal weights."""
-    keep = pd.d > gp_threshold(pd, alpha_gp)
-    m = int(keep.sum())
-    if m == 0:
-        raise AllTrimmedError("bandwidth excluded every unit")
-    return Weighting(keep=keep, den=pd.d, scale=1.0, pi_n=1.0 - m / pd.n, alpha=alpha_gp)
+    keep = pd.d > col(gp_threshold(pd, alpha_gp))
+    m = keep.sum(axis=-1)
+    fail = flag(
+        no_failures(pd.lead), m == 0, lambda i: AllTrimmedError("bandwidth excluded every unit")
+    )
+    return Weighting(
+        keep=keep,
+        den=np.where(keep, pd.d, 1.0),
+        scale=1.0,
+        pi_n=scalar_or(1.0 - m / pd.n),
+        alpha=alpha_gp,
+        fail=fail,
+    )
 
 
 def weighted_mean_group(
@@ -158,23 +230,22 @@ def weighted_mean_group(
 ) -> Estimate:
     """The weighted mean-group estimator behind MG, TMG and GP.
 
-    ``tilde`` replaces the per-unit rows adj(W_i'W_i) W_i'y_i / den_i of the
-    kept units (the time-effects routes strip the period effects first).
+    ``tilde`` replaces the per-unit rows adj(W_i'W_i) W_i'y_i / den_i (the
+    time-effects routes strip the period effects first).
     """
+    lead = pd.lead
     if tilde is None:
-        adj_wty = np.einsum("nkj,nj->nk", wt.kept(pd.adj), wt.kept(pd.wty()))
-        tilde = adj_wty / wt.kept(wt.den)[:, None]
-    m = tilde.shape[0]
-    coef = tilde.mean(axis=0) / wt.scale
-    dev = tilde - coef
-    if m > 1:
-        cov = dev.T @ dev / (m * (m - 1) * wt.scale**2)
-    else:
-        cov = np.full((pd.k, pd.k), np.nan)
+        tilde = pd.adj_wty() / wt.den[..., None]
+    if wt.keep is not None:
+        tilde = np.where(wt.keep[..., None], tilde, 0.0)
+    m = wt.m
+    coef = unit_mean(tilde, wt.keep, lead) / col(wt.scale)
+    den = np.where(np.asarray(m) > 1, m * (m - 1) * wt.scale**2, np.nan)  # one unit: no cov
+    cov = unit_gram(tilde - coef[..., None, :], wt.keep, lead) / col(col(den))
     return Estimate(
         method=method,
-        coef=coef,
-        cov=cov,
+        coef=void(coef, wt.fail),
+        cov=void(cov, wt.fail),
         n_used=m,
         pi_n=wt.pi_n,
         alpha_used=wt.alpha,
@@ -182,23 +253,36 @@ def weighted_mean_group(
         coef_names=_mg_names(pd.panel.k_prime),
         trim=wt.trim,
         keep=wt.keep,
+        fail=wt.fail,
     )
 
 
-def mg(panel: BalancedPanel, design: PanelDesign | None = None) -> Estimate:
+def mg_weighting(pd: PanelDesign) -> Weighting:
+    """Every unit, den_i = d_i, scale 1; a singular unit fails its replication."""
+    sing = pd.singular()
+    fail = flag(
+        no_failures(pd.lead),
+        sing.any(axis=-1),
+        lambda i: SingularDesignError(units=np.flatnonzero(sing[i]).tolist()),
+    )
+    den = np.where(sing, 1.0, pd.d) if fail is not None else pd.d
+    return Weighting(keep=None, den=den, scale=1.0, pi_n=0.0, alpha=None, fail=fail)
+
+
+def mg(panel: Panels, design: PanelDesign | None = None) -> Estimate:
     """Mean group estimator: simple average of per-unit OLS (every unit,
     den_i = d_i, scale 1), with the nonparametric covariance
-    sum (theta_i - mean)^2 / (n(n-1)).
+    sum (theta_i - mean)^2 / (n(n-1)). A singular unit design raises
+    :class:`SingularDesignError` naming the units.
 
     ``design`` lets callers reuse a precomputed :class:`PanelDesign`.
     """
     pd = design if design is not None else PanelDesign(panel)
-    wt = Weighting(keep=None, den=pd.d, scale=1.0, pi_n=0.0, alpha=None)
-    return weighted_mean_group(pd, wt, "mg", pd.theta_hat())  # refuses singular units
+    return weighted_mean_group(pd, mg_weighting(pd), "mg")
 
 
 def tmg(
-    panel: BalancedPanel,
+    panel: Panels,
     cfg: TrimConfig = TrimConfig(),
     design: PanelDesign | None = None,
 ) -> Estimate:
@@ -213,7 +297,7 @@ def tmg(
 
 
 def gp(
-    panel: BalancedPanel,
+    panel: Panels,
     alpha_gp: float = DEFAULT_ALPHA_GP,
     design: PanelDesign | None = None,
 ) -> Estimate:

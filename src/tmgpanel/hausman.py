@@ -3,7 +3,8 @@
 Each variant compares a pooled estimator (consistent only under uncorrelated
 heterogeneity) with a trimmed mean-group estimator (consistent under both)
 through a robust quadratic form that is chi-squared with k' degrees of
-freedom under the null.
+freedom under the null. A block of replications gives one statistic per
+replication.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import PanelDesign, within
-from .errors import SingularVdeltaError
-from .estimators import Estimate, fe, tmg
-from .panel import BalancedPanel
+from .designs import PanelDesign, col, mt, mv, nonsingular, pooled, void, within
+from .errors import SingularVdeltaError, failed, flag, merge
+from .estimators import Estimate, Panels, fe, tmg
 from .timeeffects import fete, tmg_te
 from .trimming import TrimConfig
 
@@ -83,13 +83,15 @@ def chisq_sf(x: float, df: int) -> float:
 
 @dataclass(frozen=True)
 class HausmanResult:
-    """Quadratic-form statistic, degrees of freedom and upper-tail p-value."""
+    """Quadratic-form statistic, degrees of freedom and upper-tail p-value
+    (floats for one panel, (B,) arrays for a block)."""
 
-    statistic: float
+    statistic: float | np.ndarray
     df: int
-    p_value: float
+    p_value: float | np.ndarray
     variant: str
     delta: np.ndarray
+    fail: tuple | None = None  # per-replication failures of a block test
 
     def to_record(self) -> dict:
         return {
@@ -100,35 +102,49 @@ class HausmanResult:
         }
 
 
-def _quad_form(v: np.ndarray, delta: np.ndarray, n: int, coef_scale: float) -> float:
+def _quad_form(v, delta, n: int, coef_scale, fail):
     """n * delta' V^+ delta with a rank-guarded symmetric pseudo-inverse.
 
     A difference at floating-point noise level relative to the coefficient
     scale counts as exactly zero (degenerate fixtures with identical
     estimators give statistic 0, p-value 1). Rank deficiency is otherwise an
-    error unless the difference lies in the retained range space.
+    error unless the difference lies in the retained range space. Returns the
+    statistics and the failures.
     """
-    dnorm = float(np.linalg.norm(delta))
-    if dnorm <= 1e-12 * max(coef_scale, 1e-300):
-        return 0.0
-    v = 0.5 * (v + v.T)
-    w, u = np.linalg.eigh(v)
-    cutoff = 1e-12 * max(w[-1], 0.0)
-    keep = w > cutoff
-    rank = int(keep.sum())
-    if rank < delta.size:
-        proj = u[:, keep] @ u[:, keep].T
-        out_of_range = float(np.linalg.norm(delta - proj @ delta))
-        if out_of_range > 1e-8 * dnorm:
-            raise SingularVdeltaError(
-                f"difference covariance has rank {rank} < {delta.size}"
-            )
-    pinv = (u[:, keep] / w[keep]) @ u[:, keep].T
-    return float(n * delta @ pinv @ delta)
+    dnorm = np.linalg.norm(delta, axis=-1)
+    zero = dnorm <= 1e-12 * np.maximum(coef_scale, 1e-300)
+    v = 0.5 * (v + mt(v))
+    w, u = np.linalg.eigh(nonsingular(v, failed(fail)))
+    cutoff = 1e-12 * np.maximum(w[..., -1], 0.0)
+    keep = w > cutoff[..., None]
+    rank = keep.sum(axis=-1)
+    u_kept = u * keep[..., None, :]
+    out_of_range = np.linalg.norm(delta - mv(u_kept @ mt(u_kept), delta), axis=-1)
+    fail = flag(
+        fail,
+        ~zero & (rank < delta.shape[-1]) & (out_of_range > 1e-8 * dnorm),
+        lambda i: SingularVdeltaError(
+            f"difference covariance has rank {rank[i]} < {delta.shape[-1]}"
+        ),
+    )
+    pinv = (u / np.where(keep, w, np.inf)[..., None, :]) @ mt(u)
+    stat = ((n * delta)[..., None, :] @ pinv @ delta[..., :, None])[..., 0, 0]
+    return void(np.where(zero, 0.0, stat), fail), fail
+
+
+def _result(stat, df: int, variant: str, delta, fail) -> HausmanResult:
+    if fail is None:
+        stat = float(stat)
+        p_value = chisq_sf(stat, df)
+    else:
+        p_value = np.array([chisq_sf(s, df) if np.isfinite(s) else np.nan for s in stat])
+    return HausmanResult(
+        statistic=stat, df=df, p_value=p_value, variant=variant, delta=delta, fail=fail
+    )
 
 
 def hausman_no_te(
-    panel: BalancedPanel, cfg: TrimConfig = TrimConfig(), design: PanelDesign | None = None
+    panel: Panels, cfg: TrimConfig = TrimConfig(), design: PanelDesign | None = None
 ) -> HausmanResult:
     """Test of correlated heterogeneity from the FE-vs-TMG slope difference."""
     pd = design if design is not None else PanelDesign(panel)
@@ -139,32 +155,27 @@ def hausman_no_te_from(pd: PanelDesign, fe_est: Estimate, tmg_est: Estimate) -> 
     """:func:`hausman_no_te` from FE and TMG estimates already fitted on ``pd``
     (the TMG estimate carries the trimming state the weights come from)."""
     panel = pd.panel
-    delta = fe_est.coef - tmg_est.coef[1:]
+    fail = merge(fe_est.fail, tmg_est.fail)
+    delta = fe_est.coef - tmg_est.coef[..., 1:]
     state = tmg_est.trim
     B = pd.bmats(state.a_n, state.trimmed)
-    b_slope = B[:, 1:, 1:]  # (1+delta_i) (X'MX)^{-1}, finite on the trimmed branch
-    xd = within(panel.x, axis=1)
-    psibar = np.einsum("ntp,ntq->pq", xd, xd) / panel.n
-    psibar_inv = np.linalg.inv(psibar)
-    m = psibar_inv[None] - b_slope / state.weight_scale
+    b_slope = B[..., 1:, 1:]  # (1+delta_i) (X'MX)^{-1}, finite on the trimmed branch
+    xd = panel.xd
+    psibar = pooled("ntp,ntq->pq", xd, xd) / panel.n
+    psibar_inv = np.linalg.inv(nonsingular(psibar, failed(fail)))
+    m = psibar_inv[..., None, :, :] - b_slope / col(col(col(state.weight_scale)))
 
-    resid = within(panel.y, axis=1) - np.einsum("ntp,p->nt", xd, fe_est.coef)
-    t_i = np.einsum("ntp,nt->np", panel.x, resid)  # X_i' nu~_i (nu~ de-meaned)
-    scores = np.einsum("npq,nq->np", m, t_i)
-    v = scores.T @ scores / panel.n
-    coef_scale = max(np.abs(fe_est.coef).max(), np.abs(tmg_est.coef).max())
-    stat = _quad_form(v, delta, panel.n, coef_scale)
-    return HausmanResult(
-        statistic=stat,
-        df=panel.k_prime,
-        p_value=chisq_sf(stat, panel.k_prime),
-        variant=VARIANT_NO_TE,
-        delta=delta,
-    )
+    resid = panel.yd - np.einsum("...ntp,...p->...nt", xd, fe_est.coef)
+    t_i = np.einsum("...ntp,...nt->...np", panel.x, resid)  # X_i' nu~_i (nu~ de-meaned)
+    scores = np.einsum("...npq,...nq->...np", m, t_i)
+    v = mt(scores) @ scores / panel.n
+    coef_scale = np.maximum(np.abs(fe_est.coef).max(axis=-1), np.abs(tmg_est.coef).max(axis=-1))
+    stat, fail = _quad_form(v, delta, panel.n, coef_scale, fail)
+    return _result(stat, panel.k_prime, VARIANT_NO_TE, delta, fail)
 
 
 def hausman_te(
-    panel: BalancedPanel, cfg: TrimConfig = TrimConfig(), design: PanelDesign | None = None
+    panel: Panels, cfg: TrimConfig = TrimConfig(), design: PanelDesign | None = None
 ) -> HausmanResult:
     """Test of correlated heterogeneity in panels with time effects.
 
@@ -179,51 +190,50 @@ def hausman_te(
 def hausman_te_from(pd: PanelDesign, fete_est: Estimate, tmgte_est: Estimate) -> HausmanResult:
     """:func:`hausman_te` from FE-TE and TMG-TE estimates already fitted on ``pd``."""
     panel = pd.panel
-    delta = fete_est.coef - tmgte_est.coef[1:]
+    fail = merge(fete_est.fail, tmgte_est.fail)
+    delta = fete_est.coef - tmgte_est.coef[..., 1:]
     state = tmgte_est.trim
-    scale = state.weight_scale
+    scale = col(col(state.weight_scale))
     B = pd.bmats(state.a_n, state.trimmed)
-    xd = within(panel.x, axis=1)
-    qx = np.einsum("ntp,npq->ntq", xd, B[:, 1:, 1:])  # Q_ix
-    qx_bar = qx.mean(axis=0) / scale
+    xd = panel.xd
+    qx = np.einsum("...ntp,...npq->...ntq", xd, B[..., 1:, 1:])  # Q_ix
+    qx_bar = qx.mean(axis=-3) / scale
 
-    xc = panel.x - panel.x.mean(axis=0, keepdims=True)
-    xcd = within(xc, axis=1)
-    psibar_te = np.einsum("ntp,ntq->pq", xcd, xcd) / panel.n
-    psibar_te_inv = np.linalg.inv(psibar_te)
+    xc, xcd = panel.xc, panel.xcd
+    psibar_te = pooled("ntp,ntq->pq", xcd, xcd) / panel.n
+    psibar_te_inv = np.linalg.inv(nonsingular(psibar_te, failed(fail)))
 
-    yc = panel.y - panel.y.mean(axis=0, keepdims=True)
-    nu = yc - np.einsum("ntp,p->nt", xc, fete_est.coef)
-    nud = within(nu, axis=1)
+    yc = panel.y - panel.y.mean(axis=-2, keepdims=True)
+    nu = yc - np.einsum("...ntp,...p->...nt", xc, fete_est.coef)
+    nud = within(nu, axis=-1)
 
-    s_pool = np.einsum("ntp,nt->np", xcd, nud) @ psibar_te_inv  # (n, k')
+    s_pool = np.einsum("...ntp,...nt->...np", xcd, nud) @ psibar_te_inv  # (..., n, k')
     if panel.T == panel.k:
-        xbar_d = within(panel.x.mean(axis=0), axis=0)  # M_T Xbar
-        a_x = np.eye(panel.k_prime) - qx_bar.T @ xbar_d
-        sv = np.linalg.svd(a_x, compute_uv=False)
-        if sv[-1] <= 1e-12 * sv[0]:
-            raise SingularVdeltaError("T=k weighting system is not invertible")
-        a_x_inv = np.linalg.inv(a_x)
-        s_trim = np.einsum("ntq,nt->nq", qx, nud) @ a_x_inv.T / scale
+        xbar_d = within(panel.x.mean(axis=-3), axis=-2)  # M_T Xbar
+        a_x = np.eye(panel.k_prime) - mt(qx_bar) @ xbar_d
+        sv = np.linalg.svd(nonsingular(a_x, failed(fail)), compute_uv=False)
+        fail = flag(
+            fail,
+            sv[..., -1] <= 1e-12 * sv[..., 0],
+            lambda i: SingularVdeltaError("T=k weighting system is not invertible"),
+        )
+        a_x_inv = np.linalg.inv(nonsingular(a_x, failed(fail)))
+        s_trim = np.einsum("...ntq,...nt->...nq", qx, nud) @ mt(a_x_inv) / scale
         scores = s_pool - s_trim
         variant = VARIANT_TE_TEQK
     else:
         proj = pd.projectors()
-        mbar_inv = np.linalg.inv(proj.M_bar)
-        s_trim = np.einsum("ntq,nt->nq", qx, nud) / scale
-        mi_nu = np.einsum("nts,ns->nt", proj.M, nud)
+        mbar_inv = np.linalg.inv(nonsingular(proj.M_bar, failed(fail)))
+        s_trim = np.einsum("...ntq,...nt->...nq", qx, nud) / scale
+        mi_nu = np.einsum("...nts,...ns->...nt", proj.M, nud)
         # third term of G_iC' M_T nu~: Qbar_nx' M_T Mbar^{-1} (M_i nu~)
-        s_back = mi_nu @ (mbar_inv @ within(qx_bar, axis=0))
+        s_back = mi_nu @ (mbar_inv @ within(qx_bar, axis=-2))
         scores = s_pool - s_trim + s_back
         variant = VARIANT_TE_TGTK
 
-    v = scores.T @ scores / panel.n
-    coef_scale = max(np.abs(fete_est.coef).max(), np.abs(tmgte_est.coef).max())
-    stat = _quad_form(v, delta, panel.n, coef_scale)
-    return HausmanResult(
-        statistic=stat,
-        df=panel.k_prime,
-        p_value=chisq_sf(stat, panel.k_prime),
-        variant=variant,
-        delta=delta,
+    v = mt(scores) @ scores / panel.n
+    coef_scale = np.maximum(
+        np.abs(fete_est.coef).max(axis=-1), np.abs(tmgte_est.coef).max(axis=-1)
     )
+    stat, fail = _quad_form(v, delta, panel.n, coef_scale, fail)
+    return _result(stat, panel.k_prime, variant, delta, fail)

@@ -5,22 +5,29 @@ Replication r of an experiment draws from counter-based random streams keyed
 by (seed, r, role) with separate roles for regressor innovations, coefficient
 draws and outcome errors, so results are independent of worker count and
 bit-reproducible for a given (seed, config, reps).
+
+Replications are drawn and fitted in blocks: B replications stack on a leading
+axis, the AR(1) burn-in and every estimator run once over the block, and each
+replication fails alone, with its reason. A replication's numbers do not
+depend on its block.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .designs import PanelDesign
+from .designs import PanelDesign, void, within
 from .errors import NumericalError, ScenarioError
 from .estimators import DEFAULT_ALPHA_GP, fe, gp, mg, tmg
 from .hausman import HausmanResult, hausman_no_te_from, hausman_te_from
-from .panel import BalancedPanel
+from .panel import BalancedPanel, PanelBlock
 from .timeeffects import fete, gp_te, tmg_te
 from .trimming import TrimConfig
 
@@ -46,6 +53,14 @@ ESTIMATOR_TAGS = ("fe", "mg", "tmg", "gp", "fete", "tmgte", "gpte")
 TEST_TAGS = ("hausman", "hausman_te")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class DgpConfig:
     """Full scenario description for one Monte Carlo design cell."""
@@ -69,6 +84,23 @@ class DgpConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "T", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ScenarioError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be non-negative, got {self.seed}")
+        theta0 = self.theta0
+        if not (isinstance(theta0, (tuple, list)) and len(theta0) == 2
+                and all(_is_real(v) for v in theta0)):
+            raise ScenarioError(f"theta0 must be two numbers, got {theta0!r}")
+        for name in ("sigma2_alpha", "sigma2_beta", "rho_alpha", "rho_beta", "pr2"):
+            if not _is_real(getattr(self, name)):
+                raise ScenarioError(f"{name} must be a number, got {getattr(self, name)!r}")
+        if self.kappa2 is not None and not _is_real(self.kappa2):
+            raise ScenarioError(f"kappa2 must be a number, got {self.kappa2!r}")
+        for name in ("interactive_x", "time_effects"):
+            if not isinstance(getattr(self, name), bool):
+                raise ScenarioError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.n < 2 or self.T < 2:
             raise ScenarioError(f"need n >= 2 and T >= 2, got n={self.n}, T={self.T}")
         if self.sigma2_alpha < 0 or self.sigma2_beta < 0:
@@ -126,58 +158,84 @@ class DgpConfig:
 
 @dataclass(frozen=True)
 class ReplicationTruth:
-    """Generated quantities retained for oracle checks."""
+    """Generated quantities retained for oracle checks (a block's arrays
+    carry its leading replication axis, except phi)."""
 
-    theta: np.ndarray  # (n, 2): alpha_i, beta_i
-    lam: np.ndarray  # (n,)
+    theta: np.ndarray  # (..., n, 2): alpha_i, beta_i
+    lam: np.ndarray  # (..., n)
     phi: np.ndarray  # (T,)
-    sigma_ix: np.ndarray  # (n,)
-    u: np.ndarray  # (n, T)
+    sigma_ix: np.ndarray  # (..., n)
+    u: np.ndarray  # (..., n, T)
+
+
+#: Cap on B*n*T, the cells that a block of B replications of an n-unit,
+#: T-period design holds at once. Blocking pays the per-call overhead of the
+#: fits, and of the draws after the burn-in, once per block. Its price is peak
+#: memory: every per-unit array of the fits gains the leading axis, and their
+#: working set grows with n*T. The cap keeps the n=1000 cells (B = 4 at T = 2,
+#: B = 2 at T = 3) within 3% of the one-replication peak RSS, and a design
+#: with more cells runs one replication at a time. Results do not depend on it.
+MAX_BLOCK_CELLS = 8000
+
+
+def block_size(n: int, T: int) -> int:
+    """Replications per block for an n-unit, T-period design."""
+    return max(1, MAX_BLOCK_CELLS // (n * T))
 
 
 def _stream(seed: int, rep: int, role: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, rep, role))))
 
 
-def _draw_x_innovations(rng, cfg: DgpConfig, n: int, steps: int) -> np.ndarray:
-    if cfg.x_error_dist == "gaussian":
-        return rng.standard_normal((n, steps))
-    return np.sqrt(12.0) * (rng.random((n, steps)) - 0.5)
-
-
-def _draw_x(rng, cfg: DgpConfig, n: int, f_path: np.ndarray | None = None):
-    """Factor-augmented heterogeneous AR(1) regressor paths.
+def _draw_x(rngs, cfg: DgpConfig, n: int, f_path: np.ndarray | None = None):
+    """Factor-augmented heterogeneous AR(1) regressor paths for a block of
+    replications, one generator each, drawn in the order of a single one.
 
     The recursion starts at zero and runs 50 burn-in periods before the T
     retained observations. Returns the paths, the retained innovations and
-    the per-unit innovation scales.
-    """
-    steps = _BURN_IN + cfg.T
-    alpha_ix = rng.normal(1.0, 1.0, n)
-    z_ix = rng.standard_normal(n)
-    sigma_ix = np.sqrt(0.5 * (1.0 + z_ix**2))
-    if cfg.rho_ix_mode == "uniform095":
-        rho_ix = rng.uniform(0.0, 0.95, n)
-    else:
-        rho_ix = np.zeros(n)
-    if cfg.interactive_x:
-        gamma_ix = rng.uniform(0.0, 2.0, n)
-        if f_path is None:
-            f_path = draw_factor_path(rng, steps)
-    else:
-        gamma_ix = np.zeros(n)
-        f_path = np.zeros(steps)
-    e_x = _draw_x_innovations(rng, cfg, n, steps)
+    the per-unit innovation scales, each with a leading replication axis.
+    ``f_path`` is a common factor path shared by every replication; without
+    it each draws its own.
 
-    x = np.zeros(n)
-    out = np.empty((n, cfg.T))
-    drift = alpha_ix * (1.0 - rho_ix)
-    innov_scale = np.sqrt(1.0 - rho_ix**2) * sigma_ix
-    for j in range(steps):
-        x = drift + gamma_ix * f_path[j] + rho_ix * x + innov_scale * e_x[:, j]
-        if j >= _BURN_IN:
-            out[:, j - _BURN_IN] = x
-    return out, e_x[:, _BURN_IN:], sigma_ix
+    The burn-in runs one replication at a time through one reused (n, 50 + T)
+    innovation buffer, the largest array of the draws: stacking it over the
+    block raised the peak memory by more than it saved time.
+    """
+    B, steps = len(rngs), _BURN_IN + cfg.T
+    alpha_ix, z_ix = np.empty((B, n)), np.empty((B, n))
+    rho_ix, gamma_ix = np.zeros((B, n)), np.zeros((B, n))
+    out, e_ret = np.empty((B, n, cfg.T)), np.empty((B, n, cfg.T))
+    e_x, x = np.empty((n, steps)), np.empty(n)
+    for b, rng in enumerate(rngs):
+        alpha_ix[b] = rng.normal(1.0, 1.0, n)
+        z_ix[b] = rng.standard_normal(n)
+        if cfg.rho_ix_mode == "uniform095":
+            rho_ix[b] = rng.uniform(0.0, 0.95, n)
+        f = np.zeros(steps) if f_path is None else f_path
+        if cfg.interactive_x:
+            gamma_ix[b] = rng.uniform(0.0, 2.0, n)
+            if f_path is None:
+                f = draw_factor_path(rng, steps)
+        if cfg.x_error_dist == "gaussian":
+            rng.standard_normal(out=e_x)
+        else:
+            rng.random(out=e_x)
+            e_x -= 0.5
+            e_x *= np.sqrt(12.0)
+        e_ret[b] = e_x[:, _BURN_IN:]
+        rho, gamma = rho_ix[b], gamma_ix[b]
+        drift = alpha_ix[b] * (1.0 - rho)
+        e_x *= (np.sqrt(1.0 - rho**2) * np.sqrt(0.5 * (1.0 + z_ix[b] ** 2)))[:, None]
+        x[:] = 0.0
+        for j in range(steps):
+            # x = drift + gamma f_j + rho x + scale e_j, in place; without
+            # factors gamma f_j is exactly zero and adding it changes no bit
+            np.multiply(rho, x, out=x)
+            x += drift + gamma * f[j] if cfg.interactive_x else drift
+            x += e_x[:, j]
+            if j >= _BURN_IN:
+                out[b, :, j - _BURN_IN] = x
+    return out, e_ret, np.sqrt(0.5 * (1.0 + z_ix**2))
 
 
 def draw_factor_path(rng, steps: int) -> np.ndarray:
@@ -194,75 +252,95 @@ def draw_factor_path(rng, steps: int) -> np.ndarray:
 
 def standardized_quadratic(e_ret: np.ndarray, T: int, gamma2: float) -> np.ndarray:
     """Unit-level mixing variable: standardized de-meaned innovation quadratic."""
-    q = ((e_ret - e_ret.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
+    q = (within(e_ret) ** 2).sum(axis=-1)
     var = 2.0 * (T - 1) + gamma2 * (T - 1) ** 2 / T
     return (q - (T - 1)) / np.sqrt(var)
 
 
-def _draw_coefficients(rng, cfg: DgpConfig, lam: np.ndarray, n: int):
+def _normals(rngs, shape: tuple) -> np.ndarray:
+    """One standard-normal draw of ``shape`` from each generator, stacked."""
+    out = np.empty((len(rngs),) + shape)
+    for b, rng in enumerate(rngs):
+        rng.standard_normal(out=out[b])
+    return out
+
+
+def _draw_coefficients(rngs, cfg: DgpConfig, lam: np.ndarray, n: int):
     se_a = np.sqrt(cfg.sigma2_eps_alpha)
     se_b = np.sqrt(cfg.sigma2_eps_beta)
-    eps_a = rng.standard_normal(n) * se_a
-    eps_b = rng.standard_normal(n) * se_b
-    alpha_i = cfg.theta0[0] + cfg.psi_alpha * lam + eps_a
-    beta_i = cfg.theta0[1] + cfg.psi_beta * lam + eps_b
+    z = _normals(rngs, (2, n))  # eps_alpha, then eps_beta, per replication
+    alpha_i = cfg.theta0[0] + cfg.psi_alpha * lam + z[:, 0] * se_a
+    beta_i = cfg.theta0[1] + cfg.psi_beta * lam + z[:, 1] * se_b
     return alpha_i, beta_i
 
 
-def _draw_errors(rng, cfg: DgpConfig, n: int, lam: np.ndarray, e_ret: np.ndarray):
+def _draw_errors(rngs, cfg: DgpConfig, n: int, lam: np.ndarray, e_ret: np.ndarray):
+    B, T = len(rngs), cfg.T
+    z_iu, rho_ie, e0 = np.empty((B, n)), np.zeros((B, n)), np.empty((B, n))
+    g = np.empty((B, 1 if cfg.y_error_dist == "gaussian" else 2, n, T))
+    for b, rng in enumerate(rngs):
+        if cfg.heterosked == "random":
+            rng.standard_normal(out=z_iu[b])
+        if cfg.rho_ie_mode == "uniform095":
+            rho_ie[b] = rng.uniform(0.0, 0.95, n)
+        rng.standard_normal(out=e0[b])
+        rng.standard_normal(out=g[b])
     if cfg.heterosked == "random":
-        z_iu = rng.standard_normal(n)
-        sigma_it = np.sqrt(0.5 * (1.0 + z_iu**2))[:, None]
+        sigma_it = np.sqrt(0.5 * (1.0 + z_iu**2))[..., None]
     elif cfg.heterosked == "lambda2":
-        sigma_it = np.abs(lam)[:, None]
+        sigma_it = np.abs(lam)[..., None]
     else:  # ex2
         sigma_it = np.abs(e_ret)
-    if cfg.rho_ie_mode == "uniform095":
-        rho_ie = rng.uniform(0.0, 0.95, n)
-    else:
-        rho_ie = np.zeros(n)
-    e0 = rng.standard_normal(n)
     if cfg.y_error_dist == "gaussian":
-        shocks = rng.standard_normal((n, cfg.T))
+        shocks = g[:, 0]
     else:
-        g1 = rng.standard_normal((n, cfg.T))
-        g2 = rng.standard_normal((n, cfg.T))
-        shocks = 0.5 * (g1**2 + g2**2 - 2.0)
+        shocks = 0.5 * (g[:, 0] ** 2 + g[:, 1] ** 2 - 2.0)
     if cfg.rho_ie_mode == "zero":
         e = shocks
     else:
         e = np.empty_like(shocks)
         prev = e0
         innov = np.sqrt(1.0 - rho_ie**2)
-        for t in range(cfg.T):
-            prev = rho_ie * prev + innov * shocks[:, t]
-            e[:, t] = prev
+        for t in range(T):
+            prev = rho_ie * prev + innov * shocks[..., t]
+            e[..., t] = prev
     return sigma_it * e
 
 
-def generate_replication(cfg: DgpConfig, rep: int) -> tuple[BalancedPanel, ReplicationTruth]:
-    """Generate one panel draw plus the truth record for oracle checks."""
+def generate_block(cfg: DgpConfig, reps: Sequence[int]) -> tuple[PanelBlock, ReplicationTruth]:
+    """Replications ``reps`` drawn as one block: the panels stacked on a leading
+    axis and a truth record whose arrays carry the same axis. Each replication
+    draws from its own (seed, rep, role) streams, so its values do not depend
+    on the block it is drawn in."""
     if cfg.kappa2 is None:
         raise ScenarioError("kappa2 is unset; calibrate it first (see calibrate_kappa)")
     n = cfg.n
-    rng_x = _stream(cfg.seed, rep, _ROLE_X)
-    rng_c = _stream(cfg.seed, rep, _ROLE_COEF)
-    rng_y = _stream(cfg.seed, rep, _ROLE_Y)
+    rng_x = [_stream(cfg.seed, r, _ROLE_X) for r in reps]
+    rng_c = [_stream(cfg.seed, r, _ROLE_COEF) for r in reps]
+    rng_y = [_stream(cfg.seed, r, _ROLE_Y) for r in reps]
     x, e_ret, sigma_ix = _draw_x(rng_x, cfg, n)
     lam = standardized_quadratic(e_ret, cfg.T, cfg.excess_kurtosis_x)
     alpha_i, beta_i = _draw_coefficients(rng_c, cfg, lam, n)
     u = np.sqrt(cfg.kappa2) * _draw_errors(rng_y, cfg, n, lam, e_ret)
     phi = cfg.phi()
-    y = alpha_i[:, None] + phi[None, :] + beta_i[:, None] * x + u
+    y = alpha_i[..., None] + phi + beta_i[..., None] * x + u
+    truth = ReplicationTruth(
+        theta=np.stack([alpha_i, beta_i], axis=-1), lam=lam, phi=phi, sigma_ix=sigma_ix, u=u
+    )
+    return PanelBlock(y=y, x=x[..., None]), truth
+
+
+def generate_replication(cfg: DgpConfig, rep: int) -> tuple[BalancedPanel, ReplicationTruth]:
+    """Generate one panel draw plus the truth record for oracle checks: the
+    block of the single replication ``rep``."""
+    block, truth = generate_block(cfg, [rep])
     panel = BalancedPanel(
-        y=y, x=x[:, :, None], unit_ids=tuple(range(n)), time_ids=tuple(range(1, cfg.T + 1))
+        y=block.y[0], x=block.x[0], unit_ids=tuple(range(cfg.n)),
+        time_ids=tuple(range(1, cfg.T + 1)),
     )
     truth = ReplicationTruth(
-        theta=np.column_stack([alpha_i, beta_i]),
-        lam=lam,
-        phi=phi,
-        sigma_ix=sigma_ix,
-        u=u,
+        theta=truth.theta[0], lam=truth.lam[0], phi=truth.phi, sigma_ix=truth.sigma_ix[0],
+        u=truth.u[0],
     )
     return panel, truth
 
@@ -273,7 +351,8 @@ def calibrate_kappa(cfg: DgpConfig, r_kappa: int = 1000, n_cal: int = 5000) -> f
     Simulates coefficient and regressor draws only (no outcomes), accumulates
     the pooled second moments of beta_i * x_it, and scales their variance by
     (1 - PR^2)/PR^2. The common factor path, when present, is drawn once and
-    shared across calibration replications.
+    shared across calibration replications. Replications run in blocks, as in
+    :func:`run_experiment`, and are accumulated in order.
     """
     f_path = None
     if cfg.interactive_x:
@@ -282,15 +361,18 @@ def calibrate_kappa(cfg: DgpConfig, r_kappa: int = 1000, n_cal: int = 5000) -> f
         )
     a_acc = 0.0
     b_acc = 0.0
-    for r in range(r_kappa):
-        rng_x = _stream(cfg.seed, r, _ROLE_CAL_X)
-        rng_c = _stream(cfg.seed, r, _ROLE_CAL_COEF)
+    size = block_size(n_cal, cfg.T)
+    for start in range(0, r_kappa, size):
+        reps = range(start, min(start + size, r_kappa))
+        rng_x = [_stream(cfg.seed, r, _ROLE_CAL_X) for r in reps]
+        rng_c = [_stream(cfg.seed, r, _ROLE_CAL_COEF) for r in reps]
         x, e_ret, _ = _draw_x(rng_x, cfg, n_cal, f_path=f_path)
         lam = standardized_quadratic(e_ret, cfg.T, cfg.excess_kurtosis_x)
         _, beta_i = _draw_coefficients(rng_c, cfg, lam, n_cal)
-        bx = beta_i[:, None] * x
-        a_acc += np.mean(bx * bx)
-        b_acc += np.mean(bx)
+        bx = beta_i[..., None] * x
+        for a, b in zip(np.mean(bx * bx, axis=(1, 2)), np.mean(bx, axis=(1, 2))):
+            a_acc += a
+            b_acc += b
     a_acc /= r_kappa
     b_acc /= r_kappa
     return float((1.0 - cfg.pr2) / cfg.pr2 * (a_acc - b_acc**2))
@@ -323,6 +405,9 @@ class McResult:
     mc_se_bias: np.ndarray
     mc_se_size: np.ndarray
     power_curve: list | None = None
+    #: failed replications by reason: the NumericalError class name, or
+    #: NONFINITE_SE for a finite estimate without a finite standard error
+    failures_by_reason: dict = field(default_factory=dict)
 
     def rows(self) -> list[tuple[str, str, str, float]]:
         """Flatten to (estimator, metric, coefficient, value) rows."""
@@ -339,15 +424,23 @@ class McResult:
         out.append((self.estimator, "pi_hat", "", self.pi_hat))
         out.append((self.estimator, "reps", "", float(self.reps)))
         out.append((self.estimator, "failures", "", float(self.failures)))
+        for reason, count in sorted(self.failures_by_reason.items()):
+            out.append((self.estimator, f"failures.{reason}", "", float(count)))
         return out
 
 
-class _Replication:
-    """One replication: its panel, its single design and each tag's fit,
-    computed at most once; the Hausman tags reuse the fits they compare."""
+#: Failure reason of a replication whose estimate is finite but whose
+#: standard error is not (e.g. GP keeping a single unit).
+NONFINITE_SE = "NonFiniteStandardError"
 
-    def __init__(self, cfg: DgpConfig, rep: int, trim_cfg: TrimConfig, alpha_gp: float):
-        self.panel, _ = generate_replication(cfg, rep)
+
+class _Block:
+    """One block of replications: its panels, its single design and each
+    tag's fit, computed at most once; the Hausman tags reuse the fits they
+    compare."""
+
+    def __init__(self, cfg: DgpConfig, reps, trim_cfg: TrimConfig, alpha_gp: float):
+        self.panel, _ = generate_block(cfg, reps)
         self.design = PanelDesign(self.panel)
         self.trim_cfg, self.alpha_gp = trim_cfg, alpha_gp
         self._fits = {}
@@ -372,38 +465,46 @@ _TAG_FITS = {
 }
 
 
-def _record(fit) -> tuple:
-    """(slope and phi_1..phi_{T-1}, their standard errors, trimmed fraction),
-    or (statistic, p-value, 0) for a test."""
+def _records(fit) -> tuple:
+    """Per replication of a block fit: (slope and phi_1..phi_{T-1}, their
+    standard errors, trimmed fraction), or (statistic, p-value, 0) for a
+    test, with NaN rows for the failed ones, and the failures."""
     if isinstance(fit, HausmanResult):
-        return np.array([fit.statistic]), np.array([fit.p_value]), 0.0
+        stat = fit.statistic[:, None]
+        return stat, fit.p_value[:, None], np.zeros(len(stat)), fit.fail
     est, te = fit if isinstance(fit, tuple) else (fit, None)
     j = est.coef_names.index("beta1")
-    coef, se = est.coef[[j]], est.se[[j]]
+    coef, se = est.coef[:, [j]], est.se[:, [j]]
     if te is not None:
-        coef = np.concatenate([coef, te.phi[:-1]])
-        se = np.concatenate([se, te.se[:-1]])
-    return coef, se, est.pi_n
+        coef = np.concatenate([coef, te.phi[:, :-1]], axis=1)
+        se = np.concatenate([se, te.se[:, :-1]], axis=1)
+    pi = np.broadcast_to(est.pi_n, (len(coef),))
+    return void(coef, est.fail), void(se, est.fail), void(pi, est.fail), est.fail
 
 
-def _rep_records(
-    cfg: DgpConfig, rep: int, tags: Sequence[str], trim_cfg: TrimConfig, alpha_gp: float
-) -> dict:
-    """Estimate every requested tag on one replication.
+def _block_records(
+    cfg: DgpConfig, reps: Sequence[int], tags: Sequence[str], trim_cfg: TrimConfig,
+    alpha_gp: float,
+) -> list[dict]:
+    """Estimate every requested tag on one block of replications.
 
-    Returns per-tag arrays (coef estimates, standard errors, trimmed fraction)
-    or (statistic, p-value) for tests; NaN rows flag estimation failures.
+    Returns one record per replication: per tag, (coef estimates, standard
+    errors, trimmed fraction, failure reason or None), or (statistic, p-value,
+    0, reason) for tests; NaN rows flag estimation failures.
     """
-    replication = _Replication(cfg, rep, trim_cfg, alpha_gp)
-    out = {}
+    block = _Block(cfg, reps, trim_cfg, alpha_gp)
+    out = [{} for _ in reps]
     for tag in tags:
         if tag not in _TAG_FITS:
             raise ScenarioError(f"unknown estimator tag {tag!r}")
         try:
-            out[tag] = _record(replication.fit(tag))
-        except NumericalError:
+            coef, se, pi, fail = _records(block.fit(tag))
+        except NumericalError as exc:  # a failure of the block's shape fails every replication
             width = len(_tag_coef_names(tag, cfg.T))
-            out[tag] = (np.full(width, np.nan), np.full(width, np.nan), np.nan)
+            coef = se = np.full((len(reps), width), np.nan)
+            pi, fail = np.full(len(reps), np.nan), (exc,) * len(reps)
+        for b, rec in enumerate(out):
+            rec[tag] = (coef[b], se[b], pi[b], None if fail[b] is None else type(fail[b]).__name__)
     return out
 
 
@@ -423,8 +524,23 @@ def _tag_truth(tag: str, cfg: DgpConfig) -> np.ndarray:
 
 
 def _worker(args):
+    """Records of the replications ``reps``, fitted in blocks of
+    :func:`block_size` consecutive entries."""
     cfg, reps, tags, trim_cfg, alpha_gp = args
-    return [_rep_records(cfg, r, tags, trim_cfg, alpha_gp) for r in reps]
+    size = block_size(cfg.n, cfg.T)
+    out = []
+    for i in range(0, len(reps), size):
+        out.extend(_block_records(cfg, reps[i : i + size], tags, trim_cfg, alpha_gp))
+    return out
+
+
+def _reasons(records, tag: str, ok: np.ndarray) -> dict:
+    counts = {}
+    for rec, good in zip(records, ok):
+        if not good:
+            reason = rec[tag][3] or NONFINITE_SE
+            counts[reason] = counts.get(reason, 0) + 1
+    return dict(sorted(counts.items()))
 
 
 def run_experiment(
@@ -441,7 +557,9 @@ def run_experiment(
     Rejections use the two-sided 5% normal rule |estimate - truth|/SE > 1.96.
     ``beta0_grid`` adds a power curve (rejection of beta = b over the grid)
     for every coefficient-reporting estimator. Failures propagate as skipped
-    replications, counted per estimator.
+    replications, counted per estimator and by reason. Replications are drawn
+    and fitted in blocks (see MAX_BLOCK_CELLS); neither the block size nor
+    ``jobs`` changes any result.
     """
     if reps < 1:
         raise ScenarioError(f"reps must be >= 1, got {reps}")
@@ -478,6 +596,7 @@ def run_experiment(
         # cannot be tested, so it counts as a failure, not a non-rejection
         ok = np.isfinite(est).all(axis=1) & np.isfinite(se).all(axis=1)
         failures = int((~ok).sum())
+        by_reason = _reasons(records, tag, ok)
         r_ok = int(ok.sum())
         est, se, pi = est[ok], se[ok], pi[ok]
         if tag in TEST_TAGS:
@@ -497,6 +616,7 @@ def run_experiment(
                     mc_se_size=np.array(
                         [np.sqrt(rejections * (1 - rejections) / r_ok) if r_ok else np.nan]
                     ),
+                    failures_by_reason=by_reason,
                 )
             )
             continue
@@ -508,6 +628,7 @@ def run_experiment(
                     estimator=tag, reps=0, failures=failures, coef_names=names,
                     bias=nanvec, rmse=nanvec.copy(), size=nanvec.copy(),
                     pi_hat=np.nan, mc_se_bias=nanvec.copy(), mc_se_size=nanvec.copy(),
+                    failures_by_reason=by_reason,
                 )
             )
             continue
@@ -538,6 +659,7 @@ def run_experiment(
                 mc_se_bias=mc_se_bias,
                 mc_se_size=mc_se_size,
                 power_curve=power,
+                failures_by_reason=by_reason,
             )
         )
     return results
@@ -563,7 +685,7 @@ def scenario_from_dict(raw: dict) -> tuple[DgpConfig, dict]:
     cfg_kwargs, extras = {}, {}
     for key, value in raw.items():
         if key in cfg_fields:
-            cfg_kwargs[key] = tuple(value) if key == "theta0" else value
+            cfg_kwargs[key] = tuple(value) if key == "theta0" and isinstance(value, list) else value
         elif key in _SCENARIO_EXTRAS:
             extras[key] = value
         else:
@@ -575,7 +697,26 @@ def scenario_from_dict(raw: dict) -> tuple[DgpConfig, dict]:
         cfg = DgpConfig(**cfg_kwargs)
     except TypeError as exc:
         raise ScenarioError(str(exc)) from None
+    _check_extras(extras)
     return cfg, extras
+
+
+def _check_extras(extras: dict) -> None:
+    """Types of the experiment settings; their ranges are checked where used."""
+    if "reps" in extras and not (_is_int(extras["reps"]) and extras["reps"] >= 1):
+        raise ScenarioError(f"reps must be an integer >= 1, got {extras['reps']!r}")
+    tags = extras.get("estimators", [])
+    if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
+        raise ScenarioError(f"estimators must be a list of tags, got {tags!r}")
+    grid = extras.get("beta0_grid")
+    if grid is not None and not (
+        isinstance(grid, list) and grid and all(_is_real(b) and math.isfinite(b) for b in grid)
+    ):
+        raise ScenarioError(f"beta0_grid must be a non-empty list of numbers, got {grid!r}")
+    for key in ("trim_alpha", "trim_c_n", "alpha_gp"):
+        value = extras.get(key)
+        if value is not None and not _is_real(value):
+            raise ScenarioError(f"{key} must be a number, got {value!r}")
 
 
 def load_scenario(path) -> tuple[DgpConfig, dict]:

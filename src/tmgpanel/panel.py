@@ -23,6 +23,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -38,8 +39,81 @@ from .errors import (
 )
 
 
+def within(v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """De-mean an array along a time axis.
+
+    Fewer than eight periods are summed one period at a time, which is the
+    order of numpy's own sum below eight terms (its pairwise sum unrolls by
+    eight), so the mean is the same bits in a third of the time.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape[axis] >= 8:
+        return v - v.mean(axis=axis, keepdims=True)
+    periods = np.moveaxis(v, axis, 0)
+    total = periods[0]
+    for p in periods[1:]:
+        total = total + p
+    return v - np.expand_dims(total / len(periods), axis)
+
+
+class _PanelShape:
+    """Shape accessors shared by one panel and a block of panels: the unit,
+    period and regressor axes are the last ones, after any leading axes."""
+
+    @property
+    def lead(self) -> tuple:
+        """Leading shape: () for one panel, (B,) for a block of B replications."""
+        return self.y.shape[:-2]
+
+    @property
+    def n(self) -> int:
+        return self.y.shape[-2]
+
+    @property
+    def T(self) -> int:
+        return self.y.shape[-1]
+
+    @property
+    def k_prime(self) -> int:
+        return self.x.shape[-1]
+
+    @property
+    def k(self) -> int:
+        return self.k_prime + 1
+
+    # de-meaned regressors and outcomes, computed once and shared by the
+    # estimators, projectors and tests that use them
+
+    @cached_property
+    def xd(self) -> np.ndarray:
+        """M_T X_i: regressors de-meaned over time, (..., n, T, k')."""
+        return within(self.x, axis=-2)
+
+    @cached_property
+    def yd(self) -> np.ndarray:
+        """M_T y_i: outcomes de-meaned over time, (..., n, T)."""
+        return within(self.y, axis=-1)
+
+    @cached_property
+    def xc(self) -> np.ndarray:
+        """X_i - Xbar: regressors less their cross-section mean, (..., n, T, k')."""
+        return self.x - self.x.mean(axis=-3, keepdims=True)
+
+    @cached_property
+    def xcd(self) -> np.ndarray:
+        """M_T (X_i - Xbar): the two-way de-meaned regressors."""
+        return within(self.xc, axis=-2)
+
+    def design_tensor(self) -> np.ndarray:
+        """Per-unit W_i = (1, X_i) stacked into an (..., n, T, k) array."""
+        W = np.empty(self.y.shape + (self.k,))
+        W[..., 0] = 1.0
+        W[..., 1:] = self.x
+        return W
+
+
 @dataclass(frozen=True)
-class BalancedPanel:
+class BalancedPanel(_PanelShape):
     """n x T outcomes and n x T x k' regressors with unit/time labels.
 
     Arrays are row-major, sorted by (unit, time), and frozen after
@@ -77,29 +151,15 @@ class BalancedPanel:
         object.__setattr__(self, "unit_ids", tuple(self.unit_ids))
         object.__setattr__(self, "time_ids", tuple(self.time_ids))
 
-    @property
-    def n(self) -> int:
-        return self.y.shape[0]
 
-    @property
-    def T(self) -> int:
-        return self.y.shape[1]
+@dataclass(frozen=True)
+class PanelBlock(_PanelShape):
+    """B panels of one shape stacked on a leading replication axis: outcomes
+    (B, n, T) and regressors (B, n, T, k'). Every estimator accepts a block
+    and fits its replications at once, each one failing alone."""
 
-    @property
-    def k_prime(self) -> int:
-        return self.x.shape[2]
-
-    @property
-    def k(self) -> int:
-        return self.k_prime + 1
-
-    def design_tensor(self) -> np.ndarray:
-        """Per-unit W_i = (1, X_i) stacked into an (n, T, k) array."""
-        n, T = self.y.shape
-        W = np.empty((n, T, self.k))
-        W[:, :, 0] = 1.0
-        W[:, :, 1:] = self.x
-        return W
+    y: np.ndarray
+    x: np.ndarray
 
 
 def _factorise(column) -> tuple[list, np.ndarray]:

@@ -12,23 +12,39 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .designs import PanelDesign, chamberlain_projectors, within
+from .designs import (
+    PanelDesign,
+    chamberlain_projectors,
+    col,
+    mt,
+    mv,
+    nonsingular,
+    pooled,
+    void,
+    within,
+)
 from .errors import (
     RequiresTGreaterKError,
     SingularMbarError,
     SingularPooledGramError,
     SingularTeSystemError,
+    failed,
+    flag,
+    merge,
+    no_failures,
 )
 from .estimators import (
     DEFAULT_ALPHA_GP,
     Estimate,
+    Panels,
     Weighting,
     _solve_spd,
     gp_weighting,
     tmg_weighting,
+    unit_gram,
+    unit_mean,
     weighted_mean_group,
 )
-from .panel import BalancedPanel
 from .trimming import TrimConfig
 
 METHOD_CHAMBERLAIN = "chamberlain"
@@ -43,10 +59,11 @@ class TimeEffects:
     phi: np.ndarray
     cov: np.ndarray
     method: str
+    fail: tuple | None = None  # per-replication failures of a block fit
 
     @property
     def se(self) -> np.ndarray:
-        return np.sqrt(np.abs(np.diag(self.cov)))
+        return np.sqrt(np.abs(np.diagonal(self.cov, axis1=-2, axis2=-1)))
 
     def to_record(self) -> dict:
         """Flat serializable record, for result files next to an Estimate."""
@@ -60,43 +77,52 @@ class TimeEffects:
 def _phi_cov(xbar: np.ndarray, cov_beta: np.ndarray, nu: np.ndarray) -> np.ndarray:
     """Covariance of M_T(ybar - Xbar beta): M_T (Xbar V_beta Xbar' + Omega/n) M_T,
     with Omega the cross-section covariance of the residual paths ``nu``."""
-    n = nu.shape[0]
-    omega = nu[:, :, None] * nu[:, None, :]
-    omega = omega.sum(axis=0) / (n - 1)
-    a = xbar @ cov_beta @ xbar.T + omega / n
-    a = a - a.mean(axis=0, keepdims=True)
-    return a - a.mean(axis=1, keepdims=True)
+    n = nu.shape[-2]
+    omega = nu[..., :, None] * nu[..., None, :]
+    omega = omega.sum(axis=-3) / (n - 1)
+    a = xbar @ cov_beta @ mt(xbar) + omega / n
+    a = a - a.mean(axis=-2, keepdims=True)
+    return a - a.mean(axis=-1, keepdims=True)
 
 
-def fete(panel: BalancedPanel) -> tuple[Estimate, TimeEffects]:
+def fete(panel: Panels) -> tuple[Estimate, TimeEffects]:
     """Two-way fixed effects: pooled slopes after unit and period de-meaning,
     with unit-clustered covariance, plus normalized time effects."""
     x, y, n = panel.x, panel.y, panel.n
-    xc = x - x.mean(axis=0, keepdims=True)  # X_i - Xbar
-    yc = y - y.mean(axis=0, keepdims=True)
-    xcd = within(xc, axis=1)
-    psi = np.einsum("ntp,ntq->pq", xcd, xc)
-    sxy = np.einsum("ntp,nt->p", xcd, yc)
-    coef = _solve_spd(psi, sxy, SingularPooledGramError, "pooled de-meaned Gram matrix")
-    nu = yc - np.einsum("ntp,p->nt", xc, coef)  # nu~_{i,FE}
-    nud = within(nu, axis=1)
-    scores = np.einsum("ntp,nt->np", xcd, nud)
-    psibar_inv = np.linalg.inv(psi / n)
-    cov = psibar_inv @ (scores.T @ scores / n**2) @ psibar_inv
+    xc, xcd = panel.xc, panel.xcd  # X_i - Xbar and its within transform
+    yc = y - y.mean(axis=-2, keepdims=True)
+    psi = pooled("ntp,ntq->pq", xcd, xc)
+    sxy = pooled("ntp,nt->p", xcd, yc)
+    coef, fail = _solve_spd(
+        psi,
+        sxy,
+        SingularPooledGramError,
+        "pooled de-meaned Gram matrix",
+        no_failures(panel.lead),
+    )
+    nu = yc - np.einsum("...ntp,...p->...nt", xc, coef)  # nu~_{i,FE}
+    nud = within(nu, axis=-1)
+    scores = np.einsum("...ntp,...nt->...np", xcd, nud)
+    psibar_inv = np.linalg.inv(nonsingular(psi / n, failed(fail)))
+    cov = psibar_inv @ (mt(scores) @ scores / n**2) @ psibar_inv
     est = Estimate(
         method="fete",
-        coef=coef,
-        cov=cov,
+        coef=void(coef, fail),
+        cov=void(cov, fail),
         n_used=n,
         coef_names=tuple(f"beta{j + 1}" for j in range(panel.k_prime)),
+        fail=fail,
     )
-    xbar = x.mean(axis=0)  # (T, k')
-    ybar = y.mean(axis=0)
-    phi = within(ybar - xbar @ coef, axis=0)
-    return est, TimeEffects(phi=phi, cov=_phi_cov(xbar, cov, nu), method=METHOD_FETE)
+    xbar = x.mean(axis=-3)  # (..., T, k')
+    ybar = y.mean(axis=-2)
+    phi = within(ybar - mv(xbar, coef), axis=-1)
+    te = TimeEffects(
+        phi=void(phi, fail), cov=void(_phi_cov(xbar, cov, nu), fail), method=METHOD_FETE, fail=fail
+    )
+    return est, te
 
 
-def chamberlain_phi(panel: BalancedPanel, design: PanelDesign | None = None) -> TimeEffects:
+def chamberlain_phi(panel: Panels, design: PanelDesign | None = None) -> TimeEffects:
     """Projector-average estimator of the time effects, valid for T > k.
 
     ``design`` supplies projectors already built for this panel.
@@ -106,19 +132,25 @@ def chamberlain_phi(panel: BalancedPanel, design: PanelDesign | None = None) -> 
             f"T={panel.T} equals k={panel.k}; the projector average is singular"
         )
     proj = design.projectors() if design is not None else chamberlain_projectors(panel)
-    mbar = proj.M_bar
+    mbar = nonsingular(proj.M_bar, failed(proj.fail))
     w = np.linalg.eigvalsh(mbar)
-    if w[0] <= 1e-12 * max(w[-1], 0.0):
-        raise SingularMbarError("average annihilator matrix is singular")
-    yd = within(panel.y, axis=1)
-    z = np.einsum("nts,ns->nt", proj.M, yd)
-    phi = np.linalg.solve(mbar, z.mean(axis=0))
-    resid = within(panel.y - phi[None, :], axis=1)
-    wvec = np.einsum("nts,ns->nt", proj.M, resid)
-    meat = wvec.T @ wvec / panel.n
+    fail = flag(
+        proj.fail,
+        w[..., 0] <= 1e-12 * np.maximum(w[..., -1], 0.0),
+        lambda i: SingularMbarError("average annihilator matrix is singular"),
+    )
+    mbar = nonsingular(mbar, failed(fail))
+    yd = panel.yd
+    z = np.einsum("...nts,...ns->...nt", proj.M, yd)
+    phi = np.linalg.solve(mbar, z.mean(axis=-2)[..., None])[..., 0]
+    resid = within(panel.y - phi[..., None, :], axis=-1)
+    wvec = np.einsum("...nts,...ns->...nt", proj.M, resid)
+    meat = mt(wvec) @ wvec / panel.n
     mbar_inv = np.linalg.inv(mbar)
     cov = mbar_inv @ meat @ mbar_inv / panel.n
-    return TimeEffects(phi=phi, cov=cov, method=METHOD_CHAMBERLAIN)
+    return TimeEffects(
+        phi=void(phi, fail), cov=void(cov, fail), method=METHOD_CHAMBERLAIN, fail=fail
+    )
 
 
 def weighted_mean_group_te(
@@ -130,40 +162,45 @@ def weighted_mean_group_te(
     T = k: coefficients and effects solve the cross-section-average system
     (I_k - Qbar'M_T Wbar) theta = theta_w - Qbar'M_T ybar jointly.
     """
-    panel = pd.panel
-    B = wt.kept(pd.adj) / wt.kept(wt.den)[:, None, None]
-    Q = np.einsum("ntk,nkj->ntj", wt.kept(pd.W), B)  # Q_i = w_i W_i (W'W)^{-1}
-    qbar = Q.mean(axis=0) / wt.scale
+    panel, lead, keep = pd.panel, pd.lead, wt.keep
+    B = pd.adj / wt.den[..., None, None]
+    Q = np.einsum("...ntk,...nkj->...ntj", pd.W, B)  # Q_i = w_i W_i (W'W)^{-1}
+    qbar = unit_mean(Q, keep, lead) / col(col(wt.scale))
 
     if panel.T > panel.k:
         te = pd.time_effects()
-        tilde = np.einsum("ntk,nt->nk", Q, wt.kept(panel.y) - te.phi[None, :])
+        wt = replace(wt, fail=merge(wt.fail, te.fail))
+        tilde = np.einsum("...ntk,...nt->...nk", Q, panel.y - te.phi[..., None, :])
         est = weighted_mean_group(pd, wt, method, tilde)
-        return replace(est, cov=est.cov + qbar.T @ te.cov @ qbar), te
+        return replace(est, cov=est.cov + mt(qbar) @ te.cov @ qbar), te
 
     est = weighted_mean_group(pd, wt, method)
     m = est.n_used
-    wbar = pd.W.mean(axis=0)  # (T, k)
-    ybar = panel.y.mean(axis=0)
-    a = np.eye(panel.k) - qbar.T @ within(wbar, axis=0)
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv[-1] <= 1e-12 * sv[0]:
-        raise SingularTeSystemError("I_k - Qbar'M_T Wbar is not invertible")
-    a_inv = np.linalg.inv(a)
-    coef = a_inv @ (est.coef - qbar.T @ within(ybar, axis=0))
-    phi = within(ybar - wbar @ coef, axis=0)
+    wbar = pd.W.mean(axis=-3)  # (..., T, k)
+    ybar = panel.y.mean(axis=-2)
+    a = np.eye(panel.k) - mt(qbar) @ within(wbar, axis=-2)
+    sv = np.linalg.svd(nonsingular(a, failed(wt.fail)), compute_uv=False)
+    fail = flag(
+        wt.fail,
+        sv[..., -1] <= 1e-12 * sv[..., 0],
+        lambda i: SingularTeSystemError("I_k - Qbar'M_T Wbar is not invertible"),
+    )
+    a_inv = np.linalg.inv(nonsingular(a, failed(fail)))
+    coef = mv(a_inv, est.coef - mv(mt(qbar), within(ybar, axis=-1)))
+    phi = within(ybar - mv(wbar, coef), axis=-1)
 
-    resid = est.per_unit - np.einsum("ntk,t->nk", Q, phi) - coef
-    v_theta = resid.T @ resid / ((m - 1) * wt.scale**2)
-    cov = a_inv @ v_theta @ a_inv.T / (m - 1)
-    nu = panel.y - np.einsum("ntp,p->nt", panel.x, coef[1:]) - phi[None, :]
-    cov_phi = _phi_cov(panel.x.mean(axis=0), cov[1:, 1:], nu)
-    te = TimeEffects(phi=phi, cov=cov_phi, method=METHOD_SYSTEM)
-    return replace(est, coef=coef, cov=cov), te
+    resid = est.per_unit - np.einsum("...ntk,...t->...nk", Q, phi) - coef[..., None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):  # one kept unit: no variance
+        v_theta = unit_gram(resid, keep, lead) / col(col((m - 1) * wt.scale**2))
+        cov = a_inv @ v_theta @ mt(a_inv) / col(col(m - 1))
+    nu = panel.y - np.einsum("...ntp,...p->...nt", panel.x, coef[..., 1:]) - phi[..., None, :]
+    cov_phi = _phi_cov(panel.x.mean(axis=-3), cov[..., 1:, 1:], nu)
+    te = TimeEffects(phi=void(phi, fail), cov=void(cov_phi, fail), method=METHOD_SYSTEM, fail=fail)
+    return replace(est, coef=void(coef, fail), cov=void(cov, fail), fail=fail), te
 
 
 def tmg_te(
-    panel: BalancedPanel, cfg: TrimConfig = TrimConfig(), design: PanelDesign | None = None
+    panel: Panels, cfg: TrimConfig = TrimConfig(), design: PanelDesign | None = None
 ) -> tuple[Estimate, TimeEffects]:
     """Trimmed mean group estimator with time effects (see
     :func:`weighted_mean_group_te` for the T > k and T = k routes)."""
@@ -172,7 +209,7 @@ def tmg_te(
 
 
 def gp_te(
-    panel: BalancedPanel,
+    panel: Panels,
     alpha_gp: float = DEFAULT_ALPHA_GP,
     design: PanelDesign | None = None,
 ) -> tuple[Estimate, TimeEffects]:

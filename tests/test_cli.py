@@ -312,3 +312,87 @@ class TestPower:
         rows = (out / "power.csv").read_text().splitlines()
         b0s = [float(r.split(",")[1]) for r in rows[1:]]
         np.testing.assert_allclose(b0s, [1.5, 2.0, 2.5])
+
+
+@pytest.mark.parametrize(
+    "command, extra, payload, message",
+    [
+        ("calibrate", ["--reps", "0"], {}, "--reps: must be at least 1"),
+        ("calibrate", ["--reps", "-1"], {}, "--reps: must be at least 1"),
+        ("simulate", ["--reps", "0"], {}, "--reps: must be at least 1"),
+        ("power", ["--reps", "0"], {}, "--reps: must be at least 1"),
+        ("simulate", [], {"reps": 0}, "reps must be an integer >= 1"),
+        ("calibrate", [], {"reps": 0}, "reps must be an integer >= 1"),
+        ("simulate", [], {"n": 50.5}, "n must be an integer"),
+        ("simulate", [], {"T": "2"}, "T must be an integer"),
+        ("simulate", [], {"n": True}, "n must be an integer"),
+        ("simulate", ["--seed", "-1"], {}, "seed must be non-negative"),
+        ("simulate", [], {"theta0": [1]}, "theta0 must be two numbers"),
+        ("simulate", [], {"estimators": "tmg"}, "estimators must be a list of tags"),
+        ("power", [], {"beta0_grid": []}, "beta0_grid must be a non-empty list"),
+    ],
+)
+def test_invalid_scenario_values_exit_2(tmp_path, capsys, command, extra, payload, message):
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(scenario_payload(**{"reps": 4, **payload})))
+    argv = [command, str(scen), *extra, "--out", str(tmp_path / "out")]
+    if command == "calibrate":
+        argv += ["--n-cal", "50"]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects a value before any command runs
+        rc = exc.code
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("method", ["tmg", "gp"])
+def test_per_unit_csv_bytes(hetero_csv, tmp_path, method):
+    # the per-unit writer renders the bytes of the row-at-a-time _fmt writer:
+    # every unit for TMG, the retained units' ids for GP
+    from tmgpanel import gp, read_panel_csv, tmg
+    from tmgpanel.cli import _fmt
+
+    panel = read_panel_csv(hetero_csv)
+    est = tmg(panel) if method == "tmg" else gp(panel, DEFAULT_ALPHA_GP)
+    ids, rows = list(panel.unit_ids), est.per_unit
+    if method == "gp":
+        assert 0 < est.keep.sum() < panel.n
+        ids = [uid for uid, kept in zip(ids, est.keep) if kept]
+        rows = rows[est.keep]
+    want = "unit_id,alpha,beta1\n" + "".join(
+        str(uid) + "," + ",".join(_fmt(v) for v in row) + "\n" for uid, row in zip(ids, rows)
+    )
+    assert main(["estimate", str(hetero_csv), "--method", method, "--dump-units",
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "per_unit.csv").read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("command", ["simulate", "power", "calibrate"])
+def test_monte_carlo_stage_timings(tmp_path, command):
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(scenario_payload(reps=4, n=60)))
+    argv = [command, str(scen), "--out", str(tmp_path)]
+    argv += {"calibrate": ["--n-cal", "50"], "power": ["--grid-points", "3"]}.get(command, [])
+    assert main(argv) == 0
+    timings = json.loads((tmp_path / "manifest.json").read_text())["timings"]
+    stages = [timings[k] for k in ("calibrate_seconds", "replicate_seconds", "write_seconds")]
+    assert all(s >= 0.0 for s in stages)
+    assert sum(stages) <= timings["wall_seconds"]
+    if command == "calibrate":
+        assert timings["calibrate_seconds"] > 0.0 and timings["replicate_seconds"] == 0.0
+    else:  # the scenario gives kappa^2
+        assert timings["calibrate_seconds"] == 0.0 and timings["replicate_seconds"] > 0.0
+
+
+def test_simulate_reports_failures_by_reason(tmp_path, capsys):
+    # an absurd explicit threshold trims every unit of every replication
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(scenario_payload(reps=4, trim_alpha=0.5, trim_c_n=1e12)))
+    assert main(["simulate", str(scen), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "results.csv").read_text().splitlines()
+    tmg_rows = [r for r in rows if r.startswith("tmg,")]
+    assert tmg_rows[-2:] == ["tmg,failures,,4", "tmg,failures.AllTrimmedError,,4"]
+    assert not any(r.startswith("fe,failures.") for r in rows)
+    assert "tmg: failures=4 (AllTrimmedError=4)" in capsys.readouterr().out

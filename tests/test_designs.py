@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tmgpanel import BalancedPanel, SingularDesignError, within
+from tmgpanel import BalancedPanel, SingularDesignError, mg, within
 from tmgpanel._kernels import _det_adj_stack, gram_det_adj
 from tmgpanel.designs import PanelDesign
 
@@ -33,7 +33,7 @@ class TestDeterminantAdjugate:
         pd = PanelDesign(panel_from_x([[0.0, 0.0], [1.0, 2.0]]))
         assert pd.d[0] == pytest.approx(0.0, abs=1e-14)
         assert np.isfinite(pd.adj[0]).all()
-        np.testing.assert_array_equal(pd.singular_units(), [0])
+        np.testing.assert_array_equal(np.flatnonzero(pd.singular()), [0])
 
     @pytest.mark.parametrize("k_prime,T", [(1, 2), (1, 4), (2, 3), (3, 4)])
     def test_det_matches_lu_oracle(self, rng, k_prime, T):
@@ -89,25 +89,25 @@ class TestDeterminantAdjugate:
 
 
 class TestUnitOls:
-    """Per-unit OLS through the batched ``PanelDesign.theta_hat``."""
+    """Per-unit OLS through the batched design: the rows of ``mg(...).per_unit``."""
 
     def test_exact_fit(self, rng):
         x = rng.normal(0, 1, (3, 4, 1))
         y = 1.0 + x[:, :, 0]  # every unit on the line (1, 1)
-        theta = PanelDesign(panel_from_x(x, y)).theta_hat()
+        theta = mg(panel_from_x(x, y)).per_unit
         np.testing.assert_allclose(theta, 1.0, atol=1e-12)
 
     def test_hand_line(self):
         # x = (0,1,2), y = (1,3,5): intercept 1, slope 2
         y = np.array([[1.0, 3.0, 5.0], [0.0, 0.0, 0.0]])
         p = panel_from_x([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]], y)
-        np.testing.assert_allclose(PanelDesign(p).theta_hat()[0], [1.0, 2.0], atol=1e-12)
+        np.testing.assert_allclose(mg(p).per_unit[0], [1.0, 2.0], atol=1e-12)
 
     def test_matches_lstsq(self, rng):
         x = rng.normal(0, 1, (20, 4, 2))
         y = rng.normal(0, 1, (20, 4))
         pd = PanelDesign(panel_from_x(x, y))
-        theta = pd.theta_hat()
+        theta = mg(pd.panel, design=pd).per_unit
         for i in range(20):
             want = np.linalg.lstsq(pd.W[i], y[i], rcond=None)[0]
             np.testing.assert_allclose(theta[i], want, rtol=1e-9, atol=1e-12)
@@ -119,15 +119,14 @@ class TestUnitOls:
         x = rng.normal(0, 1, (5, 4, 1))
         y = rng.normal(0, 1, (5, 4))
         pd = PanelDesign(panel_from_x(x, y))
-        resid = y - np.einsum("ntk,nk->nt", pd.W, pd.theta_hat())
+        resid = y - np.einsum("ntk,nk->nt", pd.W, mg(pd.panel, design=pd).per_unit)
         wtr = np.einsum("ntk,nt->nk", pd.W, resid)
         assert np.abs(wtr).max() <= 1e-9 * max(np.abs(y).max(), 1.0)
 
     def test_singular_raises(self):
         p = panel_from_x([[1.0, 1.0], [0.0, 1.0]], np.array([[0.0, 1.0], [0.0, 1.0]]))
-        pd = PanelDesign(p)
         with pytest.raises(SingularDesignError) as exc:
-            pd.theta_hat()
+            mg(p)
         assert exc.value.units == [0]
 
 
@@ -149,6 +148,15 @@ class TestWithinOperator:
         x = rng.normal(size=(3, 4, 2))
         want = np.einsum("ts,nsp->ntp", oracles.mt(4), x)
         np.testing.assert_allclose(within(x, axis=1), want, atol=1e-12)
+
+    def test_short_and_long_axes_match_numpy_mean(self, rng):
+        # below eight periods the mean is summed period by period; at eight
+        # and above it is numpy's own
+        for T in (2, 3, 7, 8, 11):
+            v = rng.normal(0, 1, (40, T, 2)) * 10.0 ** rng.uniform(-4, 4, (40, 1, 1))
+            np.testing.assert_allclose(
+                within(v, axis=1), v - v.mean(axis=1, keepdims=True), rtol=1e-15, atol=0
+            )
 
 
 def test_panel_design_matches_per_unit(rng):

@@ -110,7 +110,7 @@ class TestTmg:
         state = delta_weights(pd.d, compute_threshold(pd.d, cfg))
         np.testing.assert_allclose(state.delta, [0.0, 0.0, -0.5], atol=1e-12)
         est = tmg(p, cfg)
-        theta = pd.theta_hat()
+        theta = mg(p, design=pd).per_unit
         w = 1.0 + state.delta
         expect = (theta * w[:, None]).sum(axis=0) / (3 * state.weight_scale)
         np.testing.assert_allclose(est.coef, expect, rtol=1e-12)

@@ -243,6 +243,7 @@ class TestRunExperiment:
         assert single
         (res,) = run_experiment(cfg, ["gp"], reps=reps)
         assert res.failures == len(single)
+        assert res.failures_by_reason == {"NonFiniteStandardError": len(single)}
         assert res.reps == reps - len(single)
         assert np.isfinite(res.size).all()
 
@@ -255,9 +256,11 @@ class TestRunExperiment:
     ],
 )
 def test_replication_computes_each_shared_piece_once(monkeypatch, T, tags):
-    # the tags of one replication share one design, one set of projectors
-    # and one fit of each estimator that several of them compare
+    # the tags of one block of replications share one design, one set of
+    # projectors and one fit of each estimator that several of them compare
     import sys
+
+    from tmgpanel import montecarlo
 
     counts = {}
 
@@ -287,10 +290,117 @@ def test_replication_computes_each_shared_piece_once(monkeypatch, T, tags):
         PanelDesign, "__init__", counted("PanelDesign", PanelDesign.__init__)
     )
     cfg = base_cfg(n=100, T=T, time_effects=T > 2)
-    results = run_experiment(cfg, tags, reps=1)
+    monkeypatch.setattr(montecarlo, "MAX_BLOCK_CELLS", 3 * 100 * T)  # blocks of 3 and 2
+    results = run_experiment(cfg, tags, reps=5)
     assert all(r.failures == 0 for r in results)
-    assert counts.pop("PanelDesign") == 1
-    assert counts and all(c == 1 for c in counts.values()), counts
+    assert counts.pop("PanelDesign") == 2
+    assert counts and all(c == 2 for c in counts.values()), counts
+
+
+def _fields_equal(a, b):
+    import dataclasses
+
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            np.testing.assert_array_equal(x, y, err_msg=f.name)
+        else:
+            assert x == y or (x != x and y != y), (f.name, x, y)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        base_cfg(n=3, T=2),
+        base_cfg(n=3, T=3, time_effects=True),
+    ],
+    ids=["T2", "T3-te"],
+)
+def test_results_independent_of_block_size_and_jobs(monkeypatch, cfg):
+    # every McResult field is identical for one replication per block, an
+    # intermediate block, the whole run in one block, and one or two workers;
+    # the tiny designs make failures (GP keeping one unit) part of the check
+    from tmgpanel import montecarlo
+    from tmgpanel.montecarlo import ESTIMATOR_TAGS, TEST_TAGS
+
+    tags = list(ESTIMATOR_TAGS + TEST_TAGS)
+    reps = 40
+    runs = []
+    cells = cfg.n * cfg.T
+    for cap in (cells, 4 * cells, reps * cells):
+        monkeypatch.setattr(montecarlo, "MAX_BLOCK_CELLS", cap)
+        for jobs in (1, 2):
+            runs.append(run_experiment(cfg, tags, reps, beta0_grid=[0.5, 1.0], jobs=jobs))
+    assert any(r.failures for r in runs[0])
+    for other in runs[1:]:
+        for a, b in zip(runs[0], other):
+            _fields_equal(a, b)
+
+
+def test_failing_replication_fails_alone():
+    # a block of three panels whose middle one has a constant regressor: only
+    # that replication fails, with the reason each estimator meets first, and
+    # the others' fits are bit-identical to their single-panel fits
+    from tmgpanel import PanelBlock, TrimConfig, fe, fete, gp_te, hausman_no_te, hausman_te
+    from tmgpanel import mg, tmg, tmg_te
+
+    from _helpers import random_panel
+
+    rng = np.random.default_rng(11)
+    panels = [random_panel(rng, n=20, T=3) for _ in range(3)]
+    bad = panels[1]
+    panels[1] = type(bad)(
+        y=bad.y, x=np.full_like(bad.x, 2.5), unit_ids=bad.unit_ids, time_ids=bad.time_ids
+    )
+    block = PanelBlock(y=np.stack([p.y for p in panels]), x=np.stack([p.x for p in panels]))
+    fits = {
+        "fe": (fe, "SingularPooledGramError"),
+        "fete": (lambda p: fete(p)[0], "SingularPooledGramError"),
+        "mg": (mg, "SingularDesignError"),
+        "tmg": (lambda p: tmg(p, TrimConfig()), "AllSingularError"),
+        "gp": (gp, "AllTrimmedError"),
+        "tmgte": (lambda p: tmg_te(p)[0], "AllSingularError"),
+        "gpte": (lambda p: gp_te(p)[0], "AllTrimmedError"),
+        "hausman": (hausman_no_te, "SingularPooledGramError"),
+        "hausman_te": (hausman_te, "SingularPooledGramError"),
+    }
+    for tag, (fit, reason) in fits.items():
+        got = fit(block)
+        assert got.fail[0] is None and got.fail[2] is None, tag
+        assert type(got.fail[1]).__name__ == reason, (tag, got.fail[1])
+        with pytest.raises(type(got.fail[1])):
+            fit(panels[1])
+        if tag.startswith("hausman"):
+            assert np.isnan(got.statistic[1]) and np.isnan(got.p_value[1])
+            for b in (0, 2):
+                one = fit(panels[b])
+                assert got.statistic[b] == one.statistic and got.p_value[b] == one.p_value
+            continue
+        assert np.isnan(got.coef[1]).all() and np.isnan(got.cov[1]).all()
+        for b in (0, 2):
+            one = fit(panels[b])
+            np.testing.assert_array_equal(got.coef[b], one.coef, err_msg=tag)
+            np.testing.assert_array_equal(got.cov[b], one.cov, err_msg=tag)
+
+
+def test_failures_counted_by_reason():
+    from tmgpanel import TrimConfig
+
+    cfg = base_cfg(n=3)
+    res = run_experiment(
+        cfg, ["tmg", "gp", "fe"], reps=40, trim_cfg=TrimConfig(alpha=0.5, c_n=1e12)
+    )
+    by_tag = {r.estimator: r for r in res}
+    assert by_tag["tmg"].failures_by_reason == {"AllTrimmedError": 40}
+    gp_res = by_tag["gp"]
+    assert gp_res.failures and sum(gp_res.failures_by_reason.values()) == gp_res.failures
+    assert set(gp_res.failures_by_reason) <= {"AllTrimmedError", "NonFiniteStandardError"}
+    assert by_tag["fe"].failures_by_reason == {}
+    rows = by_tag["tmg"].rows()
+    assert rows[-2:] == [
+        ("tmg", "failures", "", 40.0),
+        ("tmg", "failures.AllTrimmedError", "", 40.0),
+    ]
 
 
 class TestScenario:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tmgpanel import AllSingularError, TrimConfig, compute_threshold, delta_weights, tmg
+from tmgpanel import AllSingularError, TrimConfig, compute_threshold, delta_weights, mg, tmg
 from tmgpanel.designs import PanelDesign
 
 import oracles
@@ -88,7 +88,7 @@ class TestTrimmedUnitEstimate:
         pd = PanelDesign(p)
         est = tmg(p, threshold_config(pd.d.min() / 2.0, p.n))
         assert not est.trim.trimmed.any()
-        np.testing.assert_array_equal(est.per_unit, pd.theta_hat())
+        np.testing.assert_array_equal(est.per_unit, mg(p, design=pd).per_unit)
         for i in range(p.n):
             np.testing.assert_allclose(
                 est.per_unit[i], oracles.unit_theta(p.y[i], p.x[i]), rtol=1e-10
