@@ -28,9 +28,7 @@ from .errors import (
     UnbalancedPanelError,
 )
 from .estimators import (
-    EfficiencyDiagnostics,
     Estimate,
-    efficiency_diagnostics,
     fe,
     gp,
     mg,
@@ -65,7 +63,6 @@ __all__ = [
     "ChamberlainProjector",
     "DgpConfig",
     "DuplicateCellError",
-    "EfficiencyDiagnostics",
     "Estimate",
     "HausmanResult",
     "McResult",
@@ -95,7 +92,6 @@ __all__ = [
     "compute_threshold",
     "default_power_grid",
     "delta_weights",
-    "efficiency_diagnostics",
     "fe",
     "fete",
     "generate_replication",

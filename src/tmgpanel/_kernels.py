@@ -1,8 +1,24 @@
-"""Batched small-matrix kernels: Gram, determinant, adjugate over all units.
+"""Batched small-matrix kernels: Gram, determinant, adjugate and the tiny
+per-unit products, over all units.
 
 One vectorized numpy sweep serves every estimator. Determinants and
 adjugates use exact cofactor expansion for k <= 4; larger k falls back to
 LU-based determinants (per-minor for the adjugate).
+
+The per-unit products (``small_matmul``, ``small_matvec``) and the Gram
+matrix are sums over axes of two to a few terms. ``np.einsum`` iterates such
+tiny axes one unit at a time, so here each output entry is a vector over the
+stack's leading axes, and its contracted index is summed in order with
+elementwise numpy ops: the first product plus 0.0 (einsum's zero start, so a
+sum of -0.0 terms reads +0.0), then one in-place add per further term.
+
+That order gives einsum's bits wherever einsum's inner loop does not reduce
+over the contracted axis -- the axis is strided in one of the operands --
+and wherever the axis has at most two terms. Where einsum reduces over a
+unit-stride axis of three or more terms, numpy's SIMD sum-of-products adds
+the terms in lanes (on an AVX-512 x86-64 machine, the even and odd terms in
+two accumulators), which rounds differently; the callers keep ``np.einsum``
+at those sites.
 """
 
 from __future__ import annotations
@@ -128,6 +144,31 @@ def _gram(W: np.ndarray) -> np.ndarray:
             gram[:, p, q] = acc
             gram[:, q, p] = acc
     return gram
+
+
+def small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of tiny matrices, (..., m, p) by (..., p, q) to
+    (..., m, q), broadcast on the leading axes; p is summed in order.
+
+    Like ``_gram``, each output entry is one sum of products of vectors over
+    the leading axes: an elementwise op over the whole (..., m, q) stack at
+    once would run numpy's inner loop over the tiny trailing axis."""
+    (m, p), q = a.shape[-2:], b.shape[-1]
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, q))
+    for i in range(m):
+        for j in range(q):
+            acc = a[..., i, 0] * b[..., 0, j]
+            acc += 0.0  # einsum's zero start
+            for t in range(1, p):
+                acc += a[..., i, t] * b[..., t, j]
+            out[..., i, j] = acc
+    return out
+
+
+def small_matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a v for stacks of tiny matrices and vectors, (..., m, p) by (..., p) to
+    (..., m), broadcast on the leading axes; p is summed in order."""
+    return small_matmul(a, v[..., :, None])[..., 0]
 
 
 def gram_det_adj(W: np.ndarray):

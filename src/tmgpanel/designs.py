@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import gram_det_adj
+from ._kernels import _det_adj_stack, gram_det_adj, small_matmul, small_matvec
 from .errors import SingularUnitGramError, failed, flag, no_failures
 from .panel import BalancedPanel, PanelBlock, within
 
@@ -84,6 +84,7 @@ class ChamberlainProjector:
 def chamberlain_projectors(panel: BalancedPanel | PanelBlock) -> ChamberlainProjector:
     """M_i = I_T - M_T X_i (X_i'M_T X_i)^{-1} X_i'M_T for every unit."""
     xd = panel.xd  # M_T X_i
+    # einsum: at k' = 1 the sum runs over unit-stride periods (see _kernels)
     psi = np.einsum("...ntp,...ntq->...npq", xd, xd)
     w = np.linalg.eigvalsh(psi)
     bad = w[..., 0] <= 1e-12 * np.maximum(w[..., -1], 0.0)
@@ -94,8 +95,8 @@ def chamberlain_projectors(panel: BalancedPanel | PanelBlock) -> ChamberlainProj
             f"X'MX singular for units {np.flatnonzero(bad[i])[:10].tolist()}"
         ),
     )
-    inv = np.linalg.inv(nonsingular(psi, bad))
-    proj = np.einsum("...ntp,...npq,...nsq->...nts", xd, inv, xd)
+    det, adj = _det_adj_stack(nonsingular(psi, bad))
+    proj = small_matmul(small_matmul(xd, adj / det[..., None, None]), mt(xd))
     M = np.negative(proj, out=proj)  # I_T - proj, in place: the same bits
     M += np.eye(panel.T)
     return ChamberlainProjector(M=M, M_bar=M.mean(axis=-3), fail=fail)
@@ -150,13 +151,13 @@ class PanelDesign:
     def wty(self) -> np.ndarray:
         """W_i'y_i for every unit, (..., n, k)."""
         if self._wty is None:
-            self._wty = np.einsum("...ntk,...nt->...nk", self.W, self.panel.y)
+            self._wty = small_matvec(mt(self.W), self.panel.y)
         return self._wty
 
     def adj_wty(self) -> np.ndarray:
         """adj(W_i'W_i) W_i'y_i for every unit, (..., n, k): d_i times its OLS."""
         if self._adj_wty is None:
-            self._adj_wty = np.einsum("...nkj,...nj->...nk", self.adj, self.wty())
+            self._adj_wty = small_matvec(self.adj, self.wty())
         return self._adj_wty
 
     def projectors(self) -> ChamberlainProjector:

@@ -1,4 +1,4 @@
-"""Cross-section aggregators: FE, MG, TMG, GP and efficiency diagnostics.
+"""Cross-section aggregators: FE, MG, TMG and GP.
 
 Conventions: mean-group style estimators report the full coefficient vector
 (intercept first, then slopes); the fixed-effects estimator reports slopes
@@ -17,14 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import _det_adj_stack
-from .designs import PanelDesign, col, mt, nonsingular, pooled, void, within
+from ._kernels import _det_adj_stack, small_matvec
+from .designs import PanelDesign, col, mt, nonsingular, pooled, void
 from .errors import (
     AllSingularError,
     AllTrimmedError,
     SingularDesignError,
     SingularPooledGramError,
-    SingularUnitGramError,
     failed,
     flag,
     no_failures,
@@ -94,7 +93,8 @@ def fe(panel: Panels) -> Estimate:
     coef, fail = _solve_spd(
         psi, sxy, SingularPooledGramError, "pooled Gram matrix", no_failures(panel.lead)
     )
-    resid = yd - np.einsum("...ntp,...p->...nt", xd, coef)
+    resid = yd - small_matvec(xd, coef[..., None, :])
+    # einsum: at k' = 1 the sum runs over unit-stride periods (see _kernels)
     scores = np.einsum("...ntp,...nt->...np", xd, resid)  # s_i = X'M u_i
     psibar_inv = np.linalg.inv(nonsingular(psi / panel.n, failed(fail)))
     meat = mt(scores) @ scores / panel.n**2
@@ -306,50 +306,3 @@ def gp(
     covariance (sample covariance of retained estimates over their count)."""
     pd = design if design is not None else PanelDesign(panel)
     return weighted_mean_group(pd, gp_weighting(pd, alpha_gp), "gp")
-
-
-@dataclass(frozen=True)
-class EfficiencyDiagnostics:
-    """Decomposition of the MG-vs-FE asymptotic variance gap.
-
-    ``a_n`` (negative semi-definite) is the slope-heterogeneity component,
-    ``b_n`` (indeterminate sign) the regressor/error-heterogeneity component.
-    """
-
-    a_n: np.ndarray
-    b_n: np.ndarray
-
-
-def efficiency_diagnostics(
-    panel: BalancedPanel, omega_beta: np.ndarray, H: np.ndarray
-) -> EfficiencyDiagnostics:
-    """Variance-gap matrices between mean-group and pooled slope estimators.
-
-    Parameters
-    ----------
-    omega_beta : (k', k') slope covariance, symmetric PSD.
-    H : (n, T, T) per-unit error covariance matrices, each symmetric PSD.
-    """
-    omega_beta = np.asarray(omega_beta, dtype=np.float64)
-    H = np.asarray(H, dtype=np.float64)
-    n, T, k_prime = panel.n, panel.T, panel.k_prime
-    if H.shape != (n, T, T):
-        raise ValueError(f"H must be (n,T,T)={n, T, T}, got {H.shape}")
-    xd = within(panel.x, axis=1)  # M_T X_i
-    psi = np.einsum("ntp,ntq->npq", xd, xd)
-    psibar = psi.mean(axis=0)
-    psibar_inv = np.linalg.inv(psibar)
-    mid_a = np.einsum("npq,qr,nrs->ps", psi, omega_beta, psi) / n
-    a_n = omega_beta - psibar_inv @ mid_a @ psibar_inv
-
-    xhx = np.einsum("ntp,nts,nsq->npq", xd, H, xd)  # X'M H M X per unit
-    w = np.linalg.eigvalsh(psi)
-    if np.any(w[:, 0] <= 1e-12 * np.maximum(w[:, -1], 0.0)):
-        bad = np.flatnonzero(w[:, 0] <= 1e-12 * np.maximum(w[:, -1], 0.0))
-        raise SingularUnitGramError(f"X'MX singular for units {bad[:10].tolist()}")
-    psi_inv = np.linalg.inv(psi)
-    first = np.einsum("npq,nqr,nrs->ps", psi_inv, xhx, psi_inv) / n
-    b_n = first - psibar_inv @ (xhx.mean(axis=0)) @ psibar_inv
-    a_n = 0.5 * (a_n + a_n.T)
-    b_n = 0.5 * (b_n + b_n.T)
-    return EfficiencyDiagnostics(a_n=a_n, b_n=b_n)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import small_matmul, small_matvec
 from .designs import PanelDesign, col, mt, mv, nonsingular, pooled, void, within
 from .errors import SingularVdeltaError, failed, flag, merge
 from .estimators import Estimate, Panels, fe, tmg
@@ -24,61 +25,34 @@ VARIANT_NO_TE = "no_te"
 VARIANT_TE_TEQK = "te_teqk"
 VARIANT_TE_TGTK = "te_tgtk"
 
-_EPS = 1e-16
-_MAX_ITER = 1000
-
-
-def _gamma_p_series(a: float, x: float) -> float:
-    # Lower regularized incomplete gamma by power series, for x < a + 1.
-    term = 1.0 / a
-    total = term
-    for k in range(1, _MAX_ITER):
-        term *= x / (a + k)
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    # Upper regularized incomplete gamma by Lentz continued fraction, x >= a + 1.
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for k in range(1, _MAX_ITER):
-        an = -k * (k - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
 
 def chisq_sf(x: float, df: int) -> float:
-    """Upper-tail chi-squared probability via the regularized incomplete gamma
-    (series below df + 1, continued fraction above)."""
-    if df < 1:
-        raise ValueError(f"df must be >= 1, got {df}")
-    x = float(x)
+    """Upper-tail chi-squared probability for an integer df, in closed form
+    (Abramowitz & Stegun 26.4.4-5): exp(-x/2) times a finite sum for even df,
+    erfc(sqrt(x/2)) plus a finite sum for odd df."""
+    if df < 1 or df != int(df):
+        raise ValueError(f"df must be an integer >= 1, got {df}")
+    df, x = int(df), float(x)
     if x < 0.0:
         raise ValueError(f"statistic must be non-negative, got {x}")
-    if x == 0.0:
-        return 1.0
-    a = 0.5 * df
+    if math.isnan(x):
+        return math.nan
+    if math.isinf(x):
+        return 0.0
     half = 0.5 * x
-    if x < df + 1.0:
-        return min(1.0, max(0.0, 1.0 - _gamma_p_series(a, half)))
-    return min(1.0, max(0.0, _gamma_q_contfrac(a, half)))
+    if df % 2 == 0:  # exp(-x/2) sum_{j < df/2} (x/2)^j / j!
+        term = total = math.exp(-half)
+        for j in range(1, df // 2):
+            term *= half / j
+            total += term
+        return min(1.0, total)
+    # erfc(sqrt(x/2)) + sqrt(2/pi) exp(-x/2) sum_{r <= (df-1)/2} x^{r-1/2} / (2r-1)!!
+    term = math.sqrt(2.0 / math.pi) * math.exp(-half) * math.sqrt(x)
+    total = 0.0
+    for r in range(1, (df + 1) // 2):
+        total += term
+        term *= x / (2 * r + 1)
+    return min(1.0, math.erfc(math.sqrt(half)) + total)
 
 
 @dataclass(frozen=True)
@@ -165,9 +139,10 @@ def hausman_no_te_from(pd: PanelDesign, fe_est: Estimate, tmg_est: Estimate) -> 
     psibar_inv = np.linalg.inv(nonsingular(psibar, failed(fail)))
     m = psibar_inv[..., None, :, :] - b_slope / col(col(col(state.weight_scale)))
 
-    resid = panel.yd - np.einsum("...ntp,...p->...nt", xd, fe_est.coef)
+    resid = panel.yd - small_matvec(xd, fe_est.coef[..., None, :])
+    # einsum: at k' = 1 the sum runs over unit-stride periods (see _kernels)
     t_i = np.einsum("...ntp,...nt->...np", panel.x, resid)  # X_i' nu~_i (nu~ de-meaned)
-    scores = np.einsum("...npq,...nq->...np", m, t_i)
+    scores = small_matvec(m, t_i)
     v = mt(scores) @ scores / panel.n
     coef_scale = np.maximum(np.abs(fe_est.coef).max(axis=-1), np.abs(tmg_est.coef).max(axis=-1))
     stat, fail = _quad_form(v, delta, panel.n, coef_scale, fail)
@@ -196,7 +171,7 @@ def hausman_te_from(pd: PanelDesign, fete_est: Estimate, tmgte_est: Estimate) ->
     scale = col(col(state.weight_scale))
     B = pd.bmats(state.a_n, state.trimmed)
     xd = panel.xd
-    qx = np.einsum("...ntp,...npq->...ntq", xd, B[..., 1:, 1:])  # Q_ix
+    qx = small_matmul(xd, B[..., 1:, 1:])  # Q_ix
     qx_bar = qx.mean(axis=-3) / scale
 
     xc, xcd = panel.xc, panel.xcd
@@ -204,10 +179,13 @@ def hausman_te_from(pd: PanelDesign, fete_est: Estimate, tmgte_est: Estimate) ->
     psibar_te_inv = np.linalg.inv(nonsingular(psibar_te, failed(fail)))
 
     yc = panel.y - panel.y.mean(axis=-2, keepdims=True)
-    nu = yc - np.einsum("...ntp,...p->...nt", xc, fete_est.coef)
+    nu = yc - small_matvec(xc, fete_est.coef[..., None, :])
     nud = within(nu, axis=-1)
 
+    # einsum: at k' = 1 the sum runs over unit-stride periods (see _kernels)
     s_pool = np.einsum("...ntp,...nt->...np", xcd, nud) @ psibar_te_inv  # (..., n, k')
+    # einsum: as s_pool
+    s_trim = np.einsum("...ntq,...nt->...nq", qx, nud)
     if panel.T == panel.k:
         xbar_d = within(panel.x.mean(axis=-3), axis=-2)  # M_T Xbar
         a_x = np.eye(panel.k_prime) - mt(qx_bar) @ xbar_d
@@ -218,17 +196,16 @@ def hausman_te_from(pd: PanelDesign, fete_est: Estimate, tmgte_est: Estimate) ->
             lambda i: SingularVdeltaError("T=k weighting system is not invertible"),
         )
         a_x_inv = np.linalg.inv(nonsingular(a_x, failed(fail)))
-        s_trim = np.einsum("...ntq,...nt->...nq", qx, nud) @ mt(a_x_inv) / scale
-        scores = s_pool - s_trim
+        scores = s_pool - s_trim @ mt(a_x_inv) / scale
         variant = VARIANT_TE_TEQK
     else:
         proj = pd.projectors()
         mbar_inv = np.linalg.inv(nonsingular(proj.M_bar, failed(fail)))
-        s_trim = np.einsum("...ntq,...nt->...nq", qx, nud) / scale
+        # einsum: M_i v sums over unit-stride periods (see _kernels)
         mi_nu = np.einsum("...nts,...ns->...nt", proj.M, nud)
         # third term of G_iC' M_T nu~: Qbar_nx' M_T Mbar^{-1} (M_i nu~)
         s_back = mi_nu @ (mbar_inv @ within(qx_bar, axis=-2))
-        scores = s_pool - s_trim + s_back
+        scores = s_pool - s_trim / scale + s_back
         variant = VARIANT_TE_TGTK
 
     v = mt(scores) @ scores / panel.n

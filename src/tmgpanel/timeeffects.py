@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._kernels import small_matmul, small_matvec
 from .designs import (
     PanelDesign,
     chamberlain_projectors,
@@ -100,8 +101,9 @@ def fete(panel: Panels) -> tuple[Estimate, TimeEffects]:
         "pooled de-meaned Gram matrix",
         no_failures(panel.lead),
     )
-    nu = yc - np.einsum("...ntp,...p->...nt", xc, coef)  # nu~_{i,FE}
+    nu = yc - small_matvec(xc, coef[..., None, :])  # nu~_{i,FE}
     nud = within(nu, axis=-1)
+    # einsum: at k' = 1 the sum runs over unit-stride periods (see _kernels)
     scores = np.einsum("...ntp,...nt->...np", xcd, nud)
     psibar_inv = np.linalg.inv(nonsingular(psi / n, failed(fail)))
     cov = psibar_inv @ (mt(scores) @ scores / n**2) @ psibar_inv
@@ -141,9 +143,11 @@ def chamberlain_phi(panel: Panels, design: PanelDesign | None = None) -> TimeEff
     )
     mbar = nonsingular(mbar, failed(fail))
     yd = panel.yd
+    # einsum: M_i v sums over unit-stride periods (see _kernels)
     z = np.einsum("...nts,...ns->...nt", proj.M, yd)
     phi = np.linalg.solve(mbar, z.mean(axis=-2)[..., None])[..., 0]
     resid = within(panel.y - phi[..., None, :], axis=-1)
+    # einsum: as z
     wvec = np.einsum("...nts,...ns->...nt", proj.M, resid)
     meat = mt(wvec) @ wvec / panel.n
     mbar_inv = np.linalg.inv(mbar)
@@ -164,13 +168,13 @@ def weighted_mean_group_te(
     """
     panel, lead, keep = pd.panel, pd.lead, wt.keep
     B = pd.adj / wt.den[..., None, None]
-    Q = np.einsum("...ntk,...nkj->...ntj", pd.W, B)  # Q_i = w_i W_i (W'W)^{-1}
+    Q = small_matmul(pd.W, B)  # Q_i = w_i W_i (W'W)^{-1}
     qbar = unit_mean(Q, keep, lead) / col(col(wt.scale))
 
     if panel.T > panel.k:
         te = pd.time_effects()
         wt = replace(wt, fail=merge(wt.fail, te.fail))
-        tilde = np.einsum("...ntk,...nt->...nk", Q, panel.y - te.phi[..., None, :])
+        tilde = small_matvec(mt(Q), panel.y - te.phi[..., None, :])
         est = weighted_mean_group(pd, wt, method, tilde)
         return replace(est, cov=est.cov + mt(qbar) @ te.cov @ qbar), te
 
@@ -189,11 +193,11 @@ def weighted_mean_group_te(
     coef = mv(a_inv, est.coef - mv(mt(qbar), within(ybar, axis=-1)))
     phi = within(ybar - mv(wbar, coef), axis=-1)
 
-    resid = est.per_unit - np.einsum("...ntk,...t->...nk", Q, phi) - coef[..., None, :]
+    resid = est.per_unit - small_matvec(mt(Q), phi[..., None, :]) - coef[..., None, :]
     with np.errstate(divide="ignore", invalid="ignore"):  # one kept unit: no variance
         v_theta = unit_gram(resid, keep, lead) / col(col((m - 1) * wt.scale**2))
         cov = a_inv @ v_theta @ mt(a_inv) / col(col(m - 1))
-    nu = panel.y - np.einsum("...ntp,...p->...nt", panel.x, coef[..., 1:]) - phi[..., None, :]
+    nu = panel.y - small_matvec(panel.x, coef[..., None, 1:]) - phi[..., None, :]
     cov_phi = _phi_cov(panel.x.mean(axis=-3), cov[..., 1:, 1:], nu)
     te = TimeEffects(phi=void(phi, fail), cov=void(cov_phi, fail), method=METHOD_SYSTEM, fail=fail)
     return replace(est, coef=void(coef, fail), cov=void(cov, fail), fail=fail), te

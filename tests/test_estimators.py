@@ -6,7 +6,6 @@ from tmgpanel import (
     BalancedPanel,
     SingularDesignError,
     TrimConfig,
-    efficiency_diagnostics,
     fe,
     gp,
     mg,
@@ -180,44 +179,6 @@ class TestGp:
         p = panel_from_x([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
         with pytest.raises(AllTrimmedError):
             gp(p)
-
-
-class TestEfficiencyDiagnostics:
-    def test_homogeneous_pooling_zero(self, rng):
-        # equal designs, scalar error variance: no gap at all
-        x0 = rng.normal(1, 1, (3, 1))
-        x = np.broadcast_to(x0, (8, 3, 1)).copy()
-        y = np.zeros((8, 3))
-        p = BalancedPanel(y=y, x=x, unit_ids=tuple(range(8)), time_ids=(0, 1, 2))
-        H = np.broadcast_to(0.7 * np.eye(3), (8, 3, 3)).copy()
-        diag = efficiency_diagnostics(p, np.zeros((1, 1)), H)
-        np.testing.assert_allclose(diag.a_n, 0.0, atol=1e-12)
-        np.testing.assert_allclose(diag.b_n, 0.0, atol=1e-12)
-
-    def test_scalar_case_sum_identity(self, rng):
-        # H_i = s^2 psi_i I: A + B collapses to -(sb^2+s^2) Var(psi)/psibar^2
-        p = random_panel(rng, n=9, T=3, k_prime=1)
-        from tmgpanel.designs import within
-
-        xd = within(p.x, axis=1)
-        psi = np.einsum("ntp,ntq->npq", xd, xd)[:, 0, 0]
-        s2, sb2 = 0.8, 0.4
-        H = s2 * psi[:, None, None] * np.broadcast_to(np.eye(3), (9, 3, 3))
-        diag = efficiency_diagnostics(p, np.array([[sb2]]), H)
-        psibar = psi.mean()
-        want = -(sb2 + s2) * ((psi - psibar) ** 2).mean() / psibar**2
-        assert (diag.a_n + diag.b_n)[0, 0] == pytest.approx(want, rel=1e-9)
-
-    def test_a_n_negative_semidefinite(self, rng):
-        for trial in range(5):
-            p = random_panel(rng, n=5, T=4, k_prime=2)
-            w = rng.normal(0, 1, (2, 2))
-            omega = w @ w.T
-            hroot = rng.normal(0, 1, (5, 4, 4))
-            H = np.einsum("nts,nus->ntu", hroot, hroot) + 1e-3 * np.eye(4)
-            diag = efficiency_diagnostics(p, omega, H)
-            eig = np.linalg.eigvalsh(diag.a_n)
-            assert eig.max() <= 1e-10 * max(abs(eig).max(), 1e-30)
 
 
 def test_estimate_record_roundtrip(rng):

@@ -43,6 +43,19 @@ class TestChisqSf:
             chisq_sf(1.0, 0)
 
 
+def test_chisq_sf_closed_form_edges():
+    # an infinite statistic has p = 0, a NaN one no p-value; odd and even df
+    # meet at the df = 1, 2 closed forms
+    for df in (1, 2, 3, 8):
+        assert chisq_sf(math.inf, df) == 0.0
+        assert math.isnan(chisq_sf(math.nan, df))
+    assert chisq_sf(4.0, 1) == pytest.approx(math.erfc(math.sqrt(2.0)), rel=1e-15)
+    assert chisq_sf(4.0, 2) == pytest.approx(math.exp(-2.0), rel=1e-15)
+    assert chisq_sf(4.0, 2.0) == chisq_sf(4.0, 2)
+    with pytest.raises(ValueError):
+        chisq_sf(4.0, 2.5)
+
+
 def scale_x(panel, c):
     return BalancedPanel(
         y=panel.y, x=c * panel.x, unit_ids=panel.unit_ids, time_ids=panel.time_ids
