@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import _det_adj_stack, small_matvec
+from ._kernels import _det_adj_stack
 from .designs import PanelDesign, col, mt, nonsingular, pooled, void
 from .errors import (
     AllSingularError,
@@ -52,6 +52,9 @@ class Estimate:
     trim: TrimState | None = None  # threshold state of a TMG-family fit
     keep: np.ndarray | None = None  # units that enter the average; None is every unit
     fail: tuple | None = None  # per-replication failures of a block fit
+    scores: np.ndarray | None = None  # (..., n, k') s_i = xw_i'nu~_i of a pooled fit
+    bread: np.ndarray | None = None  # (..., k', k') (Psi/n)^{-1} of a pooled fit
+    resid: np.ndarray | None = None  # (..., n, T) within residuals nu~ of a pooled fit
 
     @property
     def se(self) -> np.ndarray:
@@ -70,43 +73,56 @@ class Estimate:
         }
 
 
-def _solve_spd(a: np.ndarray, b: np.ndarray, err: type[Exception], what: str, fail):
-    """Solve symmetric positive definite systems; a rank-deficient one fails
-    its replication with ``err``. Returns the solutions and the failures."""
-    w = np.linalg.eigvalsh(nonsingular(a, failed(fail)))
+def pooled_slopes(panel: Panels, xw: np.ndarray, xr: np.ndarray, yr: np.ndarray, what: str):
+    """Pooled slopes solving sum_i xw_i'xr_i beta = sum_i xw_i'yr_i; a
+    rank-deficient Gram matrix Psi = sum_i xw_i'xr_i fails its replication.
+    Returns beta, Psi and the failures."""
+    psi = pooled("ntp,ntq->pq", xw, xr)
+    sxy = pooled("ntp,nt->p", xw, yr)
+    w = np.linalg.eigvalsh(psi)
     bad = (w[..., 0] <= 1e-12 * np.maximum(w[..., -1], 0.0)) | (w[..., -1] <= 0.0)
     fail = flag(
-        fail,
+        no_failures(panel.lead),
         bad,
-        lambda i: err(f"{what} is singular (eigenvalues {w[i][0]:.3e} .. {w[i][-1]:.3e})"),
+        lambda i: SingularPooledGramError(
+            f"{what} is singular (eigenvalues {w[i][0]:.3e} .. {w[i][-1]:.3e})"
+        ),
     )
-    return np.linalg.solve(nonsingular(a, failed(fail)), b[..., None])[..., 0], fail
+    coef = np.linalg.solve(nonsingular(psi, failed(fail)), sxy[..., None])[..., 0]
+    return coef, psi, fail
+
+
+def pooled_estimate(
+    method: str, panel: Panels, xw: np.ndarray, coef, psi, resid: np.ndarray, fail
+) -> Estimate:
+    """A pooled fit with its unit scores s_i = xw_i'nu~_i, its bread (Psi/n)^{-1}
+    and the unit-clustered sandwich bread (sum_i s_i s_i' / n^2) bread."""
+    n = panel.n
+    # einsum: at k' = 1 the sum runs over unit-stride periods (see _kernels)
+    scores = np.einsum("...ntp,...nt->...np", xw, resid)
+    bread = np.linalg.inv(nonsingular(psi / n, failed(fail)))
+    cov = bread @ (mt(scores) @ scores / n**2) @ bread
+    return Estimate(
+        method=method,
+        coef=void(coef, fail),
+        cov=void(cov, fail),
+        n_used=n,
+        coef_names=tuple(f"beta{j + 1}" for j in range(panel.k_prime)),
+        fail=fail,
+        scores=scores,
+        bread=bread,
+        resid=resid,
+    )
 
 
 def fe(panel: Panels) -> Estimate:
     """Pooled fixed-effects estimator of the mean slopes with unit-clustered
     sandwich covariance (robust to heteroskedasticity, serial correlation and
     random slope heterogeneity)."""
-    xd, yd = panel.xd, panel.yd
-    psi = pooled("ntp,ntq->pq", xd, panel.x)  # sum_i X'M X
-    sxy = pooled("ntp,nt->p", xd, panel.y)
-    coef, fail = _solve_spd(
-        psi, sxy, SingularPooledGramError, "pooled Gram matrix", no_failures(panel.lead)
-    )
-    resid = yd - small_matvec(xd, coef[..., None, :])
-    # einsum: at k' = 1 the sum runs over unit-stride periods (see _kernels)
-    scores = np.einsum("...ntp,...nt->...np", xd, resid)  # s_i = X'M u_i
-    psibar_inv = np.linalg.inv(nonsingular(psi / panel.n, failed(fail)))
-    meat = mt(scores) @ scores / panel.n**2
-    cov = psibar_inv @ meat @ psibar_inv
-    return Estimate(
-        method="fe",
-        coef=void(coef, fail),
-        cov=void(cov, fail),
-        n_used=panel.n,
-        coef_names=tuple(f"beta{j + 1}" for j in range(panel.k_prime)),
-        fail=fail,
-    )
+    xd = panel.xd  # Psi = sum_i X'M X
+    coef, psi, fail = pooled_slopes(panel, xd, panel.x, panel.y, "pooled Gram matrix")
+    resid = panel.yd - np.einsum("...ntp,...p->...nt", xd, coef)
+    return pooled_estimate("fe", panel, xd, coef, psi, resid, fail)
 
 
 def _mg_names(k_prime: int) -> tuple:

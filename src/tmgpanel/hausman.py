@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import small_matmul, small_matvec
-from .designs import PanelDesign, col, mt, mv, nonsingular, pooled, void, within
+from .designs import PanelDesign, col, mt, mv, nonsingular, void, within
 from .errors import SingularVdeltaError, failed, flag, merge
 from .estimators import Estimate, Panels, fe, tmg
 from .timeeffects import fete, tmg_te
@@ -127,22 +127,17 @@ def hausman_no_te(
 
 def hausman_no_te_from(pd: PanelDesign, fe_est: Estimate, tmg_est: Estimate) -> HausmanResult:
     """:func:`hausman_no_te` from FE and TMG estimates already fitted on ``pd``
-    (the TMG estimate carries the trimming state the weights come from)."""
+    (the TMG estimate carries the trimming state the weights come from, the
+    FE estimate its scores and bread)."""
     panel = pd.panel
     fail = merge(fe_est.fail, tmg_est.fail)
     delta = fe_est.coef - tmg_est.coef[..., 1:]
     state = tmg_est.trim
     B = pd.bmats(state.a_n, state.trimmed)
     b_slope = B[..., 1:, 1:]  # (1+delta_i) (X'MX)^{-1}, finite on the trimmed branch
-    xd = panel.xd
-    psibar = pooled("ntp,ntq->pq", xd, xd) / panel.n
-    psibar_inv = np.linalg.inv(nonsingular(psibar, failed(fail)))
-    m = psibar_inv[..., None, :, :] - b_slope / col(col(col(state.weight_scale)))
-
-    resid = panel.yd - small_matvec(xd, fe_est.coef[..., None, :])
-    # einsum: at k' = 1 the sum runs over unit-stride periods (see _kernels)
-    t_i = np.einsum("...ntp,...nt->...np", panel.x, resid)  # X_i' nu~_i (nu~ de-meaned)
-    scores = small_matvec(m, t_i)
+    m = fe_est.bread[..., None, :, :] - b_slope / col(col(col(state.weight_scale)))
+    # t_i = X_i'nu~_i = X_i'M nu~_i are FE's scores, because nu~ is de-meaned
+    scores = small_matvec(m, fe_est.scores)
     v = mt(scores) @ scores / panel.n
     coef_scale = np.maximum(np.abs(fe_est.coef).max(axis=-1), np.abs(tmg_est.coef).max(axis=-1))
     stat, fail = _quad_form(v, delta, panel.n, coef_scale, fail)
@@ -163,28 +158,20 @@ def hausman_te(
 
 
 def hausman_te_from(pd: PanelDesign, fete_est: Estimate, tmgte_est: Estimate) -> HausmanResult:
-    """:func:`hausman_te` from FE-TE and TMG-TE estimates already fitted on ``pd``."""
+    """:func:`hausman_te` from FE-TE and TMG-TE estimates already fitted on ``pd``
+    (the FE-TE estimate carries its scores, bread and within residuals)."""
     panel = pd.panel
     fail = merge(fete_est.fail, tmgte_est.fail)
     delta = fete_est.coef - tmgte_est.coef[..., 1:]
     state = tmgte_est.trim
     scale = col(col(state.weight_scale))
     B = pd.bmats(state.a_n, state.trimmed)
-    xd = panel.xd
-    qx = small_matmul(xd, B[..., 1:, 1:])  # Q_ix
+    qx = small_matmul(panel.xd, B[..., 1:, 1:])  # Q_ix
     qx_bar = qx.mean(axis=-3) / scale
 
-    xc, xcd = panel.xc, panel.xcd
-    psibar_te = pooled("ntp,ntq->pq", xcd, xcd) / panel.n
-    psibar_te_inv = np.linalg.inv(nonsingular(psibar_te, failed(fail)))
-
-    yc = panel.y - panel.y.mean(axis=-2, keepdims=True)
-    nu = yc - small_matvec(xc, fete_est.coef[..., None, :])
-    nud = within(nu, axis=-1)
-
+    nud = fete_est.resid
+    s_pool = fete_est.scores @ fete_est.bread  # (..., n, k')
     # einsum: at k' = 1 the sum runs over unit-stride periods (see _kernels)
-    s_pool = np.einsum("...ntp,...nt->...np", xcd, nud) @ psibar_te_inv  # (..., n, k')
-    # einsum: as s_pool
     s_trim = np.einsum("...ntq,...nt->...nq", qx, nud)
     if panel.T == panel.k:
         xbar_d = within(panel.x.mean(axis=-3), axis=-2)  # M_T Xbar

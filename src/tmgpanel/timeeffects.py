@@ -20,27 +20,25 @@ from .designs import (
     mt,
     mv,
     nonsingular,
-    pooled,
     void,
     within,
 )
 from .errors import (
     RequiresTGreaterKError,
     SingularMbarError,
-    SingularPooledGramError,
     SingularTeSystemError,
     failed,
     flag,
     merge,
-    no_failures,
 )
 from .estimators import (
     DEFAULT_ALPHA_GP,
     Estimate,
     Panels,
     Weighting,
-    _solve_spd,
     gp_weighting,
+    pooled_estimate,
+    pooled_slopes,
     tmg_weighting,
     unit_gram,
     unit_mean,
@@ -89,37 +87,20 @@ def _phi_cov(xbar: np.ndarray, cov_beta: np.ndarray, nu: np.ndarray) -> np.ndarr
 def fete(panel: Panels) -> tuple[Estimate, TimeEffects]:
     """Two-way fixed effects: pooled slopes after unit and period de-meaning,
     with unit-clustered covariance, plus normalized time effects."""
-    x, y, n = panel.x, panel.y, panel.n
+    x, y = panel.x, panel.y
     xc, xcd = panel.xc, panel.xcd  # X_i - Xbar and its within transform
     yc = y - y.mean(axis=-2, keepdims=True)
-    psi = pooled("ntp,ntq->pq", xcd, xc)
-    sxy = pooled("ntp,nt->p", xcd, yc)
-    coef, fail = _solve_spd(
-        psi,
-        sxy,
-        SingularPooledGramError,
-        "pooled de-meaned Gram matrix",
-        no_failures(panel.lead),
-    )
-    nu = yc - small_matvec(xc, coef[..., None, :])  # nu~_{i,FE}
-    nud = within(nu, axis=-1)
-    # einsum: at k' = 1 the sum runs over unit-stride periods (see _kernels)
-    scores = np.einsum("...ntp,...nt->...np", xcd, nud)
-    psibar_inv = np.linalg.inv(nonsingular(psi / n, failed(fail)))
-    cov = psibar_inv @ (mt(scores) @ scores / n**2) @ psibar_inv
-    est = Estimate(
-        method="fete",
-        coef=void(coef, fail),
-        cov=void(cov, fail),
-        n_used=n,
-        coef_names=tuple(f"beta{j + 1}" for j in range(panel.k_prime)),
-        fail=fail,
-    )
+    coef, psi, fail = pooled_slopes(panel, xcd, xc, yc, "pooled de-meaned Gram matrix")
+    nu = yc - np.einsum("...ntp,...p->...nt", xc, coef)  # nu~_{i,FE}
+    est = pooled_estimate("fete", panel, xcd, coef, psi, within(nu, axis=-1), fail)
     xbar = x.mean(axis=-3)  # (..., T, k')
     ybar = y.mean(axis=-2)
     phi = within(ybar - mv(xbar, coef), axis=-1)
     te = TimeEffects(
-        phi=void(phi, fail), cov=void(_phi_cov(xbar, cov, nu), fail), method=METHOD_FETE, fail=fail
+        phi=void(phi, fail),
+        cov=void(_phi_cov(xbar, est.cov, nu), fail),
+        method=METHOD_FETE,
+        fail=fail,
     )
     return est, te
 
@@ -197,7 +178,8 @@ def weighted_mean_group_te(
     with np.errstate(divide="ignore", invalid="ignore"):  # one kept unit: no variance
         v_theta = unit_gram(resid, keep, lead) / col(col((m - 1) * wt.scale**2))
         cov = a_inv @ v_theta @ mt(a_inv) / col(col(m - 1))
-    nu = panel.y - small_matvec(panel.x, coef[..., None, 1:]) - phi[..., None, :]
+    xb = np.einsum("...ntp,...p->...nt", panel.x, coef[..., 1:])
+    nu = panel.y - xb - phi[..., None, :]
     cov_phi = _phi_cov(panel.x.mean(axis=-3), cov[..., 1:, 1:], nu)
     te = TimeEffects(phi=void(phi, fail), cov=void(cov_phi, fail), method=METHOD_SYSTEM, fail=fail)
     return replace(est, coef=void(coef, fail), cov=void(cov, fail), fail=fail), te

@@ -27,6 +27,20 @@ def unit_det(x_i):
     return np.linalg.det(W.T @ W)
 
 
+def is_stayer(x_i):
+    """A unit whose regressors do not move: W_i has rank 1 and d_i = 0.
+
+    Its trimmed terms vanish: (1 + delta_i) W_i (W_i'W_i)^{-1} is
+    W_i adj(W_i'W_i) / a_n, and adj(W_i'W_i) annihilates the range of W_i'W_i,
+    which holds the rows of W_i. Likewise M_T X_i = 0 zeroes its scores.
+    """
+    return bool(np.all(x_i == x_i[0]))
+
+
+def unit_dets(x):
+    return np.array([0.0 if is_stayer(x_i) else unit_det(x_i) for x_i in x])
+
+
 def fe_oracle(y, x):
     n, T, _ = x.shape
     M = mt(T)
@@ -51,17 +65,23 @@ def mg_oracle(y, x):
 
 def trim_quantities(y, x, alpha):
     n = y.shape[0]
-    d = np.array([unit_det(x[i]) for i in range(n)])
+    d = unit_dets(x)
     a_n = d.mean() * n ** (-alpha)
     delta = np.where(d <= a_n, (d - a_n) / a_n, 0.0)
     return d, a_n, delta
 
 
+def trimmed_theta(y_i, x_i, delta_i):
+    # theta~_i = (1 + delta_i) theta^_i when d_i > 0; zero for a stayer
+    if is_stayer(x_i):
+        return np.zeros(x_i.shape[1] + 1)
+    return (1.0 + delta_i) * unit_theta(y_i, x_i)
+
+
 def tmg_oracle(y, x, alpha):
-    # theta~_i = (1 + delta_i) theta^_i, valid whenever d_i > 0
     n = y.shape[0]
     _, a_n, delta = trim_quantities(y, x, alpha)
-    tilde = np.array([(1.0 + delta[i]) * unit_theta(y[i], x[i]) for i in range(n)])
+    tilde = np.array([trimmed_theta(y[i], x[i], delta[i]) for i in range(n)])
     scale = 1.0 + delta.mean()
     coef = tilde.mean(axis=0) / scale
     dev = tilde - coef
@@ -71,7 +91,7 @@ def tmg_oracle(y, x, alpha):
 
 def gp_kept_units(x, alpha_gp):
     n, T, kp = x.shape
-    d = np.array([unit_det(x[i]) for i in range(n)])
+    d = unit_dets(x)
     if T == kp + 1:
         det_w = np.array([np.linalg.det(unit_w(x[i])) for i in range(n)])
         c = 0.5 * min(
@@ -103,7 +123,18 @@ def fete_oracle(y, x):
     b = sum((x[i] - xbar).T @ M @ (y[i] - ybar) for i in range(n))
     beta = np.linalg.solve(a, b)
     phi = M @ (ybar - xbar @ beta)
-    return beta, phi
+    a_inv = np.linalg.inv(a)
+    meat = np.zeros_like(a)
+    omega = np.zeros((T, T))
+    for i in range(n):
+        nu = (y[i] - ybar) - (x[i] - xbar) @ beta
+        s = (x[i] - xbar).T @ M @ nu
+        meat += np.outer(s, s)
+        omega += np.outer(nu, nu)
+    cov = a_inv @ meat @ a_inv
+    # M_T (Xbar V Xbar' + Omega/n) M_T, Omega the cross-section covariance of nu
+    cov_phi = M @ (xbar @ cov @ xbar.T + omega / ((n - 1) * n)) @ M
+    return beta, phi, cov, cov_phi
 
 
 def chamberlain_oracle(y, x):
@@ -135,16 +166,17 @@ def tmgte_oracle(y, x, alpha):
     qs = []
     for i in range(n):
         W = unit_w(x[i])
-        qs.append((1.0 + delta[i]) * W @ np.linalg.inv(W.T @ W))
+        if is_stayer(x[i]):
+            qs.append(np.zeros_like(W))
+        else:
+            qs.append((1.0 + delta[i]) * W @ np.linalg.inv(W.T @ W))
     qbar = sum(qs) / (n * scale)
     if T > kp + 1:
         phi, _ = chamberlain_oracle(y, x)
         tilde = np.array([qs[i].T @ (y[i] - phi) for i in range(n)])
         coef = tilde.mean(axis=0) / scale
         return coef, phi
-    tilde = np.array(
-        [(1.0 + delta[i]) * unit_theta(y[i], x[i]) for i in range(n)]
-    )
+    tilde = np.array([trimmed_theta(y[i], x[i], delta[i]) for i in range(n)])
     theta_tmg = tilde.mean(axis=0) / scale
     wbar = np.column_stack([np.ones(T), x.mean(axis=0)])
     ybar = y.mean(axis=0)
@@ -186,6 +218,8 @@ def hausman_oracle(y, x, alpha):
     psibar_inv = np.linalg.inv(psibar)
     v = np.zeros((kp, kp))
     for i in range(n):
+        if is_stayer(x[i]):
+            continue  # s_i is (...) X_i'M nu_i, and M X_i = 0
         g_t = (
             psibar_inv - (1.0 + delta[i]) / scale * np.linalg.inv(x[i].T @ M @ x[i])
         ) @ x[i].T
@@ -200,7 +234,7 @@ def hausman_oracle(y, x, alpha):
 def hausman_te_oracle(y, x, alpha):
     n, T, kp = x.shape
     M = mt(T)
-    beta_fete, _ = fete_oracle(y, x)
+    beta_fete, _, _, _ = fete_oracle(y, x)
     coef_te, _ = tmgte_oracle(y, x, alpha)
     delta_hat = beta_fete - coef_te[1:]
     d, a_n, delta = trim_quantities(y, x, alpha)
@@ -210,7 +244,9 @@ def hausman_te_oracle(y, x, alpha):
     psibar = sum((x[i] - xbar).T @ M @ (x[i] - xbar) for i in range(n)) / n
     psibar_inv = np.linalg.inv(psibar)
     qx = [
-        (1.0 + delta[i]) * M @ x[i] @ np.linalg.inv(x[i].T @ M @ x[i])
+        np.zeros((T, kp))
+        if is_stayer(x[i])
+        else (1.0 + delta[i]) * M @ x[i] @ np.linalg.inv(x[i].T @ M @ x[i])
         for i in range(n)
     ]
     qxbar = sum(qx) / (n * scale)

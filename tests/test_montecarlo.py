@@ -297,6 +297,33 @@ def test_replication_computes_each_shared_piece_once(monkeypatch, T, tags):
     assert counts and all(c == 2 for c in counts.values()), counts
 
 
+@pytest.mark.parametrize(
+    "T,tags", [(2, ["fe", "tmg", "hausman"]), (3, ["fete", "tmgte", "hausman_te"])]
+)
+def test_hausman_reads_the_pooled_fit(monkeypatch, T, tags):
+    # a pooled fit forms two pooled sums, Psi and sum xw'y; the Hausman test
+    # reads the fit's scores, bread and residuals and forms none of its own
+    import sys
+
+    from tmgpanel import designs, montecarlo
+
+    calls = []
+    original = designs.pooled
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("tmgpanel") and getattr(mod, "pooled", None) is original:
+            monkeypatch.setattr(mod, "pooled", counted)
+    cfg = base_cfg(n=100, T=T, time_effects=T > 2)
+    monkeypatch.setattr(montecarlo, "MAX_BLOCK_CELLS", 3 * 100 * T)  # blocks of 3 and 2
+    results = run_experiment(cfg, tags, reps=5)
+    assert all(r.failures == 0 for r in results)
+    assert len(calls) == 2 * 2, calls  # one pooled fit in each of the two blocks
+
+
 def _fields_equal(a, b):
     import dataclasses
 
