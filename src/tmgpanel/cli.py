@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import replace
@@ -127,13 +128,27 @@ def _stages(t0: float, t_read: float, t_fit: float) -> dict:
 _WRITE_ROWS = 8192
 
 
+#: Characters that make an id a quoted field in the CSV dialect of
+#: ``read_panel_csv``.
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _csv_ids(ids) -> list[str]:
+    """``ids`` as CSV fields: quoted, with ``"`` doubled, where they hold a
+    delimiter, quote or line break, and verbatim otherwise."""
+    ids = list(map(str, ids))
+    if not _NEEDS_QUOTES.search("".join(ids)):
+        return ids
+    return ['"' + v.replace('"', '""') + '"' if _NEEDS_QUOTES.search(v) else v for v in ids]
+
+
 def _write_per_unit(path: Path, names, unit_ids, est) -> None:
     """One row per unit in the average: its id, then its row of ``per_unit``.
 
     Every row goes through one format string, ``%.17g`` per value, which
     renders the same bytes as :func:`_fmt`.
     """
-    rows, ids = est.per_unit, unit_ids
+    rows, ids = est.per_unit, _csv_ids(unit_ids)
     if est.keep is not None:
         rows = rows[est.keep]
         ids = [uid for uid, kept in zip(ids, est.keep) if kept]

@@ -5,10 +5,18 @@ Unbalanced input is rejected rather than silently dropped, because every
 downstream formula assumes a common T.
 
 Ingestion is columnar. ``read_panel_csv`` parses the file once, with numpy's
-C reader, into two id columns and a value matrix (y, x1..xk'); ``load_panel``
-turns records into the same columns. One assembler factorises the ids, orders
-them, checks duplicates and balance with ``np.bincount`` over the cell index
+C reader, into two fixed-width byte id columns and a value matrix
+(y, x1..xk'), and factorises each id column on its bytes, read as big-endian
+64-bit words, so only the distinct ids become Python strings. ``load_panel``
+factorises its records' ids with a dict. One assembler orders the distinct
+ids, checks duplicates and balance with ``np.bincount`` over the cell index
 and scatters the values into the (n, T) and (n, T, k') arrays.
+
+An id column is parsed at 16 bytes per id. If any id fills that width it may
+have been cut short, so that column alone is parsed again at four times the
+width until no id fills it: ids are never truncated. A fixed-width byte
+field cannot hold a trailing NUL, so a NUL byte anywhere in a CSV is an input
+error naming its line.
 
 Units and periods follow one total order on ids. An id that ``float()``
 parses to a number other than NaN is numeric and sorts first, by that value;
@@ -169,6 +177,36 @@ def _factorise(column) -> tuple[list, np.ndarray]:
     return list(index), np.asarray(codes, dtype=np.intp)
 
 
+def _id_bytes(column: np.ndarray) -> np.ndarray:
+    """A fixed-width bytes column as a (rows, width) uint8 matrix."""
+    column = np.ascontiguousarray(column)
+    return column.view(np.uint8).reshape(column.size, column.dtype.itemsize)
+
+
+def _factorise_bytes(raw: np.ndarray) -> tuple[list, np.ndarray]:
+    """Distinct ids of a (rows, width) matrix of NUL-padded UTF-8 ids without
+    NUL bytes of their own, and each row's index into them.
+
+    Each id's bytes, zero-padded to whole 8-byte words, are read as big-endian
+    ``uint64`` words; two ids are equal exactly when their words are. Only the
+    distinct ids are decoded.
+    """
+    longest = int(np.count_nonzero(raw.any(axis=0)))
+    words = raw[:, : 8 * max(1, -(-longest // 8))].view(">u8")
+    if words.shape[1] == 1:
+        distinct, codes = np.unique(words[:, 0], return_inverse=True)
+    else:
+        order = np.lexsort(words.T[::-1])
+        ranked = words[order]
+        new = np.ones(order.size, dtype=bool)
+        new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        codes = np.empty(order.size, dtype=np.intp)
+        codes[order] = np.cumsum(new) - 1
+        distinct = ranked[new]
+    distinct = distinct.view(f"S{words.itemsize * words.shape[1]}").ravel()
+    return [v.decode("utf-8") for v in distinct.tolist()], codes
+
+
 def _numeric_value(v) -> float:
     try:
         return float(v)
@@ -195,14 +233,14 @@ def _sort_ids(ids: list) -> tuple[list, np.ndarray]:
 def _assemble(units, times, values: np.ndarray, label) -> BalancedPanel:
     """Build the panel from long-format columns.
 
-    ``units`` and ``times`` hold one id per row, ``values`` is the
-    (rows, 1 + k') matrix of y, x1..xk'. ``label(r)`` names row ``r`` in the
-    non-finite error ("line 7" for a CSV, "record 3" for records).
+    ``units`` and ``times`` are factorised id columns: (distinct ids, each
+    row's index into them). ``values`` is the (rows, 1 + k') matrix of y,
+    x1..xk'. ``label(r)`` names row ``r`` in the non-finite error ("line 7"
+    for a CSV, "record 3" for records).
     """
-    unit_ids, unit_code = _factorise(units)
-    time_ids, time_code = _factorise(times)
-    unit_ids, unit_rank = _sort_ids(unit_ids)
-    time_ids, time_rank = _sort_ids(time_ids)
+    (unit_seen, unit_code), (time_seen, time_code) = units, times
+    unit_ids, unit_rank = _sort_ids(unit_seen)
+    time_ids, time_rank = _sort_ids(time_seen)
     n, T = len(unit_ids), len(time_ids)
     cell = unit_rank[unit_code] * T + time_rank[time_code]
     counts = np.bincount(cell, minlength=n * T)
@@ -210,7 +248,8 @@ def _assemble(units, times, values: np.ndarray, label) -> BalancedPanel:
         repeat = np.ones(cell.size, dtype=bool)
         repeat[np.unique(cell, return_index=True)[1]] = False
         r = int(np.flatnonzero(repeat)[0])
-        raise DuplicateCellError(f"duplicate cell (unit={units[r]!r}, time={times[r]!r})")
+        unit, time = unit_seen[unit_code[r]], time_seen[time_code[r]]
+        raise DuplicateCellError(f"duplicate cell (unit={unit!r}, time={time!r})")
     missing = np.flatnonzero(counts == 0)
     if missing.size:
         examples = [(unit_ids[c // T], time_ids[c % T]) for c in missing[:5].tolist()]
@@ -260,12 +299,18 @@ def load_panel(rows: Iterable[Mapping | Sequence]) -> BalancedPanel:
                 raise PanelInputError("inconsistent regressor count across rows")
     columns = list(zip(*table))
     values = np.array(columns[2:], dtype=np.float64).T
-    return _assemble(columns[0], columns[1], values, lambda r: f"record {r + 1}")
+    return _assemble(
+        _factorise(columns[0]), _factorise(columns[1]), values, lambda r: f"record {r + 1}"
+    )
 
 
 CSV_HEADER_PREFIX = ("unit_id", "time_id", "y")
 
 _CONTENT = re.compile(rb"[^\r\n]")
+
+# bytes per id in the first parse: numeric ids and ISO dates fit. It and every
+# re-read width (x4) are whole 8-byte words, as ``_factorise_bytes`` reads them.
+_ID_WIDTH = 16
 
 
 def read_panel_csv(path_or_buf) -> BalancedPanel:
@@ -307,22 +352,45 @@ def _parse_csv(data: bytes) -> BalancedPanel:
     if end < 0 or not _CONTENT.search(data, end):
         raise PanelInputError("empty input")
 
+    if not data.isascii():
+        data.decode("utf-8")  # a UnicodeDecodeError names the offending byte
+    nul = data.find(b"\0")
+    if nul >= 0:
+        lineno = data.count(b"\n", 0, nul) + 1
+        raise PanelInputError(f"line {lineno}: NUL byte")
+
     # Without usecols, loadtxt checks every row's field count against the dtype.
     dtype = np.dtype(
-        [("unit_id", object), ("time_id", object), ("values", np.float64, (len(header) - 2,))]
+        [
+            ("unit_id", f"S{_ID_WIDTH}"),
+            ("time_id", f"S{_ID_WIDTH}"),
+            ("values", np.float64, (len(header) - 2,)),
+        ]
     )
     try:
-        table = np.loadtxt(
-            io.BytesIO(data), dtype=dtype, delimiter=",", quotechar='"', comments=None,
-            skiprows=1, encoding="utf-8", ndmin=1,
-        )
+        table = _loadtxt(data, dtype)
     except ValueError as exc:
         raise _first_bad_record(data, len(header)) or PanelInputError(
             f"could not parse CSV: {exc}"
         ) from None
+    ids = []
+    for j, name in enumerate(("unit_id", "time_id")):
+        raw, width = _id_bytes(table[name]), _ID_WIDTH
+        while raw[:, -1].any():  # an id fills the width, so it may have been cut
+            width *= 4
+            raw = _id_bytes(_loadtxt(data, f"S{width}", usecols=(j,)))
+        ids.append(_factorise_bytes(raw))
     return _assemble(
-        table["unit_id"], table["time_id"], table["values"],
-        lambda r: f"line {_line_of_row(data, r)}",
+        ids[0], ids[1], table["values"], lambda r: f"line {_line_of_row(data, r)}"
+    )
+
+
+def _loadtxt(data: bytes, dtype, usecols=None) -> np.ndarray:
+    """Parse the data rows of a CSV with numpy's C reader. Latin-1 maps each
+    byte to one character, so a bytes field holds the file's exact bytes."""
+    return np.loadtxt(
+        io.BytesIO(data), dtype=dtype, delimiter=",", quotechar='"', comments=None,
+        skiprows=1, encoding="latin1", ndmin=1, usecols=usecols,
     )
 
 

@@ -14,3 +14,11 @@ def random_panel(rng, n=8, T=3, k_prime=1, noise=0.5, beta_spread=0.3):
     return BalancedPanel(
         y=y, x=x, unit_ids=tuple(range(n)), time_ids=tuple(range(1, T + 1))
     )
+
+
+# quoted, spaced, comma- and quote-bearing unit ids next to plain ones
+QUOTED_IDS_CSV = (
+    '"unit_id","time_id","y","x1"\n'
+    '"a,b",1,0.5,1\n"a,b",2,"0.5",2\n" 1",1,0,1\n" 1",2,1,3\n'
+    '"q""x",1,0,1\n"q""x",2,1,5\n1,1,0,1\n1,2,1,7\n#2,1,0,1\n#2,2,1,9\n'
+)

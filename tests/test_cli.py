@@ -1,10 +1,12 @@
+import csv
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from tmgpanel import BalancedPanel, DgpConfig, generate_replication
+from _helpers import QUOTED_IDS_CSV
+from tmgpanel import BalancedPanel, DgpConfig, generate_replication, read_panel_csv
 from tmgpanel.cli import main
 from tmgpanel.estimators import DEFAULT_ALPHA_GP
 
@@ -119,6 +121,28 @@ class TestEstimate:
         rc = main(["estimate", str(path), "--out", str(tmp_path)])
         assert rc == 2
         assert "line 4: NaN or infinite value in column y" in capsys.readouterr().err
+
+    def test_dump_units_quotes_ids_like_the_reader(self, tmp_path):
+        # ids with a comma or a quote come back as one field each
+        path = tmp_path / "quoted.csv"
+        path.write_text(QUOTED_IDS_CSV, encoding="utf-8")
+        panel = read_panel_csv(path)
+        assert main(["estimate", str(path), "--dump-units", "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "per_unit.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["unit_id", "alpha", "beta1"]
+        assert all(len(r) == panel.k + 1 for r in rows[1:])
+        assert tuple(r[0] for r in rows[1:]) == panel.unit_ids
+
+    def test_nul_byte_exit_2_names_line(self, tmp_path, capsys):
+        path = tmp_path / "nul.csv"
+        path.write_bytes(
+            b"unit_id,time_id,y,x1\na,1,0.0,1.0\na,2,1.0,2.0\n"
+            b"a\0,1,0.5,1.0\na\0,2,1.5,3.0\n"
+        )
+        rc = main(["estimate", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "line 4: NUL byte" in capsys.readouterr().err
 
     def test_mg_te_is_input_error(self, hetero_csv, tmp_path):
         rc = main(

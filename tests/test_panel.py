@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import tmgpanel
 
+from _helpers import QUOTED_IDS_CSV
 from tmgpanel import (
     BalancedPanel,
     DuplicateCellError,
@@ -158,12 +159,7 @@ def test_blank_lines_emit_no_warning(tmp_path):
 
 
 def test_csv_keeps_quoted_and_verbatim_ids():
-    text = (
-        '"unit_id","time_id","y","x1"\n'
-        '"a,b",1,0.5,1\n"a,b",2,"0.5",2\n" 1",1,0,1\n" 1",2,1,3\n'
-        '"q""x",1,0,1\n"q""x",2,1,5\n1,1,0,1\n1,2,1,7\n#2,1,0,1\n#2,2,1,9\n'
-    )
-    p = read_panel_csv(io.StringIO(text))
+    p = read_panel_csv(io.StringIO(QUOTED_IDS_CSV))
     # " 1" and "1" are two units; both parse to 1.0 and tie-break on the string
     assert p.unit_ids == (" 1", "1", "#2", "a,b", 'q"x')
     np.testing.assert_array_equal(p.x[:, :, 0], [[1, 3], [1, 7], [1, 9], [1, 2], [1, 5]])
@@ -246,6 +242,13 @@ def test_id_order_does_not_depend_on_hash_seed(tmp_path):
             NonFiniteValueError,
             "line 4: NaN or infinite value in column x1",
         ),
+        # a fixed-width id field cannot keep a trailing NUL, so "a\0" would
+        # read as "a"
+        (
+            HEADER + "a,1,0.5,1\n\na\0,1,0.5,1\na,2,0,1\na\0,2,1,1\n",
+            PanelInputError,
+            "line 4: NUL byte",
+        ),
     ],
 )
 def test_csv_error_names_the_problem(text, error, message):
@@ -319,10 +322,9 @@ def long_panels(draw):
     return k_prime, units, times, records, quoted, blank_after
 
 
-@settings(max_examples=60, deadline=None)
-@given(long_panels())
-def test_csv_round_trip_matches_records(case):
-    k_prime, units, times, records, quoted, blank_after = case
+def _assert_reads_like_records(k_prime, units, times, records, quoted, blank_after):
+    """Write the records as a CSV and check ``read_panel_csv`` against
+    ``load_panel`` and the documented id order, bit for bit."""
     lines = ["unit_id,time_id,y," + ",".join(f"x{j + 1}" for j in range(k_prime))]
     for (u, t, *v), q, blank in zip(records, quoted, blank_after):
         lines.append(",".join([_csv_field(u, q), _csv_field(t, q)] + [repr(c) for c in v]))
@@ -340,3 +342,42 @@ def test_csv_round_trip_matches_records(case):
     expect = np.array([[cells[u, t] for t in got.time_ids] for u in got.unit_ids])
     assert got.y.tobytes() == np.ascontiguousarray(expect[:, :, 0]).tobytes()
     assert got.x.tobytes() == np.ascontiguousarray(expect[:, :, 1:]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_panels())
+def test_csv_round_trip_matches_records(case):
+    _assert_reads_like_records(*case)
+
+
+# Ids around the reader's 16-byte first parse and its 4x re-reads (64, 256
+# bytes), multi-byte UTF-8, the empty id and ids equal in their first 8 bytes.
+WIDE_UNITS = (
+    "a" * 16, "a" * 17, "b" * 15, "1" * 16, "0" * 16 + "1", "1",
+    "x" * 70, "x" * 69 + "y", "x" * 64,
+    "ä", "€", "東京", "ä" * 8, "東京" * 3, "",
+    "abcdefgh", "abcdefgh1", "abcdefgh2", "abcdefghijklmno1", "abcdefghijklmno2",
+)
+SHORT = ("1", "2", "10")
+WIDE_TIMES = ("2001-01-01T00:00:00Z", "2001-01-01T00:00:00Y", "7" * 65)
+
+
+@pytest.mark.parametrize(
+    "units, times",
+    [
+        (WIDE_UNITS, SHORT),
+        (SHORT, WIDE_TIMES),  # only the time column is parsed again
+        (WIDE_UNITS, WIDE_TIMES),
+        (("abcdefgh1", "abcdefgh2", "abcdefgh3"), ("t" * 16, "t" * 8)),
+    ],
+)
+@pytest.mark.parametrize("quoting", ["none", "all", "alternate"])
+def test_csv_wide_and_multibyte_ids_match_records(units, times, quoting):
+    rng = np.random.default_rng(len(units) * 100 + len(times))
+    cells = [(u, t) for u in units for t in times]
+    values = rng.standard_normal((len(cells), 2)).tolist()
+    order = rng.permutation(len(cells))
+    records = [(*cells[i], *values[i]) for i in order]
+    quoted = {"none": [False], "all": [True], "alternate": [True, False]}[quoting]
+    quoted = (quoted * len(records))[: len(records)]
+    _assert_reads_like_records(1, units, times, records, quoted, [False] * len(records))
