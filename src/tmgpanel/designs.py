@@ -74,15 +74,26 @@ def void(a: np.ndarray, fail) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChamberlainProjector:
-    """Per-unit annihilators of the de-meaned regressor span and their average."""
+    """Per-unit annihilators M_i = I_T - xdp_i xd_i' of the de-meaned regressor
+    span, kept as their (..., n, T, k') factors, and their average."""
 
-    M: np.ndarray  # (..., n, T, T)
+    xd: np.ndarray  # M_T X_i
+    xdp: np.ndarray  # M_T X_i psi_i^{-1}, psi_i = X_i'M_T X_i
     M_bar: np.ndarray  # (..., T, T)
-    fail: tuple | None = None  # replications with a singular X_i'M_T X_i
+    fail: tuple | None = None  # replications with a singular psi_i
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """M_i v_i = v_i - xdp_i (xd_i'v_i) for every unit, (..., n, T)."""
+        return v - small_matvec(self.xdp, small_matvec(mt(self.xd), v))
+
+    @property
+    def M(self) -> np.ndarray:
+        """The annihilators formed as an (..., n, T, T) stack."""
+        return np.eye(self.xd.shape[-2]) - small_matmul(self.xdp, mt(self.xd))
 
 
 def chamberlain_projectors(panel: BalancedPanel | PanelBlock) -> ChamberlainProjector:
-    """M_i = I_T - M_T X_i (X_i'M_T X_i)^{-1} X_i'M_T for every unit."""
+    """M_i = I_T - M_T X_i (X_i'M_T X_i)^{-1} X_i'M_T for every unit, in factor form."""
     xd = panel.xd  # M_T X_i
     # einsum: at k' = 1 the sum runs over unit-stride periods (see _kernels)
     psi = np.einsum("...ntp,...ntq->...npq", xd, xd)
@@ -96,10 +107,13 @@ def chamberlain_projectors(panel: BalancedPanel | PanelBlock) -> ChamberlainProj
         ),
     )
     det, adj = _det_adj_stack(nonsingular(psi, bad))
-    proj = small_matmul(small_matmul(xd, adj / det[..., None, None]), mt(xd))
-    M = np.negative(proj, out=proj)  # I_T - proj, in place: the same bits
-    M += np.eye(panel.T)
-    return ChamberlainProjector(M=M, M_bar=M.mean(axis=-3), fail=fail)
+    xdp = small_matmul(xd, adj / det[..., None, None])
+    # sum_i xdp_i xd_i' as one matmul per replication over the stacked (n k') axis
+    *lead, n, T, k = xd.shape
+    rows = np.swapaxes(xdp, -3, -2).reshape(*lead, T, n * k)
+    cols = mt(xd).reshape(*lead, n * k, T)
+    m_bar = np.eye(T) - rows @ cols / n
+    return ChamberlainProjector(xd=xd, xdp=xdp, M_bar=m_bar, fail=fail)
 
 
 class PanelDesign:

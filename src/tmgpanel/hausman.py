@@ -188,8 +188,7 @@ def hausman_te_from(pd: PanelDesign, fete_est: Estimate, tmgte_est: Estimate) ->
     else:
         proj = pd.projectors()
         mbar_inv = np.linalg.inv(nonsingular(proj.M_bar, failed(fail)))
-        # einsum: M_i v sums over unit-stride periods (see _kernels)
-        mi_nu = np.einsum("...nts,...ns->...nt", proj.M, nud)
+        mi_nu = proj.apply(nud)
         # third term of G_iC' M_T nu~: Qbar_nx' M_T Mbar^{-1} (M_i nu~)
         s_back = mi_nu @ (mbar_inv @ within(qx_bar, axis=-2))
         scores = s_pool - s_trim / scale + s_back

@@ -168,19 +168,29 @@ class ReplicationTruth:
     u: np.ndarray  # (..., n, T)
 
 
-#: Cap on B*n*T, the cells that a block of B replications of an n-unit,
-#: T-period design holds at once. Blocking pays the per-call overhead of the
-#: fits, and of the draws after the burn-in, once per block. Its price is peak
-#: memory: every per-unit array of the fits gains the leading axis, and their
-#: working set grows with n*T. The cap keeps the n=1000 cells (B = 4 at T = 2,
-#: B = 2 at T = 3) within 3% of the one-replication peak RSS, and a design
-#: with more cells runs one replication at a time. Results do not depend on it.
-MAX_BLOCK_CELLS = 8000
+#: Cap on B*n, the units that a block of B replications of an n-unit design
+#: holds at once. Blocking pays the per-call overhead of the fits, and of the
+#: draws after the burn-in, once per block. Its price is peak memory: every
+#: per-unit array of the fits gains the leading axis. Those arrays grow with
+#: n*T*k at most (the projectors are kept in factor form, so none grows with
+#: T^2), and T is short, so the cap counts units. It keeps the n=1000 cells
+#: (B = 4 at T = 2 and T = 3) within 3% of the one-replication peak RSS, and a
+#: design with more units runs one replication at a time. Results do not
+#: depend on it.
+MAX_BLOCK_UNITS = 4000
 
 
-def block_size(n: int, T: int) -> int:
-    """Replications per block for an n-unit, T-period design."""
-    return max(1, MAX_BLOCK_CELLS // (n * T))
+def block_size(n: int) -> int:
+    """Most replications per block for an n-unit design."""
+    return max(1, MAX_BLOCK_UNITS // n)
+
+
+def _blocks(reps: Sequence[int], size: int) -> list[Sequence[int]]:
+    """``reps`` cut into the fewest runs of at most ``size`` consecutive
+    entries, whose lengths differ by at most one."""
+    count = -(-len(reps) // size)
+    cuts = [i * len(reps) // count for i in range(count + 1)]
+    return [reps[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def _stream(seed: int, rep: int, role: int) -> np.random.Generator:
@@ -361,9 +371,7 @@ def calibrate_kappa(cfg: DgpConfig, r_kappa: int = 1000, n_cal: int = 5000) -> f
         )
     a_acc = 0.0
     b_acc = 0.0
-    size = block_size(n_cal, cfg.T)
-    for start in range(0, r_kappa, size):
-        reps = range(start, min(start + size, r_kappa))
+    for reps in _blocks(range(r_kappa), block_size(n_cal)):
         rng_x = [_stream(cfg.seed, r, _ROLE_CAL_X) for r in reps]
         rng_c = [_stream(cfg.seed, r, _ROLE_CAL_COEF) for r in reps]
         x, e_ret, _ = _draw_x(rng_x, cfg, n_cal, f_path=f_path)
@@ -524,13 +532,12 @@ def _tag_truth(tag: str, cfg: DgpConfig) -> np.ndarray:
 
 
 def _worker(args):
-    """Records of the replications ``reps``, fitted in blocks of
-    :func:`block_size` consecutive entries."""
+    """Records of the replications ``reps``, fitted in the fewest blocks of
+    at most :func:`block_size` consecutive entries, of balanced sizes."""
     cfg, reps, tags, trim_cfg, alpha_gp = args
-    size = block_size(cfg.n, cfg.T)
     out = []
-    for i in range(0, len(reps), size):
-        out.extend(_block_records(cfg, reps[i : i + size], tags, trim_cfg, alpha_gp))
+    for block in _blocks(reps, block_size(cfg.n)):
+        out.extend(_block_records(cfg, block, tags, trim_cfg, alpha_gp))
     return out
 
 
@@ -558,7 +565,7 @@ def run_experiment(
     ``beta0_grid`` adds a power curve (rejection of beta = b over the grid)
     for every coefficient-reporting estimator. Failures propagate as skipped
     replications, counted per estimator and by reason. Replications are drawn
-    and fitted in blocks (see MAX_BLOCK_CELLS); neither the block size nor
+    and fitted in blocks (see MAX_BLOCK_UNITS); neither the block size nor
     ``jobs`` changes any result.
     """
     if reps < 1:

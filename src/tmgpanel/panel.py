@@ -395,10 +395,15 @@ def _loadtxt(data: bytes, dtype, usecols=None) -> np.ndarray:
 
 
 def _records(data: bytes):
-    """(line number, fields) of every non-blank data record; error paths only."""
+    """(line number, fields) of every non-blank data record, numbered by the
+    file line it starts on (a quoted field may span lines); error paths only."""
     reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
     next(reader, None)
-    return ((lineno, rec) for lineno, rec in enumerate(reader, start=2) if rec)
+    start = reader.line_num + 1
+    for rec in reader:
+        if rec:
+            yield start, rec
+        start = reader.line_num + 1
 
 
 def _first_bad_record(data: bytes, width: int) -> PanelInputError | None:

@@ -77,8 +77,7 @@ def _phi_cov(xbar: np.ndarray, cov_beta: np.ndarray, nu: np.ndarray) -> np.ndarr
     """Covariance of M_T(ybar - Xbar beta): M_T (Xbar V_beta Xbar' + Omega/n) M_T,
     with Omega the cross-section covariance of the residual paths ``nu``."""
     n = nu.shape[-2]
-    omega = nu[..., :, None] * nu[..., None, :]
-    omega = omega.sum(axis=-3) / (n - 1)
+    omega = mt(nu) @ nu / (n - 1)
     a = xbar @ cov_beta @ mt(xbar) + omega / n
     a = a - a.mean(axis=-2, keepdims=True)
     return a - a.mean(axis=-1, keepdims=True)
@@ -123,13 +122,10 @@ def chamberlain_phi(panel: Panels, design: PanelDesign | None = None) -> TimeEff
         lambda i: SingularMbarError("average annihilator matrix is singular"),
     )
     mbar = nonsingular(mbar, failed(fail))
-    yd = panel.yd
-    # einsum: M_i v sums over unit-stride periods (see _kernels)
-    z = np.einsum("...nts,...ns->...nt", proj.M, yd)
+    z = proj.apply(panel.yd)
     phi = np.linalg.solve(mbar, z.mean(axis=-2)[..., None])[..., 0]
     resid = within(panel.y - phi[..., None, :], axis=-1)
-    # einsum: as z
-    wvec = np.einsum("...nts,...ns->...nt", proj.M, resid)
+    wvec = proj.apply(resid)
     meat = mt(wvec) @ wvec / panel.n
     mbar_inv = np.linalg.inv(mbar)
     cov = mbar_inv @ meat @ mbar_inv / panel.n

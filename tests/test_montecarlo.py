@@ -290,7 +290,7 @@ def test_replication_computes_each_shared_piece_once(monkeypatch, T, tags):
         PanelDesign, "__init__", counted("PanelDesign", PanelDesign.__init__)
     )
     cfg = base_cfg(n=100, T=T, time_effects=T > 2)
-    monkeypatch.setattr(montecarlo, "MAX_BLOCK_CELLS", 3 * 100 * T)  # blocks of 3 and 2
+    monkeypatch.setattr(montecarlo, "MAX_BLOCK_UNITS", 3 * 100)  # blocks of 2 and 3
     results = run_experiment(cfg, tags, reps=5)
     assert all(r.failures == 0 for r in results)
     assert counts.pop("PanelDesign") == 2
@@ -318,7 +318,7 @@ def test_hausman_reads_the_pooled_fit(monkeypatch, T, tags):
         if name.startswith("tmgpanel") and getattr(mod, "pooled", None) is original:
             monkeypatch.setattr(mod, "pooled", counted)
     cfg = base_cfg(n=100, T=T, time_effects=T > 2)
-    monkeypatch.setattr(montecarlo, "MAX_BLOCK_CELLS", 3 * 100 * T)  # blocks of 3 and 2
+    monkeypatch.setattr(montecarlo, "MAX_BLOCK_UNITS", 3 * 100)  # blocks of 2 and 3
     results = run_experiment(cfg, tags, reps=5)
     assert all(r.failures == 0 for r in results)
     assert len(calls) == 2 * 2, calls  # one pooled fit in each of the two blocks
@@ -340,8 +340,9 @@ def _fields_equal(a, b):
     [
         base_cfg(n=3, T=2),
         base_cfg(n=3, T=3, time_effects=True),
+        base_cfg(n=3, T=4, time_effects=True),
     ],
-    ids=["T2", "T3-te"],
+    ids=["T2", "T3-te", "T4-te"],
 )
 def test_results_independent_of_block_size_and_jobs(monkeypatch, cfg):
     # every McResult field is identical for one replication per block, an
@@ -353,15 +354,45 @@ def test_results_independent_of_block_size_and_jobs(monkeypatch, cfg):
     tags = list(ESTIMATOR_TAGS + TEST_TAGS)
     reps = 40
     runs = []
-    cells = cfg.n * cfg.T
-    for cap in (cells, 4 * cells, reps * cells):
-        monkeypatch.setattr(montecarlo, "MAX_BLOCK_CELLS", cap)
+    blocks = []  # replications per block of each single-worker run
+    original = montecarlo._block_records
+
+    def counted(cfg, block, *args):
+        blocks[-1].append(len(block))
+        return original(cfg, block, *args)
+
+    monkeypatch.setattr(montecarlo, "_block_records", counted)
+    for cap in (cfg.n, 4 * cfg.n, reps * cfg.n):
+        monkeypatch.setattr(montecarlo, "MAX_BLOCK_UNITS", cap)
         for jobs in (1, 2):
+            blocks.append([])
             runs.append(run_experiment(cfg, tags, reps, beta0_grid=[0.5, 1.0], jobs=jobs))
+    # the workers count in their own processes
+    assert blocks[::2] == [[1] * reps, [4] * (reps // 4), [reps]]
     assert any(r.failures for r in runs[0])
     for other in runs[1:]:
         for a, b in zip(runs[0], other):
             _fields_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "n,reps,sizes",
+    [
+        (1000, 6, [3, 3]),
+        (1000, 10, [3, 3, 4]),
+        (1000, 2000, [4] * 500),
+        (1000, 1, [1]),
+        (5000, 3, [1, 1, 1]),
+        (100, 45, [22, 23]),
+    ],
+)
+def test_fewest_balanced_blocks(n, reps, sizes):
+    # the fewest blocks of at most MAX_BLOCK_UNITS units, as equal as possible
+    from tmgpanel.montecarlo import _blocks, block_size
+
+    blocks = _blocks(list(range(reps)), block_size(n))
+    assert [len(b) for b in blocks] == sizes
+    assert [r for b in blocks for r in b] == list(range(reps))
 
 
 def test_failing_replication_fails_alone():

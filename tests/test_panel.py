@@ -242,6 +242,17 @@ def test_id_order_does_not_depend_on_hash_seed(tmp_path):
             NonFiniteValueError,
             "line 4: NaN or infinite value in column x1",
         ),
+        # a quoted id may span lines: errors name the line a record starts on
+        (
+            HEADER + '"a\nb",1,0.5,1\n"a\nb",2,0.5,1\nc,1,0,1\nc,2,nan,1\n',
+            NonFiniteValueError,
+            "line 7: NaN or infinite value in column y",
+        ),
+        (
+            HEADER + '"a\nb",1,0.5,1\n"a\nb",2,0.5,1\nc,1,0\n',
+            PanelInputError,
+            "line 6: expected 4 fields",
+        ),
         # a fixed-width id field cannot keep a trailing NUL, so "a\0" would
         # read as "a"
         (

@@ -3,6 +3,7 @@ import pytest
 
 from tmgpanel import (
     BalancedPanel,
+    PanelBlock,
     RequiresTGreaterKError,
     TrimConfig,
     chamberlain_phi,
@@ -14,6 +15,7 @@ from tmgpanel import (
     tmg_te,
 )
 from tmgpanel.designs import within
+from tmgpanel.errors import SingularUnitGramError
 
 from _helpers import random_panel
 
@@ -95,6 +97,63 @@ class TestChamberlain:
         p = random_panel(rng, n=25, T=3)
         te = chamberlain_phi(p)
         assert abs(te.phi.sum()) <= 1e-10
+
+
+def scaled_panels(rng, scale, **kw):
+    """Three random panels with regressors times ``scale``, and their block."""
+    panels = []
+    for _ in range(3):
+        p = random_panel(rng, **kw)
+        panels.append(
+            BalancedPanel(y=p.y, x=p.x * scale, unit_ids=p.unit_ids, time_ids=p.time_ids)
+        )
+    block = PanelBlock(y=np.stack([p.y for p in panels]), x=np.stack([p.x for p in panels]))
+    return panels, block
+
+
+class TestProjectorFactors:
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("extra", [1, 2, 3])
+    @pytest.mark.parametrize("k_prime", [1, 2, 3])
+    def test_factor_form_matches_formed_stack(self, rng, k_prime, extra, scale):
+        # M_i v and M_bar from the factors equal the formed (n, T, T) stack
+        # and its mean, on one panel and on a block, at T = k + 1 .. k + 3
+        T = k_prime + 1 + extra
+        panels, block = scaled_panels(rng, scale, n=30, T=T, k_prime=k_prime)
+        for panel in (panels[0], block):
+            proj = chamberlain_projectors(panel)
+            M = proj.M
+            # part of v lies in the regressor span, which M_i annihilates
+            c = rng.standard_normal(panel.y.shape[:-1] + (k_prime,)) / scale
+            v = rng.standard_normal(panel.y.shape) + np.einsum("...ntp,...np->...nt", panel.xd, c)
+            np.testing.assert_allclose(
+                proj.apply(v), (M @ v[..., None])[..., 0], rtol=1e-12, atol=1e-12 * abs(v).max()
+            )
+            np.testing.assert_allclose(proj.M_bar, M.mean(axis=-3), rtol=1e-12, atol=1e-12)
+
+    def test_block_rows_keep_single_panel_bits(self, rng):
+        # one matmul per replication: a replication's M_bar and M_i v are the
+        # same bits in a block as on its own
+        panels, block = scaled_panels(rng, 1.0, n=40, T=4, k_prime=2)
+        proj = chamberlain_projectors(block)
+        for b, panel in enumerate(panels):
+            alone = chamberlain_projectors(panel)
+            np.testing.assert_array_equal(proj.M_bar[b], alone.M_bar)
+            np.testing.assert_array_equal(proj.apply(block.yd)[b], alone.apply(panel.yd))
+
+    @pytest.mark.parametrize("k_prime", [1, 2, 3])
+    def test_constant_regressor_fails_its_replication(self, rng, k_prime):
+        panels, _ = scaled_panels(rng, 1.0, n=12, T=k_prime + 3, k_prime=k_prime)
+        bad = panels[1]
+        x = bad.x.copy()
+        x[7, :, k_prime - 1] = 2.5  # unit 7: a constant regressor
+        panels[1] = BalancedPanel(y=bad.y, x=x, unit_ids=bad.unit_ids, time_ids=bad.time_ids)
+        with pytest.raises(SingularUnitGramError, match=r"units \[7\]"):
+            chamberlain_projectors(panels[1])
+        block = PanelBlock(y=np.stack([p.y for p in panels]), x=np.stack([p.x for p in panels]))
+        fail = chamberlain_projectors(block).fail
+        assert fail[0] is None and fail[2] is None
+        assert isinstance(fail[1], SingularUnitGramError) and "units [7]" in str(fail[1])
 
 
 class TestTmgTe:
