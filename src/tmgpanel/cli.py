@@ -25,6 +25,7 @@ from .errors import NumericalError, PanelInputError, ScenarioError
 from .estimators import DEFAULT_ALPHA_GP, fe, gp, mg, tmg
 from .hausman import hausman_no_te, hausman_te
 from .montecarlo import (
+    TEST_TAGS,
     DgpConfig,
     calibrate_kappa,
     default_power_grid,
@@ -337,7 +338,7 @@ def _run_simulate(args) -> int:
     path = out / "results.csv"
     _write_results_csv(path, results)
     for res in results:
-        if res.estimator in ("hausman", "hausman_te"):
+        if res.estimator in TEST_TAGS:
             print(f"{res.estimator}: rejection_rate={res.size[0]:.4f} reps={res.reps}")
         else:
             print(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
@@ -51,6 +52,8 @@ HETEROSKED_MODES = ("random", "lambda2", "ex2")
 
 ESTIMATOR_TAGS = ("fe", "mg", "tmg", "gp", "fete", "tmgte", "gpte")
 TEST_TAGS = ("hausman", "hausman_te")
+#: the estimators that also report the period effects phi_1..phi_{T-1}
+TE_TAGS = ("fete", "tmgte", "gpte")
 
 
 def _is_int(v) -> bool:
@@ -473,52 +476,47 @@ _TAG_FITS = {
 }
 
 
-def _records(fit) -> tuple:
-    """Per replication of a block fit: (slope and phi_1..phi_{T-1}, their
-    standard errors, trimmed fraction), or (statistic, p-value, 0) for a
-    test, with NaN rows for the failed ones, and the failures."""
-    if isinstance(fit, HausmanResult):
-        stat = fit.statistic[:, None]
-        return stat, fit.p_value[:, None], np.zeros(len(stat)), fit.fail
-    est, te = fit if isinstance(fit, tuple) else (fit, None)
-    j = est.coef_names.index("beta1")
-    coef, se = est.coef[:, [j]], est.se[:, [j]]
-    if te is not None:
-        coef = np.concatenate([coef, te.phi[:, :-1]], axis=1)
-        se = np.concatenate([se, te.se[:, :-1]], axis=1)
-    pi = np.broadcast_to(est.pi_n, (len(coef),))
-    return void(coef, est.fail), void(se, est.fail), void(pi, est.fail), est.fail
-
-
 def _block_records(
     cfg: DgpConfig, reps: Sequence[int], tags: Sequence[str], trim_cfg: TrimConfig,
     alpha_gp: float,
-) -> list[dict]:
+) -> dict:
     """Estimate every requested tag on one block of replications.
 
-    Returns one record per replication: per tag, (coef estimates, standard
-    errors, trimmed fraction, failure reason or None), or (statistic, p-value,
-    0, reason) for tests; NaN rows flag estimation failures.
+    Returns per tag the arrays (coef (B, width), se (B, width), trimmed
+    fraction (B,), reason (B,)): the slope and phi_1..phi_{T-1} with their
+    standard errors, or a test's statistic and p-value with a zero fraction.
+    A failed replication has NaN rows and its NumericalError class name; the
+    others have reason None.
     """
     block = _Block(cfg, reps, trim_cfg, alpha_gp)
-    out = [{} for _ in reps]
+    B = len(reps)
+    out = {}
     for tag in tags:
-        if tag not in _TAG_FITS:
-            raise ScenarioError(f"unknown estimator tag {tag!r}")
         try:
-            coef, se, pi, fail = _records(block.fit(tag))
+            fit = block.fit(tag)
         except NumericalError as exc:  # a failure of the block's shape fails every replication
-            width = len(_tag_coef_names(tag, cfg.T))
-            coef = se = np.full((len(reps), width), np.nan)
-            pi, fail = np.full(len(reps), np.nan), (exc,) * len(reps)
-        for b, rec in enumerate(out):
-            rec[tag] = (coef[b], se[b], pi[b], None if fail[b] is None else type(fail[b]).__name__)
+            nan = np.full((B, len(_tag_coef_names(tag, cfg.T))), np.nan)
+            out[tag] = nan, nan, np.full(B, np.nan), np.full(B, type(exc).__name__, dtype=object)
+            continue
+        if isinstance(fit, HausmanResult):
+            coef, se, pi, fail = fit.statistic[:, None], fit.p_value[:, None], np.zeros(B), fit.fail
+        else:
+            est, te = fit if isinstance(fit, tuple) else (fit, None)
+            j = est.coef_names.index("beta1")
+            coef, se, fail = est.coef[:, [j]], est.se[:, [j]], est.fail
+            if te is not None:
+                coef = np.concatenate([coef, te.phi[:, :-1]], axis=1)
+                se = np.concatenate([se, te.se[:, :-1]], axis=1)
+            pi = void(np.broadcast_to(est.pi_n, (B,)), fail)
+            coef, se = void(coef, fail), void(se, fail)
+        reason = np.array([None if f is None else type(f).__name__ for f in fail], dtype=object)
+        out[tag] = coef, se, pi, reason
     return out
 
 
 def _tag_coef_names(tag: str, T: int) -> tuple:
     """Reported coefficients: the slope, then phi_1..phi_{T-1} for TE tags."""
-    if tag in ("fete", "tmgte", "gpte"):
+    if tag in TE_TAGS:
         return ("beta",) + tuple(f"phi{t}" for t in range(1, T))
     if tag in TEST_TAGS:
         return ("statistic",)
@@ -526,28 +524,63 @@ def _tag_coef_names(tag: str, T: int) -> tuple:
 
 
 def _tag_truth(tag: str, cfg: DgpConfig) -> np.ndarray:
-    if tag in ("fete", "tmgte", "gpte"):
+    if tag in TE_TAGS:
         return np.concatenate([[cfg.theta0[1]], cfg.phi()[:-1]])
     return np.array([cfg.theta0[1]])
 
 
+def _concat(parts: list[dict]) -> dict:
+    """Per tag, the arrays of consecutive runs of replications, joined in order."""
+    return {tag: tuple(map(np.concatenate, zip(*[p[tag] for p in parts]))) for tag in parts[0]}
+
+
 def _worker(args):
-    """Records of the replications ``reps``, fitted in the fewest blocks of
-    at most :func:`block_size` consecutive entries, of balanced sizes."""
+    """The :func:`_block_records` arrays of the replications ``reps``, fitted
+    in the fewest blocks of at most :func:`block_size` consecutive entries,
+    of balanced sizes, and joined in replication order."""
     cfg, reps, tags, trim_cfg, alpha_gp = args
-    out = []
-    for block in _blocks(reps, block_size(cfg.n)):
-        out.extend(_block_records(cfg, block, tags, trim_cfg, alpha_gp))
-    return out
+    return _concat([
+        _block_records(cfg, block, tags, trim_cfg, alpha_gp)
+        for block in _blocks(reps, block_size(cfg.n))
+    ])
 
 
-def _reasons(records, tag: str, ok: np.ndarray) -> dict:
-    counts = {}
-    for rec, good in zip(records, ok):
-        if not good:
-            reason = rec[tag][3] or NONFINITE_SE
-            counts[reason] = counts.get(reason, 0) + 1
-    return dict(sorted(counts.items()))
+def _aggregate(tag, cfg: DgpConfig, coef, se, pi, reason, beta0_grid) -> McResult:
+    """Metrics of one tag over its replications. A row with a non-finite
+    estimate or standard error is a failure: it is counted by reason and left
+    out of every metric. A tag with no OK replication reports NaN metrics and
+    no power curve, and a test reports only its rejection rate (in ``size``)."""
+    names = _tag_coef_names(tag, cfg.T)
+    # a finite estimate with a non-finite se (e.g. GP keeping one unit)
+    # cannot be tested, so it counts as a failure, not a non-rejection
+    ok = np.isfinite(coef).all(axis=1) & np.isfinite(se).all(axis=1)
+    by_reason = dict(sorted(Counter(r or NONFINITE_SE for r in reason[~ok]).items()))
+    r_ok = int(ok.sum())
+    coef, se, pi = coef[ok], se[ok], pi[ok]
+    bias, rmse, size, mc_se_bias, mc_se_size = np.full((5, len(names)), np.nan)
+    pi_hat, power = np.nan, None
+    if r_ok and tag in TEST_TAGS:
+        size = (se < 0.05).mean(axis=0)  # the se column carries a test's p-value
+        mc_se_size = np.sqrt(size * (1 - size) / r_ok)
+    elif r_ok:
+        err = coef - _tag_truth(tag, cfg)
+        bias = err.mean(axis=0)
+        rmse = np.sqrt((err**2).mean(axis=0))
+        size = (np.abs(err) / se > CRIT_5PCT).mean(axis=0)
+        mc_se_size = np.sqrt(size * (1 - size) / r_ok)
+        if r_ok > 1:
+            mc_se_bias = coef.std(axis=0, ddof=1) / np.sqrt(r_ok)
+        pi_hat = float(pi.mean())
+        if beta0_grid is not None:
+            power = []
+            for b0 in np.asarray(beta0_grid, dtype=np.float64):
+                rate = (np.abs(coef[:, 0] - b0) / se[:, 0] > CRIT_5PCT).mean()
+                power.append((float(b0), float(rate), float(np.sqrt(rate * (1 - rate) / r_ok))))
+    return McResult(
+        estimator=tag, reps=r_ok, failures=len(ok) - r_ok, coef_names=names, bias=bias,
+        rmse=rmse, size=size, pi_hat=pi_hat, mc_se_bias=mc_se_bias, mc_se_size=mc_se_size,
+        power_curve=power, failures_by_reason=by_reason,
+    )
 
 
 def run_experiment(
@@ -565,11 +598,13 @@ def run_experiment(
     ``beta0_grid`` adds a power curve (rejection of beta = b over the grid)
     for every coefficient-reporting estimator. Failures propagate as skipped
     replications, counted per estimator and by reason. Replications are drawn
-    and fitted in blocks (see MAX_BLOCK_UNITS); neither the block size nor
+    and fitted in blocks (see MAX_BLOCK_UNITS), and each of ``jobs`` workers
+    takes a run of consecutive replications; neither the block size nor
     ``jobs`` changes any result.
     """
-    if reps < 1:
-        raise ScenarioError(f"reps must be >= 1, got {reps}")
+    for name, value in (("reps", reps), ("jobs", jobs)):
+        if not (_is_int(value) and value >= 1):
+            raise ScenarioError(f"{name} must be an integer >= 1, got {value!r}")
     if cfg.kappa2 is None:
         raise ScenarioError("kappa2 is unset; calibrate it first (see calibrate_kappa)")
     tags = list(dict.fromkeys(estimators))
@@ -577,99 +612,15 @@ def run_experiment(
         if tag not in ESTIMATOR_TAGS + TEST_TAGS:
             raise ScenarioError(f"unknown estimator tag {tag!r}")
 
-    rep_ids = list(range(reps))
-    if jobs > 1 and reps > 1:
-        chunks = [rep_ids[i::jobs] for i in range(jobs)]
-        chunks = [c for c in chunks if c]
+    chunks = _blocks(range(reps), -(-reps // jobs))
+    if len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(
-                pool.map(_worker, [(cfg, c, tags, trim_cfg, alpha_gp) for c in chunks])
+            records = _concat(
+                list(pool.map(_worker, [(cfg, c, tags, trim_cfg, alpha_gp) for c in chunks]))
             )
-        records = [None] * reps
-        for chunk, part in zip(chunks, parts):
-            for r, rec in zip(chunk, part):
-                records[r] = rec
     else:
-        records = _worker((cfg, rep_ids, tags, trim_cfg, alpha_gp))
-
-    results = []
-    for tag in tags:
-        names = _tag_coef_names(tag, cfg.T)
-        width = len(names)
-        est = np.array([rec[tag][0] for rec in records])  # (R, width)
-        se = np.array([rec[tag][1] for rec in records])
-        pi = np.array([rec[tag][2] for rec in records])
-        # a finite estimate with a non-finite se (e.g. GP keeping one unit)
-        # cannot be tested, so it counts as a failure, not a non-rejection
-        ok = np.isfinite(est).all(axis=1) & np.isfinite(se).all(axis=1)
-        failures = int((~ok).sum())
-        by_reason = _reasons(records, tag, ok)
-        r_ok = int(ok.sum())
-        est, se, pi = est[ok], se[ok], pi[ok]
-        if tag in TEST_TAGS:
-            # se column carries the p-value for test tags
-            rejections = (se[:, 0] < 0.05).mean() if r_ok else np.nan
-            results.append(
-                McResult(
-                    estimator=tag,
-                    reps=r_ok,
-                    failures=failures,
-                    coef_names=names,
-                    bias=np.full(1, np.nan),
-                    rmse=np.full(1, np.nan),
-                    size=np.array([rejections]),
-                    pi_hat=np.nan,
-                    mc_se_bias=np.full(1, np.nan),
-                    mc_se_size=np.array(
-                        [np.sqrt(rejections * (1 - rejections) / r_ok) if r_ok else np.nan]
-                    ),
-                    failures_by_reason=by_reason,
-                )
-            )
-            continue
-        truth = _tag_truth(tag, cfg)
-        if r_ok == 0:
-            nanvec = np.full(width, np.nan)
-            results.append(
-                McResult(
-                    estimator=tag, reps=0, failures=failures, coef_names=names,
-                    bias=nanvec, rmse=nanvec.copy(), size=nanvec.copy(),
-                    pi_hat=np.nan, mc_se_bias=nanvec.copy(), mc_se_size=nanvec.copy(),
-                    failures_by_reason=by_reason,
-                )
-            )
-            continue
-        err = est - truth
-        bias = err.mean(axis=0)
-        rmse = np.sqrt((err**2).mean(axis=0))
-        size = (np.abs(err) / se > CRIT_5PCT).mean(axis=0)
-        mc_se_bias = (
-            est.std(axis=0, ddof=1) / np.sqrt(r_ok) if r_ok > 1 else np.full(width, np.nan)
-        )
-        mc_se_size = np.sqrt(size * (1 - size) / r_ok)
-        power = None
-        if beta0_grid is not None:
-            power = []
-            for b0 in np.asarray(beta0_grid, dtype=np.float64):
-                rate = (np.abs(est[:, 0] - b0) / se[:, 0] > CRIT_5PCT).mean()
-                power.append((float(b0), float(rate), float(np.sqrt(rate * (1 - rate) / r_ok))))
-        results.append(
-            McResult(
-                estimator=tag,
-                reps=r_ok,
-                failures=failures,
-                coef_names=names,
-                bias=bias,
-                rmse=rmse,
-                size=size,
-                pi_hat=float(pi.mean()) if r_ok else np.nan,
-                mc_se_bias=mc_se_bias,
-                mc_se_size=mc_se_size,
-                power_curve=power,
-                failures_by_reason=by_reason,
-            )
-        )
-    return results
+        records = _worker((cfg, range(reps), tags, trim_cfg, alpha_gp))
+    return [_aggregate(tag, cfg, *records[tag], beta0_grid) for tag in tags]
 
 
 def default_power_grid(beta0: float, points: int = 21, half_width: float = 0.5) -> np.ndarray:

@@ -218,6 +218,15 @@ class TestRunExperiment:
         with pytest.raises(ScenarioError):
             run_experiment(base_cfg(), ["nope"], reps=2)
 
+    @pytest.mark.parametrize(
+        "name,value", [("reps", 0), ("reps", True), ("reps", 2.5), ("jobs", 0), ("jobs", -3),
+                       ("jobs", True), ("jobs", 1.5)],
+    )
+    def test_reps_and_jobs_must_be_positive_integers(self, name, value):
+        args = {"reps": 2, "jobs": 1, name: value}
+        with pytest.raises(ScenarioError, match=f"{name} must be an integer >= 1"):
+            run_experiment(base_cfg(n=20), ["fe"], **args)
+
     def test_estimator_failures_counted_and_skipped(self):
         # an absurd explicit threshold trims every unit in every replication
         from tmgpanel import TrimConfig
@@ -346,7 +355,7 @@ def _fields_equal(a, b):
 )
 def test_results_independent_of_block_size_and_jobs(monkeypatch, cfg):
     # every McResult field is identical for one replication per block, an
-    # intermediate block, the whole run in one block, and one or two workers;
+    # intermediate block, the whole run in one block, and one to three workers;
     # the tiny designs make failures (GP keeping one unit) part of the check
     from tmgpanel import montecarlo
     from tmgpanel.montecarlo import ESTIMATOR_TAGS, TEST_TAGS
@@ -364,11 +373,11 @@ def test_results_independent_of_block_size_and_jobs(monkeypatch, cfg):
     monkeypatch.setattr(montecarlo, "_block_records", counted)
     for cap in (cfg.n, 4 * cfg.n, reps * cfg.n):
         monkeypatch.setattr(montecarlo, "MAX_BLOCK_UNITS", cap)
-        for jobs in (1, 2):
+        for jobs in (1, 2, 3):  # three workers take 13 + 13 + 14 replications
             blocks.append([])
             runs.append(run_experiment(cfg, tags, reps, beta0_grid=[0.5, 1.0], jobs=jobs))
     # the workers count in their own processes
-    assert blocks[::2] == [[1] * reps, [4] * (reps // 4), [reps]]
+    assert blocks[::3] == [[1] * reps, [4] * (reps // 4), [reps]]
     assert any(r.failures for r in runs[0])
     for other in runs[1:]:
         for a, b in zip(runs[0], other):
@@ -459,6 +468,138 @@ def test_failures_counted_by_reason():
         ("tmg", "failures", "", 40.0),
         ("tmg", "failures.AllTrimmedError", "", 40.0),
     ]
+
+
+def test_block_shaped_failure_fails_every_replication(monkeypatch):
+    # a fit that raises for the whole block fails each of its replications
+    # with that reason, and leaves the other tags alone
+    from tmgpanel import AllTrimmedError, montecarlo
+
+    def raises(block):
+        raise AllTrimmedError("every unit trimmed")
+
+    monkeypatch.setitem(montecarlo._TAG_FITS, "tmgte", raises)
+    monkeypatch.setattr(montecarlo, "MAX_BLOCK_UNITS", 2 * 50)  # blocks of 2, 2 and 1
+    cfg = base_cfg(n=50, T=3, time_effects=True)
+    bad, good = run_experiment(cfg, ["tmgte", "fete"], reps=5, beta0_grid=[1.0])
+    assert (bad.reps, bad.failures) == (0, 5)
+    assert bad.failures_by_reason == {"AllTrimmedError": 5}
+    assert bad.bias.shape == (3,) and np.isnan(bad.bias).all() and bad.power_curve is None
+    assert (good.reps, good.failures) == (5, 0) and good.power_curve is not None
+
+
+def _oracle_replication(tag, panel, trim_cfg):
+    """One replication fitted alone: (coef row, se row, pi) or (statistic,
+    p-value, 0) for a test, and the failure reason; NaN rows if it raised."""
+    from tmgpanel import NumericalError, fe, fete, gp_te, hausman_no_te, hausman_te
+    from tmgpanel import mg, tmg, tmg_te
+
+    fits = {
+        "fe": lambda: fe(panel),
+        "mg": lambda: mg(panel),
+        "tmg": lambda: tmg(panel, trim_cfg),
+        "gp": lambda: gp(panel),
+        "fete": lambda: fete(panel),
+        "tmgte": lambda: tmg_te(panel, trim_cfg),
+        "gpte": lambda: gp_te(panel),
+        "hausman": lambda: hausman_no_te(panel, trim_cfg),
+        "hausman_te": lambda: hausman_te(panel, trim_cfg),
+    }
+    width = panel.T if tag in ("fete", "tmgte", "gpte") else 1
+    try:
+        fit = fits[tag]()
+    except NumericalError as exc:
+        return [np.nan] * width, [np.nan] * width, np.nan, type(exc).__name__
+    if tag.startswith("hausman"):
+        return [fit.statistic], [fit.p_value], 0.0, None
+    est, te = fit if isinstance(fit, tuple) else (fit, None)
+    j = est.coef_names.index("beta1")
+    coef, se = [est.coef[j]], [est.se[j]]
+    if te is not None:
+        coef, se = coef + list(te.phi[:-1]), se + list(te.se[:-1])
+    return coef, se, est.pi_n, None
+
+
+def _oracle_results(cfg, tags, reps, trim_cfg, grid):
+    """McResults built replication by replication from single-panel fits."""
+    from tmgpanel.montecarlo import CRIT_5PCT, NONFINITE_SE, McResult
+
+    panels = [generate_replication(cfg, r)[0] for r in range(reps)]
+    out = []
+    for tag in tags:
+        recs = [_oracle_replication(tag, p, trim_cfg) for p in panels]
+        est = np.array([r[0] for r in recs])
+        se = np.array([r[1] for r in recs])
+        pi = np.array([r[2] for r in recs])
+        ok = np.isfinite(est).all(axis=1) & np.isfinite(se).all(axis=1)
+        by_reason = {}
+        for (_, _, _, reason), good in zip(recs, ok):
+            if not good:
+                reason = reason or NONFINITE_SE
+                by_reason[reason] = by_reason.get(reason, 0) + 1
+        est, se, pi, r_ok = est[ok], se[ok], pi[ok], int(ok.sum())
+        width = est.shape[1]
+        nan = np.full(width, np.nan)
+        res = dict(
+            estimator=tag, reps=r_ok, failures=reps - r_ok,
+            failures_by_reason=dict(sorted(by_reason.items())),
+            bias=nan, rmse=nan, size=nan, pi_hat=np.nan, mc_se_bias=nan, mc_se_size=nan,
+        )
+        if tag.startswith("hausman"):
+            res["coef_names"] = ("statistic",)
+            if r_ok:
+                rate = (se[:, 0] < 0.05).mean()
+                res["size"] = np.array([rate])
+                res["mc_se_size"] = np.array([np.sqrt(rate * (1 - rate) / r_ok)])
+            out.append(McResult(**res))
+            continue
+        res["coef_names"] = ("beta",) + tuple(f"phi{t}" for t in range(1, width))
+        if r_ok:
+            truth = np.concatenate([[cfg.theta0[1]], cfg.phi()[: width - 1]])
+            err = est - truth
+            size = (np.abs(err) / se > CRIT_5PCT).mean(axis=0)
+            res.update(
+                bias=err.mean(axis=0), rmse=np.sqrt((err**2).mean(axis=0)), size=size,
+                pi_hat=float(pi.mean()), mc_se_size=np.sqrt(size * (1 - size) / r_ok),
+            )
+            if r_ok > 1:
+                res["mc_se_bias"] = est.std(axis=0, ddof=1) / np.sqrt(r_ok)
+            res["power_curve"] = []
+            for b0 in grid:
+                rate = (np.abs(est[:, 0] - b0) / se[:, 0] > CRIT_5PCT).mean()
+                res["power_curve"].append(
+                    (float(b0), float(rate), float(np.sqrt(rate * (1 - rate) / r_ok)))
+                )
+        out.append(McResult(**res))
+    return out
+
+
+@pytest.mark.parametrize(
+    "cfg,trim_cfg",
+    [
+        (base_cfg(n=3, T=2), {"alpha": 0.5, "c_n": 1e12}),
+        (base_cfg(n=3, T=3, time_effects=True), {}),
+    ],
+    ids=["T2-tmg-all-failed", "T3-te"],
+)
+def test_aggregates_match_single_panel_oracle(cfg, trim_cfg):
+    # every McResult field equals the metrics built in replication order from
+    # fits of each replication alone, failures and their reasons included
+    from tmgpanel import TrimConfig
+    from tmgpanel.montecarlo import ESTIMATOR_TAGS, TEST_TAGS
+
+    tags = list(ESTIMATOR_TAGS + TEST_TAGS)
+    trim_cfg = TrimConfig(**trim_cfg)
+    grid = default_power_grid(1.0, points=5)
+    got = run_experiment(cfg, tags, 30, beta0_grid=grid, trim_cfg=trim_cfg)
+    want = _oracle_results(cfg, tags, 30, trim_cfg, grid)
+    assert [r.estimator for r in got] == tags
+    for a, b in zip(got, want):
+        _fields_equal(a, b)
+    by_tag = {r.estimator: r for r in got}
+    assert any(r.failures for r in got)
+    if trim_cfg.c_n == 1e12:
+        assert by_tag["tmg"].reps == 0 and by_tag["tmg"].power_curve is None
 
 
 class TestScenario:
