@@ -130,6 +130,14 @@ def _det_adj_stack(g):
     return d.reshape(lead), adj.reshape(lead + (k, k))
 
 
+def det_stack(g):
+    """Determinants of k x k matrices stacked on any leading axes: the cofactor
+    expansion for k <= 4, LU beyond (without the adjugate's k^2 minors)."""
+    if g.shape[-1] > 4:
+        return np.linalg.det(g)
+    return _det_adj_stack(g)[0]
+
+
 def _gram(W: np.ndarray) -> np.ndarray:
     """W_i'W_i for a stack of (T, k) designs, summed over periods in order:
     the value of ``einsum("ntp,ntq->npq", W, W)`` in a tenth of its time for

@@ -49,6 +49,18 @@ def _normal_two_sided_p(t: float) -> float:
     return math.erfc(abs(t) / math.sqrt(2.0))
 
 
+def _t_rows(names, values, ses) -> list:
+    """(name, value, se, t, p) rows with t = value / se in IEEE arithmetic: a
+    NaN se or 0 / 0 gives t = NaN and p = NaN, a nonzero value over se = 0
+    gives t = +-inf and p = 0."""
+    values, ses = np.atleast_1d(values), np.atleast_1d(ses)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ts = values / ses
+    return [
+        (name, c, s, t, _normal_two_sided_p(t)) for name, c, s, t in zip(names, values, ses, ts)
+    ]
+
+
 def _config_hash(payload: dict) -> str:
     blob = json.dumps(payload, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -191,15 +203,11 @@ def _run_estimate(args) -> int:
     else:
         est, te_result = tmg_te(panel, trim_cfg)
 
-    rows = []
     names = est.coef_names or tuple(f"c{j}" for j in range(np.atleast_1d(est.coef).size))
-    for name, c, s in zip(names, np.atleast_1d(est.coef), np.atleast_1d(est.se)):
-        t = c / s if s > 0 else math.inf
-        rows.append((name, c, s, t, _normal_two_sided_p(t)))
+    rows = _t_rows(names, est.coef, est.se)
     if te_result is not None:
-        for t_idx, (p, s) in enumerate(zip(te_result.phi, te_result.se), start=1):
-            tt = p / s if s > 0 else math.inf
-            rows.append((f"phi{t_idx}", p, s, tt, _normal_two_sided_p(tt)))
+        phi_names = [f"phi{t}" for t in range(1, len(te_result.phi) + 1)]
+        rows += _t_rows(phi_names, te_result.phi, te_result.se)
     t_fit = time.perf_counter()
 
     out = _out_dir(args)

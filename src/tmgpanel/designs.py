@@ -15,12 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _det_adj_stack, gram_det_adj, small_matmul, small_matvec
+from ._kernels import _det_adj_stack, det_stack, gram_det_adj, small_matmul, small_matvec
 from .errors import SingularUnitGramError, failed, flag, no_failures
 from .panel import BalancedPanel, PanelBlock, within
 
-#: Relative determinant floor: d below 1e-12 * (trace(gram)/k)^k counts as zero.
+#: Relative determinant floor of MG's per-unit OLS: d below
+#: 1e-12 * (trace(gram)/k)^k counts as zero.
 DET_FLOOR_REL = 1e-12
+
+#: The rank tolerance of every other singularity check (see rank_deficient).
+#: Each of the m! terms of a cofactor determinant is at most prod diag(G) in
+#: size, so its rounding error is up to about m m! eps prod diag(G): 2e-14 of
+#: it at m = 4, below which a ratio cannot be told from zero. 1e-12 keeps a
+#: margin of 50 over that.
+RANK_RTOL = 1e-12
 
 
 def singularity_floor(gram: np.ndarray) -> np.ndarray:
@@ -28,6 +36,39 @@ def singularity_floor(gram: np.ndarray) -> np.ndarray:
     k = gram.shape[-1]
     tr = np.trace(gram, axis1=-2, axis2=-1)
     return DET_FLOOR_REL * (tr / k) ** k
+
+
+def rank_deficient(g: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
+    """The rank rule of a stack of positive semi-definite (..., m, m) matrices:
+    G is singular when det(G) <= RANK_RTOL * prod diag(G), when a diagonal
+    entry is <= 0, or when det(G) is NaN.
+
+    det(G) / prod diag(G) is the determinant of G in correlation form.
+    Hadamard's inequality keeps it at or below 1, and D G D has the same ratio
+    for every positive diagonal D, so the verdict does not depend on the units
+    of the coefficients. A 1 x 1 G is singular exactly when G <= 0. ``det``
+    passes determinants already computed."""
+    diag = np.diagonal(g, axis1=-2, axis2=-1)
+    if det is None:
+        det = det_stack(g)
+    return ~(det > RANK_RTOL * diag.prod(axis=-1)) | (diag <= 0.0).any(axis=-1)
+
+
+def rank_ratio(g: np.ndarray) -> float:
+    """det(G) / prod diag(G) of one matrix, 0 with a diagonal entry <= 0: the
+    unit-free figure a rank failure reports."""
+    diag = np.diagonal(g)
+    return float(det_stack(g) / diag.prod()) if (diag > 0.0).all() else 0.0
+
+
+def system_singular(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The rank rule for square systems A theta = b whose unknowns are the
+    coefficients of regressors of scales s, (..., m): rank_deficient(C'C)
+    for C = S A S^{-1}, S = diag(s). Rescaling regressor j by c_j maps A to
+    D^{-1} A D and s to s D, D = diag(c), and leaves C as it is."""
+    s = np.where(s > 0.0, s, 1.0)
+    c = a * (s[..., :, None] / s[..., None, :])
+    return rank_deficient(mt(c) @ c)
 
 
 def mt(a: np.ndarray) -> np.ndarray:
@@ -97,8 +138,8 @@ def chamberlain_projectors(panel: BalancedPanel | PanelBlock) -> ChamberlainProj
     xd = panel.xd  # M_T X_i
     # einsum: at k' = 1 the sum runs over unit-stride periods (see _kernels)
     psi = np.einsum("...ntp,...ntq->...npq", xd, xd)
-    w = np.linalg.eigvalsh(psi)
-    bad = w[..., 0] <= 1e-12 * np.maximum(w[..., -1], 0.0)
+    det, adj = _det_adj_stack(psi)
+    bad = rank_deficient(psi, det)
     fail = flag(
         no_failures(panel.lead),
         bad.any(axis=-1),
@@ -106,7 +147,9 @@ def chamberlain_projectors(panel: BalancedPanel | PanelBlock) -> ChamberlainProj
             f"X'MX singular for units {np.flatnonzero(bad[i])[:10].tolist()}"
         ),
     )
-    det, adj = _det_adj_stack(nonsingular(psi, bad))
+    if bad.any():  # the inverse of I in place of a singular psi_i keeps M_i finite
+        det = np.where(bad, 1.0, det)
+        adj = np.where(bad[..., None, None], np.eye(psi.shape[-1]), adj)
     xdp = small_matmul(xd, adj / det[..., None, None])
     # sum_i xdp_i xd_i' as one matmul per replication over the stacked (n k') axis
     *lead, n, T, k = xd.shape
@@ -157,6 +200,11 @@ class PanelDesign:
 
     def floor(self) -> np.ndarray:
         return singularity_floor(self.gram)
+
+    def scales(self) -> np.ndarray:
+        """Root mean square of each column of W over the panel, (..., k): 1 for
+        the intercept, the size of each regressor in its own units."""
+        return np.sqrt((self.W**2).mean(axis=(-3, -2)))
 
     def singular(self) -> np.ndarray:
         """Units whose determinant is at or below the noise floor, (..., n)."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import _det_adj_stack
-from .designs import PanelDesign, col, mt, nonsingular, pooled, void
+from .designs import PanelDesign, col, mt, nonsingular, pooled, rank_deficient, rank_ratio, void
 from .errors import (
     AllSingularError,
     AllTrimmedError,
@@ -79,13 +79,11 @@ def pooled_slopes(panel: Panels, xw: np.ndarray, xr: np.ndarray, yr: np.ndarray,
     Returns beta, Psi and the failures."""
     psi = pooled("ntp,ntq->pq", xw, xr)
     sxy = pooled("ntp,nt->p", xw, yr)
-    w = np.linalg.eigvalsh(psi)
-    bad = (w[..., 0] <= 1e-12 * np.maximum(w[..., -1], 0.0)) | (w[..., -1] <= 0.0)
     fail = flag(
         no_failures(panel.lead),
-        bad,
+        rank_deficient(psi),
         lambda i: SingularPooledGramError(
-            f"{what} is singular (eigenvalues {w[i][0]:.3e} .. {w[i][-1]:.3e})"
+            f"{what} is singular (det / prod diag = {rank_ratio(psi[i]):.3e})"
         ),
     )
     coef = np.linalg.solve(nonsingular(psi, failed(fail)), sxy[..., None])[..., 0]

@@ -15,7 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import small_matmul, small_matvec
-from .designs import PanelDesign, col, mt, mv, nonsingular, void, within
+from .designs import (
+    RANK_RTOL,
+    PanelDesign,
+    col,
+    mt,
+    mv,
+    nonsingular,
+    system_singular,
+    void,
+    within,
+)
 from .errors import SingularVdeltaError, failed, flag, merge
 from .estimators import Estimate, Panels, fe, tmg
 from .timeeffects import fete, tmg_te
@@ -79,30 +89,37 @@ class HausmanResult:
 def _quad_form(v, delta, n: int, coef_scale, fail):
     """n * delta' V^+ delta with a rank-guarded symmetric pseudo-inverse.
 
-    A difference at floating-point noise level relative to the coefficient
-    scale counts as exactly zero (degenerate fixtures with identical
-    estimators give statistic 0, p-value 1). Rank deficiency is otherwise an
-    error unless the difference lies in the retained range space. Returns the
-    statistics and the failures.
+    V and delta are taken in correlation form, R = S^{-1} V S^{-1} and
+    S^{-1} delta with S the standard deviations of V, so that neither the
+    rank nor the statistic depends on the units of the coefficients; an
+    eigenvalue of R at or below RANK_RTOL is dropped. A difference at
+    floating-point noise level in every coefficient, relative to that
+    coefficient's ``coef_scale``, counts as exactly zero (degenerate fixtures
+    with identical estimators give statistic 0, p-value 1). Rank deficiency is
+    otherwise an error unless the difference lies in the retained range space.
+    Returns the statistics and the failures.
     """
-    dnorm = np.linalg.norm(delta, axis=-1)
-    zero = dnorm <= 1e-12 * np.maximum(coef_scale, 1e-300)
-    v = 0.5 * (v + mt(v))
-    w, u = np.linalg.eigh(nonsingular(v, failed(fail)))
-    cutoff = 1e-12 * np.maximum(w[..., -1], 0.0)
-    keep = w > cutoff[..., None]
+    zero = (np.abs(delta) <= RANK_RTOL * coef_scale).all(axis=-1)
+    v = nonsingular(0.5 * (v + mt(v)), failed(fail))
+    sd = np.sqrt(np.diagonal(v, axis1=-2, axis2=-1))
+    r = 1.0 / np.where(sd > 0.0, sd, 1.0)  # a zero-variance coefficient stays in its units
+    delta_r = delta * r
+    w, u = np.linalg.eigh(v * r[..., :, None] * r[..., None, :])
+    keep = w > RANK_RTOL
     rank = keep.sum(axis=-1)
     u_kept = u * keep[..., None, :]
-    out_of_range = np.linalg.norm(delta - mv(u_kept @ mt(u_kept), delta), axis=-1)
+    out_of_range = np.linalg.norm(delta_r - mv(u_kept @ mt(u_kept), delta_r), axis=-1)
     fail = flag(
         fail,
-        ~zero & (rank < delta.shape[-1]) & (out_of_range > 1e-8 * dnorm),
+        ~zero
+        & (rank < delta.shape[-1])
+        & (out_of_range > 1e-8 * np.linalg.norm(delta_r, axis=-1)),
         lambda i: SingularVdeltaError(
             f"difference covariance has rank {rank[i]} < {delta.shape[-1]}"
         ),
     )
     pinv = (u / np.where(keep, w, np.inf)[..., None, :]) @ mt(u)
-    stat = ((n * delta)[..., None, :] @ pinv @ delta[..., :, None])[..., 0, 0]
+    stat = ((n * delta_r)[..., None, :] @ pinv @ delta_r[..., :, None])[..., 0, 0]
     return void(np.where(zero, 0.0, stat), fail), fail
 
 
@@ -139,7 +156,7 @@ def hausman_no_te_from(pd: PanelDesign, fe_est: Estimate, tmg_est: Estimate) -> 
     # t_i = X_i'nu~_i = X_i'M nu~_i are FE's scores, because nu~ is de-meaned
     scores = small_matvec(m, fe_est.scores)
     v = mt(scores) @ scores / panel.n
-    coef_scale = np.maximum(np.abs(fe_est.coef).max(axis=-1), np.abs(tmg_est.coef).max(axis=-1))
+    coef_scale = np.maximum(np.abs(fe_est.coef), np.abs(tmg_est.coef[..., 1:]))
     stat, fail = _quad_form(v, delta, panel.n, coef_scale, fail)
     return _result(stat, panel.k_prime, VARIANT_NO_TE, delta, fail)
 
@@ -176,10 +193,9 @@ def hausman_te_from(pd: PanelDesign, fete_est: Estimate, tmgte_est: Estimate) ->
     if panel.T == panel.k:
         xbar_d = within(panel.x.mean(axis=-3), axis=-2)  # M_T Xbar
         a_x = np.eye(panel.k_prime) - mt(qx_bar) @ xbar_d
-        sv = np.linalg.svd(nonsingular(a_x, failed(fail)), compute_uv=False)
         fail = flag(
             fail,
-            sv[..., -1] <= 1e-12 * sv[..., 0],
+            system_singular(nonsingular(a_x, failed(fail)), pd.scales()[..., 1:]),
             lambda i: SingularVdeltaError("T=k weighting system is not invertible"),
         )
         a_x_inv = np.linalg.inv(nonsingular(a_x, failed(fail)))
@@ -195,8 +211,6 @@ def hausman_te_from(pd: PanelDesign, fete_est: Estimate, tmgte_est: Estimate) ->
         variant = VARIANT_TE_TGTK
 
     v = mt(scores) @ scores / panel.n
-    coef_scale = np.maximum(
-        np.abs(fete_est.coef).max(axis=-1), np.abs(tmgte_est.coef).max(axis=-1)
-    )
+    coef_scale = np.maximum(np.abs(fete_est.coef), np.abs(tmgte_est.coef[..., 1:]))
     stat, fail = _quad_form(v, delta, panel.n, coef_scale, fail)
     return _result(stat, panel.k_prime, variant, delta, fail)

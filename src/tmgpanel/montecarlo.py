@@ -18,7 +18,6 @@ import json
 import math
 import numbers
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
@@ -614,6 +613,8 @@ def run_experiment(
 
     chunks = _blocks(range(reps), -(-reps // jobs))
     if len(chunks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a split run pays its import
+
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             records = _concat(
                 list(pool.map(_worker, [(cfg, c, tags, trim_cfg, alpha_gp) for c in chunks]))

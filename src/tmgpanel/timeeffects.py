@@ -20,6 +20,8 @@ from .designs import (
     mt,
     mv,
     nonsingular,
+    rank_deficient,
+    system_singular,
     void,
     within,
 )
@@ -115,10 +117,9 @@ def chamberlain_phi(panel: Panels, design: PanelDesign | None = None) -> TimeEff
         )
     proj = design.projectors() if design is not None else chamberlain_projectors(panel)
     mbar = nonsingular(proj.M_bar, failed(proj.fail))
-    w = np.linalg.eigvalsh(mbar)
     fail = flag(
         proj.fail,
-        w[..., 0] <= 1e-12 * np.maximum(w[..., -1], 0.0),
+        rank_deficient(mbar),
         lambda i: SingularMbarError("average annihilator matrix is singular"),
     )
     mbar = nonsingular(mbar, failed(fail))
@@ -160,10 +161,9 @@ def weighted_mean_group_te(
     wbar = pd.W.mean(axis=-3)  # (..., T, k)
     ybar = panel.y.mean(axis=-2)
     a = np.eye(panel.k) - mt(qbar) @ within(wbar, axis=-2)
-    sv = np.linalg.svd(nonsingular(a, failed(wt.fail)), compute_uv=False)
     fail = flag(
         wt.fail,
-        sv[..., -1] <= 1e-12 * sv[..., 0],
+        system_singular(nonsingular(a, failed(wt.fail)), pd.scales()),
         lambda i: SingularTeSystemError("I_k - Qbar'M_T Wbar is not invertible"),
     )
     a_inv = np.linalg.inv(nonsingular(a, failed(fail)))

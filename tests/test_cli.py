@@ -7,7 +7,7 @@ import pytest
 
 from _helpers import QUOTED_IDS_CSV
 from tmgpanel import BalancedPanel, DgpConfig, generate_replication, read_panel_csv
-from tmgpanel.cli import main
+from tmgpanel.cli import _t_rows, main
 from tmgpanel.estimators import DEFAULT_ALPHA_GP
 
 import oracles
@@ -105,6 +105,33 @@ class TestEstimate:
             for r, i in zip(rows, keep):
                 want = oracles.unit_theta(y[i], x[i])
                 np.testing.assert_allclose([float(v) for v in r[1:]], want, rtol=1e-9)
+
+    def test_gp_keeping_one_unit_has_no_t(self, tmp_path, capsys):
+        # T = 2: three units whose x moves by about 1e-3 fall below GP's
+        # bandwidth, so one unit is kept and no standard error exists
+        path = tmp_path / "one_kept.csv"
+        path.write_text(
+            "unit_id,time_id,y,x1\n"
+            "1,1,0.1,1.0\n1,2,0.3,1.001\n"
+            "2,1,0.2,2.0\n2,2,0.1,2.0012\n"
+            "3,1,0.4,0.5\n3,2,0.2,0.5009\n"
+            "4,1,0.5,0.0\n4,2,3.5,3.0\n"
+        )
+        assert main(["estimate", str(path), "--method", "gp", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        rows = [r.split(",") for r in (tmp_path / "estimate.csv").read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["alpha", "beta1"]
+        assert [r[2:] for r in rows] == [["nan", "nan", "nan"]] * 2
+        assert "inf" not in out and "0.0000\n" not in out
+
+    def test_t_and_p_follow_ieee_division(self):
+        values, ses = [-1.5, 2.0, 0.0, 1.0, 3.0], [0.0, 0.0, 0.0, np.nan, 2.0]
+        rows = _t_rows(["a", "b", "c", "d", "e"], values, ses)
+        t = [r[3] for r in rows]
+        p = [r[4] for r in rows]
+        assert t[:2] == [-np.inf, np.inf] and p[:2] == [0.0, 0.0]
+        assert np.isnan(t[2:4]).all() and np.isnan(p[2:4]).all()
+        assert t[4] == 1.5 and p[4] == pytest.approx(0.13361440253771617, rel=1e-12)
 
     def test_malformed_csv_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

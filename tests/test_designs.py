@@ -3,7 +3,7 @@ import pytest
 
 from tmgpanel import BalancedPanel, SingularDesignError, mg, within
 from tmgpanel._kernels import _det_adj_stack, gram_det_adj
-from tmgpanel.designs import PanelDesign
+from tmgpanel.designs import RANK_RTOL, PanelDesign, mt, rank_deficient, rank_ratio
 
 import oracles
 from _helpers import random_panel
@@ -86,6 +86,46 @@ class TestDeterminantAdjugate:
         d, adj = d[0], adj[0]
         np.testing.assert_allclose(d, np.linalg.det(a), rtol=1e-9)
         np.testing.assert_allclose(a @ adj, d * np.eye(6), atol=1e-9 * abs(d))
+
+
+class TestRankRule:
+    """rank_deficient: det(G) <= RANK_RTOL prod diag(G), whatever the units."""
+
+    @staticmethod
+    def grams(rng, m):
+        # well-conditioned and exactly rank-deficient PSD matrices, 8 of each
+        full = rng.normal(0, 1, (8, m, m + 3))
+        low = rng.normal(0, 1, (8, m, m - 1)) if m > 1 else np.zeros((8, 1, 1))
+        return full @ mt(full), low @ mt(low)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("power", [20, -20])
+    def test_verdict_ignores_coefficient_units(self, rng, m, power):
+        full, low = self.grams(rng, m)
+        d = 2.0 ** (power * (np.arange(m) % 2 == 0))  # D = diag(2^power, 1, 2^power, ...)
+        for g, want in ((full, False), (low, True)):
+            dgd = g * d[:, None] * d[None, :]
+            np.testing.assert_array_equal(rank_deficient(g), want)
+            np.testing.assert_array_equal(rank_deficient(dgd), want)
+            for a, b in zip(g, dgd):
+                assert rank_ratio(b) == pytest.approx(rank_ratio(a), rel=1e-12, abs=1e-15)
+
+    def test_one_by_one_is_the_sign_test(self):
+        g = np.array([0.0, -0.0, 1e-200, 5.0, -1e-200, np.nan])[:, None, None]
+        with np.errstate(all="raise"):
+            got = rank_deficient(g)
+        np.testing.assert_array_equal(got, [True, True, False, False, True, True])
+        assert rank_ratio(np.zeros((1, 1))) == 0.0
+
+    def test_threshold_and_zero_diagonal(self):
+        # det / prod diag = 1 - c^2 for the correlation c
+        cs = np.sqrt(1.0 - np.array([0.5, 4.0, 0.25]) * RANK_RTOL)
+        g = np.array([[[1.0, c], [c, 1.0]] for c in cs])
+        np.testing.assert_array_equal(rank_deficient(g), [True, False, True])
+        zero_col = np.array([[[2.0, 0.0], [0.0, 0.0]]])
+        with np.errstate(all="raise"):
+            assert rank_deficient(zero_col).all()
+            assert rank_ratio(zero_col[0]) == 0.0
 
 
 class TestUnitOls:

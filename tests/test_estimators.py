@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,10 @@ from tmgpanel import (
     AllTrimmedError,
     BalancedPanel,
     SingularDesignError,
+    SingularPooledGramError,
     TrimConfig,
     fe,
+    fete,
     gp,
     mg,
     tmg,
@@ -55,6 +59,19 @@ class TestFe:
         p = random_panel(rng, n=30, T=4, k_prime=2)
         est = fe(p)
         assert np.isfinite(est.se).all() and (est.se > 0).all()
+
+    @pytest.mark.parametrize("fit", [fe, lambda p: fete(p)[0]], ids=["fe", "fete"])
+    def test_regressor_without_within_variation(self, rng, fit):
+        # x2 constant within each unit: a zero diagonal in the pooled Gram
+        # matrix, reported by its unit-free ratio, with no warning on the way
+        p = random_panel(rng, n=30, T=4, k_prime=2)
+        x = p.x.copy()
+        x[:, :, 1] = rng.normal(0, 1, (p.n, 1))
+        p = BalancedPanel(y=p.y, x=x, unit_ids=p.unit_ids, time_ids=p.time_ids)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SingularPooledGramError, match=r"det / prod diag = 0\.000e\+00"):
+                fit(p)
 
 
 class TestMg:

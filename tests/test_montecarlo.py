@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tmgpanel
 from tmgpanel import (
     DgpConfig,
     ScenarioError,
@@ -630,3 +636,14 @@ class TestScenario:
     def test_missing_required(self):
         with pytest.raises(ScenarioError):
             scenario_from_dict({"T": 2})
+
+
+def test_import_leaves_process_pool_out():
+    # run_experiment imports the process pool only when it splits the work
+    src = str(Path(tmgpanel.__file__).resolve().parents[1])
+    script = "import sys, tmgpanel; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "False\n"

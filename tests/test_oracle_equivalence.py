@@ -117,7 +117,22 @@ def test_hausman_match_bruteforce(idx, panel):
 # regressor scales from 1e-3 to 1e3 (slopes scaled inversely, so the fit is
 # as well determined at every scale). The stayer makes MG raise, and at T > k
 # it leaves the projector route without an inverse, so those fits are checked
-# on the panel without it.
+# on the panel without it. Next to the stayer sits a nearly singular unit,
+# cond(W_i) between 1e3 and 1e4: far from the rank rule's tolerance, so every
+# fit must keep it and still match its oracle.
+
+NEAR_COND = (1e3, 1e4)
+
+
+def near_singular_x(x_i, scale, rng):
+    """x_i moved off a constant by a small step, so that cond(W_i) lands in
+    NEAR_COND; the step is found from cond(W_i) being inverse to it when small."""
+    T, k_prime = x_i.shape
+    z = rng.standard_normal((T, k_prime))
+    step = 1e-7
+    cond = np.linalg.cond(oracles.unit_w(x_i + step * scale * z))
+    step *= cond / 10.0 ** rng.uniform(3.2, 3.8)
+    return x_i + step * scale * z
 
 
 def stress_fixtures():
@@ -133,6 +148,8 @@ def stress_fixtures():
                 stayer = int(rng.integers(n))
                 # dyadic constants keep the stayer's Gram sums and d_i = 0 exact
                 x[stayer] = 2.0 ** np.floor(np.log2(scale)) * rng.integers(1, 16, k_prime) / 8
+                near = (stayer + 1) % n
+                x[near] = near_singular_x(x[stayer], scale, np.random.default_rng(n * T + rep))
                 beta = (1.0 + 0.3 * rng.standard_normal((n, k_prime))) / scale
                 y = rng.standard_normal(n)[:, None] + np.einsum("ntp,np->nt", x, beta)
                 y = y + rng.standard_normal(T) + 0.7 * rng.standard_normal((n, T))
@@ -146,12 +163,19 @@ def stress_fixtures():
 STRESS = stress_fixtures()
 
 
+@pytest.mark.parametrize("panel,stayer", STRESS)
+def test_stress_near_singular_unit(panel, stayer):
+    near = (stayer + 1) % panel.n
+    cond = np.linalg.cond(oracles.unit_w(panel.x[near]))
+    assert NEAR_COND[0] <= cond <= NEAR_COND[1]
+
+
 def te_panel(panel, stayer):
     """The panel the time-effects fits run on: without the stayer at T > k,
     after checking that the projector route refuses it."""
     if panel.T == panel.k:
         return panel
-    with pytest.raises(SingularUnitGramError):
+    with pytest.raises(SingularUnitGramError, match=rf"units \[{stayer}\]$"):
         tmg_te(panel, TrimConfig(alpha=ALPHA))
     keep = np.arange(panel.n) != stayer
     return BalancedPanel(
