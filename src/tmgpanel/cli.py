@@ -16,6 +16,7 @@ import re
 import sys
 import time
 from dataclasses import replace
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +76,14 @@ def _versions() -> dict:
 
 
 def _write_manifest(
-    out_dir: Path, command: str, params: dict, seed, outputs, elapsed: float, stages=None
+    out_dir: Path,
+    command: str,
+    params: dict,
+    seed,
+    outputs,
+    elapsed: float,
+    stages=None,
+    extra=None,
 ):
     manifest = {
         "command": command,
@@ -85,6 +93,7 @@ def _write_manifest(
         "versions": _versions(),
         "timings": {"wall_seconds": elapsed, **(stages or {})},
         "outputs": [str(p) for p in outputs],
+        **(extra or {}),
     }
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, default=str) + "\n", encoding="utf-8")
@@ -158,19 +167,34 @@ def _csv_ids(ids) -> list[str]:
 def _write_per_unit(path: Path, names, unit_ids, est) -> None:
     """One row per unit in the average: its id, then its row of ``per_unit``.
 
-    Every row goes through one format string, ``%.17g`` per value, which
-    renders the same bytes as :func:`_fmt`.
+    Each chunk of rows is one ``%`` call over one flat tuple of its cells,
+    with ``%.17g`` per value, which renders the same bytes as :func:`_fmt`.
     """
     rows, ids = est.per_unit, _csv_ids(unit_ids)
     if est.keep is not None:
         rows = rows[est.keep]
-        ids = [uid for uid, kept in zip(ids, est.keep) if kept]
+        ids = list(compress(ids, est.keep.tolist()))
+    width = 1 + rows.shape[1]
     line = "%s," + ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("unit_id," + ",".join(names) + "\n")
         for i in range(0, len(ids), _WRITE_ROWS):
-            chunk = zip(ids[i : i + _WRITE_ROWS], rows[i : i + _WRITE_ROWS].tolist())
-            fh.write("".join([line % (uid, *row) for uid, row in chunk]))
+            chunk = rows[i : i + _WRITE_ROWS]
+            cells = [None] * (chunk.shape[0] * width)
+            cells[::width] = ids[i : i + _WRITE_ROWS]
+            for j in range(1, width):
+                cells[j::width] = chunk[:, j - 1].tolist()
+            fh.write((line * chunk.shape[0]) % tuple(cells))
+
+
+def _trimming_record(state) -> dict:
+    """The threshold a_n, the trimmed fraction pi_n and the trimmed-unit
+    count of a TMG-family fit, from its ``TrimState``."""
+    return {
+        "a_n": float(state.a_n),
+        "pi_n": float(state.pi_n),
+        "trimmed": int(np.count_nonzero(state.trimmed)),
+    }
 
 
 def _run_estimate(args) -> int:
@@ -243,8 +267,13 @@ def _run_estimate(args) -> int:
         "T": panel.T,
     }
     stages = _stages(t0, t_read, t_fit)
+    extra = None
+    if est.trim is not None:
+        extra = {"trimming": _trimming_record(est.trim)}
     outputs.append(
-        _write_manifest(out, "estimate", params, None, outputs, time.perf_counter() - t0, stages)
+        _write_manifest(
+            out, "estimate", params, None, outputs, time.perf_counter() - t0, stages, extra
+        )
     )
     return EXIT_OK
 

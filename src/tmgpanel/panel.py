@@ -7,10 +7,17 @@ downstream formula assumes a common T.
 Ingestion is columnar. ``read_panel_csv`` parses the file once, with numpy's
 C reader, into two fixed-width byte id columns and a value matrix
 (y, x1..xk'), and factorises each id column on its bytes, read as big-endian
-64-bit words, so only the distinct ids become Python strings. ``load_panel``
-factorises its records' ids with a dict. One assembler orders the distinct
-ids, checks duplicates and balance with ``np.bincount`` over the cell index
-and scatters the values into the (n, T) and (n, T, k') arrays.
+64-bit words, so only the distinct ids become Python strings. The distinct
+ids leave that factorisation in byte order, which for UTF-8 is ``str`` order,
+and an id of 1 to 15 ASCII digits is valued from its bytes (exactly, so the
+value is the one ``float()`` gives); only the other ids go through
+``float()``. ``load_panel`` factorises its records' ids with a dict and sorts
+the distinct ids by ``str`` once. One assembler orders the distinct ids,
+checks duplicates and balance with ``np.bincount`` over the cell index and
+scatters the values into the (n, T) and (n, T, k') arrays.
+
+A UTF-8 byte-order mark at the start of a CSV (Excel's "CSV UTF-8") is
+skipped.
 
 An id column is parsed at 16 bytes per id. If any id fills that width it may
 have been cut short, so that column alone is parsed again at four times the
@@ -27,6 +34,7 @@ verbatim, so `` 1`` and ``1`` are two units.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import re
@@ -170,29 +178,62 @@ class PanelBlock(_PanelShape):
     x: np.ndarray
 
 
-def _factorise(column) -> tuple[list, np.ndarray]:
-    """Distinct ids in order of first appearance, and each row's index into them."""
+def _factorise(column) -> tuple[list, np.ndarray, np.ndarray]:
+    """Distinct ids in ``str`` order (equal strings in order of first
+    appearance), each row's index into them, and each id's numeric value."""
     index: dict = {}
-    codes = [index.setdefault(v, len(index)) for v in column]
-    return list(index), np.asarray(codes, dtype=np.intp)
+    codes = np.asarray([index.setdefault(v, len(index)) for v in column], dtype=np.intp)
+    seen = list(index)
+    text = [str(v) for v in seen]
+    order = sorted(range(len(seen)), key=text.__getitem__)
+    ids = [seen[i] for i in order]
+    value = np.fromiter(map(_numeric_value, ids), dtype=np.float64, count=len(ids))
+    return ids, _ranks(np.asarray(order, dtype=np.intp))[codes], value
 
 
 def _id_bytes(column: np.ndarray) -> np.ndarray:
-    """A fixed-width bytes column as a (rows, width) uint8 matrix."""
-    column = np.ascontiguousarray(column)
-    return column.view(np.uint8).reshape(column.size, column.dtype.itemsize)
+    """A fixed-width bytes column, or a field of a structured table, as a
+    (rows, width) uint8 view of the same memory."""
+    return column[:, None].view(np.uint8)
 
 
-def _factorise_bytes(raw: np.ndarray) -> tuple[list, np.ndarray]:
+# ids of at most this many ASCII digits are below 10**15 < 2**53: their value
+# is an exact integer, the double ``float()`` gives
+_DIGITS = 15
+
+
+def _digit_values(raw: np.ndarray) -> np.ndarray:
+    """The value of each row of a (rows, width) matrix of NUL-padded ids that
+    is 1 to ``_DIGITS`` ASCII digits, and NaN for every other row."""
+    head = np.ascontiguousarray(raw[:, :_DIGITS].T)  # one row per byte position
+    digit = head - np.uint8(ord("0"))  # a byte below "0" wraps above 9
+    is_digit = digit < 10
+    length = np.count_nonzero(head, axis=0)
+    plain = (length > 0) & (np.count_nonzero(is_digit, axis=0) == length)
+    if raw.shape[1] > _DIGITS:
+        plain &= raw[:, _DIGITS] == 0
+    # the digits read left-aligned in the head, then shifted right; every
+    # partial sum and the quotient are integers below 2**53, so exact
+    shifted = np.zeros(head.shape[1])
+    for row in np.where(is_digit, digit, 0):
+        shifted = 10.0 * shifted + row
+    return np.where(plain, shifted / 10.0 ** (head.shape[0] - length), np.nan)
+
+
+def _factorise_bytes(raw: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
     """Distinct ids of a (rows, width) matrix of NUL-padded UTF-8 ids without
-    NUL bytes of their own, and each row's index into them.
+    NUL bytes of their own, each row's index into them, and each id's numeric
+    value.
 
     Each id's bytes, zero-padded to whole 8-byte words, are read as big-endian
-    ``uint64`` words; two ids are equal exactly when their words are. Only the
-    distinct ids are decoded.
+    ``uint64`` words; two ids are equal exactly when their words are, and the
+    distinct ids come out in byte order, which for UTF-8 is ``str`` order.
+    Only the distinct ids are decoded, and only those that are not plain
+    digits are passed to ``float()``.
     """
-    longest = int(np.count_nonzero(raw.any(axis=0)))
-    words = raw[:, : 8 * max(1, -(-longest // 8))].view(">u8")
+    used = [j for j, word in enumerate(raw.view(np.uint64).T) if word.any()]
+    # the used words, read big-endian and converted to native order, which sorts faster
+    words = raw[:, : 8 * (used[-1] + 1 if used else 1)].view(">u8").astype(np.uint64)
     if words.shape[1] == 1:
         distinct, codes = np.unique(words[:, 0], return_inverse=True)
     else:
@@ -203,8 +244,14 @@ def _factorise_bytes(raw: np.ndarray) -> tuple[list, np.ndarray]:
         codes = np.empty(order.size, dtype=np.intp)
         codes[order] = np.cumsum(new) - 1
         distinct = ranked[new]
-    distinct = distinct.view(f"S{words.itemsize * words.shape[1]}").ravel()
-    return [v.decode("utf-8") for v in distinct.tolist()], codes
+    distinct = distinct.reshape(distinct.shape[0], -1).astype(">u8")
+    # ids hold no NUL, so NUL joins them and splits the one decoded text
+    text = b"\0".join(distinct.view(f"S{8 * distinct.shape[1]}").ravel().tolist())
+    ids = text.decode("utf-8").split("\0")
+    value = _digit_values(distinct.view(np.uint8))
+    others = np.flatnonzero(np.isnan(value))
+    value[others] = [_numeric_value(ids[i]) for i in others.tolist()]
+    return ids, codes, value
 
 
 def _numeric_value(v) -> float:
@@ -220,27 +267,27 @@ def _ranks(order: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _sort_ids(ids: list) -> tuple[list, np.ndarray]:
-    """``ids`` in the id order of the module docstring, and each id's rank in it."""
-    value = np.fromiter(map(_numeric_value, ids), dtype=np.float64, count=len(ids))
+def _sort_ids(ids: list, value: np.ndarray) -> tuple[list, np.ndarray]:
+    """``ids``, given in ``str`` order with their numeric values, in the id
+    order of the module docstring, and each id's rank in it."""
     is_text = np.isnan(value)
-    text = [str(v) for v in ids]
-    text_rank = _ranks(np.array(sorted(range(len(ids)), key=text.__getitem__), dtype=np.intp))
-    order = np.lexsort((text_rank, np.where(is_text, 0.0, value), is_text))
-    return [ids[i] for i in order], _ranks(order)
+    # a stable sort: ids of one value, and the text ids, stay in str order
+    order = np.lexsort((np.where(is_text, 0.0, value), is_text))
+    return [ids[i] for i in order.tolist()], _ranks(order)
 
 
 def _assemble(units, times, values: np.ndarray, label) -> BalancedPanel:
     """Build the panel from long-format columns.
 
-    ``units`` and ``times`` are factorised id columns: (distinct ids, each
-    row's index into them). ``values`` is the (rows, 1 + k') matrix of y,
-    x1..xk'. ``label(r)`` names row ``r`` in the non-finite error ("line 7"
-    for a CSV, "record 3" for records).
+    ``units`` and ``times`` are factorised id columns: (distinct ids in
+    ``str`` order, each row's index into them, each id's numeric value).
+    ``values`` is the (rows, 1 + k') matrix of y, x1..xk'. ``label(r)`` names
+    row ``r`` in the non-finite error ("line 7" for a CSV, "record 3" for
+    records).
     """
-    (unit_seen, unit_code), (time_seen, time_code) = units, times
-    unit_ids, unit_rank = _sort_ids(unit_seen)
-    time_ids, time_rank = _sort_ids(time_seen)
+    (unit_seen, unit_code, unit_value), (time_seen, time_code, time_value) = units, times
+    unit_ids, unit_rank = _sort_ids(unit_seen, unit_value)
+    time_ids, time_rank = _sort_ids(time_seen, time_value)
     n, T = len(unit_ids), len(time_ids)
     cell = unit_rank[unit_code] * T + time_rank[time_code]
     counts = np.bincount(cell, minlength=n * T)
@@ -254,12 +301,13 @@ def _assemble(units, times, values: np.ndarray, label) -> BalancedPanel:
     if missing.size:
         examples = [(unit_ids[c // T], time_ids[c % T]) for c in missing[:5].tolist()]
         raise UnbalancedPanelError(f"{missing.size} missing cells, e.g. {examples}")
-    grid = np.empty((n * T, values.shape[1]))
-    grid[cell] = values
-    grid = grid.reshape(n, T, -1)
+    y = np.empty(n * T)
+    y[cell] = values[:, 0]
+    x = np.empty((n * T, values.shape[1] - 1))
+    x[cell] = values[:, 1:]
     try:
         return BalancedPanel(
-            y=grid[:, :, 0], x=grid[:, :, 1:], unit_ids=unit_ids, time_ids=time_ids
+            y=y.reshape(n, T), x=x.reshape(n, T, -1), unit_ids=unit_ids, time_ids=time_ids
         )
     except NonFiniteValueError:
         bad = ~np.isfinite(values)
@@ -337,6 +385,8 @@ def read_panel_csv(path_or_buf) -> BalancedPanel:
 
 
 def _parse_csv(data: bytes) -> BalancedPanel:
+    if data.startswith(codecs.BOM_UTF8):
+        data = data[len(codecs.BOM_UTF8) :]
     if not data:
         raise PanelInputError("empty CSV")
     end = data.find(b"\n")

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -418,6 +419,77 @@ def test_per_unit_csv_bytes(hetero_csv, tmp_path, method):
     assert main(["estimate", str(hetero_csv), "--method", method, "--dump-units",
                  "--out", str(tmp_path)]) == 0
     assert (tmp_path / "per_unit.csv").read_bytes() == want.encode()
+
+
+def _quoted(uid):
+    if any(c in uid for c in ',"\r\n'):
+        return '"' + uid.replace('"', '""') + '"'
+    return uid
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("subset", [False, True])
+def test_per_unit_writer_matches_row_by_row_format(tmp_path, extra, subset):
+    # one % call per chunk renders the bytes of a "%s," + "%.17g"... row
+    # format, around the chunk size, with special values, ids that need
+    # quoting and a kept subset of units as GP has
+    from types import SimpleNamespace
+
+    from tmgpanel.cli import _WRITE_ROWS, _write_per_unit
+
+    n = _WRITE_ROWS + extra
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-300, 300, (n, 2))
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308]
+    rows.flat[rng.choice(rows.size, 64, replace=False)] = np.resize(special, 64)
+    ids = [str(i) for i in range(n)]
+    for i, uid in zip(rng.choice(n, 6, replace=False), ["a,b", 'q"x', "l\nf", "c\r", " 1", ""]):
+        ids[i] = uid
+    keep = rng.random(n) < 0.7 if subset else None
+    _write_per_unit(
+        tmp_path / "per_unit.csv", ("alpha", "beta1"), ids,
+        SimpleNamespace(per_unit=rows, keep=keep),
+    )
+    kept = range(n) if keep is None else np.flatnonzero(keep)
+    want = "unit_id,alpha,beta1\n" + "".join(
+        ("%s," + ",".join(["%.17g"] * 2) + "\n") % (_quoted(ids[i]), *rows[i].tolist())
+        for i in kept
+    )
+    assert (tmp_path / "per_unit.csv").read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("method", ["tmg", "tmgte", "gp", "fe"])
+def test_manifest_records_the_trimming_of_tmg_fits(hetero_csv, tmp_path, method):
+    from tmgpanel import tmg, tmg_te
+
+    assert main(["estimate", str(hetero_csv), "--method", method, "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    if method in ("gp", "fe"):
+        assert "trimming" not in manifest
+        return
+    panel = read_panel_csv(hetero_csv)
+    state = (tmg(panel) if method == "tmg" else tmg_te(panel)[0]).trim
+    assert manifest["trimming"] == {
+        "a_n": state.a_n, "pi_n": state.pi_n, "trimmed": int(state.trimmed.sum())
+    }
+    assert 0 < manifest["trimming"]["trimmed"] < panel.n
+
+
+def test_csv_with_a_byte_order_mark(hetero_csv, tmp_path):
+    # Excel's "CSV UTF-8" starts with EF BB BF: it is skipped, and the
+    # manifest still hashes the file's own bytes
+    plain = hetero_csv.read_bytes()
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain)
+    for path, out in ((hetero_csv, tmp_path / "plain"), (bom, tmp_path / "bom")):
+        assert main(["estimate", str(path), "--dump-units", "--out", str(out)]) == 0
+    for name in ("estimate.csv", "per_unit.csv"):
+        assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    manifest = json.loads((tmp_path / "bom" / "manifest.json").read_text())
+    assert manifest["parameters"]["csv_sha256"] == hashlib.sha256(bom.read_bytes()).hexdigest()
+    # a text buffer that starts with U+FEFF is the same file
+    text = io.StringIO("\ufeff" + plain.decode("utf-8"))
+    assert read_panel_csv(text).unit_ids == read_panel_csv(hetero_csv).unit_ids
 
 
 @pytest.mark.parametrize("command", ["simulate", "power", "calibrate"])

@@ -392,3 +392,54 @@ def test_csv_wide_and_multibyte_ids_match_records(units, times, quoting):
     quoted = {"none": [False], "all": [True], "alternate": [True, False]}[quoting]
     quoted = (quoted * len(records))[: len(records)]
     _assert_reads_like_records(1, units, times, records, quoted, [False] * len(records))
+
+
+# Ids on each side of the reader's digit path (1-15 ASCII digits, valued from
+# their bytes) and its float() path: leading zeros, 15/16/17 digits (17-digit
+# neighbours round to one double), signs, decimals, exponents, spaces,
+# underscores, nan/inf, Arabic-Indic digits (float() reads them), multi-byte
+# text and ids wider than the 16-byte first parse.
+ORDER_POOL = (
+    "0", "00", "-0", "0.0", "007", "7", "7.0", "70", "1", "10", "9",
+    "999999999999999", "0999999999999999", "1000000000000000",
+    "123456789012345", "1234567890123456", "12345678901234567", "12345678901234568",
+    "100000000000000000", "-5", "+5", "1.0", "1e3", "1000", " 1", "1 ", "1_000",
+    "nan", "NaN", "-nan", "inf", "-inf", "+inf", "infinity",
+    "٣", "١٢", "۷", "東京", "ä", "€5", "a", "b", "Z", "",
+    "9" * 20, "0" * 19 + "5", "x" * 20, "2024-01-01T00:00:00Z",
+)
+
+
+def _random_id(rng):
+    if rng.random() < 0.6:
+        return str(ORDER_POOL[rng.integers(len(ORDER_POOL))])
+    digits = "".join(rng.choice(list("0123456789"), size=rng.integers(1, 19)))
+    return digits if rng.random() < 0.5 else "-" + digits
+
+
+def _distinct_ids(rng, size):
+    seen = {}
+    while len(seen) < size:
+        seen.setdefault(_random_id(rng), None)
+    return list(seen)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_id_order_matches_the_brute_force_rule(seed):
+    # the documented order written out with sorted, float() and str, against
+    # both readers: the CSV reader's byte factorisation and digit path, and
+    # load_panel's factorisation of records
+    rng = np.random.default_rng(seed)
+    units = _distinct_ids(rng, int(rng.integers(2, 25)))
+    times = _distinct_ids(rng, int(rng.integers(2, 6)))
+    cells = [(u, t) for u in units for t in times]
+    order = rng.permutation(len(cells))
+    records = [(*cells[i], float(i), float(i) * 0.5 + 1.0) for i in order]
+    lines = ["unit_id,time_id,y,x1"]
+    lines += [f'"{u}","{t}",{y!r},{x!r}' for u, t, y, x in records]
+    for panel in (read_panel_csv(io.StringIO("\n".join(lines) + "\n")), load_panel(records)):
+        assert panel.unit_ids == tuple(sorted(units, key=_id_key))
+        assert panel.time_ids == tuple(sorted(times, key=_id_key))
+        cell = {(u, t): y for u, t, y, _ in records}
+        want = [[cell[u, t] for t in panel.time_ids] for u in panel.unit_ids]
+        np.testing.assert_array_equal(panel.y, want)
