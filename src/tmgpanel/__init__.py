@@ -40,10 +40,8 @@ from .montecarlo import (
     McResult,
     ReplicationTruth,
     calibrate_kappa,
-    default_power_grid,
     generate_replication,
     run_experiment,
-    with_calibrated_kappa,
 )
 from .panel import BalancedPanel, PanelBlock, load_panel, read_panel_csv
 from .timeeffects import (
@@ -90,7 +88,6 @@ __all__ = [
     "chamberlain_projectors",
     "chisq_sf",
     "compute_threshold",
-    "default_power_grid",
     "delta_weights",
     "fe",
     "fete",
@@ -105,6 +102,5 @@ __all__ = [
     "run_experiment",
     "tmg",
     "tmg_te",
-    "with_calibrated_kappa",
     "within",
 ]

@@ -22,19 +22,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import NumericalError, PanelInputError, ScenarioError
-from .estimators import DEFAULT_ALPHA_GP, fe, gp, mg, tmg
+from .errors import NumericalError, PanelInputError
+from .estimators import DEFAULT_ALPHA_GP
 from .hausman import hausman_no_te, hausman_te
 from .montecarlo import (
+    TE_TAGS,
     TEST_TAGS,
     DgpConfig,
+    FitCache,
     calibrate_kappa,
-    default_power_grid,
     load_scenario,
     run_experiment,
 )
 from .panel import read_panel_csv
-from .timeeffects import fete, gp_te, tmg_te
 from .trimming import DEFAULT_ALPHA, TrimConfig
 
 EXIT_OK = 0
@@ -117,6 +117,7 @@ _ALPHA = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _POSITIVE = _checked(float, lambda v: v > 0.0, "positive")
 _AT_LEAST_1 = _checked(int, lambda v: v >= 1, "at least 1")
 _AT_LEAST_2 = _checked(int, lambda v: v >= 2, "at least 2")
+_FINITE = _checked(float, math.isfinite, "finite")
 
 
 def _out_dir(args) -> Path:
@@ -197,35 +198,22 @@ def _trimming_record(state) -> dict:
     }
 
 
+#: The time-effects variant of each --method that has one: the tag --te selects.
+_TE_VARIANT = {"fe": "fete", "tmg": "tmgte", "gp": "gpte"}
+
+
 def _run_estimate(args) -> int:
     t0 = time.perf_counter()
     panel, csv_sha256 = _read_input(args.csv)
     t_read = time.perf_counter()
-    trim_cfg = TrimConfig(alpha=args.alpha)
-    method = args.method
-    te = args.te or method in ("fete", "tmgte")
-    if te and method == "fe":
-        method = "fete"
-    if te and method == "tmg":
-        method = "tmgte"
-    if te and method == "mg":
-        raise PanelInputError("method 'mg' has no time-effects variant")
-
-    te_result = None
-    if method == "fe":
-        est = fe(panel)
-    elif method == "mg":
-        est = mg(panel)
-    elif method == "tmg":
-        est = tmg(panel, trim_cfg)
-    elif method == "gp" and not te:
-        est = gp(panel, args.alpha_gp)
-    elif method == "gp":
-        est, te_result = gp_te(panel, args.alpha_gp)
-    elif method == "fete":
-        est, te_result = fete(panel)
-    else:
-        est, te_result = tmg_te(panel, trim_cfg)
+    tag = args.method
+    if args.te and tag not in TE_TAGS:
+        tag = _TE_VARIANT.get(tag)
+        if tag is None:
+            raise PanelInputError(f"method {args.method!r} has no time-effects variant")
+    te = tag in TE_TAGS
+    fit = FitCache(panel, TrimConfig(alpha=args.alpha), args.alpha_gp).fit(tag)
+    est, te_result = fit if te else (fit, None)
 
     names = est.coef_names or tuple(f"c{j}" for j in range(np.atleast_1d(est.coef).size))
     rows = _t_rows(names, est.coef, est.se)
@@ -312,25 +300,12 @@ def _run_test(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _prepare_scenario(args, need_estimators: bool = True):
+def _prepare_scenario(args):
+    """The scenario, checked as it loads, with --seed applied, and its settings."""
     cfg, extras = load_scenario(args.scenario)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "reps", None) is not None:
-        extras["reps"] = args.reps
-    try:
-        trim_cfg = TrimConfig(
-            alpha=extras.get("trim_alpha", DEFAULT_ALPHA), c_n=extras.get("trim_c_n")
-        )
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"invalid trimming settings: {exc}") from None
-    alpha_gp = extras.get("alpha_gp", DEFAULT_ALPHA_GP)
-    if not isinstance(alpha_gp, (int, float)) or not alpha_gp > 0:
-        raise ScenarioError(f"alpha_gp must be a positive number, got {alpha_gp!r}")
-    estimators = extras.get("estimators", ["tmg"])
-    if need_estimators and not estimators:
-        raise PanelInputError("scenario lists no estimators")
-    return cfg, extras, trim_cfg, alpha_gp, estimators
+    return cfg, extras
 
 
 def _ensure_kappa(cfg: DgpConfig) -> tuple[DgpConfig, bool, float]:
@@ -361,86 +336,38 @@ def _write_results_csv(path: Path, results) -> None:
                 fh.write(f"{est_name},{metric},{coef},{_fmt(value)}\n")
 
 
-def _run_simulate(args) -> int:
-    t0 = time.perf_counter()
-    cfg, extras, trim_cfg, alpha_gp, estimators = _prepare_scenario(args)
-    cfg, calibrated, cal_seconds = _ensure_kappa(cfg)
-    reps = int(extras.get("reps", 2000))
-    t_rep = time.perf_counter()
-    results = run_experiment(
-        cfg, estimators, reps, trim_cfg=trim_cfg, alpha_gp=alpha_gp, jobs=args.jobs
-    )
-    t_write = time.perf_counter()
-    out = _out_dir(args)
-    path = out / "results.csv"
-    _write_results_csv(path, results)
-    for res in results:
-        if res.estimator in TEST_TAGS:
-            print(f"{res.estimator}: rejection_rate={res.size[0]:.4f} reps={res.reps}")
-        else:
-            print(
-                f"{res.estimator}: bias={res.bias[0]:+.4f} rmse={res.rmse[0]:.4f} "
-                f"size={res.size[0]:.4f} pi_hat={res.pi_hat:.4f} reps={res.reps}"
-            )
-        if res.failures:
-            reasons = ", ".join(f"{k}={v}" for k, v in res.failures_by_reason.items())
-            print(f"{res.estimator}: failures={res.failures} ({reasons})")
-    params = {
-        "scenario": cfg.to_dict(),
-        "estimators": list(estimators),
-        "reps": reps,
-        "trim_alpha": trim_cfg.alpha,
-        "alpha_gp": alpha_gp,
-        "kappa2_calibrated": calibrated,
-    }
-    stages = _mc_stages(cal_seconds, t_write - t_rep, t_write)
-    _write_manifest(
-        out, "simulate", params, cfg.seed, [path], time.perf_counter() - t0, stages
-    )
-    return EXIT_OK
+def _write_power_csv(path: Path, results) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("estimator,b0,rejection_rate,mc_se\n")
+        for res in results:
+            if res.power_curve is None:
+                continue
+            for b0, rate, mc_se in res.power_curve:
+                fh.write(f"{res.estimator},{_fmt(b0)},{_fmt(rate)},{_fmt(mc_se)}\n")
 
 
-def _run_calibrate(args) -> int:
-    t0 = time.perf_counter()
-    cfg, extras, _, _, _ = _prepare_scenario(args, need_estimators=False)
-    r_kappa = int(extras.get("reps", 1000))
-    t_cal = time.perf_counter()
-    kappa2 = calibrate_kappa(cfg, r_kappa=r_kappa, n_cal=args.n_cal)
-    t_write = time.perf_counter()
-    out = _out_dir(args)
-    path = out / "kappa2.json"
-    record = {
-        "kappa2": kappa2,
-        "T": cfg.T,
-        "pr2": cfg.pr2,
-        "r_kappa": r_kappa,
-        "n_cal": args.n_cal,
-        "seed": cfg.seed,
-    }
-    path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    print(f"kappa2(T={cfg.T}) = {kappa2:.6f}")
-    params = {"scenario": cfg.to_dict(), "r_kappa": r_kappa, "n_cal": args.n_cal}
-    stages = _mc_stages(t_write - t_cal, 0.0, t_write)
-    _write_manifest(
-        out, "calibrate", params, cfg.seed, [path], time.perf_counter() - t0, stages
-    )
-    return EXIT_OK
-
-
-def _run_power(args) -> int:
-    t0 = time.perf_counter()
-    cfg, extras, trim_cfg, alpha_gp, estimators = _prepare_scenario(args)
-    cfg, calibrated, cal_seconds = _ensure_kappa(cfg)
-    reps = int(extras.get("reps", 2000))
+def _power_grid(args, cfg: DgpConfig, extras: dict) -> np.ndarray:
+    """The scenario's beta0_grid, else --grid-points values from --grid-min
+    to --grid-max, which default to the true slope -+ 0.5."""
     if extras.get("beta0_grid") is not None:
-        grid = np.asarray(extras["beta0_grid"], dtype=np.float64)
-    elif args.grid_min is not None or args.grid_max is not None:
-        beta0 = cfg.theta0[1]
-        lo = beta0 - 0.5 if args.grid_min is None else args.grid_min
-        hi = beta0 + 0.5 if args.grid_max is None else args.grid_max
-        grid = np.linspace(lo, hi, args.grid_points)
-    else:
-        grid = default_power_grid(cfg.theta0[1], points=args.grid_points)
+        return np.asarray(extras["beta0_grid"], dtype=np.float64)
+    beta0 = cfg.theta0[1]
+    lo = beta0 - 0.5 if args.grid_min is None else args.grid_min
+    hi = beta0 + 0.5 if args.grid_max is None else args.grid_max
+    return np.linspace(lo, hi, args.grid_points)
+
+
+def _run_monte_carlo(args) -> int:
+    """simulate, or power: the same run with a slope grid, written as a curve."""
+    t0 = time.perf_counter()
+    cfg, extras = _prepare_scenario(args)
+    estimators = extras.get("estimators", ["tmg"])
+    if not estimators:
+        raise PanelInputError("scenario lists no estimators")
+    reps = args.reps if args.reps is not None else extras.get("reps", 2000)
+    grid = _power_grid(args, cfg, extras) if args.command == "power" else None
+    trim_cfg, alpha_gp = extras["trim_cfg"], extras.get("alpha_gp", DEFAULT_ALPHA_GP)
+    cfg, calibrated, cal_seconds = _ensure_kappa(cfg)
     t_rep = time.perf_counter()
     results = run_experiment(
         cfg,
@@ -453,26 +380,64 @@ def _run_power(args) -> int:
     )
     t_write = time.perf_counter()
     out = _out_dir(args)
-    path = out / "power.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("estimator,b0,rejection_rate,mc_se\n")
+    if grid is None:
+        path = out / "results.csv"
+        _write_results_csv(path, results)
         for res in results:
-            if res.power_curve is None:
-                continue
-            for b0, rate, mc_se in res.power_curve:
-                fh.write(f"{res.estimator},{_fmt(b0)},{_fmt(rate)},{_fmt(mc_se)}\n")
+            if res.estimator in TEST_TAGS:
+                print(f"{res.estimator}: rejection_rate={res.size[0]:.4f} reps={res.reps}")
+            else:
+                print(
+                    f"{res.estimator}: bias={res.bias[0]:+.4f} rmse={res.rmse[0]:.4f} "
+                    f"size={res.size[0]:.4f} pi_hat={res.pi_hat:.4f} reps={res.reps}"
+                )
+            if res.failures:
+                reasons = ", ".join(f"{k}={v}" for k, v in res.failures_by_reason.items())
+                print(f"{res.estimator}: failures={res.failures} ({reasons})")
+    else:
+        path = out / "power.csv"
+        _write_power_csv(path, results)
     params = {
         "scenario": cfg.to_dict(),
         "estimators": list(estimators),
         "reps": reps,
-        "grid": [float(g) for g in grid],
+        **({} if grid is None else {"grid": [float(g) for g in grid]}),
         "trim_alpha": trim_cfg.alpha,
         "alpha_gp": alpha_gp,
         "kappa2_calibrated": calibrated,
     }
     stages = _mc_stages(cal_seconds, t_write - t_rep, t_write)
-    _write_manifest(out, "power", params, cfg.seed, [path], time.perf_counter() - t0, stages)
-    print(f"wrote power curve over {grid.size} grid points to {path}")
+    _write_manifest(
+        out, args.command, params, cfg.seed, [path], time.perf_counter() - t0, stages
+    )
+    if grid is not None:
+        print(f"wrote power curve over {grid.size} grid points to {path}")
+    return EXIT_OK
+
+
+def _run_calibrate(args) -> int:
+    t0 = time.perf_counter()
+    cfg, _ = _prepare_scenario(args)
+    t_cal = time.perf_counter()
+    kappa2 = calibrate_kappa(cfg, r_kappa=args.reps, n_cal=args.n_cal)
+    t_write = time.perf_counter()
+    out = _out_dir(args)
+    path = out / "kappa2.json"
+    record = {
+        "kappa2": kappa2,
+        "T": cfg.T,
+        "pr2": cfg.pr2,
+        "r_kappa": args.reps,
+        "n_cal": args.n_cal,
+        "seed": cfg.seed,
+    }
+    path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    print(f"kappa2(T={cfg.T}) = {kappa2:.6f}")
+    params = {"scenario": cfg.to_dict(), "r_kappa": args.reps, "n_cal": args.n_cal}
+    stages = _mc_stages(t_write - t_cal, 0.0, t_write)
+    _write_manifest(
+        out, "calibrate", params, cfg.seed, [path], time.perf_counter() - t0, stages
+    )
     return EXIT_OK
 
 
@@ -513,12 +478,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--jobs", type=_AT_LEAST_1, default=1)
     p_sim.add_argument("--out", default="tmgpanel_out")
-    p_sim.set_defaults(func=_run_simulate)
+    p_sim.set_defaults(func=_run_monte_carlo)
 
     p_cal = sub.add_parser("calibrate", help="calibrate the outcome noise scale")
     p_cal.add_argument("scenario")
     p_cal.add_argument(
-        "--reps", type=_AT_LEAST_1, help="calibration replications (default 1000)"
+        "--reps", type=_AT_LEAST_1, default=1000, help="calibration replications (default 1000)"
     )
     p_cal.add_argument("--n-cal", type=_AT_LEAST_2, default=5000)
     p_cal.add_argument("--seed", type=int)
@@ -527,18 +492,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pow = sub.add_parser("power", help="rejection-rate curve over a slope grid")
     p_pow.add_argument("scenario")
-    p_pow.add_argument(
-        "--grid-min", type=float, help="default: true slope - 0.5"
-    )
-    p_pow.add_argument(
-        "--grid-max", type=float, help="default: true slope + 0.5"
-    )
+    p_pow.add_argument("--grid-min", type=_FINITE, help="default: true slope - 0.5")
+    p_pow.add_argument("--grid-max", type=_FINITE, help="default: true slope + 0.5")
     p_pow.add_argument("--grid-points", type=_AT_LEAST_1, default=21)
     p_pow.add_argument("--reps", type=_AT_LEAST_1)
     p_pow.add_argument("--seed", type=int)
     p_pow.add_argument("--jobs", type=_AT_LEAST_1, default=1)
     p_pow.add_argument("--out", default="tmgpanel_out")
-    p_pow.set_defaults(func=_run_power)
+    p_pow.set_defaults(func=_run_monte_carlo)
     return parser
 
 

@@ -60,18 +60,6 @@ class Estimate:
     def se(self) -> np.ndarray:
         return np.sqrt(np.diagonal(self.cov, axis1=-2, axis2=-1))
 
-    def to_record(self, n: int | None = None, T: int | None = None) -> dict:
-        """Flat serializable record (method, coef, se, pi_n, n, T, alpha)."""
-        return {
-            "method": self.method,
-            "coef": [float(c) for c in np.atleast_1d(self.coef)],
-            "se": [float(s) for s in np.atleast_1d(self.se)],
-            "pi_n": float(self.pi_n),
-            "n": int(self.n_used if n is None else n),
-            "T": None if T is None else int(T),
-            "alpha": None if self.alpha_used is None else float(self.alpha_used),
-        }
-
 
 def pooled_slopes(panel: Panels, xw: np.ndarray, xr: np.ndarray, yr: np.ndarray, what: str):
     """Pooled slopes solving sum_i xw_i'xr_i beta = sum_i xw_i'yr_i; a

@@ -18,7 +18,7 @@ import json
 import math
 import numbers
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +29,7 @@ from .estimators import DEFAULT_ALPHA_GP, fe, gp, mg, tmg
 from .hausman import HausmanResult, hausman_no_te_from, hausman_te_from
 from .panel import BalancedPanel, PanelBlock
 from .timeeffects import fete, gp_te, tmg_te
-from .trimming import TrimConfig
+from .trimming import DEFAULT_ALPHA, TrimConfig
 
 CRIT_5PCT = 1.959964  # two-sided 5% standard normal critical value
 
@@ -388,13 +388,6 @@ def calibrate_kappa(cfg: DgpConfig, r_kappa: int = 1000, n_cal: int = 5000) -> f
     return float((1.0 - cfg.pr2) / cfg.pr2 * (a_acc - b_acc**2))
 
 
-def with_calibrated_kappa(cfg: DgpConfig, r_kappa: int = 1000, n_cal: int = 5000) -> DgpConfig:
-    """Return a copy of ``cfg`` with kappa2 filled in by calibration if unset."""
-    if cfg.kappa2 is not None:
-        return cfg
-    return replace(cfg, kappa2=calibrate_kappa(cfg, r_kappa=r_kappa, n_cal=n_cal))
-
-
 # ---------------------------------------------------------------------------
 # experiment runner
 # ---------------------------------------------------------------------------
@@ -444,16 +437,26 @@ class McResult:
 NONFINITE_SE = "NonFiniteStandardError"
 
 
-class _Block:
-    """One block of replications: its panels, its single design and each
-    tag's fit, computed at most once; the Hausman tags reuse the fits they
-    compare."""
+class FitCache:
+    """Each tag's fit of one panel or block of replications, computed at most
+    once. The Hausman tags reuse the fits they compare. The PanelDesign is
+    built on first use, so the pooled fits alone build none."""
 
-    def __init__(self, cfg: DgpConfig, reps, trim_cfg: TrimConfig, alpha_gp: float):
-        self.panel, _ = generate_block(cfg, reps)
-        self.design = PanelDesign(self.panel)
-        self.trim_cfg, self.alpha_gp = trim_cfg, alpha_gp
+    def __init__(
+        self,
+        panel: BalancedPanel | PanelBlock,
+        trim_cfg: TrimConfig = TrimConfig(),
+        alpha_gp: float = DEFAULT_ALPHA_GP,
+    ):
+        self.panel, self.trim_cfg, self.alpha_gp = panel, trim_cfg, alpha_gp
+        self._design = None
         self._fits = {}
+
+    @property
+    def design(self) -> PanelDesign:
+        if self._design is None:
+            self._design = PanelDesign(self.panel)
+        return self._design
 
     def fit(self, tag: str):
         if tag not in self._fits:
@@ -462,6 +465,8 @@ class _Block:
 
 
 #: What each tag fits: an Estimate, an (Estimate, TimeEffects) pair or a test.
+#: The entries look the fits up by name when called, so a fit rebound on this
+#: module (as the benchmark's layer trace does) is the one that runs.
 _TAG_FITS = {
     "fe": lambda r: fe(r.panel),
     "mg": lambda r: mg(r.panel, design=r.design),
@@ -487,12 +492,12 @@ def _block_records(
     A failed replication has NaN rows and its NumericalError class name; the
     others have reason None.
     """
-    block = _Block(cfg, reps, trim_cfg, alpha_gp)
+    fits = FitCache(generate_block(cfg, reps)[0], trim_cfg, alpha_gp)
     B = len(reps)
     out = {}
     for tag in tags:
         try:
-            fit = block.fit(tag)
+            fit = fits.fit(tag)
         except NumericalError as exc:  # a failure of the block's shape fails every replication
             nan = np.full((B, len(_tag_coef_names(tag, cfg.T))), np.nan)
             out[tag] = nan, nan, np.full(B, np.nan), np.full(B, type(exc).__name__, dtype=object)
@@ -607,9 +612,7 @@ def run_experiment(
     if cfg.kappa2 is None:
         raise ScenarioError("kappa2 is unset; calibrate it first (see calibrate_kappa)")
     tags = list(dict.fromkeys(estimators))
-    for tag in tags:
-        if tag not in ESTIMATOR_TAGS + TEST_TAGS:
-            raise ScenarioError(f"unknown estimator tag {tag!r}")
+    _check_tags(tags)
 
     chunks = _blocks(range(reps), -(-reps // jobs))
     if len(chunks) > 1:
@@ -624,11 +627,6 @@ def run_experiment(
     return [_aggregate(tag, cfg, *records[tag], beta0_grid) for tag in tags]
 
 
-def default_power_grid(beta0: float, points: int = 21, half_width: float = 0.5) -> np.ndarray:
-    """Equispaced alternative grid centered on the true slope."""
-    return np.linspace(beta0 - half_width, beta0 + half_width, points)
-
-
 # ---------------------------------------------------------------------------
 # scenario (de)serialization
 # ---------------------------------------------------------------------------
@@ -637,7 +635,8 @@ _SCENARIO_EXTRAS = ("estimators", "reps", "trim_alpha", "trim_c_n", "alpha_gp", 
 
 
 def scenario_from_dict(raw: dict) -> tuple[DgpConfig, dict]:
-    """Split a flat scenario mapping into a DgpConfig and experiment settings."""
+    """Split a flat scenario mapping into a DgpConfig and experiment settings,
+    each checked (see :func:`_check_extras`)."""
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
     cfg_fields = DgpConfig.__dataclass_fields__
@@ -660,13 +659,22 @@ def scenario_from_dict(raw: dict) -> tuple[DgpConfig, dict]:
     return cfg, extras
 
 
+def _check_tags(tags) -> None:
+    """An unknown tag is a ScenarioError."""
+    for tag in tags:
+        if tag not in ESTIMATOR_TAGS + TEST_TAGS:
+            raise ScenarioError(f"unknown estimator tag {tag!r}")
+
+
 def _check_extras(extras: dict) -> None:
-    """Types of the experiment settings; their ranges are checked where used."""
+    """Every experiment setting, so that a bad one fails before any work;
+    adds ``trim_cfg``, the TrimConfig of ``trim_alpha`` and ``trim_c_n``."""
     if "reps" in extras and not (_is_int(extras["reps"]) and extras["reps"] >= 1):
         raise ScenarioError(f"reps must be an integer >= 1, got {extras['reps']!r}")
     tags = extras.get("estimators", [])
     if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
         raise ScenarioError(f"estimators must be a list of tags, got {tags!r}")
+    _check_tags(tags)
     grid = extras.get("beta0_grid")
     if grid is not None and not (
         isinstance(grid, list) and grid and all(_is_real(b) and math.isfinite(b) for b in grid)
@@ -676,6 +684,14 @@ def _check_extras(extras: dict) -> None:
         value = extras.get(key)
         if value is not None and not _is_real(value):
             raise ScenarioError(f"{key} must be a number, got {value!r}")
+    try:
+        extras["trim_cfg"] = TrimConfig(
+            alpha=extras.get("trim_alpha", DEFAULT_ALPHA), c_n=extras.get("trim_c_n")
+        )
+    except ValueError as exc:
+        raise ScenarioError(f"invalid trim_alpha/trim_c_n: {exc}") from None
+    if not extras.get("alpha_gp", DEFAULT_ALPHA_GP) > 0:
+        raise ScenarioError(f"alpha_gp must be a positive number, got {extras['alpha_gp']!r}")
 
 
 def load_scenario(path) -> tuple[DgpConfig, dict]:

@@ -66,14 +66,6 @@ class TimeEffects:
     def se(self) -> np.ndarray:
         return np.sqrt(np.abs(np.diagonal(self.cov, axis1=-2, axis2=-1)))
 
-    def to_record(self) -> dict:
-        """Flat serializable record, for result files next to an Estimate."""
-        return {
-            "method": self.method,
-            "phi": [float(p) for p in self.phi],
-            "se": [float(s) for s in self.se],
-        }
-
 
 def _phi_cov(xbar: np.ndarray, cov_beta: np.ndarray, nu: np.ndarray) -> np.ndarray:
     """Covariance of M_T(ybar - Xbar beta): M_T (Xbar V_beta Xbar' + Omega/n) M_T,

@@ -31,8 +31,8 @@ class TrimConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
-        if self.c_n is not None and self.c_n <= 0.0:
-            raise ValueError(f"explicit C_n must be positive, got {self.c_n}")
+        if self.c_n is not None and not 0.0 < self.c_n < np.inf:  # NaN fails too
+            raise ValueError(f"explicit C_n must be positive and finite, got {self.c_n}")
 
 
 def scalar_or(v):

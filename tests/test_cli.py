@@ -382,11 +382,32 @@ class TestPower:
         ("simulate", [], {"theta0": [1]}, "theta0 must be two numbers"),
         ("simulate", [], {"estimators": "tmg"}, "estimators must be a list of tags"),
         ("power", [], {"beta0_grid": []}, "beta0_grid must be a non-empty list"),
+        ("power", ["--grid-min", "nan"], {}, "--grid-min: must be finite"),
+        ("power", ["--grid-max", "inf"], {}, "--grid-max: must be finite"),
+        ("power", ["--grid-min=-inf", "--grid-max", "1"], {}, "--grid-min: must be finite"),
+        ("simulate", [], {"trim_c_n": float("nan")}, "explicit C_n must be positive"),
+        ("simulate", [], {"estimators": ["tmg", "bogus"]}, "unknown estimator tag 'bogus'"),
+        ("power", [], {"estimators": ["tmg", "bogus"]}, "unknown estimator tag 'bogus'"),
+        ("calibrate", [], {"estimators": ["tmg", "bogus"]}, "unknown estimator tag 'bogus'"),
+        ("power", [], {"trim_alpha": 1.5}, "invalid trim_alpha/trim_c_n: alpha must be in (0,1)"),
+        ("calibrate", [], {"trim_c_n": -1.0}, "explicit C_n must be positive"),
+        ("simulate", [], {"alpha_gp": 0}, "alpha_gp must be a positive number"),
+        ("power", [], {"alpha_gp": float("nan")}, "alpha_gp must be a positive number"),
+        ("simulate", [], {"trim_c_n": float("inf")}, "explicit C_n must be positive and finite"),
     ],
 )
-def test_invalid_scenario_values_exit_2(tmp_path, capsys, command, extra, payload, message):
+def test_invalid_scenario_values_exit_2(
+    tmp_path, capsys, monkeypatch, command, extra, payload, message
+):
+    # without kappa2 every command calibrates: a bad value must stop it first
+    from tmgpanel import cli
+
+    def calibrate_kappa(*args, **kwargs):
+        raise AssertionError("an invalid scenario reached the calibration")
+
+    monkeypatch.setattr(cli, "calibrate_kappa", calibrate_kappa)
     scen = tmp_path / "scen.json"
-    scen.write_text(json.dumps(scenario_payload(**{"reps": 4, **payload})))
+    scen.write_text(json.dumps(scenario_payload(**{"reps": 4, "kappa2": None, **payload})))
     argv = [command, str(scen), *extra, "--out", str(tmp_path / "out")]
     if command == "calibrate":
         argv += ["--n-cal", "50"]
@@ -397,6 +418,70 @@ def test_invalid_scenario_values_exit_2(tmp_path, capsys, command, extra, payloa
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_calibrate_draws_as_many_replications_as_simulate(tmp_path, monkeypatch):
+    # the scenario's reps count Monte Carlo replications, not calibration
+    # ones: calibrate without --reps gives the kappa^2 that simulate would use
+    import inspect
+
+    from tmgpanel import cli
+
+    real, seen = cli.calibrate_kappa, []
+
+    def spy(*args, **kwargs):
+        call = inspect.signature(real).bind(*args, **kwargs)
+        call.apply_defaults()
+        seen.append((call.arguments["r_kappa"], call.arguments["n_cal"]))
+        return 15.5
+
+    monkeypatch.setattr(cli, "calibrate_kappa", spy)
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps({"n": 100, "T": 2, "reps": 20}))
+    assert main(["calibrate", str(scen), "--out", str(tmp_path / "cal")]) == 0
+    assert main(["simulate", str(scen), "--out", str(tmp_path / "sim")]) == 0
+    assert seen == [(1000, 5000)] * 2
+    assert json.loads((tmp_path / "cal" / "kappa2.json").read_text())["r_kappa"] == 1000
+
+
+@pytest.mark.parametrize(
+    "flags, want",
+    [
+        (["--method", "tmg", "--te"], {"tmg_te": 1, "PanelDesign": 1}),
+        (["--method", "fe"], {"tmg_te": 0, "PanelDesign": 0}),
+    ],
+)
+def test_estimate_calls_the_fits_the_layer_trace_rebinds(
+    hetero_csv, tmp_path, monkeypatch, flags, want
+):
+    # perfbench/layertrace.py rebinds every tmgpanel module attribute that
+    # holds a traced function, and wraps PanelDesign.__init__. A fit table
+    # holding functions captured at import would bypass it, and the trace
+    # would read 0 calls without failing.
+    import sys
+
+    from tmgpanel.designs import PanelDesign
+    from tmgpanel.timeeffects import tmg_te
+
+    calls = {"tmg_te": 0, "PanelDesign": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("tmgpanel"):
+            for key, value in list(vars(mod).items()):
+                if value is tmg_te:
+                    monkeypatch.setattr(mod, key, counting("tmg_te", tmg_te))
+    monkeypatch.setattr(
+        PanelDesign, "__init__", counting("PanelDesign", PanelDesign.__init__)
+    )
+    assert main(["estimate", str(hetero_csv), *flags, "--out", str(tmp_path)]) == 0
+    assert calls == want
 
 
 @pytest.mark.parametrize("method", ["tmg", "gp"])

@@ -196,12 +196,3 @@ class TestGp:
         p = panel_from_x([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
         with pytest.raises(AllTrimmedError):
             gp(p)
-
-
-def test_estimate_record_roundtrip(rng):
-    p = random_panel(rng, n=10, T=2)
-    rec = tmg(p).to_record(n=p.n, T=p.T)
-    assert rec["method"] == "tmg"
-    assert len(rec["coef"]) == len(rec["se"]) == 2
-    assert rec["T"] == 2 and rec["n"] == 10
-    assert 0.0 <= rec["pi_n"] <= 1.0

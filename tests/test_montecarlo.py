@@ -14,11 +14,9 @@ from tmgpanel import (
     generate_replication,
     gp,
     run_experiment,
-    with_calibrated_kappa,
 )
 from tmgpanel.designs import PanelDesign
 from tmgpanel.montecarlo import (
-    default_power_grid,
     load_scenario,
     scenario_from_dict,
     standardized_quadratic,
@@ -160,10 +158,6 @@ class TestCalibration:
         pr2_hat = 1.0 - num / den
         assert pr2_hat == pytest.approx(cfg.pr2, abs=0.01)
 
-    def test_with_calibrated_kappa_passthrough(self):
-        cfg = base_cfg(kappa2=3.0)
-        assert with_calibrated_kappa(cfg) is cfg
-
 
 class TestRunExperiment:
     def test_homogeneous_noiseless_zero_error(self):
@@ -196,7 +190,7 @@ class TestRunExperiment:
 
     def test_power_curve(self):
         cfg = base_cfg(n=150)
-        grid = default_power_grid(1.0, points=5)
+        grid = np.linspace(0.5, 1.5, 5)
         results = run_experiment(cfg, ["tmg"], reps=40, beta0_grid=grid)
         curve = results[0].power_curve
         assert len(curve) == 5
@@ -596,7 +590,7 @@ def test_aggregates_match_single_panel_oracle(cfg, trim_cfg):
 
     tags = list(ESTIMATOR_TAGS + TEST_TAGS)
     trim_cfg = TrimConfig(**trim_cfg)
-    grid = default_power_grid(1.0, points=5)
+    grid = np.linspace(0.5, 1.5, 5)
     got = run_experiment(cfg, tags, 30, beta0_grid=grid, trim_cfg=trim_cfg)
     want = _oracle_results(cfg, tags, 30, trim_cfg, grid)
     assert [r.estimator for r in got] == tags

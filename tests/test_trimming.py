@@ -38,6 +38,9 @@ class TestThreshold:
             TrimConfig(alpha=0.0)
         with pytest.raises(ValueError):
             TrimConfig(c_n=-1.0)
+        for c_n in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                TrimConfig(c_n=c_n)
 
 
 class TestDeltaWeights:
