@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .designs import blockwise
 from .errors import NumericalError, PanelInputError
 from .estimators import DEFAULT_ALPHA_GP
 from .hausman import hausman_no_te, hausman_te
@@ -202,6 +203,12 @@ def _trimming_record(state) -> dict:
 _TE_VARIANT = {"fe": "fete", "tmg": "tmgte", "gp": "gpte"}
 
 
+@blockwise
+def _fit(block, tag: str, trim_cfg: TrimConfig, alpha_gp: float):
+    """The fit of ``tag`` on a block, or on one panel as its block of one."""
+    return FitCache(block, trim_cfg, alpha_gp).fit(tag)
+
+
 def _run_estimate(args) -> int:
     t0 = time.perf_counter()
     panel, csv_sha256 = _read_input(args.csv)
@@ -212,10 +219,10 @@ def _run_estimate(args) -> int:
         if tag is None:
             raise PanelInputError(f"method {args.method!r} has no time-effects variant")
     te = tag in TE_TAGS
-    fit = FitCache(panel, TrimConfig(alpha=args.alpha), args.alpha_gp).fit(tag)
+    fit = _fit(panel, tag, TrimConfig(alpha=args.alpha), args.alpha_gp)
     est, te_result = fit if te else (fit, None)
 
-    names = est.coef_names or tuple(f"c{j}" for j in range(np.atleast_1d(est.coef).size))
+    names = est.coef_names
     rows = _t_rows(names, est.coef, est.se)
     if te_result is not None:
         phi_names = [f"phi{t}" for t in range(1, len(te_result.phi) + 1)]

@@ -5,13 +5,17 @@ trimmed estimators evaluate inversion-free even when a unit's determinant is
 zero. A determinant below the machine-noise floor is treated as singular for
 plain OLS but remains a valid input to the trimmed branch.
 
-Every array carries the panel's leading axes: a single panel has none, a
-block of B replications has one, and the same formulas serve both.
+Every fit computes on a block of B replications
+(:class:`~tmgpanel.panel.PanelBlock`), and each of its arrays carries the
+leading replication axis. A single panel is fitted as its block of one through
+:func:`blockwise`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import weakref
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -82,7 +86,7 @@ def mv(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def col(v) -> np.ndarray:
-    """A per-replication scalar (float or (B,)) with a trailing axis to broadcast."""
+    """A per-replication scalar, (B,), with a trailing axis to broadcast."""
     return np.asarray(v)[..., None]
 
 
@@ -90,8 +94,6 @@ def pooled(spec: str, *ops: np.ndarray) -> np.ndarray:
     """``np.einsum(spec, ...)`` of a sum over units and periods, one
     replication at a time: a batched einsum buffers such a sum differently
     once B > 1, and a replication's fit must not depend on its block."""
-    if ops[0].ndim == len(spec.split(",")[0]):
-        return np.einsum(spec, *ops)
     return np.stack([np.einsum(spec, *(op[b] for op in ops)) for b in range(len(ops[0]))])
 
 
@@ -111,6 +113,39 @@ def void(a: np.ndarray, fail) -> np.ndarray:
     a = np.array(a, dtype=np.float64)
     a[bad] = np.nan
     return a
+
+
+def blockwise(fit):
+    """A fit of panel blocks that also takes one panel, as its block of one:
+    a :class:`PanelBlock` passes through, and a :class:`BalancedPanel` is
+    fitted as the block of views ``(y[None], x[None])`` (see :func:`_row`)."""
+
+    @functools.wraps(fit)
+    def adapted(panel, *args, **kwargs):
+        if isinstance(panel, PanelBlock):
+            return fit(panel, *args, **kwargs)
+        return _row(fit(PanelBlock(y=panel.y[None], x=panel.x[None]), *args, **kwargs))
+
+    return adapted
+
+
+def _row(result):
+    """A block of one's result as its replication's: the recorded failure is
+    raised, or every array field is indexed [0], nested results included, and
+    ``fail`` becomes None."""
+    if isinstance(result, tuple):
+        return tuple(map(_row, result))
+    fail = getattr(result, "fail", None)
+    if fail is not None and fail[0] is not None:
+        raise fail[0]
+    changes = {"fail": None} if fail is not None else {}
+    for f in fields(result):
+        value = getattr(result, f.name)
+        if isinstance(value, np.ndarray):
+            changes[f.name] = value[0]
+        elif is_dataclass(value):
+            changes[f.name] = _row(value)
+    return replace(result, **changes)
 
 
 @dataclass(frozen=True)
@@ -133,7 +168,8 @@ class ChamberlainProjector:
         return np.eye(self.xd.shape[-2]) - small_matmul(self.xdp, mt(self.xd))
 
 
-def chamberlain_projectors(panel: BalancedPanel | PanelBlock) -> ChamberlainProjector:
+@blockwise
+def chamberlain_projectors(panel: PanelBlock) -> ChamberlainProjector:
     """M_i = I_T - M_T X_i (X_i'M_T X_i)^{-1} X_i'M_T for every unit, in factor form."""
     xd = panel.xd  # M_T X_i
     # einsum: at k' = 1 the sum runs over unit-stride periods (see _kernels)
@@ -165,16 +201,21 @@ class PanelDesign:
     Holds W (..., n, T, k), Gram matrices, determinants and adjugates computed
     in one kernel sweep over the units of every replication, plus W_i'y_i,
     adj(W_i'W_i) W_i'y_i, the Chamberlain projectors and the projector-average
-    time effects, each built on first use. Immutable by convention; cheap
-    enough to build per panel or per block.
+    time effects, each built on first use. Immutable by convention. The fits
+    read a block's own design, :attr:`PanelBlock.design`, built on its first
+    use and shared by every fit of the block.
+
+    A design holds its panel weakly, so the caller keeps the panel alive: the
+    block owns its design, and a strong reference back would make a cycle that
+    only the cycle collector frees, keeping each finished block's arrays alive.
     """
 
     __slots__ = (
-        "panel", "W", "gram", "d", "adj", "_wty", "_adj_wty", "_projectors", "_time_effects"
+        "_panel", "W", "gram", "d", "adj", "_wty", "_adj_wty", "_projectors", "_time_effects"
     )
 
     def __init__(self, panel: BalancedPanel | PanelBlock):
-        self.panel = panel
+        self._panel = weakref.ref(panel)
         self.W = panel.design_tensor()
         *lead, n, T, k = self.W.shape
         gram, d, adj = gram_det_adj(self.W.reshape(-1, T, k))
@@ -185,6 +226,10 @@ class PanelDesign:
         self._adj_wty = None
         self._projectors = None
         self._time_effects = None
+
+    @property
+    def panel(self) -> BalancedPanel | PanelBlock:
+        return self._panel()
 
     @property
     def lead(self) -> tuple:
@@ -233,7 +278,7 @@ class PanelDesign:
         if self._time_effects is None:
             from .timeeffects import chamberlain_phi  # timeeffects imports this module
 
-            self._time_effects = chamberlain_phi(self.panel, design=self)
+            self._time_effects = chamberlain_phi(self.panel)
         return self._time_effects
 
     def bmats(self, a_n, trimmed: np.ndarray) -> np.ndarray:

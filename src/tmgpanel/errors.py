@@ -89,25 +89,19 @@ class SingularVdeltaError(NumericalError):
 #
 # A fit of a block of replications records the first NumericalError each
 # replication meets instead of raising it, so one bad draw fails alone. ``fail``
-# is None for a single panel, whose checks raise at once, and a tuple with one
-# exception (or None) per replication for a block.
+# is a tuple with one exception (or None) per replication.
 
 
-def no_failures(lead: tuple):
-    """The failure record of a fit on panels with leading shape ``lead``."""
-    return (None,) * lead[0] if lead else None
+def no_failures(lead: tuple) -> tuple:
+    """The failure record of a fit on a block with leading shape ``lead``."""
+    return (None,) * lead[0]
 
 
-def flag(fail, bad, make):
+def flag(fail: tuple, bad: np.ndarray, make) -> tuple:
     """Fail the replications where ``bad`` holds, keeping each one's first reason.
 
-    ``make(i)`` builds the exception of replication ``i``; a single panel
-    (``fail`` None, ``i`` the empty index) raises it instead.
+    ``make(i)`` builds the exception of replication ``i``.
     """
-    if fail is None:
-        if bad:
-            raise make(())
-        return None
     if not bad.any():
         return fail
     hits = [int(i) for i in np.flatnonzero(bad) if fail[i] is None]
@@ -119,16 +113,13 @@ def flag(fail, bad, make):
     return tuple(out)
 
 
-def merge(*fails):
+def merge(*fails: tuple) -> tuple:
     """Per replication, the first failure among several upstream records."""
-    if fails[0] is None:
-        return None
     return tuple(next((f for f in fs if f is not None), None) for fs in zip(*fails))
 
 
-def failed(fail):
-    """Boolean mask of the failed replications, or False when none failed
-    (always for a single panel)."""
-    if fail is None or fail.count(None) == len(fail):
+def failed(fail: tuple):
+    """Boolean mask of the failed replications, or False when none failed."""
+    if fail.count(None) == len(fail):
         return False
     return np.array([f is not None for f in fail])

@@ -5,10 +5,11 @@ Conventions: mean-group style estimators report the full coefficient vector
 only. Covariance matrices are for the estimator itself (standard errors are
 the square roots of the diagonal).
 
-Every estimator takes one panel or a block of replications
-(:class:`~tmgpanel.panel.PanelBlock`). A block's results carry a leading
+Every estimator fits a block of replications
+(:class:`~tmgpanel.panel.PanelBlock`): its results carry the leading
 replication axis, and ``Estimate.fail`` names the failure of each replication
-(its rows are NaN); on one panel the same failure raises.
+(its rows are NaN). A single panel is fitted as its block of one (see
+:func:`~tmgpanel.designs.blockwise`).
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import _det_adj_stack
-from .designs import PanelDesign, col, mt, nonsingular, pooled, rank_deficient, rank_ratio, void
+from ._kernels import det_stack
+from .designs import (
+    PanelDesign, blockwise, col, mt, nonsingular, pooled, rank_deficient, rank_ratio, void
+)
 from .errors import (
     AllSingularError,
     AllTrimmedError,
@@ -28,13 +31,11 @@ from .errors import (
     flag,
     no_failures,
 )
-from .panel import BalancedPanel, PanelBlock
-from .trimming import TrimConfig, TrimState, compute_threshold, delta_weights, scalar_or
+from .panel import PanelBlock
+from .trimming import TrimConfig, TrimState, compute_threshold, delta_weights
 
 DEFAULT_ALPHA_GP = 1.0 / 3.0
 IQR_NORMAL_SCALE = 1.34  # normal-reference scaling of the interquartile range
-
-Panels = BalancedPanel | PanelBlock
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ class Estimate:
         return np.sqrt(np.diagonal(self.cov, axis1=-2, axis2=-1))
 
 
-def pooled_slopes(panel: Panels, xw: np.ndarray, xr: np.ndarray, yr: np.ndarray, what: str):
+def pooled_slopes(panel: PanelBlock, xw: np.ndarray, xr: np.ndarray, yr: np.ndarray, what: str):
     """Pooled slopes solving sum_i xw_i'xr_i beta = sum_i xw_i'yr_i; a
     rank-deficient Gram matrix Psi = sum_i xw_i'xr_i fails its replication.
     Returns beta, Psi and the failures."""
@@ -79,7 +80,7 @@ def pooled_slopes(panel: Panels, xw: np.ndarray, xr: np.ndarray, yr: np.ndarray,
 
 
 def pooled_estimate(
-    method: str, panel: Panels, xw: np.ndarray, coef, psi, resid: np.ndarray, fail
+    method: str, panel: PanelBlock, xw: np.ndarray, coef, psi, resid: np.ndarray, fail
 ) -> Estimate:
     """A pooled fit with its unit scores s_i = xw_i'nu~_i, its bread (Psi/n)^{-1}
     and the unit-clustered sandwich bread (sum_i s_i s_i' / n^2) bread."""
@@ -101,7 +102,8 @@ def pooled_estimate(
     )
 
 
-def fe(panel: Panels) -> Estimate:
+@blockwise
+def fe(panel: PanelBlock) -> Estimate:
     """Pooled fixed-effects estimator of the mean slopes with unit-clustered
     sandwich covariance (robust to heteroskedasticity, serial correlation and
     random slope heterogeneity)."""
@@ -132,61 +134,59 @@ class Weighting:
 
     @property
     def m(self):
-        """Units in the average: an int, or (B,) counts when a block drops units."""
+        """Units in the average: n, or (B,) counts when units are dropped."""
         if self.keep is None:
             return self.den.shape[-1]
-        m = self.keep.sum(axis=-1)
-        return m if m.ndim else int(m)
+        return self.keep.sum(axis=-1)
 
 
-def unit_mean(a: np.ndarray, keep: np.ndarray | None, lead: tuple) -> np.ndarray:
-    """Mean over the unit axis (the first after ``lead``) of the kept units.
+def unit_mean(a: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
+    """Mean over the unit axis (the one after the replications) of the kept units.
 
     Rows of two or more entries are summed over units one row at a time, so
     zero rows for the dropped units leave the bits of a sum over the kept
     rows alone.
     """
     if keep is None:
-        return a.mean(axis=len(lead))
+        return a.mean(axis=1)
     keep = keep.reshape(keep.shape + (1,) * (a.ndim - keep.ndim))
-    m = np.maximum(keep.sum(axis=len(lead)), 1)  # a block's empty replication fails
-    return np.where(keep, a, 0.0).sum(axis=len(lead)) / m
+    m = np.maximum(keep.sum(axis=1), 1)  # an empty replication fails
+    return np.where(keep, a, 0.0).sum(axis=1) / m
 
 
-def unit_gram(a: np.ndarray, keep: np.ndarray | None, lead: tuple) -> np.ndarray:
-    """sum_i a_i a_i' over the kept units of (..., n, k) rows.
+def unit_gram(a: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
+    """sum_i a_i a_i' over the kept units of (B, n, k) rows.
 
     Dropped units are compressed away one replication at a time: a matrix
     product with zero rows in place of them would round differently.
     """
     if keep is None:
         return mt(a) @ a
-    if not lead:
-        return a[keep].T @ a[keep]
-    return np.stack([unit_gram(a[b], keep[b], ()) for b in range(lead[0])])
+    return np.stack([a[b][keep[b]].T @ a[b][keep[b]] for b in range(len(a))])
 
 
 def tmg_weighting(pd: PanelDesign, cfg: TrimConfig) -> Weighting:
     """Every unit, den_i = max(d_i, a_n), scale 1 + delta_bar."""
-    a_n = compute_threshold(pd.d, cfg)  # one panel with every d_i = 0 raises here
+    a_n = compute_threshold(pd.d, cfg)  # 0 for a replication with every d_i = 0
     fail = flag(
         no_failures(pd.lead),
-        ~(np.asarray(a_n) > 0.0),
+        ~(a_n > 0.0),
         lambda i: AllSingularError("every determinant is zero; mean rule undefined"),
     )
-    state = delta_weights(pd.d, np.where(a_n > 0.0, a_n, np.nan) if pd.lead else a_n)
+    state = delta_weights(pd.d, np.where(a_n > 0.0, a_n, np.nan))
     fail = flag(
         fail,
-        np.asarray(state.pi_n) >= 1.0,
+        state.pi_n >= 1.0,
         lambda i: AllTrimmedError("every unit determinant is at or below the threshold"),
     )
-    den = np.where(state.trimmed, col(state.a_n), pd.d)
-    if failed(fail) is not False:  # a replication without a threshold divides by 1
-        den = np.where(col(failed(fail)), 1.0, den)
+    den, scale = np.where(state.trimmed, col(state.a_n), pd.d), state.weight_scale
+    bad = failed(fail)
+    if bad is not False:  # a failed replication (no threshold, or 1 + delta_bar = 0) divides by 1
+        den, scale = np.where(col(bad), 1.0, den), np.where(bad, 1.0, scale)
     return Weighting(
         keep=None,
         den=den,
-        scale=state.weight_scale,
+        scale=scale,
         pi_n=state.pi_n,
         alpha=cfg.alpha,
         trim=state,
@@ -195,19 +195,19 @@ def tmg_weighting(pd: PanelDesign, cfg: TrimConfig) -> Weighting:
 
 
 def gp_threshold(pd: PanelDesign, alpha_gp: float):
-    """Squared trim-by-exclusion bandwidth h_n^2 (a float, or (B,) for a block).
+    """Squared trim-by-exclusion bandwidth h_n^2, (B,).
 
     T = k: h_n = C n^{-alpha} with C = min(sd, IQR/1.34)/2 of det(W_i);
     T > k: C = sqrt(dbar_n). Units with d_i <= h_n^2 are excluded.
     """
     if pd.panel.T == pd.k:
         # d_i = det(W_i)^2 when W_i is square; bandwidth set on det(W_i) itself
-        det_w = _det_adj_stack(pd.W)[0]
+        det_w = det_stack(pd.W)
         q75, q25 = np.percentile(det_w, [75, 25], axis=-1)
         c = 0.5 * np.minimum(det_w.std(axis=-1, ddof=1), (q75 - q25) / IQR_NORMAL_SCALE)
     else:
         c = np.sqrt(pd.d.mean(axis=-1))
-    return scalar_or((c * pd.n ** (-alpha_gp)) ** 2)
+    return (c * pd.n ** (-alpha_gp)) ** 2
 
 
 def gp_weighting(pd: PanelDesign, alpha_gp: float) -> Weighting:
@@ -221,7 +221,7 @@ def gp_weighting(pd: PanelDesign, alpha_gp: float) -> Weighting:
         keep=keep,
         den=np.where(keep, pd.d, 1.0),
         scale=1.0,
-        pi_n=scalar_or(1.0 - m / pd.n),
+        pi_n=1.0 - m / pd.n,
         alpha=alpha_gp,
         fail=fail,
     )
@@ -235,15 +235,14 @@ def weighted_mean_group(
     ``tilde`` replaces the per-unit rows adj(W_i'W_i) W_i'y_i / den_i (the
     time-effects routes strip the period effects first).
     """
-    lead = pd.lead
     if tilde is None:
         tilde = pd.adj_wty() / wt.den[..., None]
     if wt.keep is not None:
         tilde = np.where(wt.keep[..., None], tilde, 0.0)
     m = wt.m
-    coef = unit_mean(tilde, wt.keep, lead) / col(wt.scale)
+    coef = unit_mean(tilde, wt.keep) / col(wt.scale)
     den = np.where(np.asarray(m) > 1, m * (m - 1) * wt.scale**2, np.nan)  # one unit: no cov
-    cov = unit_gram(tilde - coef[..., None, :], wt.keep, lead) / col(col(den))
+    cov = unit_gram(tilde - coef[..., None, :], wt.keep) / col(col(den))
     return Estimate(
         method=method,
         coef=void(coef, wt.fail),
@@ -267,44 +266,37 @@ def mg_weighting(pd: PanelDesign) -> Weighting:
         sing.any(axis=-1),
         lambda i: SingularDesignError(units=np.flatnonzero(sing[i]).tolist()),
     )
-    den = np.where(sing, 1.0, pd.d) if fail is not None else pd.d
+    den = np.where(sing, 1.0, pd.d)
     return Weighting(keep=None, den=den, scale=1.0, pi_n=0.0, alpha=None, fail=fail)
 
 
-def mg(panel: Panels, design: PanelDesign | None = None) -> Estimate:
+@blockwise
+def mg(panel: PanelBlock) -> Estimate:
     """Mean group estimator: simple average of per-unit OLS (every unit,
     den_i = d_i, scale 1), with the nonparametric covariance
-    sum (theta_i - mean)^2 / (n(n-1)). A singular unit design raises
+    sum (theta_i - mean)^2 / (n(n-1)). A singular unit design fails with
     :class:`SingularDesignError` naming the units.
-
-    ``design`` lets callers reuse a precomputed :class:`PanelDesign`.
     """
-    pd = design if design is not None else PanelDesign(panel)
+    pd = panel.design
     return weighted_mean_group(pd, mg_weighting(pd), "mg")
 
 
-def tmg(
-    panel: Panels,
-    cfg: TrimConfig = TrimConfig(),
-    design: PanelDesign | None = None,
-) -> Estimate:
+@blockwise
+def tmg(panel: PanelBlock, cfg: TrimConfig = TrimConfig()) -> Estimate:
     """Trimmed mean group estimator with bias-adjusted covariance.
 
     Units below the threshold contribute through the inversion-free adjugate
     form; the weighted average is rescaled by 1 + delta_bar so the weights
     sum to one.
     """
-    pd = design if design is not None else PanelDesign(panel)
+    pd = panel.design
     return weighted_mean_group(pd, tmg_weighting(pd, cfg), "tmg")
 
 
-def gp(
-    panel: Panels,
-    alpha_gp: float = DEFAULT_ALPHA_GP,
-    design: PanelDesign | None = None,
-) -> Estimate:
+@blockwise
+def gp(panel: PanelBlock, alpha_gp: float = DEFAULT_ALPHA_GP) -> Estimate:
     """Trim-by-exclusion mean group estimator: simple average over units whose
     determinant clears the bandwidth, with the untrimmed analogue of the MG
     covariance (sample covariance of retained estimates over their count)."""
-    pd = design if design is not None else PanelDesign(panel)
+    pd = panel.design
     return weighted_mean_group(pd, gp_weighting(pd, alpha_gp), "gp")

@@ -3,8 +3,8 @@
 Each variant compares a pooled estimator (consistent only under uncorrelated
 heterogeneity) with a trimmed mean-group estimator (consistent under both)
 through a robust quadratic form that is chi-squared with k' degrees of
-freedom under the null. A block of replications gives one statistic per
-replication.
+freedom under the null. A test runs on a block of replications and gives
+one statistic per replication; a single panel is tested as its block of one.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from ._kernels import small_matmul, small_matvec
 from .designs import (
     RANK_RTOL,
     PanelDesign,
+    blockwise,
     col,
     mt,
     mv,
@@ -27,7 +28,8 @@ from .designs import (
     within,
 )
 from .errors import SingularVdeltaError, failed, flag, merge
-from .estimators import Estimate, Panels, fe, tmg
+from .estimators import Estimate, fe, tmg
+from .panel import PanelBlock
 from .timeeffects import fete, tmg_te
 from .trimming import TrimConfig
 
@@ -67,12 +69,12 @@ def chisq_sf(x: float, df: int) -> float:
 
 @dataclass(frozen=True)
 class HausmanResult:
-    """Quadratic-form statistic, degrees of freedom and upper-tail p-value
-    (floats for one panel, (B,) arrays for a block)."""
+    """Quadratic-form statistic, degrees of freedom and upper-tail p-value,
+    with one statistic and p-value per replication."""
 
-    statistic: float | np.ndarray
+    statistic: np.ndarray
     df: int
-    p_value: float | np.ndarray
+    p_value: np.ndarray
     variant: str
     delta: np.ndarray
     fail: tuple | None = None  # per-replication failures of a block test
@@ -124,22 +126,16 @@ def _quad_form(v, delta, n: int, coef_scale, fail):
 
 
 def _result(stat, df: int, variant: str, delta, fail) -> HausmanResult:
-    if fail is None:
-        stat = float(stat)
-        p_value = chisq_sf(stat, df)
-    else:
-        p_value = np.array([chisq_sf(s, df) if np.isfinite(s) else np.nan for s in stat])
+    p_value = np.array([chisq_sf(s, df) for s in stat])
     return HausmanResult(
         statistic=stat, df=df, p_value=p_value, variant=variant, delta=delta, fail=fail
     )
 
 
-def hausman_no_te(
-    panel: Panels, cfg: TrimConfig = TrimConfig(), design: PanelDesign | None = None
-) -> HausmanResult:
+@blockwise
+def hausman_no_te(panel: PanelBlock, cfg: TrimConfig = TrimConfig()) -> HausmanResult:
     """Test of correlated heterogeneity from the FE-vs-TMG slope difference."""
-    pd = design if design is not None else PanelDesign(panel)
-    return hausman_no_te_from(pd, fe(panel), tmg(panel, cfg, design=pd))
+    return hausman_no_te_from(panel.design, fe(panel), tmg(panel, cfg))
 
 
 def hausman_no_te_from(pd: PanelDesign, fe_est: Estimate, tmg_est: Estimate) -> HausmanResult:
@@ -152,7 +148,8 @@ def hausman_no_te_from(pd: PanelDesign, fe_est: Estimate, tmg_est: Estimate) -> 
     state = tmg_est.trim
     B = pd.bmats(state.a_n, state.trimmed)
     b_slope = B[..., 1:, 1:]  # (1+delta_i) (X'MX)^{-1}, finite on the trimmed branch
-    m = fe_est.bread[..., None, :, :] - b_slope / col(col(col(state.weight_scale)))
+    scale = np.where(failed(fail), 1.0, state.weight_scale)  # a failed TMG fit may have 0
+    m = fe_est.bread[..., None, :, :] - b_slope / col(col(col(scale)))
     # t_i = X_i'nu~_i = X_i'M nu~_i are FE's scores, because nu~ is de-meaned
     scores = small_matvec(m, fe_est.scores)
     v = mt(scores) @ scores / panel.n
@@ -161,17 +158,15 @@ def hausman_no_te_from(pd: PanelDesign, fe_est: Estimate, tmg_est: Estimate) -> 
     return _result(stat, panel.k_prime, VARIANT_NO_TE, delta, fail)
 
 
-def hausman_te(
-    panel: Panels, cfg: TrimConfig = TrimConfig(), design: PanelDesign | None = None
-) -> HausmanResult:
+@blockwise
+def hausman_te(panel: PanelBlock, cfg: TrimConfig = TrimConfig()) -> HausmanResult:
     """Test of correlated heterogeneity in panels with time effects.
 
     Compares the two-way pooled estimator with the trimmed mean-group TE
     estimator; the weighting matrix follows the T = k or T > k construction
     of the trimmed estimator.
     """
-    pd = design if design is not None else PanelDesign(panel)
-    return hausman_te_from(pd, fete(panel)[0], tmg_te(panel, cfg, design=pd)[0])
+    return hausman_te_from(panel.design, fete(panel)[0], tmg_te(panel, cfg)[0])
 
 
 def hausman_te_from(pd: PanelDesign, fete_est: Estimate, tmgte_est: Estimate) -> HausmanResult:
@@ -181,7 +176,7 @@ def hausman_te_from(pd: PanelDesign, fete_est: Estimate, tmgte_est: Estimate) ->
     fail = merge(fete_est.fail, tmgte_est.fail)
     delta = fete_est.coef - tmgte_est.coef[..., 1:]
     state = tmgte_est.trim
-    scale = col(col(state.weight_scale))
+    scale = col(col(np.where(failed(fail), 1.0, state.weight_scale)))  # as in hausman_no_te
     B = pd.bmats(state.a_n, state.trimmed)
     qx = small_matmul(panel.xd, B[..., 1:, 1:])  # Q_ix
     qx_bar = qx.mean(axis=-3) / scale

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .designs import PanelDesign, void, within
+from .designs import void, within
 from .errors import NumericalError, ScenarioError
 from .estimators import DEFAULT_ALPHA_GP, fe, gp, mg, tmg
 from .hausman import HausmanResult, hausman_no_te_from, hausman_te_from
@@ -63,6 +63,14 @@ def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
+def _is_finite(v) -> bool:
+    """A real number that is finite as a double (an int beyond its range is not)."""
+    try:
+        return _is_real(v) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class DgpConfig:
     """Full scenario description for one Monte Carlo design cell."""
@@ -93,13 +101,12 @@ class DgpConfig:
             raise ScenarioError(f"seed must be non-negative, got {self.seed}")
         theta0 = self.theta0
         if not (isinstance(theta0, (tuple, list)) and len(theta0) == 2
-                and all(_is_real(v) for v in theta0)):
-            raise ScenarioError(f"theta0 must be two numbers, got {theta0!r}")
-        for name in ("sigma2_alpha", "sigma2_beta", "rho_alpha", "rho_beta", "pr2"):
-            if not _is_real(getattr(self, name)):
-                raise ScenarioError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if self.kappa2 is not None and not _is_real(self.kappa2):
-            raise ScenarioError(f"kappa2 must be a number, got {self.kappa2!r}")
+                and all(_is_finite(v) for v in theta0)):
+            raise ScenarioError(f"theta0 must be two numbers, both finite, got {theta0!r}")
+        for name in ("sigma2_alpha", "sigma2_beta", "rho_alpha", "rho_beta", "pr2", "kappa2"):
+            value = getattr(self, name)
+            if not (_is_finite(value) or name == "kappa2" and value is None):
+                raise ScenarioError(f"{name} must be a finite number, got {value!r}")
         for name in ("interactive_x", "time_effects"):
             if not isinstance(getattr(self, name), bool):
                 raise ScenarioError(f"{name} must be true or false, got {getattr(self, name)!r}")
@@ -438,25 +445,18 @@ NONFINITE_SE = "NonFiniteStandardError"
 
 
 class FitCache:
-    """Each tag's fit of one panel or block of replications, computed at most
-    once. The Hausman tags reuse the fits they compare. The PanelDesign is
-    built on first use, so the pooled fits alone build none."""
+    """Each tag's fit of one block of replications, computed at most once.
+    The Hausman tags reuse the fits they compare, and every fit shares the
+    block's PanelDesign, which the pooled fits alone never build."""
 
     def __init__(
         self,
-        panel: BalancedPanel | PanelBlock,
+        panel: PanelBlock,
         trim_cfg: TrimConfig = TrimConfig(),
         alpha_gp: float = DEFAULT_ALPHA_GP,
     ):
         self.panel, self.trim_cfg, self.alpha_gp = panel, trim_cfg, alpha_gp
-        self._design = None
         self._fits = {}
-
-    @property
-    def design(self) -> PanelDesign:
-        if self._design is None:
-            self._design = PanelDesign(self.panel)
-        return self._design
 
     def fit(self, tag: str):
         if tag not in self._fits:
@@ -469,14 +469,14 @@ class FitCache:
 #: module (as the benchmark's layer trace does) is the one that runs.
 _TAG_FITS = {
     "fe": lambda r: fe(r.panel),
-    "mg": lambda r: mg(r.panel, design=r.design),
-    "tmg": lambda r: tmg(r.panel, r.trim_cfg, design=r.design),
-    "gp": lambda r: gp(r.panel, r.alpha_gp, design=r.design),
+    "mg": lambda r: mg(r.panel),
+    "tmg": lambda r: tmg(r.panel, r.trim_cfg),
+    "gp": lambda r: gp(r.panel, r.alpha_gp),
     "fete": lambda r: fete(r.panel),
-    "tmgte": lambda r: tmg_te(r.panel, r.trim_cfg, design=r.design),
-    "gpte": lambda r: gp_te(r.panel, r.alpha_gp, design=r.design),
-    "hausman": lambda r: hausman_no_te_from(r.design, r.fit("fe"), r.fit("tmg")),
-    "hausman_te": lambda r: hausman_te_from(r.design, r.fit("fete")[0], r.fit("tmgte")[0]),
+    "tmgte": lambda r: tmg_te(r.panel, r.trim_cfg),
+    "gpte": lambda r: gp_te(r.panel, r.alpha_gp),
+    "hausman": lambda r: hausman_no_te_from(r.panel.design, r.fit("fe"), r.fit("tmg")),
+    "hausman_te": lambda r: hausman_te_from(r.panel.design, r.fit("fete")[0], r.fit("tmgte")[0]),
 }
 
 
@@ -677,7 +677,7 @@ def _check_extras(extras: dict) -> None:
     _check_tags(tags)
     grid = extras.get("beta0_grid")
     if grid is not None and not (
-        isinstance(grid, list) and grid and all(_is_real(b) and math.isfinite(b) for b in grid)
+        isinstance(grid, list) and grid and all(map(_is_finite, grid))
     ):
         raise ScenarioError(f"beta0_grid must be a non-empty list of numbers, got {grid!r}")
     for key in ("trim_alpha", "trim_c_n", "alpha_gp"):

@@ -171,11 +171,19 @@ class BalancedPanel(_PanelShape):
 @dataclass(frozen=True)
 class PanelBlock(_PanelShape):
     """B panels of one shape stacked on a leading replication axis: outcomes
-    (B, n, T) and regressors (B, n, T, k'). Every estimator accepts a block
-    and fits its replications at once, each one failing alone."""
+    (B, n, T) and regressors (B, n, T, k'). Every estimator fits the
+    replications of a block at once, each one failing alone; a single panel
+    is fitted as its block of one."""
 
     y: np.ndarray
     x: np.ndarray
+
+    @cached_property
+    def design(self):
+        """The block's PanelDesign, built on first use and shared by its fits."""
+        from .designs import PanelDesign  # designs imports this module
+
+        return PanelDesign(self)
 
 
 def _factorise(column) -> tuple[list, np.ndarray, np.ndarray]:

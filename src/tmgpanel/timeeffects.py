@@ -15,7 +15,8 @@ import numpy as np
 from ._kernels import small_matmul, small_matvec
 from .designs import (
     PanelDesign,
-    chamberlain_projectors,
+    blockwise,
+    chamberlain_projectors,  # noqa: F401  (exported from this module)
     col,
     mt,
     mv,
@@ -36,7 +37,6 @@ from .errors import (
 from .estimators import (
     DEFAULT_ALPHA_GP,
     Estimate,
-    Panels,
     Weighting,
     gp_weighting,
     pooled_estimate,
@@ -46,6 +46,7 @@ from .estimators import (
     unit_mean,
     weighted_mean_group,
 )
+from .panel import PanelBlock
 from .trimming import TrimConfig
 
 METHOD_CHAMBERLAIN = "chamberlain"
@@ -77,7 +78,8 @@ def _phi_cov(xbar: np.ndarray, cov_beta: np.ndarray, nu: np.ndarray) -> np.ndarr
     return a - a.mean(axis=-1, keepdims=True)
 
 
-def fete(panel: Panels) -> tuple[Estimate, TimeEffects]:
+@blockwise
+def fete(panel: PanelBlock) -> tuple[Estimate, TimeEffects]:
     """Two-way fixed effects: pooled slopes after unit and period de-meaning,
     with unit-clustered covariance, plus normalized time effects."""
     x, y = panel.x, panel.y
@@ -98,16 +100,15 @@ def fete(panel: Panels) -> tuple[Estimate, TimeEffects]:
     return est, te
 
 
-def chamberlain_phi(panel: Panels, design: PanelDesign | None = None) -> TimeEffects:
-    """Projector-average estimator of the time effects, valid for T > k.
-
-    ``design`` supplies projectors already built for this panel.
-    """
+@blockwise
+def chamberlain_phi(panel: PanelBlock) -> TimeEffects:
+    """Projector-average estimator of the time effects, valid for T > k,
+    from the projectors of the block's design."""
     if panel.T == panel.k:
         raise RequiresTGreaterKError(
             f"T={panel.T} equals k={panel.k}; the projector average is singular"
         )
-    proj = design.projectors() if design is not None else chamberlain_projectors(panel)
+    proj = panel.design.projectors()
     mbar = nonsingular(proj.M_bar, failed(proj.fail))
     fail = flag(
         proj.fail,
@@ -136,10 +137,10 @@ def weighted_mean_group_te(
     T = k: coefficients and effects solve the cross-section-average system
     (I_k - Qbar'M_T Wbar) theta = theta_w - Qbar'M_T ybar jointly.
     """
-    panel, lead, keep = pd.panel, pd.lead, wt.keep
+    panel, keep = pd.panel, wt.keep
     B = pd.adj / wt.den[..., None, None]
     Q = small_matmul(pd.W, B)  # Q_i = w_i W_i (W'W)^{-1}
-    qbar = unit_mean(Q, keep, lead) / col(col(wt.scale))
+    qbar = unit_mean(Q, keep) / col(col(wt.scale))
 
     if panel.T > panel.k:
         te = pd.time_effects()
@@ -164,7 +165,7 @@ def weighted_mean_group_te(
 
     resid = est.per_unit - small_matvec(mt(Q), phi[..., None, :]) - coef[..., None, :]
     with np.errstate(divide="ignore", invalid="ignore"):  # one kept unit: no variance
-        v_theta = unit_gram(resid, keep, lead) / col(col((m - 1) * wt.scale**2))
+        v_theta = unit_gram(resid, keep) / col(col((m - 1) * wt.scale**2))
         cov = a_inv @ v_theta @ mt(a_inv) / col(col(m - 1))
     xb = np.einsum("...ntp,...p->...nt", panel.x, coef[..., 1:])
     nu = panel.y - xb - phi[..., None, :]
@@ -173,21 +174,19 @@ def weighted_mean_group_te(
     return replace(est, coef=void(coef, fail), cov=void(cov, fail), fail=fail), te
 
 
-def tmg_te(
-    panel: Panels, cfg: TrimConfig = TrimConfig(), design: PanelDesign | None = None
-) -> tuple[Estimate, TimeEffects]:
+@blockwise
+def tmg_te(panel: PanelBlock, cfg: TrimConfig = TrimConfig()) -> tuple[Estimate, TimeEffects]:
     """Trimmed mean group estimator with time effects (see
     :func:`weighted_mean_group_te` for the T > k and T = k routes)."""
-    pd = design if design is not None else PanelDesign(panel)
+    pd = panel.design
     return weighted_mean_group_te(pd, tmg_weighting(pd, cfg), "tmgte")
 
 
+@blockwise
 def gp_te(
-    panel: Panels,
-    alpha_gp: float = DEFAULT_ALPHA_GP,
-    design: PanelDesign | None = None,
+    panel: PanelBlock, alpha_gp: float = DEFAULT_ALPHA_GP
 ) -> tuple[Estimate, TimeEffects]:
     """Trim-by-exclusion estimator with time effects: equal weights on the
     retained units, otherwise the same two routes as :func:`tmg_te`."""
-    pd = design if design is not None else PanelDesign(panel)
+    pd = panel.design
     return weighted_mean_group_te(pd, gp_weighting(pd, alpha_gp), "gpte")

@@ -13,6 +13,15 @@ from tmgpanel.estimators import DEFAULT_ALPHA_GP
 
 import oracles
 
+# the CSV reader relies on loadtxt's fixed-width bytes fields and its latin-1
+# decoding: fail as soon as numpy deprecates either; it values plain-digit ids
+# from their bytes, so an overflow or a NaN cast there is an error too
+pytestmark = [
+    pytest.mark.filterwarnings("error::DeprecationWarning"),
+    pytest.mark.filterwarnings("error::FutureWarning"),
+    pytest.mark.filterwarnings("error::RuntimeWarning"),
+]
+
 
 def write_panel_csv(path, panel):
     with open(path, "w", encoding="utf-8") as fh:
@@ -394,6 +403,15 @@ class TestPower:
         ("simulate", [], {"alpha_gp": 0}, "alpha_gp must be a positive number"),
         ("power", [], {"alpha_gp": float("nan")}, "alpha_gp must be a positive number"),
         ("simulate", [], {"trim_c_n": float("inf")}, "explicit C_n must be positive and finite"),
+        ("simulate", [], {"theta0": [1, float("nan")]}, "theta0 must be two numbers, both finite"),
+        ("simulate", [], {"kappa2": float("nan")}, "kappa2 must be a finite number"),
+        ("power", [], {"kappa2": float("inf")}, "kappa2 must be a finite number"),
+        ("calibrate", [], {"sigma2_beta": float("inf")}, "sigma2_beta must be a finite number"),
+        ("simulate", [], {"sigma2_alpha": float("nan")}, "sigma2_alpha must be a finite number"),
+        ("simulate", [], {"rho_beta": float("nan")}, "rho_beta must be a finite number"),
+        ("power", [], {"pr2": float("inf")}, "pr2 must be a finite number"),
+        ("simulate", [], {"sigma2_beta": 10**400}, "sigma2_beta must be a finite number"),
+        ("power", [], {"beta0_grid": [1, 10**400]}, "beta0_grid must be a non-empty list"),
     ],
 )
 def test_invalid_scenario_values_exit_2(

@@ -8,6 +8,10 @@ from tmgpanel.designs import RANK_RTOL, PanelDesign, mt, rank_deficient, rank_ra
 import oracles
 from _helpers import random_panel
 
+# the rank rule multiplies Gram diagonals and the fits divide by determinants:
+# an overflow, a 0/0 or a mean over nothing is an error here
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def panel_from_x(x, y=None):
     x = np.asarray(x, dtype=float)
@@ -146,8 +150,9 @@ class TestUnitOls:
     def test_matches_lstsq(self, rng):
         x = rng.normal(0, 1, (20, 4, 2))
         y = rng.normal(0, 1, (20, 4))
-        pd = PanelDesign(panel_from_x(x, y))
-        theta = mg(pd.panel, design=pd).per_unit
+        p = panel_from_x(x, y)
+        pd = PanelDesign(p)
+        theta = mg(p).per_unit
         for i in range(20):
             want = np.linalg.lstsq(pd.W[i], y[i], rcond=None)[0]
             np.testing.assert_allclose(theta[i], want, rtol=1e-9, atol=1e-12)
@@ -158,8 +163,9 @@ class TestUnitOls:
     def test_residuals_orthogonal(self, rng):
         x = rng.normal(0, 1, (5, 4, 1))
         y = rng.normal(0, 1, (5, 4))
-        pd = PanelDesign(panel_from_x(x, y))
-        resid = y - np.einsum("ntk,nk->nt", pd.W, mg(pd.panel, design=pd).per_unit)
+        p = panel_from_x(x, y)
+        pd = PanelDesign(p)
+        resid = y - np.einsum("ntk,nk->nt", pd.W, mg(p).per_unit)
         wtr = np.einsum("ntk,nt->nk", pd.W, resid)
         assert np.abs(wtr).max() <= 1e-9 * max(np.abs(y).max(), 1.0)
 
@@ -211,3 +217,24 @@ def test_panel_design_matches_per_unit(rng):
         np.testing.assert_allclose(
             pd.adj[i], pd.d[i] * np.linalg.inv(gram), rtol=1e-10, atol=1e-12
         )
+
+
+def test_block_frees_its_design_without_the_cycle_collector(rng):
+    # the block owns its design and the design holds the block weakly, so
+    # dropping a fitted block frees both by reference counting: finished
+    # blocks of a Monte Carlo run or a CLI fit do not pile up in memory
+    import gc
+    import weakref
+
+    from tmgpanel import PanelBlock, hausman_te
+
+    p = random_panel(rng, n=20, T=3)
+    block = PanelBlock(y=p.y[None], x=p.x[None])
+    hausman_te(block)  # builds the design, its projectors and time effects
+    design_w = weakref.ref(block.design.W)  # an array only the design holds
+    gc.disable()
+    try:
+        del block
+        assert design_w() is None
+    finally:
+        gc.enable()

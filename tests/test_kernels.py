@@ -10,6 +10,10 @@ from tmgpanel.designs import PanelDesign, chamberlain_projectors
 
 from _helpers import random_panel
 
+# the rank rule multiplies Gram diagonals and the fits divide by determinants:
+# an overflow, a 0/0 or a mean over nothing is an error here
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_large_k_uses_numpy_path(rng):
     # k = 6 exceeds the cofactor kernels; LU fallback must still satisfy

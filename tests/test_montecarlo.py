@@ -22,6 +22,9 @@ from tmgpanel.montecarlo import (
     standardized_quadratic,
 )
 
+# a RuntimeWarning (say, a mean over no OK replication) is an error here
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def base_cfg(**kw):
     kw.setdefault("n", 200)
@@ -404,50 +407,76 @@ def test_fewest_balanced_blocks(n, reps, sizes):
     assert [r for b in blocks for r in b] == list(range(reps))
 
 
+def _assert_row(block_fit, one, b, tag):
+    """Every field of a single-panel result equals row ``b`` of the block's."""
+    import dataclasses
+
+    if isinstance(one, tuple):
+        for part_block, part_one in zip(block_fit, one):
+            _assert_row(part_block, part_one, b, tag)
+        return
+    for f in dataclasses.fields(one):
+        got, want = getattr(block_fit, f.name), getattr(one, f.name)
+        where = f"{tag}.{type(one).__name__}.{f.name}"
+        if f.name == "fail":
+            assert want is None and got[b] is None, where
+        elif dataclasses.is_dataclass(want):
+            _assert_row(got, want, b, tag)
+        elif isinstance(got, np.ndarray):
+            assert np.shape(got[b]) == np.shape(want), where
+            np.testing.assert_array_equal(got[b], want, err_msg=where)
+        else:
+            assert got == want, where
+
+
 def test_failing_replication_fails_alone():
     # a block of three panels whose middle one has a constant regressor: only
-    # that replication fails, with the reason each estimator meets first, and
-    # the others' fits are bit-identical to their single-panel fits
+    # that replication fails, with the reason each estimator meets first (with
+    # an explicit C_n its every d_i = 0 is trimmed, so 1 + delta_bar = 0), and
+    # without a RuntimeWarning. A single panel is fitted as its block of one:
+    # every field of the others' single-panel fits equals their row of the
+    # block, and the failing panel raises the exception the block records
     from tmgpanel import PanelBlock, TrimConfig, fe, fete, gp_te, hausman_no_te, hausman_te
     from tmgpanel import mg, tmg, tmg_te
 
     from _helpers import random_panel
 
     rng = np.random.default_rng(11)
-    panels = [random_panel(rng, n=20, T=3) for _ in range(3)]
-    bad = panels[1]
-    panels[1] = type(bad)(
-        y=bad.y, x=np.full_like(bad.x, 2.5), unit_ids=bad.unit_ids, time_ids=bad.time_ids
-    )
-    block = PanelBlock(y=np.stack([p.y for p in panels]), x=np.stack([p.x for p in panels]))
-    fits = {
-        "fe": (fe, "SingularPooledGramError"),
-        "fete": (lambda p: fete(p)[0], "SingularPooledGramError"),
-        "mg": (mg, "SingularDesignError"),
-        "tmg": (lambda p: tmg(p, TrimConfig()), "AllSingularError"),
-        "gp": (gp, "AllTrimmedError"),
-        "tmgte": (lambda p: tmg_te(p)[0], "AllSingularError"),
-        "gpte": (lambda p: gp_te(p)[0], "AllTrimmedError"),
-        "hausman": (hausman_no_te, "SingularPooledGramError"),
-        "hausman_te": (hausman_te, "SingularPooledGramError"),
-    }
-    for tag, (fit, reason) in fits.items():
-        got = fit(block)
-        assert got.fail[0] is None and got.fail[2] is None, tag
-        assert type(got.fail[1]).__name__ == reason, (tag, got.fail[1])
-        with pytest.raises(type(got.fail[1])):
-            fit(panels[1])
-        if tag.startswith("hausman"):
-            assert np.isnan(got.statistic[1]) and np.isnan(got.p_value[1])
+    for T, c_n in [(2, None), (3, None), (2, 1.0), (3, 1.0)]:
+        panels = [random_panel(rng, n=20, T=T) for _ in range(3)]
+        bad = panels[1]
+        panels[1] = type(bad)(
+            y=bad.y, x=np.full_like(bad.x, 2.5), unit_ids=bad.unit_ids, time_ids=bad.time_ids
+        )
+        block = PanelBlock(y=np.stack([p.y for p in panels]), x=np.stack([p.x for p in panels]))
+        cfg = TrimConfig(c_n=c_n)
+        no_threshold = "AllSingularError" if c_n is None else "AllTrimmedError"
+        fits = {
+            "fe": (fe, "SingularPooledGramError"),
+            "fete": (fete, "SingularPooledGramError"),
+            "mg": (mg, "SingularDesignError"),
+            "tmg": (lambda p: tmg(p, cfg), no_threshold),
+            "gp": (gp, "AllTrimmedError"),
+            "tmgte": (lambda p: tmg_te(p, cfg), no_threshold),
+            "gpte": (gp_te, "AllTrimmedError"),
+            "hausman": (lambda p: hausman_no_te(p, cfg), "SingularPooledGramError"),
+            "hausman_te": (lambda p: hausman_te(p, cfg), "SingularPooledGramError"),
+        }
+        for tag, (fit, reason) in fits.items():
+            where = (tag, T, c_n)
+            got = fit(block)
+            head = got[0] if isinstance(got, tuple) else got
+            assert head.fail[0] is None and head.fail[2] is None, where
+            assert type(head.fail[1]).__name__ == reason, (where, head.fail[1])
+            with pytest.raises(type(head.fail[1])) as raised:
+                fit(panels[1])
+            assert str(raised.value) == str(head.fail[1]), where
+            if tag.startswith("hausman"):
+                assert np.isnan(got.statistic[1]) and np.isnan(got.p_value[1])
+            else:
+                assert np.isnan(head.coef[1]).all() and np.isnan(head.cov[1]).all()
             for b in (0, 2):
-                one = fit(panels[b])
-                assert got.statistic[b] == one.statistic and got.p_value[b] == one.p_value
-            continue
-        assert np.isnan(got.coef[1]).all() and np.isnan(got.cov[1]).all()
-        for b in (0, 2):
-            one = fit(panels[b])
-            np.testing.assert_array_equal(got.coef[b], one.coef, err_msg=tag)
-            np.testing.assert_array_equal(got.cov[b], one.cov, err_msg=tag)
+                _assert_row(got, fit(panels[b]), b, where)
 
 
 def test_failures_counted_by_reason():

@@ -25,6 +25,15 @@ from tmgpanel import (
     read_panel_csv,
 )
 
+# the CSV reader relies on loadtxt's fixed-width bytes fields and its latin-1
+# decoding: fail as soon as numpy deprecates either; it values plain-digit ids
+# from their bytes, so an overflow or a NaN cast there is an error too
+pytestmark = [
+    pytest.mark.filterwarnings("error::DeprecationWarning"),
+    pytest.mark.filterwarnings("error::FutureWarning"),
+    pytest.mark.filterwarnings("error::RuntimeWarning"),
+]
+
 
 def rows_2x3():
     return [

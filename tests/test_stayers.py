@@ -21,6 +21,10 @@ from tmgpanel import (
 from tmgpanel.designs import PanelDesign
 from tmgpanel.trimming import compute_threshold
 
+# the rank rule multiplies Gram diagonals and the fits divide by determinants:
+# an overflow, a 0/0 or a mean over nothing is an error here
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.fixture
 def panel_with_stayer(rng):

@@ -19,6 +19,9 @@ from tmgpanel.errors import SingularUnitGramError
 
 from _helpers import random_panel
 
+# a RuntimeWarning (say, a mean over no OK replication) is an error here
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def te_panel(rng, n=12, T=3, phi=None, noise=0.0, beta_spread=0.0):
     """Panel with known time effects; zero noise gives exact identification."""
