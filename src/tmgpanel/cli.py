@@ -15,7 +15,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from itertools import compress
 from pathlib import Path
 
@@ -27,6 +27,8 @@ from .errors import NumericalError, PanelInputError
 from .estimators import DEFAULT_ALPHA_GP
 from .hausman import hausman_no_te, hausman_te
 from .montecarlo import (
+    MAX_REPS,
+    MAX_UNITS,
     TE_TAGS,
     TEST_TAGS,
     DgpConfig,
@@ -117,7 +119,9 @@ def _checked(cast, ok, what: str):
 _ALPHA = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _POSITIVE = _checked(float, lambda v: v > 0.0, "positive")
 _AT_LEAST_1 = _checked(int, lambda v: v >= 1, "at least 1")
-_AT_LEAST_2 = _checked(int, lambda v: v >= 2, "at least 2")
+_REPS = _checked(int, lambda v: 1 <= v <= MAX_REPS, f"at least 1 and at most {MAX_REPS}")
+_N_CAL = _checked(int, lambda v: 2 <= v <= MAX_UNITS, f"at least 2 and at most {MAX_UNITS}")
+_GRID_POINTS = _checked(int, lambda v: 1 <= v <= 10**4, "at least 1 and at most 10000")
 _FINITE = _checked(float, math.isfinite, "finite")
 
 
@@ -356,7 +360,7 @@ def _write_power_csv(path: Path, results) -> None:
 def _power_grid(args, cfg: DgpConfig, extras: dict) -> np.ndarray:
     """The scenario's beta0_grid, else --grid-points values from --grid-min
     to --grid-max, which default to the true slope -+ 0.5."""
-    if extras.get("beta0_grid") is not None:
+    if extras["beta0_grid"] is not None:
         return np.asarray(extras["beta0_grid"], dtype=np.float64)
     beta0 = cfg.theta0[1]
     lo = beta0 - 0.5 if args.grid_min is None else args.grid_min
@@ -368,17 +372,14 @@ def _run_monte_carlo(args) -> int:
     """simulate, or power: the same run with a slope grid, written as a curve."""
     t0 = time.perf_counter()
     cfg, extras = _prepare_scenario(args)
-    estimators = extras.get("estimators", ["tmg"])
-    if not estimators:
-        raise PanelInputError("scenario lists no estimators")
-    reps = args.reps if args.reps is not None else extras.get("reps", 2000)
+    reps = args.reps if args.reps is not None else extras["reps"]
     grid = _power_grid(args, cfg, extras) if args.command == "power" else None
-    trim_cfg, alpha_gp = extras["trim_cfg"], extras.get("alpha_gp", DEFAULT_ALPHA_GP)
+    trim_cfg, alpha_gp = extras["trim_cfg"], extras["alpha_gp"]
     cfg, calibrated, cal_seconds = _ensure_kappa(cfg)
     t_rep = time.perf_counter()
     results = run_experiment(
         cfg,
-        estimators,
+        extras["estimators"],
         reps,
         beta0_grid=grid,
         trim_cfg=trim_cfg,
@@ -405,8 +406,8 @@ def _run_monte_carlo(args) -> int:
         path = out / "power.csv"
         _write_power_csv(path, results)
     params = {
-        "scenario": cfg.to_dict(),
-        "estimators": list(estimators),
+        "scenario": asdict(cfg),
+        "estimators": list(extras["estimators"]),
         "reps": reps,
         **({} if grid is None else {"grid": [float(g) for g in grid]}),
         "trim_alpha": trim_cfg.alpha,
@@ -440,7 +441,7 @@ def _run_calibrate(args) -> int:
     }
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(f"kappa2(T={cfg.T}) = {kappa2:.6f}")
-    params = {"scenario": cfg.to_dict(), "r_kappa": args.reps, "n_cal": args.n_cal}
+    params = {"scenario": asdict(cfg), "r_kappa": args.reps, "n_cal": args.n_cal}
     stages = _mc_stages(t_write - t_cal, 0.0, t_write)
     _write_manifest(
         out, "calibrate", params, cfg.seed, [path], time.perf_counter() - t0, stages
@@ -481,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo scenario")
     p_sim.add_argument("scenario")
-    p_sim.add_argument("--reps", type=_AT_LEAST_1)
+    p_sim.add_argument("--reps", type=_REPS)
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--jobs", type=_AT_LEAST_1, default=1)
     p_sim.add_argument("--out", default="tmgpanel_out")
@@ -490,9 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal = sub.add_parser("calibrate", help="calibrate the outcome noise scale")
     p_cal.add_argument("scenario")
     p_cal.add_argument(
-        "--reps", type=_AT_LEAST_1, default=1000, help="calibration replications (default 1000)"
+        "--reps", type=_REPS, default=1000, help="calibration replications (default 1000)"
     )
-    p_cal.add_argument("--n-cal", type=_AT_LEAST_2, default=5000)
+    p_cal.add_argument("--n-cal", type=_N_CAL, default=5000)
     p_cal.add_argument("--seed", type=int)
     p_cal.add_argument("--out", default="tmgpanel_out")
     p_cal.set_defaults(func=_run_calibrate)
@@ -501,8 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pow.add_argument("scenario")
     p_pow.add_argument("--grid-min", type=_FINITE, help="default: true slope - 0.5")
     p_pow.add_argument("--grid-max", type=_FINITE, help="default: true slope + 0.5")
-    p_pow.add_argument("--grid-points", type=_AT_LEAST_1, default=21)
-    p_pow.add_argument("--reps", type=_AT_LEAST_1)
+    p_pow.add_argument("--grid-points", type=_GRID_POINTS, default=21)
+    p_pow.add_argument("--reps", type=_REPS)
     p_pow.add_argument("--seed", type=int)
     p_pow.add_argument("--jobs", type=_AT_LEAST_1, default=1)
     p_pow.add_argument("--out", default="tmgpanel_out")
@@ -515,7 +516,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PanelInputError, FileNotFoundError) as exc:
+    except (PanelInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NumericalError as exc:

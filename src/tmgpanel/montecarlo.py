@@ -17,8 +17,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -55,20 +56,79 @@ TEST_TAGS = ("hausman", "hausman_te")
 TE_TAGS = ("fete", "tmgte", "gpte")
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+#: Upper bounds of a scenario's sizes: a size no run could hold fails before numpy
+#: sees it, but a size within them can still exceed the machine's memory.
+MAX_UNITS, MAX_PERIODS, MAX_REPS = 10**7, 10**4, 10**6
 
 
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+# The kinds of the field table's tests. A plain int or float skips the slower
+# numbers ABC checks, and a bool is never a number.
+def _integer(lo, hi=math.inf):
+    return lambda v: (
+        type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    ) and lo <= v <= hi
 
 
-def _is_finite(v) -> bool:
-    """A real number that is finite as a double (an int beyond its range is not)."""
-    try:
-        return _is_real(v) and math.isfinite(v)
-    except OverflowError:
+def _real(ok=lambda x: True):
+    """A real number whose double x passes ``ok``; an int past a double's range is none."""
+    def test(v):
+        if type(v) in (float, int) or isinstance(v, numbers.Real) and not isinstance(v, bool):
+            try:
+                return ok(float(v))
+            except OverflowError:
+                pass
         return False
+    return test
+
+
+def _choice(options):
+    return lambda v: isinstance(v, str) and v in options, f"one of {options}"
+
+
+def _list(item, lo=1, hi=math.inf):
+    return lambda v: isinstance(v, (list, tuple)) and lo <= len(v) <= hi and all(map(item, v))
+
+
+def _or_none(test):
+    return lambda v: v is None or test(v)
+
+
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+_VARIANCE = (_real(lambda x: 0.0 <= x < math.inf), "a finite number >= 0")
+_CORRELATION = (_real(lambda x: 0.0 <= x < 1.0), "a finite number in [0, 1)")
+#: Each scenario field's test and what it asks for (TrimConfig owns the trim ranges).
+_FIELDS = {
+    "n": (_integer(2, MAX_UNITS), f"an integer from 2 to {MAX_UNITS}"),
+    "T": (_integer(2, MAX_PERIODS), f"an integer from 2 to {MAX_PERIODS}"),
+    "theta0": (_list(_real(math.isfinite), 2, 2), "two numbers, both finite"),
+    "sigma2_alpha": _VARIANCE,
+    "sigma2_beta": _VARIANCE,
+    "rho_alpha": _CORRELATION,
+    "rho_beta": _CORRELATION,
+    "pr2": (_real(lambda x: 0.0 < x < 1.0), "a finite number in (0, 1)"),
+    "y_error_dist": _choice(Y_ERROR_DISTS),
+    "x_error_dist": _choice(X_ERROR_DISTS),
+    "rho_ie_mode": _choice(RHO_MODES),
+    "rho_ix_mode": _choice(RHO_MODES),
+    "interactive_x": _BOOL,
+    "heterosked": _choice(HETEROSKED_MODES),
+    "time_effects": _BOOL,
+    "kappa2": (_or_none(_VARIANCE[0]), "a finite number >= 0, or null"),
+    "seed": (_integer(0), "non-negative: an integer >= 0"),
+    "estimators": (_list(lambda t: isinstance(t, str)), "a list of tags, at least one"),
+    "reps": (_integer(1, MAX_REPS), f"an integer >= 1 and at most {MAX_REPS}"),
+    "jobs": (_integer(1), "an integer >= 1"),
+    "beta0_grid": (_or_none(_list(_real(math.isfinite))), "a non-empty list of finite numbers"),
+    "trim_alpha": (_real(), "a number"),
+    "trim_c_n": (_or_none(_real()), "a number, or null"),
+    "alpha_gp": (_real(lambda x: x > 0.0), "a positive number"),
+}
+
+
+def _check(name: str, value) -> None:
+    test, what = _FIELDS[name]
+    if not test(value):
+        raise ScenarioError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -94,41 +154,8 @@ class DgpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "T", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise ScenarioError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.seed < 0:
-            raise ScenarioError(f"seed must be non-negative, got {self.seed}")
-        theta0 = self.theta0
-        if not (isinstance(theta0, (tuple, list)) and len(theta0) == 2
-                and all(_is_finite(v) for v in theta0)):
-            raise ScenarioError(f"theta0 must be two numbers, both finite, got {theta0!r}")
-        for name in ("sigma2_alpha", "sigma2_beta", "rho_alpha", "rho_beta", "pr2", "kappa2"):
-            value = getattr(self, name)
-            if not (_is_finite(value) or name == "kappa2" and value is None):
-                raise ScenarioError(f"{name} must be a finite number, got {value!r}")
-        for name in ("interactive_x", "time_effects"):
-            if not isinstance(getattr(self, name), bool):
-                raise ScenarioError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        if self.n < 2 or self.T < 2:
-            raise ScenarioError(f"need n >= 2 and T >= 2, got n={self.n}, T={self.T}")
-        if self.sigma2_alpha < 0 or self.sigma2_beta < 0:
-            raise ScenarioError("heterogeneity variances must be non-negative")
-        if not (0.0 <= self.rho_alpha < 1.0 and 0.0 <= self.rho_beta < 1.0):
-            raise ScenarioError("rho_alpha and rho_beta must lie in [0, 1)")
-        if not 0.0 < self.pr2 < 1.0:
-            raise ScenarioError(f"pr2 must be in (0,1), got {self.pr2}")
-        for name, value, allowed in (
-            ("y_error_dist", self.y_error_dist, Y_ERROR_DISTS),
-            ("x_error_dist", self.x_error_dist, X_ERROR_DISTS),
-            ("rho_ie_mode", self.rho_ie_mode, RHO_MODES),
-            ("rho_ix_mode", self.rho_ix_mode, RHO_MODES),
-            ("heterosked", self.heterosked, HETEROSKED_MODES),
-        ):
-            if value not in allowed:
-                raise ScenarioError(f"{name} must be one of {allowed}, got {value!r}")
-        if self.kappa2 is not None and self.kappa2 < 0:
-            raise ScenarioError(f"kappa2 must be non-negative, got {self.kappa2}")
+        for name in self.__dataclass_fields__:
+            _check(name, getattr(self, name))
 
     # correlation-decomposition parameters, recomputed rather than stored
     @property
@@ -158,11 +185,6 @@ class DgpConfig:
         out = np.arange(1.0, self.T + 1.0)
         out[-1] = -self.T * (self.T - 1) / 2.0
         return out
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["theta0"] = list(self.theta0)
-        return d
 
 
 @dataclass(frozen=True)
@@ -602,19 +624,19 @@ def run_experiment(
     ``beta0_grid`` adds a power curve (rejection of beta = b over the grid)
     for every coefficient-reporting estimator. Failures propagate as skipped
     replications, counted per estimator and by reason. Replications are drawn
-    and fitted in blocks (see MAX_BLOCK_UNITS), and each of ``jobs`` workers
-    takes a run of consecutive replications; neither the block size nor
-    ``jobs`` changes any result.
+    and fitted in blocks (see MAX_BLOCK_UNITS), and each of ``jobs`` workers,
+    at most one per core this process may run on, takes a run of consecutive
+    replications; neither the block size nor ``jobs`` changes any result.
     """
-    for name, value in (("reps", reps), ("jobs", jobs)):
-        if not (_is_int(value) and value >= 1):
-            raise ScenarioError(f"{name} must be an integer >= 1, got {value!r}")
+    _check("reps", reps)
+    _check("jobs", jobs)
     if cfg.kappa2 is None:
         raise ScenarioError("kappa2 is unset; calibrate it first (see calibrate_kappa)")
+    _check_tags(estimators)
     tags = list(dict.fromkeys(estimators))
-    _check_tags(tags)
 
-    chunks = _blocks(range(reps), -(-reps // jobs))
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    chunks = _blocks(range(reps), -(-reps // min(jobs, cores or 1)))
     if len(chunks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a split run pays its import
 
@@ -631,73 +653,49 @@ def run_experiment(
 # scenario (de)serialization
 # ---------------------------------------------------------------------------
 
-_SCENARIO_EXTRAS = ("estimators", "reps", "trim_alpha", "trim_c_n", "alpha_gp", "beta0_grid")
+#: The experiment settings a scenario may give beside the DgpConfig fields, and their defaults.
+_EXTRAS = {"estimators": ("tmg",), "reps": 2000, "trim_alpha": DEFAULT_ALPHA, "trim_c_n": None,
+           "alpha_gp": DEFAULT_ALPHA_GP, "beta0_grid": None}
 
 
 def scenario_from_dict(raw: dict) -> tuple[DgpConfig, dict]:
-    """Split a flat scenario mapping into a DgpConfig and experiment settings,
-    each checked (see :func:`_check_extras`)."""
+    """A DgpConfig and the settings of ``_EXTRAS``, all checked, plus ``trim_cfg``."""
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
     cfg_fields = DgpConfig.__dataclass_fields__
-    cfg_kwargs, extras = {}, {}
-    for key, value in raw.items():
-        if key in cfg_fields:
-            cfg_kwargs[key] = tuple(value) if key == "theta0" and isinstance(value, list) else value
-        elif key in _SCENARIO_EXTRAS:
-            extras[key] = value
-        else:
+    for key in raw:
+        if key not in cfg_fields and key not in _EXTRAS:
             raise ScenarioError(f"unknown scenario field {key!r}")
-    missing = [k for k in ("n", "T") if k not in cfg_kwargs]
+    missing = [k for k in ("n", "T") if k not in raw]
     if missing:
         raise ScenarioError(f"scenario missing required fields {missing}")
+    cfg = DgpConfig(**{
+        key: tuple(value) if key == "theta0" and isinstance(value, list) else value
+        for key, value in raw.items() if key in cfg_fields
+    })
+    extras = {key: raw.get(key, default) for key, default in _EXTRAS.items()}
+    for key, value in extras.items():
+        _check(key, value)
+    _check_tags(extras["estimators"])
     try:
-        cfg = DgpConfig(**cfg_kwargs)
-    except TypeError as exc:
-        raise ScenarioError(str(exc)) from None
-    _check_extras(extras)
+        extras["trim_cfg"] = TrimConfig(alpha=extras["trim_alpha"], c_n=extras["trim_c_n"])
+    except ValueError as exc:
+        raise ScenarioError(f"invalid trim_alpha/trim_c_n: {exc}") from None
     return cfg, extras
 
 
 def _check_tags(tags) -> None:
-    """An unknown tag is a ScenarioError."""
+    """A list of tags, at least one; an unknown tag is a ScenarioError of its own."""
+    _check("estimators", tags)
     for tag in tags:
         if tag not in ESTIMATOR_TAGS + TEST_TAGS:
             raise ScenarioError(f"unknown estimator tag {tag!r}")
-
-
-def _check_extras(extras: dict) -> None:
-    """Every experiment setting, so that a bad one fails before any work;
-    adds ``trim_cfg``, the TrimConfig of ``trim_alpha`` and ``trim_c_n``."""
-    if "reps" in extras and not (_is_int(extras["reps"]) and extras["reps"] >= 1):
-        raise ScenarioError(f"reps must be an integer >= 1, got {extras['reps']!r}")
-    tags = extras.get("estimators", [])
-    if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
-        raise ScenarioError(f"estimators must be a list of tags, got {tags!r}")
-    _check_tags(tags)
-    grid = extras.get("beta0_grid")
-    if grid is not None and not (
-        isinstance(grid, list) and grid and all(map(_is_finite, grid))
-    ):
-        raise ScenarioError(f"beta0_grid must be a non-empty list of numbers, got {grid!r}")
-    for key in ("trim_alpha", "trim_c_n", "alpha_gp"):
-        value = extras.get(key)
-        if value is not None and not _is_real(value):
-            raise ScenarioError(f"{key} must be a number, got {value!r}")
-    try:
-        extras["trim_cfg"] = TrimConfig(
-            alpha=extras.get("trim_alpha", DEFAULT_ALPHA), c_n=extras.get("trim_c_n")
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"invalid trim_alpha/trim_c_n: {exc}") from None
-    if not extras.get("alpha_gp", DEFAULT_ALPHA_GP) > 0:
-        raise ScenarioError(f"alpha_gp must be a positive number, got {extras['alpha_gp']!r}")
 
 
 def load_scenario(path) -> tuple[DgpConfig, dict]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ScenarioError(f"invalid JSON in {path}: {exc}") from None
     return scenario_from_dict(raw)

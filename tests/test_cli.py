@@ -2,9 +2,13 @@ import csv
 import hashlib
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _helpers import QUOTED_IDS_CSV
 from tmgpanel import BalancedPanel, DgpConfig, generate_replication, read_panel_csv
@@ -257,6 +261,11 @@ class TestHausmanCommand:
         (["simulate", "{scen}", "--jobs", "0"], "--jobs: must be at least 1"),
         (["calibrate", "{scen}", "--n-cal", "1"], "--n-cal: must be at least 2"),
         (["simulate", "{bad_trim}"], "alpha must be in (0,1)"),
+        (["calibrate", "{scen}", "--n-cal", "10000000000000"], "--n-cal: must be at least 2"),
+        (["power", "{scen}", "--grid-points", "10000000000000"],
+         "--grid-points: must be at least 1"),
+        (["simulate", "{scen}", "--reps", "1000000000000"], "--reps: must be at least 1"),
+        (["calibrate", "{scen}", "--reps", "1000000000000"], "--reps: must be at least 1"),
     ],
 )
 def test_invalid_values_exit_2_with_message(hetero_csv, tmp_path, capsys, argv, message):
@@ -412,6 +421,20 @@ class TestPower:
         ("power", [], {"pr2": float("inf")}, "pr2 must be a finite number"),
         ("simulate", [], {"sigma2_beta": 10**400}, "sigma2_beta must be a finite number"),
         ("power", [], {"beta0_grid": [1, 10**400]}, "beta0_grid must be a non-empty list"),
+        ("simulate", [], {"T": 10**30}, "T must be an integer from 2 to 10000,"),
+        ("calibrate", [], {"T": 10**30}, "T must be an integer from 2 to 10000,"),
+        ("simulate", [], {"n": 10**14}, "n must be an integer from 2 to 10000000,"),
+        ("simulate", [], {"estimators": ["tmg", "gp"], "trim_c_n": 10**400},
+         "trim_c_n must be a number"),
+        ("power", [], {"estimators": ["tmg", "gp"], "alpha_gp": 10**400},
+         "alpha_gp must be a positive number"),
+        ("simulate", [], {"reps": 10**12}, "reps must be an integer >= 1 and at most 1000000,"),
+        ("calibrate", [], {"reps": 10**12}, "reps must be an integer >= 1 and at most 1000000,"),
+        ("simulate", [], {"estimators": []}, "estimators must be a list of tags, at least one"),
+        ("calibrate", [], {"estimators": []}, "estimators must be a list of tags, at least one"),
+        ("simulate", [], {"kappa2": -1.0}, "kappa2 must be a finite number >= 0, or null"),
+        ("simulate", [], {"time_effects": 1}, "time_effects must be true or false"),
+        ("simulate", [], {"heterosked": "none"}, "heterosked must be one of"),
     ],
 )
 def test_invalid_scenario_values_exit_2(
@@ -436,6 +459,97 @@ def test_invalid_scenario_values_exit_2(
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("simulate", b'{"n": 100, "T": 2, "heterosked": "\xe9"}', "can't decode byte 0xe9"),
+        ("calibrate", b'{"n": 1' + b"0" * 5000 + b', "T": 2}', "Exceeds the limit"),
+        ("power", b"[" * 100_000, "maximum recursion depth"),
+    ],
+    ids=["not-utf8", "5001-digits", "deep-nesting"],
+)
+def test_unreadable_scenario_exits_2(tmp_path, capsys, command, content, message):
+    scen = tmp_path / "scen.json"
+    scen.write_bytes(content)
+    assert main([command, str(scen), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid JSON in {scen}" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "test", "simulate", "calibrate", "power"])
+def test_directory_as_input_exits_2(tmp_path, capsys, command):
+    assert main([command, str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+
+
+def _scenario_bytes(**kw) -> bytes:
+    return json.dumps(scenario_payload(**kw)).encode()
+
+
+#: Every field a scenario may hold, and one it may not.
+_SCENARIO_FIELDS = sorted(
+    set(DgpConfig.__dataclass_fields__)
+    | {"estimators", "reps", "trim_alpha", "trim_c_n", "alpha_gp", "beta0_grid", "bogus"}
+)
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**600), max_value=10**600)
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(["tmg", "gaussian", "uniform095", "random"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+_scenario_files = st.one_of(
+    st.builds(
+        lambda k, v: _scenario_bytes(**{k: v}), st.sampled_from(_SCENARIO_FIELDS), _json_values
+    ),
+    st.binary(max_size=64),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(content=_scenario_files)
+@example(content=_scenario_bytes(T=10**30))
+@example(content=_scenario_bytes(estimators=["tmg", "gp"], trim_c_n=10**400))
+@example(content=b'{"n": 100, "T": 2, "heterosked": "\xe9"}')
+def test_any_scenario_file_exits_0_2_or_3(content):
+    # whatever the file holds, simulate, power and calibrate exit 0, 2 or 3
+    # and never raise. No case calibrates or replicates: the stand-ins ask of
+    # a scenario what every real run asks first, that n and T shape an array
+    # and that the fit settings are doubles, and then return at once.
+    from unittest import mock
+
+    from tmgpanel import cli
+
+    def calibrate_kappa(cfg, *args, **kwargs):
+        np.empty((0, cfg.n, cfg.T))
+        return 15.5
+
+    def run_experiment(cfg, estimators, reps, beta0_grid=None, trim_cfg=None, alpha_gp=None,
+                       jobs=1):
+        np.empty((0, cfg.n, cfg.T))
+        np.float64([alpha_gp, trim_cfg.alpha, trim_cfg.c_n or 0.0])
+        return []
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "calibrate_kappa", calibrate_kappa), \
+            mock.patch.object(cli, "run_experiment", run_experiment):
+        scen = Path(tmp) / "scen.json"
+        scen.write_bytes(content)
+        for command in ("simulate", "power", "calibrate"):
+            argv = [command, str(scen), "--out", str(Path(tmp) / command)]
+            if command != "calibrate":
+                argv += ["--jobs", "1"]
+            assert main(argv) in (0, 2, 3)
 
 
 def test_calibrate_draws_as_many_replications_as_simulate(tmp_path, monkeypatch):

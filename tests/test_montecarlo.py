@@ -230,6 +230,35 @@ class TestRunExperiment:
         with pytest.raises(ScenarioError, match=f"{name} must be an integer >= 1"):
             run_experiment(base_cfg(n=20), ["fe"], **args)
 
+    def test_workers_capped_at_the_cores(self, monkeypatch):
+        # jobs=64 on two cores starts two workers, and the results are those
+        # of one; the pool runs in this process and records its size
+        import concurrent.futures
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = base_cfg(n=80, seed=31)
+        one = run_experiment(cfg, ["fe", "tmg", "hausman"], reps=8, jobs=1)
+        many = run_experiment(cfg, ["fe", "tmg", "hausman"], reps=8, jobs=64)
+        assert sizes == [2]
+        for a, b in zip(one, many):
+            _fields_equal(a, b)
+
     def test_estimator_failures_counted_and_skipped(self):
         # an absurd explicit threshold trims every unit in every replication
         from tmgpanel import TrimConfig
@@ -374,6 +403,8 @@ def test_results_independent_of_block_size_and_jobs(monkeypatch, cfg):
         return original(cfg, block, *args)
 
     monkeypatch.setattr(montecarlo, "_block_records", counted)
+    # run_experiment starts no more workers than there are cores: allow three
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     for cap in (cfg.n, 4 * cfg.n, reps * cfg.n):
         monkeypatch.setattr(montecarlo, "MAX_BLOCK_UNITS", cap)
         for jobs in (1, 2, 3):  # three workers take 13 + 13 + 14 replications
@@ -659,6 +690,38 @@ class TestScenario:
     def test_missing_required(self):
         with pytest.raises(ScenarioError):
             scenario_from_dict({"T": 2})
+
+    def test_defaults_filled_in(self):
+        from tmgpanel import TrimConfig
+        from tmgpanel.estimators import DEFAULT_ALPHA_GP
+
+        cfg, extras = scenario_from_dict({"n": 10, "T": 2, "theta0": [0.5, 2]})
+        assert cfg.theta0 == (0.5, 2)
+        assert extras == {
+            "estimators": ("tmg",), "reps": 2000, "trim_alpha": TrimConfig().alpha,
+            "trim_c_n": None, "alpha_gp": DEFAULT_ALPHA_GP, "beta0_grid": None,
+            "trim_cfg": TrimConfig(),
+        }
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"T": 10**30}, "T must be an integer from 2 to 10000, got 10"),
+            ({"n": 10**14}, "n must be an integer from 2 to 10000000, got 10"),
+            ({"seed": 2.0}, "seed must be non-negative: an integer >= 0, got 2.0"),
+            ({"pr2": 10**400}, "pr2 must be a finite number in (0, 1), got 10"),
+            ({"rho_alpha": 1.0}, "rho_alpha must be a finite number in [0, 1), got 1.0"),
+            ({"x_error_dist": ["uniform"]}, "x_error_dist must be one of"),
+        ],
+    )
+    def test_library_config_checked_by_the_same_table(self, kwargs, message):
+        with pytest.raises(ScenarioError) as exc:
+            DgpConfig(**{"n": 10, "T": 2, **kwargs})
+        assert message in str(exc.value)
+
+    def test_run_experiment_rejects_no_estimators(self):
+        with pytest.raises(ScenarioError, match="estimators must be a list of tags, at least one"):
+            run_experiment(base_cfg(n=20), [], reps=2)
 
 
 def test_import_leaves_process_pool_out():
