@@ -31,8 +31,8 @@ from .montecarlo import (
     MAX_UNITS,
     TE_TAGS,
     TEST_TAGS,
+    _TAG_FITS,
     DgpConfig,
-    FitCache,
     calibrate_kappa,
     load_scenario,
     run_experiment,
@@ -210,7 +210,7 @@ _TE_VARIANT = {"fe": "fete", "tmg": "tmgte", "gp": "gpte"}
 @blockwise
 def _fit(block, tag: str, trim_cfg: TrimConfig, alpha_gp: float):
     """The fit of ``tag`` on a block, or on one panel as its block of one."""
-    return FitCache(block, trim_cfg, alpha_gp).fit(tag)
+    return _TAG_FITS[tag](block, trim_cfg, alpha_gp)
 
 
 def _run_estimate(args) -> int:
@@ -251,7 +251,7 @@ def _run_estimate(args) -> int:
     print(header)
     for name, c, s, t, p in rows:
         print(f"{name:>8} {c:14.6f} {s:12.6f} {t:9.3f} {p:9.4f}")
-    if est.pi_n > 0 or est.method in ("tmg", "tmgte", "gp", "gpte"):
+    if est.pi_n > 0 or est.alpha_used is not None:
         print(f"trimmed fraction pi_hat = {est.pi_n:.4f}")
 
     params = {

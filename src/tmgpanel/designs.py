@@ -8,13 +8,14 @@ plain OLS but remains a valid input to the trimmed branch.
 Every fit computes on a block of B replications
 (:class:`~tmgpanel.panel.PanelBlock`), and each of its arrays carries the
 leading replication axis. A single panel is fitted as its block of one through
-:func:`blockwise`.
+:func:`blockwise`. A block builds its :class:`PanelDesign` once, and caches
+every fit that several others read, such as the Chamberlain projectors, with
+:meth:`~tmgpanel.panel.PanelBlock.fit`.
 """
 
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
@@ -199,23 +200,19 @@ class PanelDesign:
     """Batched designs for all units: the shared input of every estimator.
 
     Holds W (..., n, T, k), Gram matrices, determinants and adjugates computed
-    in one kernel sweep over the units of every replication, plus W_i'y_i,
-    adj(W_i'W_i) W_i'y_i, the Chamberlain projectors and the projector-average
-    time effects, each built on first use. Immutable by convention. The fits
-    read a block's own design, :attr:`PanelBlock.design`, built on its first
-    use and shared by every fit of the block.
-
-    A design holds its panel weakly, so the caller keeps the panel alive: the
-    block owns its design, and a strong reference back would make a cycle that
-    only the cycle collector frees, keeping each finished block's arrays alive.
+    in one kernel sweep over the units of every replication, plus W_i'y_i and
+    adj(W_i'W_i) W_i'y_i, each built on first use. Immutable by convention.
+    The fits read a block's own design, :attr:`PanelBlock.design`, built on
+    its first use and shared by every fit of the block; the projectors and
+    the projector-average time effects are fits of the block, cached by
+    :meth:`PanelBlock.fit`. A design holds the outcomes ``y``, not its panel,
+    so a finished block and its design are freed by reference counting.
     """
 
-    __slots__ = (
-        "_panel", "W", "gram", "d", "adj", "_wty", "_adj_wty", "_projectors", "_time_effects"
-    )
+    __slots__ = ("y", "W", "gram", "d", "adj", "_wty", "_adj_wty")
 
     def __init__(self, panel: BalancedPanel | PanelBlock):
-        self._panel = weakref.ref(panel)
+        self.y = panel.y
         self.W = panel.design_tensor()
         *lead, n, T, k = self.W.shape
         gram, d, adj = gram_det_adj(self.W.reshape(-1, T, k))
@@ -224,24 +221,18 @@ class PanelDesign:
         self.adj = adj.reshape(*lead, n, k, k)
         self._wty = None
         self._adj_wty = None
-        self._projectors = None
-        self._time_effects = None
-
-    @property
-    def panel(self) -> BalancedPanel | PanelBlock:
-        return self._panel()
 
     @property
     def lead(self) -> tuple:
-        return self.panel.lead
+        return self.W.shape[:-3]
 
     @property
     def n(self) -> int:
-        return self.panel.n
+        return self.W.shape[-3]
 
     @property
     def k(self) -> int:
-        return self.panel.k
+        return self.W.shape[-1]
 
     def floor(self) -> np.ndarray:
         return singularity_floor(self.gram)
@@ -258,7 +249,7 @@ class PanelDesign:
     def wty(self) -> np.ndarray:
         """W_i'y_i for every unit, (..., n, k)."""
         if self._wty is None:
-            self._wty = small_matvec(mt(self.W), self.panel.y)
+            self._wty = small_matvec(mt(self.W), self.y)
         return self._wty
 
     def adj_wty(self) -> np.ndarray:
@@ -266,20 +257,6 @@ class PanelDesign:
         if self._adj_wty is None:
             self._adj_wty = small_matvec(self.adj, self.wty())
         return self._adj_wty
-
-    def projectors(self) -> ChamberlainProjector:
-        """Chamberlain projectors of the panel's regressors, built once."""
-        if self._projectors is None:
-            self._projectors = chamberlain_projectors(self.panel)
-        return self._projectors
-
-    def time_effects(self):
-        """Projector-average time effects of the panel (T > k), solved once."""
-        if self._time_effects is None:
-            from .timeeffects import chamberlain_phi  # timeeffects imports this module
-
-            self._time_effects = chamberlain_phi(self.panel)
-        return self._time_effects
 
     def bmats(self, a_n, trimmed: np.ndarray) -> np.ndarray:
         """(1 + delta_i) (W'W)^{-1} for every unit, finite on the trimmed branch

@@ -200,7 +200,7 @@ def gp_threshold(pd: PanelDesign, alpha_gp: float):
     T = k: h_n = C n^{-alpha} with C = min(sd, IQR/1.34)/2 of det(W_i);
     T > k: C = sqrt(dbar_n). Units with d_i <= h_n^2 are excluded.
     """
-    if pd.panel.T == pd.k:
+    if pd.W.shape[-2] == pd.k:
         # d_i = det(W_i)^2 when W_i is square; bandwidth set on det(W_i) itself
         det_w = det_stack(pd.W)
         q75, q25 = np.percentile(det_w, [75, 25], axis=-1)
@@ -251,7 +251,7 @@ def weighted_mean_group(
         pi_n=wt.pi_n,
         alpha_used=wt.alpha,
         per_unit=tilde,
-        coef_names=_mg_names(pd.panel.k_prime),
+        coef_names=_mg_names(pd.k - 1),
         trim=wt.trim,
         keep=wt.keep,
         fail=wt.fail,

@@ -5,6 +5,9 @@ heterogeneity) with a trimmed mean-group estimator (consistent under both)
 through a robust quadratic form that is chi-squared with k' degrees of
 freedom under the null. A test runs on a block of replications and gives
 one statistic per replication; a single panel is tested as its block of one.
+A test reads the two estimates it compares, and at T > k the projectors,
+from the block's fit cache (:meth:`~tmgpanel.panel.PanelBlock.fit`), so on a
+block that has fitted them already neither is computed again.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import numpy as np
 from ._kernels import small_matmul, small_matvec
 from .designs import (
     RANK_RTOL,
-    PanelDesign,
     blockwise,
+    chamberlain_projectors,
     col,
     mt,
     mv,
@@ -28,7 +31,7 @@ from .designs import (
     within,
 )
 from .errors import SingularVdeltaError, failed, flag, merge
-from .estimators import Estimate, fe, tmg
+from .estimators import fe, tmg
 from .panel import PanelBlock
 from .timeeffects import fete, tmg_te
 from .trimming import TrimConfig
@@ -134,19 +137,15 @@ def _result(stat, df: int, variant: str, delta, fail) -> HausmanResult:
 
 @blockwise
 def hausman_no_te(panel: PanelBlock, cfg: TrimConfig = TrimConfig()) -> HausmanResult:
-    """Test of correlated heterogeneity from the FE-vs-TMG slope difference."""
-    return hausman_no_te_from(panel.design, fe(panel), tmg(panel, cfg))
+    """Test of correlated heterogeneity from the FE-vs-TMG slope difference.
 
-
-def hausman_no_te_from(pd: PanelDesign, fe_est: Estimate, tmg_est: Estimate) -> HausmanResult:
-    """:func:`hausman_no_te` from FE and TMG estimates already fitted on ``pd``
-    (the TMG estimate carries the trimming state the weights come from, the
-    FE estimate its scores and bread)."""
-    panel = pd.panel
+    The TMG fit carries the trimming state the weights come from, the FE fit
+    its scores and bread."""
+    fe_est, tmg_est = panel.fit(fe), panel.fit(tmg, cfg)
     fail = merge(fe_est.fail, tmg_est.fail)
     delta = fe_est.coef - tmg_est.coef[..., 1:]
     state = tmg_est.trim
-    B = pd.bmats(state.a_n, state.trimmed)
+    B = panel.design.bmats(state.a_n, state.trimmed)
     b_slope = B[..., 1:, 1:]  # (1+delta_i) (X'MX)^{-1}, finite on the trimmed branch
     scale = np.where(failed(fail), 1.0, state.weight_scale)  # a failed TMG fit may have 0
     m = fe_est.bread[..., None, :, :] - b_slope / col(col(col(scale)))
@@ -164,15 +163,11 @@ def hausman_te(panel: PanelBlock, cfg: TrimConfig = TrimConfig()) -> HausmanResu
 
     Compares the two-way pooled estimator with the trimmed mean-group TE
     estimator; the weighting matrix follows the T = k or T > k construction
-    of the trimmed estimator.
+    of the trimmed estimator. The FE-TE fit carries its scores, bread and
+    within residuals.
     """
-    return hausman_te_from(panel.design, fete(panel)[0], tmg_te(panel, cfg)[0])
-
-
-def hausman_te_from(pd: PanelDesign, fete_est: Estimate, tmgte_est: Estimate) -> HausmanResult:
-    """:func:`hausman_te` from FE-TE and TMG-TE estimates already fitted on ``pd``
-    (the FE-TE estimate carries its scores, bread and within residuals)."""
-    panel = pd.panel
+    fete_est, tmgte_est = panel.fit(fete)[0], panel.fit(tmg_te, cfg)[0]
+    pd = panel.design
     fail = merge(fete_est.fail, tmgte_est.fail)
     delta = fete_est.coef - tmgte_est.coef[..., 1:]
     state = tmgte_est.trim
@@ -197,7 +192,7 @@ def hausman_te_from(pd: PanelDesign, fete_est: Estimate, tmgte_est: Estimate) ->
         scores = s_pool - s_trim @ mt(a_x_inv) / scale
         variant = VARIANT_TE_TEQK
     else:
-        proj = pd.projectors()
+        proj = panel.fit(chamberlain_projectors)
         mbar_inv = np.linalg.inv(nonsingular(proj.M_bar, failed(fail)))
         mi_nu = proj.apply(nud)
         # third term of G_iC' M_T nu~: Qbar_nx' M_T Mbar^{-1} (M_i nu~)

@@ -27,7 +27,7 @@ import numpy as np
 from .designs import void, within
 from .errors import NumericalError, ScenarioError
 from .estimators import DEFAULT_ALPHA_GP, fe, gp, mg, tmg
-from .hausman import HausmanResult, hausman_no_te_from, hausman_te_from
+from .hausman import HausmanResult, hausman_no_te, hausman_te
 from .panel import BalancedPanel, PanelBlock
 from .timeeffects import fete, gp_te, tmg_te
 from .trimming import DEFAULT_ALPHA, TrimConfig
@@ -96,9 +96,12 @@ def _or_none(test):
 _BOOL = (lambda v: isinstance(v, bool), "true or false")
 _VARIANCE = (_real(lambda x: 0.0 <= x < math.inf), "a finite number >= 0")
 _CORRELATION = (_real(lambda x: 0.0 <= x < 1.0), "a finite number in [0, 1)")
-#: Each scenario field's test and what it asks for (TrimConfig owns the trim ranges).
+_UNITS = (_integer(2, MAX_UNITS), f"an integer from 2 to {MAX_UNITS}")
+_REPS = (_integer(1, MAX_REPS), f"an integer >= 1 and at most {MAX_REPS}")
+#: Each scenario field's test and what it asks for (TrimConfig owns the trim
+#: ranges), and those of calibrate_kappa's r_kappa and n_cal.
 _FIELDS = {
-    "n": (_integer(2, MAX_UNITS), f"an integer from 2 to {MAX_UNITS}"),
+    "n": _UNITS,
     "T": (_integer(2, MAX_PERIODS), f"an integer from 2 to {MAX_PERIODS}"),
     "theta0": (_list(_real(math.isfinite), 2, 2), "two numbers, both finite"),
     "sigma2_alpha": _VARIANCE,
@@ -116,12 +119,14 @@ _FIELDS = {
     "kappa2": (_or_none(_VARIANCE[0]), "a finite number >= 0, or null"),
     "seed": (_integer(0), "non-negative: an integer >= 0"),
     "estimators": (_list(lambda t: isinstance(t, str)), "a list of tags, at least one"),
-    "reps": (_integer(1, MAX_REPS), f"an integer >= 1 and at most {MAX_REPS}"),
+    "reps": _REPS,
     "jobs": (_integer(1), "an integer >= 1"),
     "beta0_grid": (_or_none(_list(_real(math.isfinite))), "a non-empty list of finite numbers"),
     "trim_alpha": (_real(), "a number"),
     "trim_c_n": (_or_none(_real()), "a number, or null"),
     "alpha_gp": (_real(lambda x: x > 0.0), "a positive number"),
+    "r_kappa": _REPS,
+    "n_cal": _UNITS,
 }
 
 
@@ -395,6 +400,8 @@ def calibrate_kappa(cfg: DgpConfig, r_kappa: int = 1000, n_cal: int = 5000) -> f
     shared across calibration replications. Replications run in blocks, as in
     :func:`run_experiment`, and are accumulated in order.
     """
+    _check("r_kappa", r_kappa)
+    _check("n_cal", n_cal)
     f_path = None
     if cfg.interactive_x:
         f_path = draw_factor_path(
@@ -466,39 +473,22 @@ class McResult:
 NONFINITE_SE = "NonFiniteStandardError"
 
 
-class FitCache:
-    """Each tag's fit of one block of replications, computed at most once.
-    The Hausman tags reuse the fits they compare, and every fit shares the
-    block's PanelDesign, which the pooled fits alone never build."""
-
-    def __init__(
-        self,
-        panel: PanelBlock,
-        trim_cfg: TrimConfig = TrimConfig(),
-        alpha_gp: float = DEFAULT_ALPHA_GP,
-    ):
-        self.panel, self.trim_cfg, self.alpha_gp = panel, trim_cfg, alpha_gp
-        self._fits = {}
-
-    def fit(self, tag: str):
-        if tag not in self._fits:
-            self._fits[tag] = _TAG_FITS[tag](self)
-        return self._fits[tag]
-
-
-#: What each tag fits: an Estimate, an (Estimate, TimeEffects) pair or a test.
-#: The entries look the fits up by name when called, so a fit rebound on this
-#: module (as the benchmark's layer trace does) is the one that runs.
+#: What each tag fits on a block, given the block, the trim config and the GP
+#: exponent: an Estimate, an (Estimate, TimeEffects) pair or a test. Each
+#: entry asks the block (:meth:`PanelBlock.fit`), so a fit that several tags
+#: read, as the Hausman tests read the fits they compare, runs once per
+#: block. The entries look the fits up by name when called, so a fit rebound
+#: on this module (as the benchmark's layer trace does) is the one that runs.
 _TAG_FITS = {
-    "fe": lambda r: fe(r.panel),
-    "mg": lambda r: mg(r.panel),
-    "tmg": lambda r: tmg(r.panel, r.trim_cfg),
-    "gp": lambda r: gp(r.panel, r.alpha_gp),
-    "fete": lambda r: fete(r.panel),
-    "tmgte": lambda r: tmg_te(r.panel, r.trim_cfg),
-    "gpte": lambda r: gp_te(r.panel, r.alpha_gp),
-    "hausman": lambda r: hausman_no_te_from(r.panel.design, r.fit("fe"), r.fit("tmg")),
-    "hausman_te": lambda r: hausman_te_from(r.panel.design, r.fit("fete")[0], r.fit("tmgte")[0]),
+    "fe": lambda b, t, a: b.fit(fe),
+    "mg": lambda b, t, a: b.fit(mg),
+    "tmg": lambda b, t, a: b.fit(tmg, t),
+    "gp": lambda b, t, a: b.fit(gp, a),
+    "fete": lambda b, t, a: b.fit(fete),
+    "tmgte": lambda b, t, a: b.fit(tmg_te, t),
+    "gpte": lambda b, t, a: b.fit(gp_te, a),
+    "hausman": lambda b, t, a: b.fit(hausman_no_te, t),
+    "hausman_te": lambda b, t, a: b.fit(hausman_te, t),
 }
 
 
@@ -514,12 +504,12 @@ def _block_records(
     A failed replication has NaN rows and its NumericalError class name; the
     others have reason None.
     """
-    fits = FitCache(generate_block(cfg, reps)[0], trim_cfg, alpha_gp)
+    block = generate_block(cfg, reps)[0]
     B = len(reps)
     out = {}
     for tag in tags:
         try:
-            fit = fits.fit(tag)
+            fit = _TAG_FITS[tag](block, trim_cfg, alpha_gp)
         except NumericalError as exc:  # a failure of the block's shape fails every replication
             nan = np.full((B, len(_tag_coef_names(tag, cfg.T))), np.nan)
             out[tag] = nan, nan, np.full(B, np.nan), np.full(B, type(exc).__name__, dtype=object)

@@ -173,7 +173,10 @@ class PanelBlock(_PanelShape):
     """B panels of one shape stacked on a leading replication axis: outcomes
     (B, n, T) and regressors (B, n, T, k'). Every estimator fits the
     replications of a block at once, each one failing alone; a single panel
-    is fitted as its block of one."""
+    is fitted as its block of one.
+
+    A block caches its own fits (:meth:`fit`), so that the estimators and
+    tests sharing a design, projectors or a fit compute each once per block."""
 
     y: np.ndarray
     x: np.ndarray
@@ -184,6 +187,20 @@ class PanelBlock(_PanelShape):
         from .designs import PanelDesign  # designs imports this module
 
         return PanelDesign(self)
+
+    @cached_property
+    def _fits(self) -> dict:
+        return {}
+
+    def fit(self, f, *args):
+        """``f(self, *args)``, computed once per block and per ``(f, *args)``.
+        The key is the function object itself, so a fit rebound by name (as
+        a tracing wrapper is) is cached apart from the original. A fit that
+        raises is not cached."""
+        key = (f, *args)
+        if key not in self._fits:
+            self._fits[key] = f(self, *args)
+        return self._fits[key]
 
 
 def _factorise(column) -> tuple[list, np.ndarray, np.ndarray]:

@@ -14,9 +14,8 @@ import numpy as np
 
 from ._kernels import small_matmul, small_matvec
 from .designs import (
-    PanelDesign,
     blockwise,
-    chamberlain_projectors,  # noqa: F401  (exported from this module)
+    chamberlain_projectors,
     col,
     mt,
     mv,
@@ -103,12 +102,12 @@ def fete(panel: PanelBlock) -> tuple[Estimate, TimeEffects]:
 @blockwise
 def chamberlain_phi(panel: PanelBlock) -> TimeEffects:
     """Projector-average estimator of the time effects, valid for T > k,
-    from the projectors of the block's design."""
+    from the block's projectors."""
     if panel.T == panel.k:
         raise RequiresTGreaterKError(
             f"T={panel.T} equals k={panel.k}; the projector average is singular"
         )
-    proj = panel.design.projectors()
+    proj = panel.fit(chamberlain_projectors)
     mbar = nonsingular(proj.M_bar, failed(proj.fail))
     fail = flag(
         proj.fail,
@@ -129,21 +128,21 @@ def chamberlain_phi(panel: PanelBlock) -> TimeEffects:
 
 
 def weighted_mean_group_te(
-    pd: PanelDesign, wt: Weighting, method: str
+    panel: PanelBlock, wt: Weighting, method: str
 ) -> tuple[Estimate, TimeEffects]:
     """The weighted mean-group estimator with time effects.
 
-    T > k: the projector-average effects are subtracted before averaging.
-    T = k: coefficients and effects solve the cross-section-average system
-    (I_k - Qbar'M_T Wbar) theta = theta_w - Qbar'M_T ybar jointly.
+    T > k: the projector-average effects of the block are subtracted before
+    averaging. T = k: coefficients and effects solve the cross-section-average
+    system (I_k - Qbar'M_T Wbar) theta = theta_w - Qbar'M_T ybar jointly.
     """
-    panel, keep = pd.panel, wt.keep
+    pd, keep = panel.design, wt.keep
     B = pd.adj / wt.den[..., None, None]
     Q = small_matmul(pd.W, B)  # Q_i = w_i W_i (W'W)^{-1}
     qbar = unit_mean(Q, keep) / col(col(wt.scale))
 
     if panel.T > panel.k:
-        te = pd.time_effects()
+        te = panel.fit(chamberlain_phi)
         wt = replace(wt, fail=merge(wt.fail, te.fail))
         tilde = small_matvec(mt(Q), panel.y - te.phi[..., None, :])
         est = weighted_mean_group(pd, wt, method, tilde)
@@ -178,8 +177,7 @@ def weighted_mean_group_te(
 def tmg_te(panel: PanelBlock, cfg: TrimConfig = TrimConfig()) -> tuple[Estimate, TimeEffects]:
     """Trimmed mean group estimator with time effects (see
     :func:`weighted_mean_group_te` for the T > k and T = k routes)."""
-    pd = panel.design
-    return weighted_mean_group_te(pd, tmg_weighting(pd, cfg), "tmgte")
+    return weighted_mean_group_te(panel, tmg_weighting(panel.design, cfg), "tmgte")
 
 
 @blockwise
@@ -188,5 +186,4 @@ def gp_te(
 ) -> tuple[Estimate, TimeEffects]:
     """Trim-by-exclusion estimator with time effects: equal weights on the
     retained units, otherwise the same two routes as :func:`tmg_te`."""
-    pd = panel.design
-    return weighted_mean_group_te(pd, gp_weighting(pd, alpha_gp), "gpte")
+    return weighted_mean_group_te(panel, gp_weighting(panel.design, alpha_gp), "gpte")

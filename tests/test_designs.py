@@ -220,21 +220,29 @@ def test_panel_design_matches_per_unit(rng):
 
 
 def test_block_frees_its_design_without_the_cycle_collector(rng):
-    # the block owns its design and the design holds the block weakly, so
-    # dropping a fitted block frees both by reference counting: finished
-    # blocks of a Monte Carlo run or a CLI fit do not pile up in memory
+    # the block owns its design and its fit cache, and neither holds the
+    # block, so dropping a fitted block frees them by reference counting:
+    # finished blocks of a Monte Carlo run or a CLI fit do not pile up in memory
     import gc
     import weakref
 
-    from tmgpanel import PanelBlock, hausman_te
+    from tmgpanel import PanelBlock, chamberlain_phi, chamberlain_projectors, hausman_te
 
     p = random_panel(rng, n=20, T=3)
     block = PanelBlock(y=p.y[None], x=p.x[None])
-    hausman_te(block)  # builds the design, its projectors and time effects
-    design_w = weakref.ref(block.design.W)  # an array only the design holds
+    hausman_te(block)  # builds the design, and caches the projectors and time effects
+    held = [
+        block.design.W,  # arrays only the design holds
+        block.design.gram,
+        block.fit(chamberlain_projectors).xdp,  # arrays only the fit cache holds
+        block.fit(chamberlain_projectors).M_bar,
+        block.fit(chamberlain_phi).cov,
+    ]
+    refs = [weakref.ref(a) for a in held]
+    del held
     gc.disable()
     try:
         del block
-        assert design_w() is None
+        assert [r() is None for r in refs] == [True] * len(refs)
     finally:
         gc.enable()

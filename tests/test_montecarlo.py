@@ -161,6 +161,24 @@ class TestCalibration:
         pr2_hat = 1.0 - num / den
         assert pr2_hat == pytest.approx(cfg.pr2, abs=0.01)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"r_kappa": 0}, "r_kappa must be an integer >= 1 and at most 1000000, got 0"),
+            ({"r_kappa": 2.5}, "r_kappa must be an integer >= 1 and at most 1000000, got 2.5"),
+            ({"r_kappa": True}, "r_kappa must be an integer >= 1"),
+            ({"n_cal": 1}, "n_cal must be an integer from 2 to 10000000, got 1"),
+            ({"n_cal": 50.0}, "n_cal must be an integer from 2 to 10000000, got 50.0"),
+            ({"n_cal": 10**14}, "n_cal must be an integer from 2 to 10000000"),
+        ],
+    )
+    def test_arguments_checked_by_the_field_table(self, kwargs, message):
+        # the library call fails at its boundary, naming the argument, before
+        # it draws anything
+        with pytest.raises(ScenarioError) as exc:
+            calibrate_kappa(DgpConfig(n=50, T=2), **{"r_kappa": 3, "n_cal": 50, **kwargs})
+        assert message in str(exc.value)
+
 
 class TestRunExperiment:
     def test_homogeneous_noiseless_zero_error(self):
@@ -289,6 +307,13 @@ class TestRunExperiment:
         assert np.isfinite(res.size).all()
 
 
+#: The counted pieces that the tags of each T compute.
+_PIECES = {
+    2: {"fe", "tmg", "hausman_no_te"},
+    3: {"chamberlain_projectors", "chamberlain_phi", "fete", "tmg_te", "hausman_te"},
+}
+
+
 @pytest.mark.parametrize(
     "T, tags",
     [
@@ -298,7 +323,8 @@ class TestRunExperiment:
 )
 def test_replication_computes_each_shared_piece_once(monkeypatch, T, tags):
     # the tags of one block of replications share one design, one set of
-    # projectors and one fit of each estimator that several of them compare
+    # projectors and one fit of each estimator that several of them compare,
+    # and the Hausman tags run the tests themselves
     import sys
 
     from tmgpanel import montecarlo
@@ -313,7 +339,7 @@ def test_replication_computes_each_shared_piece_once(monkeypatch, T, tags):
         return wrapper
 
     modules = [m for k, m in sys.modules.items() if k.startswith("tmgpanel")]
-    from tmgpanel import designs, estimators, timeeffects
+    from tmgpanel import designs, estimators, hausman, timeeffects
 
     for home, name in [
         (designs, "chamberlain_projectors"),
@@ -322,11 +348,16 @@ def test_replication_computes_each_shared_piece_once(monkeypatch, T, tags):
         (timeeffects, "chamberlain_phi"),
         (timeeffects, "fete"),
         (timeeffects, "tmg_te"),
+        (hausman, "hausman_no_te"),
+        (hausman, "hausman_te"),
     ]:
+        # one wrapper per fit, installed in every module that holds the fit:
+        # a block caches a fit by its function object
         original = getattr(home, name)
+        wrapper = counted(name, original)
         for mod in modules:
             if getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, counted(name, original))
+                monkeypatch.setattr(mod, name, wrapper)
     monkeypatch.setattr(
         PanelDesign, "__init__", counted("PanelDesign", PanelDesign.__init__)
     )
@@ -335,7 +366,8 @@ def test_replication_computes_each_shared_piece_once(monkeypatch, T, tags):
     results = run_experiment(cfg, tags, reps=5)
     assert all(r.failures == 0 for r in results)
     assert counts.pop("PanelDesign") == 2
-    assert counts and all(c == 2 for c in counts.values()), counts
+    assert set(counts) == _PIECES[T], counts
+    assert all(c == 2 for c in counts.values()), counts
 
 
 @pytest.mark.parametrize(
@@ -535,7 +567,7 @@ def test_block_shaped_failure_fails_every_replication(monkeypatch):
     # with that reason, and leaves the other tags alone
     from tmgpanel import AllTrimmedError, montecarlo
 
-    def raises(block):
+    def raises(block, trim_cfg, alpha_gp):
         raise AllTrimmedError("every unit trimmed")
 
     monkeypatch.setitem(montecarlo._TAG_FITS, "tmgte", raises)
