@@ -1,8 +1,10 @@
 """Command-line surface: estimate | test | simulate | calibrate | power.
 
 Every run writes a manifest (command, config hash, seed, versions, timings,
-output paths). Simulation and calibration outputs are byte-reproducible for
-a given scenario and seed, independent of the jobs flag.
+output paths); a Monte Carlo run's also records the processes and draw
+threads it used, and splits its timings into draw and fit seconds.
+Simulation and calibration outputs are byte-reproducible for a given
+scenario and seed, independent of the jobs flag and of the draw thread.
 """
 
 from __future__ import annotations
@@ -329,14 +331,22 @@ def _ensure_kappa(cfg: DgpConfig) -> tuple[DgpConfig, bool, float]:
     return cfg, True, time.perf_counter() - t0
 
 
-def _mc_stages(calibrate: float, replicate: float, t_write: float) -> dict:
-    """Calibrate, replicate and write seconds of a Monte Carlo command;
-    writing runs from ``t_write`` until now."""
+def _mc_stages(calibrate: float, replicate: float, t_write: float, usage: dict) -> dict:
+    """Calibrate, replicate and write seconds of a Monte Carlo command, and
+    the draw and fit seconds of its run's ``usage``; writing runs from
+    ``t_write`` until now."""
     return {
         "calibrate_seconds": calibrate,
         "replicate_seconds": replicate,
         "write_seconds": time.perf_counter() - t_write,
+        "draw_seconds": usage["draw_seconds"],
+        "fit_seconds": usage["fit_seconds"],
     }
+
+
+def _parallelism(usage: dict) -> dict:
+    """The manifest's record of the processes and draw threads a run used."""
+    return {"processes": usage["processes"], "draw_threads": usage["draw_threads"]}
 
 
 def _write_results_csv(path: Path, results) -> None:
@@ -377,6 +387,7 @@ def _run_monte_carlo(args) -> int:
     trim_cfg, alpha_gp = extras["trim_cfg"], extras["alpha_gp"]
     cfg, calibrated, cal_seconds = _ensure_kappa(cfg)
     t_rep = time.perf_counter()
+    usage: dict = {}
     results = run_experiment(
         cfg,
         extras["estimators"],
@@ -385,6 +396,7 @@ def _run_monte_carlo(args) -> int:
         trim_cfg=trim_cfg,
         alpha_gp=alpha_gp,
         jobs=args.jobs,
+        usage=usage,
     )
     t_write = time.perf_counter()
     out = _out_dir(args)
@@ -414,9 +426,10 @@ def _run_monte_carlo(args) -> int:
         "alpha_gp": alpha_gp,
         "kappa2_calibrated": calibrated,
     }
-    stages = _mc_stages(cal_seconds, t_write - t_rep, t_write)
+    stages = _mc_stages(cal_seconds, t_write - t_rep, t_write, usage)
     _write_manifest(
-        out, args.command, params, cfg.seed, [path], time.perf_counter() - t0, stages
+        out, args.command, params, cfg.seed, [path], time.perf_counter() - t0, stages,
+        _parallelism(usage),
     )
     if grid is not None:
         print(f"wrote power curve over {grid.size} grid points to {path}")
@@ -427,7 +440,8 @@ def _run_calibrate(args) -> int:
     t0 = time.perf_counter()
     cfg, _ = _prepare_scenario(args)
     t_cal = time.perf_counter()
-    kappa2 = calibrate_kappa(cfg, r_kappa=args.reps, n_cal=args.n_cal)
+    usage: dict = {}
+    kappa2 = calibrate_kappa(cfg, r_kappa=args.reps, n_cal=args.n_cal, usage=usage)
     t_write = time.perf_counter()
     out = _out_dir(args)
     path = out / "kappa2.json"
@@ -442,9 +456,10 @@ def _run_calibrate(args) -> int:
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(f"kappa2(T={cfg.T}) = {kappa2:.6f}")
     params = {"scenario": asdict(cfg), "r_kappa": args.reps, "n_cal": args.n_cal}
-    stages = _mc_stages(t_write - t_cal, 0.0, t_write)
+    stages = _mc_stages(t_write - t_cal, 0.0, t_write, usage)
     _write_manifest(
-        out, "calibrate", params, cfg.seed, [path], time.perf_counter() - t0, stages
+        out, "calibrate", params, cfg.seed, [path], time.perf_counter() - t0, stages,
+        _parallelism(usage),
     )
     return EXIT_OK
 

@@ -7,9 +7,12 @@ draws and outcome errors, so results are independent of worker count and
 bit-reproducible for a given (seed, config, reps).
 
 Replications are drawn and fitted in blocks: B replications stack on a leading
-axis, the AR(1) burn-in and every estimator run once over the block, and each
-replication fails alone, with its reason. A replication's numbers do not
-depend on its block.
+axis, every estimator runs once over the block, and each replication fails
+alone, with its reason. A replication's numbers do not depend on its block.
+
+A process with two cores or more of its own fills each replication's
+regressor draws on one draw thread, into a ring of slots ahead of the fits;
+the thread only fills, and the numbers do not depend on it either.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import json
 import math
 import numbers
 import os
+import threading
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -211,8 +216,9 @@ class ReplicationTruth:
 #: n*T*k at most (the projectors are kept in factor form, so none grows with
 #: T^2), and T is short, so the cap counts units. It keeps the n=1000 cells
 #: (B = 4 at T = 2 and T = 3) within 3% of the one-replication peak RSS, and a
-#: design with more units runs one replication at a time. Results do not
-#: depend on it.
+#: design with more units runs one replication at a time. It caps the fits,
+#: not the draws: the draw thread fills replications ahead across block
+#: boundaries, blocks of one included. Results do not depend on it.
 MAX_BLOCK_UNITS = 4000
 
 
@@ -233,9 +239,127 @@ def _stream(seed: int, rep: int, role: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, rep, role))))
 
 
-def _draw_x(rngs, cfg: DgpConfig, n: int, f_path: np.ndarray | None = None):
-    """Factor-augmented heterogeneous AR(1) regressor paths for a block of
-    replications, one generator each, drawn in the order of a single one.
+#: Slots in a draw thread's ring: the consumer burns in one replication's
+#: draws while the thread fills up to two more.
+_RING_SLOTS = 3
+
+#: For tests only: True or False forces the draw thread on or off; None
+#: follows the core rule of :func:`_draw_threads`.
+_DRAW_THREAD = None
+
+
+def _cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _draw_threads(processes: int) -> int:
+    """Draw threads per process of a run split over ``processes``: one when
+    the process has two cores or more of its own (cores // processes), else
+    none."""
+    if _DRAW_THREAD is not None:
+        return int(_DRAW_THREAD)
+    return int(_cores() // processes >= 2)
+
+
+class _XDraws:
+    """The regressor-stream draws of a run of replications, one slot per
+    replication, taken in replication order.
+
+    A slot is one float64 array holding the stream's raw draws in its own
+    order: alpha (n), z (n), rho (n, with ``uniform095``), gamma (n) and the
+    factor shocks (50 + T, with ``interactive_x`` and no shared factor path),
+    then the (n, 50 + T) innovations. A fill uses only ``standard_normal(out=)``
+    and ``random(out=)`` on the slot's parts, so the consumer, applying
+    numpy's own ``normal(loc, s) = loc + s z`` and ``uniform(lo, hi) =
+    lo + (hi - lo) u``, gets every bit that ``normal`` and ``uniform`` give.
+
+    Inline, one slot is filled when it is taken. With ``threaded``, a draw
+    thread fills a ring of _RING_SLOTS slots ahead of the consumer, across
+    block boundaries. It only fills: numpy releases the GIL while it fills,
+    and any arithmetic on the thread would contend with the fits for it. A
+    fill's exception is raised by :meth:`take`. Leaving the context stops and
+    joins the thread.
+    """
+
+    def __init__(self, cfg: DgpConfig, n: int, role: int, reps: Sequence[int],
+                 shared_factor: bool = False, threaded: bool = False):
+        steps = _BURN_IN + cfg.T
+        self._shape = (n, steps)
+        # (part, size, drawn uniform) in the stream's order
+        self._parts = [("alpha", n, False), ("z", n, False)]
+        if cfg.rho_ix_mode == "uniform095":
+            self._parts.append(("rho", n, True))
+        if cfg.interactive_x:
+            self._parts.append(("gamma", n, True))
+            if not shared_factor:
+                self._parts.append(("shocks", steps, False))
+        self._parts.append(("e", n * steps, cfg.x_error_dist == "uniform"))
+        self._seed, self._role, self._reps = cfg.seed, role, iter(reps)
+        self._threaded, self._thread, self._stop = threaded, None, False
+
+    def _slot(self) -> dict:
+        buf, slot, at = np.empty(sum(size for _, size, _ in self._parts)), {}, 0
+        for part, size, _ in self._parts:
+            slot[part], at = buf[at:at + size], at + size
+        slot["e"] = slot["e"].reshape(self._shape)
+        return slot
+
+    def _fill(self, slot: dict, rep: int) -> None:
+        rng = _stream(self._seed, rep, self._role)
+        for part, _, uniform in self._parts:
+            (rng.random if uniform else rng.standard_normal)(out=slot[part])
+
+    def _run(self) -> None:
+        try:
+            for rep in self._reps:
+                slot = self._free.get()
+                if self._stop:
+                    return
+                self._fill(slot, rep)
+                self._ready.put(slot)
+        except BaseException as exc:  # raised again by take, in the consumer
+            self._ready.put(exc)
+
+    def __enter__(self):
+        if not self._threaded:
+            self._own = self._slot()
+            return self
+        import queue  # only a threaded run pays its import
+
+        self._free, self._ready = queue.SimpleQueue(), queue.SimpleQueue()
+        for _ in range(_RING_SLOTS):
+            self._free.put(self._slot())
+        self._thread = threading.Thread(target=self._run, name="tmgpanel-draws", daemon=True)
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._thread is not None:
+            self._stop = True
+            self._free.put(None)
+            self._thread.join()
+
+    def take(self) -> dict:
+        """The next replication's filled slot; hand it back with :meth:`give`."""
+        if not self._threaded:
+            self._fill(self._own, next(self._reps))
+            return self._own
+        slot = self._ready.get()
+        if isinstance(slot, BaseException):
+            raise slot
+        return slot
+
+    def give(self, slot: dict) -> None:
+        if self._threaded:
+            self._free.put(slot)
+
+
+def _draw_x(draws: _XDraws, B: int, cfg: DgpConfig, n: int, f_path: np.ndarray | None = None):
+    """Factor-augmented heterogeneous AR(1) regressor paths for a block of B
+    replications, the next B slots of ``draws``.
 
     The recursion starts at zero and runs 50 burn-in periods before the T
     retained observations. Returns the paths, the retained innovations and
@@ -243,29 +367,29 @@ def _draw_x(rngs, cfg: DgpConfig, n: int, f_path: np.ndarray | None = None):
     ``f_path`` is a common factor path shared by every replication; without
     it each draws its own.
 
-    The burn-in runs one replication at a time through one reused (n, 50 + T)
-    innovation buffer, the largest array of the draws: stacking it over the
-    block raised the peak memory by more than it saved time.
+    The burn-in runs one replication at a time, in place in its slot, and
+    hands the slot back before the next is taken, so a block holds no
+    (B, n, 50 + T) array and the draw thread refills the slot meanwhile.
     """
-    B, steps = len(rngs), _BURN_IN + cfg.T
+    steps = _BURN_IN + cfg.T
     alpha_ix, z_ix = np.empty((B, n)), np.empty((B, n))
     rho_ix, gamma_ix = np.zeros((B, n)), np.zeros((B, n))
     out, e_ret = np.empty((B, n, cfg.T)), np.empty((B, n, cfg.T))
-    e_x, x = np.empty((n, steps)), np.empty(n)
-    for b, rng in enumerate(rngs):
-        alpha_ix[b] = rng.normal(1.0, 1.0, n)
-        z_ix[b] = rng.standard_normal(n)
+    x = np.empty(n)
+    for b in range(B):
+        slot = draws.take()
+        # numpy's normal(1, 1) and uniform(lo, hi), from the slot's raw draws
+        alpha_ix[b] = 1.0 + 1.0 * slot["alpha"]
+        z_ix[b] = slot["z"]
         if cfg.rho_ix_mode == "uniform095":
-            rho_ix[b] = rng.uniform(0.0, 0.95, n)
+            rho_ix[b] = 0.0 + 0.95 * slot["rho"]
         f = np.zeros(steps) if f_path is None else f_path
         if cfg.interactive_x:
-            gamma_ix[b] = rng.uniform(0.0, 2.0, n)
+            gamma_ix[b] = 0.0 + 2.0 * slot["gamma"]
             if f_path is None:
-                f = draw_factor_path(rng, steps)
-        if cfg.x_error_dist == "gaussian":
-            rng.standard_normal(out=e_x)
-        else:
-            rng.random(out=e_x)
+                f = _factor_path(slot["shocks"])
+        e_x = slot["e"]
+        if cfg.x_error_dist == "uniform":
             e_x -= 0.5
             e_x *= np.sqrt(12.0)
         e_ret[b] = e_x[:, _BURN_IN:]
@@ -281,16 +405,21 @@ def _draw_x(rngs, cfg: DgpConfig, n: int, f_path: np.ndarray | None = None):
             x += e_x[:, j]
             if j >= _BURN_IN:
                 out[b, :, j - _BURN_IN] = x
+        draws.give(slot)
     return out, e_ret, np.sqrt(0.5 * (1.0 + z_ix**2))
 
 
 def draw_factor_path(rng, steps: int) -> np.ndarray:
     """AR(0.9) common factor started at zero."""
-    f = np.empty(steps)
+    return _factor_path(rng.standard_normal(steps))
+
+
+def _factor_path(shocks: np.ndarray) -> np.ndarray:
+    """The AR(0.9) factor path of ``shocks``, started at zero."""
+    f = np.empty(shocks.size)
     prev = 0.0
     scale = np.sqrt(1.0 - 0.81)
-    shocks = rng.standard_normal(steps)
-    for j in range(steps):
+    for j in range(shocks.size):
         prev = 0.9 * prev + scale * shocks[j]
         f[j] = prev
     return f
@@ -353,18 +482,25 @@ def _draw_errors(rngs, cfg: DgpConfig, n: int, lam: np.ndarray, e_ret: np.ndarra
     return sigma_it * e
 
 
-def generate_block(cfg: DgpConfig, reps: Sequence[int]) -> tuple[PanelBlock, ReplicationTruth]:
+def generate_block(
+    cfg: DgpConfig, reps: Sequence[int], x_draws: _XDraws | None = None
+) -> tuple[PanelBlock, ReplicationTruth]:
     """Replications ``reps`` drawn as one block: the panels stacked on a leading
     axis and a truth record whose arrays carry the same axis. Each replication
     draws from its own (seed, rep, role) streams, so its values do not depend
-    on the block it is drawn in."""
+    on the block it is drawn in, nor on the thread that fills them.
+
+    ``x_draws`` is a run's regressor draws, whose next slots are those of
+    ``reps``; without it the block draws its own."""
     if cfg.kappa2 is None:
         raise ScenarioError("kappa2 is unset; calibrate it first (see calibrate_kappa)")
+    if x_draws is None:
+        with _XDraws(cfg, cfg.n, _ROLE_X, reps, threaded=_draw_threads(1) > 0) as x_draws:
+            return generate_block(cfg, reps, x_draws)
     n = cfg.n
-    rng_x = [_stream(cfg.seed, r, _ROLE_X) for r in reps]
     rng_c = [_stream(cfg.seed, r, _ROLE_COEF) for r in reps]
     rng_y = [_stream(cfg.seed, r, _ROLE_Y) for r in reps]
-    x, e_ret, sigma_ix = _draw_x(rng_x, cfg, n)
+    x, e_ret, sigma_ix = _draw_x(x_draws, len(reps), cfg, n)
     lam = standardized_quadratic(e_ret, cfg.T, cfg.excess_kurtosis_x)
     alpha_i, beta_i = _draw_coefficients(rng_c, cfg, lam, n)
     u = np.sqrt(cfg.kappa2) * _draw_errors(rng_y, cfg, n, lam, e_ret)
@@ -391,14 +527,18 @@ def generate_replication(cfg: DgpConfig, rep: int) -> tuple[BalancedPanel, Repli
     return panel, truth
 
 
-def calibrate_kappa(cfg: DgpConfig, r_kappa: int = 1000, n_cal: int = 5000) -> float:
+def calibrate_kappa(
+    cfg: DgpConfig, r_kappa: int = 1000, n_cal: int = 5000, usage: dict | None = None
+) -> float:
     """Noise scale kappa^2 hitting the target pooled fit by stochastic simulation.
 
     Simulates coefficient and regressor draws only (no outcomes), accumulates
     the pooled second moments of beta_i * x_it, and scales their variance by
     (1 - PR^2)/PR^2. The common factor path, when present, is drawn once and
     shared across calibration replications. Replications run in blocks, as in
-    :func:`run_experiment`, and are accumulated in order.
+    :func:`run_experiment`, and are accumulated in order. ``usage``, if given,
+    receives what :func:`run_experiment` records, the moment sums counting as
+    the fit.
     """
     _check("r_kappa", r_kappa)
     _check("n_cal", n_cal)
@@ -409,19 +549,33 @@ def calibrate_kappa(cfg: DgpConfig, r_kappa: int = 1000, n_cal: int = 5000) -> f
         )
     a_acc = 0.0
     b_acc = 0.0
-    for reps in _blocks(range(r_kappa), block_size(n_cal)):
-        rng_x = [_stream(cfg.seed, r, _ROLE_CAL_X) for r in reps]
-        rng_c = [_stream(cfg.seed, r, _ROLE_CAL_COEF) for r in reps]
-        x, e_ret, _ = _draw_x(rng_x, cfg, n_cal, f_path=f_path)
-        lam = standardized_quadratic(e_ret, cfg.T, cfg.excess_kurtosis_x)
-        _, beta_i = _draw_coefficients(rng_c, cfg, lam, n_cal)
-        bx = beta_i[..., None] * x
-        for a, b in zip(np.mean(bx * bx, axis=(1, 2)), np.mean(bx, axis=(1, 2))):
-            a_acc += a
-            b_acc += b
+    threads, seconds = _draw_threads(1), Counter()
+    with _XDraws(cfg, n_cal, _ROLE_CAL_X, range(r_kappa), shared_factor=cfg.interactive_x,
+                 threaded=threads > 0) as x_draws:
+        for reps in _blocks(range(r_kappa), block_size(n_cal)):
+            t0 = time.perf_counter()
+            rng_c = [_stream(cfg.seed, r, _ROLE_CAL_COEF) for r in reps]
+            x, e_ret, _ = _draw_x(x_draws, len(reps), cfg, n_cal, f_path=f_path)
+            lam = standardized_quadratic(e_ret, cfg.T, cfg.excess_kurtosis_x)
+            _, beta_i = _draw_coefficients(rng_c, cfg, lam, n_cal)
+            t1 = time.perf_counter()
+            bx = beta_i[..., None] * x
+            for a, b in zip(np.mean(bx * bx, axis=(1, 2)), np.mean(bx, axis=(1, 2))):
+                a_acc += a
+                b_acc += b
+            seconds.update(draw=t1 - t0, fit=time.perf_counter() - t1)
+    _record(usage, 1, threads, seconds)
     a_acc /= r_kappa
     b_acc /= r_kappa
     return float((1.0 - cfg.pr2) / cfg.pr2 * (a_acc - b_acc**2))
+
+
+def _record(usage: dict | None, processes: int, threads: int, seconds: Counter) -> None:
+    """The processes and draw threads per process a run used, and its draw
+    and fit seconds summed over processes, into ``usage`` if given."""
+    if usage is not None:
+        usage.update(processes=processes, draw_threads=threads,
+                     draw_seconds=float(seconds["draw"]), fit_seconds=float(seconds["fit"]))
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +648,10 @@ _TAG_FITS = {
 
 def _block_records(
     cfg: DgpConfig, reps: Sequence[int], tags: Sequence[str], trim_cfg: TrimConfig,
-    alpha_gp: float,
+    alpha_gp: float, x_draws: _XDraws, seconds: Counter,
 ) -> dict:
-    """Estimate every requested tag on one block of replications.
+    """Estimate every requested tag on one block of replications, drawn with
+    the regressor draws ``x_draws``; the draw and fit seconds add to ``seconds``.
 
     Returns per tag the arrays (coef (B, width), se (B, width), trimmed
     fraction (B,), reason (B,)): the slope and phi_1..phi_{T-1} with their
@@ -504,7 +659,9 @@ def _block_records(
     A failed replication has NaN rows and its NumericalError class name; the
     others have reason None.
     """
-    block = generate_block(cfg, reps)[0]
+    t0 = time.perf_counter()
+    block = generate_block(cfg, reps, x_draws)[0]
+    t1 = time.perf_counter()
     B = len(reps)
     out = {}
     for tag in tags:
@@ -527,6 +684,7 @@ def _block_records(
             coef, se = void(coef, fail), void(se, fail)
         reason = np.array([None if f is None else type(f).__name__ for f in fail], dtype=object)
         out[tag] = coef, se, pi, reason
+    seconds.update(draw=t1 - t0, fit=time.perf_counter() - t1)
     return out
 
 
@@ -553,12 +711,17 @@ def _concat(parts: list[dict]) -> dict:
 def _worker(args):
     """The :func:`_block_records` arrays of the replications ``reps``, fitted
     in the fewest blocks of at most :func:`block_size` consecutive entries,
-    of balanced sizes, and joined in replication order."""
-    cfg, reps, tags, trim_cfg, alpha_gp = args
-    return _concat([
-        _block_records(cfg, block, tags, trim_cfg, alpha_gp)
-        for block in _blocks(reps, block_size(cfg.n))
-    ])
+    of balanced sizes, and joined in replication order, with the draw and fit
+    seconds. With ``threads``, one draw thread fills the regressor draws of
+    every block ahead of the fits; it is joined before this returns."""
+    cfg, reps, tags, trim_cfg, alpha_gp, threads = args
+    seconds = Counter()
+    with _XDraws(cfg, cfg.n, _ROLE_X, reps, threaded=threads > 0) as x_draws:
+        parts = [
+            _block_records(cfg, block, tags, trim_cfg, alpha_gp, x_draws, seconds)
+            for block in _blocks(reps, block_size(cfg.n))
+        ]
+    return _concat(parts), seconds
 
 
 def _aggregate(tag, cfg: DgpConfig, coef, se, pi, reason, beta0_grid) -> McResult:
@@ -607,6 +770,7 @@ def run_experiment(
     trim_cfg: TrimConfig = TrimConfig(),
     alpha_gp: float = DEFAULT_ALPHA_GP,
     jobs: int = 1,
+    usage: dict | None = None,
 ) -> list[McResult]:
     """Run ``reps`` independent replications and aggregate per-estimator metrics.
 
@@ -617,6 +781,12 @@ def run_experiment(
     and fitted in blocks (see MAX_BLOCK_UNITS), and each of ``jobs`` workers,
     at most one per core this process may run on, takes a run of consecutive
     replications; neither the block size nor ``jobs`` changes any result.
+
+    Each worker process with two cores or more of its own (cores // workers)
+    fills its regressor draws on one draw thread, ahead of its fits; this
+    changes no result either. ``usage``, if given, receives ``processes``,
+    ``draw_threads`` (per process) and ``draw_seconds`` and ``fit_seconds``,
+    summed over the workers; draw seconds include waits for the draw thread.
     """
     _check("reps", reps)
     _check("jobs", jobs)
@@ -625,17 +795,18 @@ def run_experiment(
     _check_tags(estimators)
     tags = list(dict.fromkeys(estimators))
 
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    chunks = _blocks(range(reps), -(-reps // min(jobs, cores or 1)))
+    chunks = _blocks(range(reps), -(-reps // min(jobs, _cores())))
+    threads = _draw_threads(len(chunks))
+    work = [(cfg, c, tags, trim_cfg, alpha_gp, threads) for c in chunks]
     if len(chunks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a split run pays its import
 
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            records = _concat(
-                list(pool.map(_worker, [(cfg, c, tags, trim_cfg, alpha_gp) for c in chunks]))
-            )
+            parts = list(pool.map(_worker, work))
     else:
-        records = _worker((cfg, range(reps), tags, trim_cfg, alpha_gp))
+        parts = [_worker(work[0])]
+    records = _concat([p for p, _ in parts])
+    _record(usage, len(chunks), threads, sum((s for _, s in parts), Counter()))
     return [_aggregate(tag, cfg, *records[tag], beta0_grid) for tag in tags]
 
 

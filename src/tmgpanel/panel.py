@@ -10,7 +10,8 @@ C reader, into two fixed-width byte id columns and a value matrix
 64-bit words, so only the distinct ids become Python strings. The distinct
 ids leave that factorisation in byte order, which for UTF-8 is ``str`` order,
 and an id of 1 to 15 ASCII digits is valued from its bytes (exactly, so the
-value is the one ``float()`` gives); only the other ids go through
+value is the one ``float()`` gives); an id holding an ASCII letter that
+``float()`` never accepts is text, and only the other ids go through
 ``float()``. ``load_panel`` factorises its records' ids with a dict and sorts
 the distinct ids by ``str`` once. One assembler orders the distinct ids,
 checks duplicates and balance with ``np.bincount`` over the cell index and
@@ -253,8 +254,8 @@ def _factorise_bytes(raw: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
     Each id's bytes, zero-padded to whole 8-byte words, are read as big-endian
     ``uint64`` words; two ids are equal exactly when their words are, and the
     distinct ids come out in byte order, which for UTF-8 is ``str`` order.
-    Only the distinct ids are decoded, and only those that are not plain
-    digits are passed to ``float()``.
+    Only the distinct ids are decoded, and only those that are neither plain
+    digits nor :func:`_never_float` are passed to ``float()``.
     """
     used = [j for j, word in enumerate(raw.view(np.uint64).T) if word.any()]
     # the used words, read big-endian and converted to native order, which sorts faster
@@ -273,10 +274,28 @@ def _factorise_bytes(raw: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
     # ids hold no NUL, so NUL joins them and splits the one decoded text
     text = b"\0".join(distinct.view(f"S{8 * distinct.shape[1]}").ravel().tolist())
     ids = text.decode("utf-8").split("\0")
-    value = _digit_values(distinct.view(np.uint8))
+    id_bytes = distinct.view(np.uint8)
+    value = _digit_values(id_bytes)
     others = np.flatnonzero(np.isnan(value))
+    others = others[~_never_float(id_bytes[others])]
     value[others] = [_numeric_value(ids[i]) for i in others.tolist()]
     return ids, codes, value
+
+
+# The bytes of the ASCII letters float() never accepts: it accepts only those
+# of "e", "inf", "infinity" and "nan", in any case. In UTF-8 a byte of an
+# ASCII letter is that letter.
+_NOT_FLOAT_BYTE = np.zeros(256, dtype=bool)
+_NOT_FLOAT_BYTE[[
+    b for b in range(128) if chr(b).isalpha() and chr(b).lower() not in "aefinty"
+]] = True
+
+
+def _never_float(raw: np.ndarray) -> np.ndarray:
+    """Rows of a (rows, width) matrix of UTF-8 ids that ``float()`` surely
+    rejects: those holding an ASCII letter it never accepts, as ``u`` in
+    ``u0012345678``. The other rows may still be text."""
+    return _NOT_FLOAT_BYTE[raw].any(axis=1)
 
 
 def _numeric_value(v) -> float:

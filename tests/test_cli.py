@@ -516,6 +516,11 @@ _scenario_files = st.one_of(
 )
 
 
+#: What a stand-in for calibrate_kappa or run_experiment records in the
+#: ``usage`` dict the CLI passes it, as the real ones do.
+_STAND_IN_USAGE = {"processes": 1, "draw_threads": 0, "draw_seconds": 0.0, "fit_seconds": 0.0}
+
+
 @settings(max_examples=150, deadline=None)
 @given(content=_scenario_files)
 @example(content=_scenario_bytes(T=10**30))
@@ -530,14 +535,18 @@ def test_any_scenario_file_exits_0_2_or_3(content):
 
     from tmgpanel import cli
 
-    def calibrate_kappa(cfg, *args, **kwargs):
+    def calibrate_kappa(cfg, *args, usage=None, **kwargs):
         np.empty((0, cfg.n, cfg.T))
+        if usage is not None:
+            usage.update(_STAND_IN_USAGE)
         return 15.5
 
     def run_experiment(cfg, estimators, reps, beta0_grid=None, trim_cfg=None, alpha_gp=None,
-                       jobs=1):
+                       jobs=1, usage=None):
         np.empty((0, cfg.n, cfg.T))
         np.float64([alpha_gp, trim_cfg.alpha, trim_cfg.c_n or 0.0])
+        if usage is not None:
+            usage.update(_STAND_IN_USAGE)
         return []
 
     with tempfile.TemporaryDirectory() as tmp, \
@@ -565,6 +574,8 @@ def test_calibrate_draws_as_many_replications_as_simulate(tmp_path, monkeypatch)
         call = inspect.signature(real).bind(*args, **kwargs)
         call.apply_defaults()
         seen.append((call.arguments["r_kappa"], call.arguments["n_cal"]))
+        if call.arguments["usage"] is not None:
+            call.arguments["usage"].update(_STAND_IN_USAGE)
         return 15.5
 
     monkeypatch.setattr(cli, "calibrate_kappa", spy)
@@ -716,14 +727,21 @@ def test_monte_carlo_stage_timings(tmp_path, command):
     argv = [command, str(scen), "--out", str(tmp_path)]
     argv += {"calibrate": ["--n-cal", "50"], "power": ["--grid-points", "3"]}.get(command, [])
     assert main(argv) == 0
-    timings = json.loads((tmp_path / "manifest.json").read_text())["timings"]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    timings = manifest["timings"]
     stages = [timings[k] for k in ("calibrate_seconds", "replicate_seconds", "write_seconds")]
     assert all(s >= 0.0 for s in stages)
     assert sum(stages) <= timings["wall_seconds"]
     if command == "calibrate":
         assert timings["calibrate_seconds"] > 0.0 and timings["replicate_seconds"] == 0.0
+        run = timings["calibrate_seconds"]
     else:  # the scenario gives kappa^2
         assert timings["calibrate_seconds"] == 0.0 and timings["replicate_seconds"] > 0.0
+        run = timings["replicate_seconds"]
+    # one process: its draw and fit seconds lie within the stage they split
+    assert manifest["processes"] == 1 and manifest["draw_threads"] in (0, 1)
+    assert timings["draw_seconds"] > 0.0 and timings["fit_seconds"] > 0.0
+    assert timings["draw_seconds"] + timings["fit_seconds"] <= run
 
 
 def test_simulate_reports_failures_by_reason(tmp_path, capsys):

@@ -765,3 +765,184 @@ def test_import_leaves_process_pool_out():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     )
     assert proc.stdout == "False\n"
+
+
+# ---------------------------------------------------------------------------
+# the draw thread
+# ---------------------------------------------------------------------------
+
+#: One cell of every regressor-stream variant: rho_ix zero and uniform095, a
+#: factor path of each replication's own (calibration shares one), and
+#: uniform x errors, at T = 2 and 3.
+X_STREAMS = {
+    "T2": dict(T=2),
+    "T3-rho0-te": dict(T=3, rho_ix_mode="zero", time_effects=True),
+    "T2-factor": dict(T=2, interactive_x=True),
+    "T3-factor-rho0-uniform": dict(T=3, interactive_x=True, rho_ix_mode="zero",
+                                   x_error_dist="uniform"),
+    "T2-uniform-lambda2": dict(T=2, x_error_dist="uniform", heterosked="lambda2"),
+}
+
+
+@pytest.fixture
+def eager_switches():
+    """The GIL handed over every microsecond, so the draw thread runs between
+    the consumer's steps, and a slot handed back too early is overwritten."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+def _outputs(cfg, tmp_path, label):
+    """Everything a cell's streams give: a replication's panel and truth, a
+    block's, kappa^2 and results.csv from simulate with --jobs 1 and 2."""
+    import dataclasses
+    import json
+
+    from tmgpanel.cli import main
+    from tmgpanel.montecarlo import generate_block
+
+    panel, truth = generate_replication(cfg, 4)
+    block, block_truth = generate_block(cfg, [1, 2, 3])
+    arrays = [panel.y, panel.x, block.y, block.x]
+    arrays += [getattr(t, f.name) for t in (truth, block_truth) for f in dataclasses.fields(t)]
+    scen = tmp_path / f"{label}.json"
+    fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    tags = ["fe", "tmg", "gp", "hausman"] + (["tmgte", "hausman_te"] if cfg.T > 2 else [])
+    scen.write_text(json.dumps({**fields, "estimators": tags, "reps": 7}))
+    csvs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"{label}-{jobs}"
+        assert main(["simulate", str(scen), "--jobs", jobs, "--out", str(out)]) == 0
+        csvs.append((out / "results.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+    kappa2 = calibrate_kappa(cfg, r_kappa=7, n_cal=50)
+    return arrays, kappa2, csvs[0]
+
+
+@pytest.mark.parametrize("fields", X_STREAMS.values(), ids=X_STREAMS)
+def test_draw_thread_changes_no_bit(monkeypatch, tmp_path, eager_switches, fields):
+    # the draws filled inline and on the draw thread give the same bits in
+    # every output, across blocks of three and two worker processes
+    from tmgpanel import montecarlo
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(montecarlo, "MAX_BLOCK_UNITS", 3 * 40)
+    cfg = base_cfg(n=40, seed=77, **fields)
+    runs = []
+    for threaded in (False, True):
+        monkeypatch.setattr(montecarlo, "_DRAW_THREAD", threaded)
+        runs.append(_outputs(cfg, tmp_path, str(threaded)))
+    (a, kappa_a, csv_a), (b, kappa_b, csv_b) = runs
+    for x, y in zip(a, b):
+        assert x.tobytes() == y.tobytes()
+    assert kappa_a == kappa_b and csv_a == csv_b
+
+
+def test_draw_thread_changes_no_bit_in_blocks_of_one(monkeypatch, eager_switches):
+    # n = 5001 runs one replication per block, so the ring crosses every block
+    from tmgpanel import montecarlo
+
+    cfg = base_cfg(n=5001, seed=5)
+    runs = []
+    for threaded in (False, True):
+        monkeypatch.setattr(montecarlo, "_DRAW_THREAD", threaded)
+        results = run_experiment(cfg, ["fe", "tmg"], reps=3)
+        runs.append(([r.rows() for r in results], calibrate_kappa(cfg, r_kappa=3, n_cal=5001)))
+    assert runs[0] == runs[1]
+
+
+def _fills_on(monkeypatch, fail_at=None):
+    """Record the thread of each regressor-stream fill; the fill of
+    replication ``fail_at`` raises."""
+    import functools
+    import inspect
+    import threading
+
+    from tmgpanel import montecarlo
+
+    threads = []
+    original = inspect.unwrap(montecarlo._stream)  # not an earlier call's wrapper
+
+    @functools.wraps(original)
+    def stream(seed, rep, role):
+        if role in (montecarlo._ROLE_X, montecarlo._ROLE_CAL_X):
+            threads.append(threading.current_thread().name)
+            if rep == fail_at:
+                raise MemoryError(f"fill of replication {rep}")
+        return original(seed, rep, role)
+
+    monkeypatch.setattr(montecarlo, "_stream", stream)
+    return threads
+
+
+@pytest.mark.parametrize("call", ["run_experiment", "calibrate_kappa"])
+def test_no_draw_thread_outlives_a_call(monkeypatch, call):
+    # the draws run on the draw thread, and the thread is joined before the
+    # call returns, when it raises from a fill, and when it raises after one
+    import threading
+
+    from tmgpanel import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_DRAW_THREAD", True)
+    monkeypatch.setattr(montecarlo, "MAX_BLOCK_UNITS", 2 * 30)
+    cfg = base_cfg(n=30)
+    run = {
+        "run_experiment": lambda: run_experiment(cfg, ["fe"], reps=5),
+        "calibrate_kappa": lambda: calibrate_kappa(cfg, r_kappa=5, n_cal=30),
+    }[call]
+    before = threading.active_count()
+    threads = _fills_on(monkeypatch)
+    run()
+    assert threads and set(threads) == {"tmgpanel-draws"}
+    assert threading.active_count() == before
+    # a fill's exception reaches the caller
+    _fills_on(monkeypatch, fail_at=3)
+    with pytest.raises(MemoryError, match="fill of replication 3"):
+        run()
+    assert threading.active_count() == before
+    # so does one raised by the consumer while the thread fills ahead
+    _fills_on(monkeypatch)
+    monkeypatch.setattr(montecarlo, "standardized_quadratic", _raises)
+    with pytest.raises(RuntimeError, match="consumer"):
+        run()
+    assert threading.active_count() == before
+
+
+def _raises(*args):
+    raise RuntimeError("consumer")
+
+
+def test_workers_fork_after_a_threaded_calibration(monkeypatch):
+    from tmgpanel import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_DRAW_THREAD", True)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    from dataclasses import replace
+
+    cfg = base_cfg(n=40, seed=9, kappa2=None)
+    cfg = replace(cfg, kappa2=calibrate_kappa(cfg, r_kappa=5, n_cal=40))
+    usage = {}
+    split = run_experiment(cfg, ["fe", "tmg"], reps=6, jobs=2, usage=usage)
+    assert usage["processes"] == 2 and usage["draw_threads"] == 1
+    for a, b in zip(split, run_experiment(cfg, ["fe", "tmg"], reps=6)):
+        _fields_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "cores,jobs,threads", [({0}, 1, 0), ({0, 1}, 1, 1), ({0, 1}, 2, 0), ({0, 1, 2, 3}, 2, 1)]
+)
+def test_draw_threads_follow_the_cores(monkeypatch, cores, jobs, threads):
+    # threads per process = cores // processes, and a draw thread only at >= 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+    fills = _fills_on(monkeypatch)
+    usage = {}
+    run_experiment(base_cfg(n=30), ["fe"], reps=4, jobs=jobs, usage=usage)
+    assert (usage["processes"], usage["draw_threads"]) == (min(jobs, len(cores)), threads)
+    assert usage["draw_seconds"] > 0.0 and usage["fit_seconds"] > 0.0
+    if jobs == 1:  # a worker process records its fills in its own memory
+        assert set(fills) == {"tmgpanel-draws" if threads else "MainThread"}
+    usage = {}
+    calibrate_kappa(base_cfg(n=30), r_kappa=3, n_cal=30, usage=usage)
+    assert (usage["processes"], usage["draw_threads"]) == (1, int(len(cores) >= 2))

@@ -382,6 +382,42 @@ SHORT = ("1", "2", "10")
 WIDE_TIMES = ("2001-01-01T00:00:00Z", "2001-01-01T00:00:00Y", "7" * 65)
 
 
+def _id_matrix(ids):
+    """The reader's (rows, width) NUL-padded byte matrix of ``ids``."""
+    width = 8 * max(1, -(-max(len(i.encode()) for i in ids) // 8))
+    return np.array([i.encode() for i in ids], dtype=f"S{width}")[:, None].view(np.uint8)
+
+
+def test_ids_with_a_letter_float_never_accepts_are_text():
+    from tmgpanel.panel import _never_float
+
+    ids = ["u0012345678", "1e5", "-Infinity", "nan", "inF", "1_000", "x", "1j", "0x1f"]
+    assert _never_float(_id_matrix(ids)).tolist() == [
+        True, False, False, False, False, False, True, True, True
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.text(st.sampled_from("0123456789+-._eE \t\x1c\u2003infINFtyaTYAuxjZ\u0661\u00e9"),
+            max_size=10),
+    min_size=1, max_size=12,
+))
+def test_text_filter_agrees_with_float(ids):
+    # an id the letter filter calls text is one float() rejects, and every
+    # id's value is the one float() gives, or NaN
+    from tmgpanel.panel import _factorise_bytes, _never_float, _numeric_value
+
+    raw = _id_matrix(ids)
+    for text, never in zip(ids, _never_float(raw)):
+        if never:
+            with pytest.raises(ValueError):
+                float(text)
+    distinct, _, value = _factorise_bytes(raw)
+    expected = np.array([_numeric_value(i) for i in distinct])
+    np.testing.assert_array_equal(value, expected)
+
+
 @pytest.mark.parametrize(
     "units, times",
     [
