@@ -321,32 +321,45 @@ def _prepare_scenario(args):
     return cfg, extras
 
 
-def _ensure_kappa(cfg: DgpConfig) -> tuple[DgpConfig, bool, float]:
+def _ensure_kappa(cfg: DgpConfig, usage: dict) -> tuple[DgpConfig, bool, float]:
     """The scenario with kappa^2 set, whether it was calibrated, and the
-    seconds the calibration took (0 when the scenario gives kappa^2)."""
+    seconds the calibration took (0 when the scenario gives kappa^2); a
+    calibration records its ``usage``."""
     if cfg.kappa2 is not None:
         return cfg, False, 0.0
     t0 = time.perf_counter()
-    cfg = replace(cfg, kappa2=calibrate_kappa(cfg))
+    cfg = replace(cfg, kappa2=calibrate_kappa(cfg, usage=usage))
     return cfg, True, time.perf_counter() - t0
 
 
-def _mc_stages(calibrate: float, replicate: float, t_write: float, usage: dict) -> dict:
-    """Calibrate, replicate and write seconds of a Monte Carlo command, and
-    the draw and fit seconds of its run's ``usage``; writing runs from
-    ``t_write`` until now."""
-    return {
+def _mc_stages(
+    calibrate: float, replicate: float, t_write: float, usage: dict, cal_usage: dict
+) -> dict:
+    """Calibrate, replicate and write seconds of a Monte Carlo command, the
+    draw and fit seconds of its run's ``usage`` and, if it calibrated kappa^2
+    before the run, those of the calibration's ``cal_usage``; writing runs
+    from ``t_write`` until now."""
+    stages = {
         "calibrate_seconds": calibrate,
         "replicate_seconds": replicate,
         "write_seconds": time.perf_counter() - t_write,
         "draw_seconds": usage["draw_seconds"],
         "fit_seconds": usage["fit_seconds"],
     }
+    if cal_usage:
+        stages["calibrate_draw_seconds"] = cal_usage["draw_seconds"]
+        stages["calibrate_fit_seconds"] = cal_usage["fit_seconds"]
+    return stages
 
 
-def _parallelism(usage: dict) -> dict:
-    """The manifest's record of the processes and draw threads a run used."""
-    return {"processes": usage["processes"], "draw_threads": usage["draw_threads"]}
+def _parallelism(usage: dict, cal_usage: dict) -> dict:
+    """The manifest's record of the processes and draw threads a run used,
+    and the draw threads of a calibration before it, which runs in one
+    process."""
+    record = {"processes": usage["processes"], "draw_threads": usage["draw_threads"]}
+    if cal_usage:
+        record["calibrate_draw_threads"] = cal_usage["draw_threads"]
+    return record
 
 
 def _write_results_csv(path: Path, results) -> None:
@@ -385,7 +398,8 @@ def _run_monte_carlo(args) -> int:
     reps = args.reps if args.reps is not None else extras["reps"]
     grid = _power_grid(args, cfg, extras) if args.command == "power" else None
     trim_cfg, alpha_gp = extras["trim_cfg"], extras["alpha_gp"]
-    cfg, calibrated, cal_seconds = _ensure_kappa(cfg)
+    cal_usage: dict = {}
+    cfg, calibrated, cal_seconds = _ensure_kappa(cfg, cal_usage)
     t_rep = time.perf_counter()
     usage: dict = {}
     results = run_experiment(
@@ -426,10 +440,10 @@ def _run_monte_carlo(args) -> int:
         "alpha_gp": alpha_gp,
         "kappa2_calibrated": calibrated,
     }
-    stages = _mc_stages(cal_seconds, t_write - t_rep, t_write, usage)
+    stages = _mc_stages(cal_seconds, t_write - t_rep, t_write, usage, cal_usage)
     _write_manifest(
         out, args.command, params, cfg.seed, [path], time.perf_counter() - t0, stages,
-        _parallelism(usage),
+        _parallelism(usage, cal_usage),
     )
     if grid is not None:
         print(f"wrote power curve over {grid.size} grid points to {path}")
@@ -456,10 +470,10 @@ def _run_calibrate(args) -> int:
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(f"kappa2(T={cfg.T}) = {kappa2:.6f}")
     params = {"scenario": asdict(cfg), "r_kappa": args.reps, "n_cal": args.n_cal}
-    stages = _mc_stages(t_write - t_cal, 0.0, t_write, usage)
+    stages = _mc_stages(t_write - t_cal, 0.0, t_write, usage, {})
     _write_manifest(
         out, "calibrate", params, cfg.seed, [path], time.perf_counter() - t0, stages,
-        _parallelism(usage),
+        _parallelism(usage, {}),
     )
     return EXIT_OK
 

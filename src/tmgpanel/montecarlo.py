@@ -258,7 +258,8 @@ def _cores() -> int:
 def _draw_threads(processes: int) -> int:
     """Draw threads per process of a run split over ``processes``: one when
     the process has two cores or more of its own (cores // processes), else
-    none."""
+    none. With one core to a process the thread was measured 0-3% slower
+    than filling inline, and its ring costs memory (BENCH_pr18.json)."""
     if _DRAW_THREAD is not None:
         return int(_DRAW_THREAD)
     return int(_cores() // processes >= 2)
@@ -277,8 +278,8 @@ class _XDraws:
     lo + (hi - lo) u``, gets every bit that ``normal`` and ``uniform`` give.
 
     Inline, one slot is filled when it is taken. With ``threaded``, a draw
-    thread fills a ring of _RING_SLOTS slots ahead of the consumer, across
-    block boundaries. It only fills: numpy releases the GIL while it fills,
+    thread fills a ring of _RING_SLOTS slots (fewer for fewer replications)
+    ahead of the consumer, across block boundaries. It only fills: numpy releases the GIL while it fills,
     and any arithmetic on the thread would contend with the fits for it. A
     fill's exception is raised by :meth:`take`. Leaving the context stops and
     joins the thread.
@@ -299,6 +300,7 @@ class _XDraws:
         self._parts.append(("e", n * steps, cfg.x_error_dist == "uniform"))
         self._seed, self._role, self._reps = cfg.seed, role, iter(reps)
         self._threaded, self._thread, self._stop = threaded, None, False
+        self._ring = min(_RING_SLOTS, len(reps))
 
     def _slot(self) -> dict:
         buf, slot, at = np.empty(sum(size for _, size, _ in self._parts)), {}, 0
@@ -330,7 +332,7 @@ class _XDraws:
         import queue  # only a threaded run pays its import
 
         self._free, self._ready = queue.SimpleQueue(), queue.SimpleQueue()
-        for _ in range(_RING_SLOTS):
+        for _ in range(self._ring):
             self._free.put(self._slot())
         self._thread = threading.Thread(target=self._run, name="tmgpanel-draws", daemon=True)
         self._thread.start()
@@ -482,21 +484,22 @@ def _draw_errors(rngs, cfg: DgpConfig, n: int, lam: np.ndarray, e_ret: np.ndarra
     return sigma_it * e
 
 
-def generate_block(
-    cfg: DgpConfig, reps: Sequence[int], x_draws: _XDraws | None = None
-) -> tuple[PanelBlock, ReplicationTruth]:
+def generate_block(cfg: DgpConfig, reps: Sequence[int]) -> tuple[PanelBlock, ReplicationTruth]:
     """Replications ``reps`` drawn as one block: the panels stacked on a leading
     axis and a truth record whose arrays carry the same axis. Each replication
     draws from its own (seed, rep, role) streams, so its values do not depend
-    on the block it is drawn in, nor on the thread that fills them.
+    on the block it is drawn in."""
+    with _XDraws(cfg, cfg.n, _ROLE_X, reps) as x_draws:
+        return _generate_block(cfg, reps, x_draws)
 
-    ``x_draws`` is a run's regressor draws, whose next slots are those of
-    ``reps``; without it the block draws its own."""
+
+def _generate_block(
+    cfg: DgpConfig, reps: Sequence[int], x_draws: _XDraws
+) -> tuple[PanelBlock, ReplicationTruth]:
+    """:func:`generate_block`, with the regressor draws taken from
+    ``x_draws``, a run's draws whose next slots are those of ``reps``."""
     if cfg.kappa2 is None:
         raise ScenarioError("kappa2 is unset; calibrate it first (see calibrate_kappa)")
-    if x_draws is None:
-        with _XDraws(cfg, cfg.n, _ROLE_X, reps, threaded=_draw_threads(1) > 0) as x_draws:
-            return generate_block(cfg, reps, x_draws)
     n = cfg.n
     rng_c = [_stream(cfg.seed, r, _ROLE_COEF) for r in reps]
     rng_y = [_stream(cfg.seed, r, _ROLE_Y) for r in reps]
@@ -660,7 +663,7 @@ def _block_records(
     others have reason None.
     """
     t0 = time.perf_counter()
-    block = generate_block(cfg, reps, x_draws)[0]
+    block = _generate_block(cfg, reps, x_draws)[0]
     t1 = time.perf_counter()
     B = len(reps)
     out = {}

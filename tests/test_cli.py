@@ -742,6 +742,34 @@ def test_monte_carlo_stage_timings(tmp_path, command):
     assert manifest["processes"] == 1 and manifest["draw_threads"] in (0, 1)
     assert timings["draw_seconds"] > 0.0 and timings["fit_seconds"] > 0.0
     assert timings["draw_seconds"] + timings["fit_seconds"] <= run
+    assert "calibrate_draw_threads" not in manifest and "calibrate_draw_seconds" not in timings
+
+
+@pytest.mark.parametrize("command", ["simulate", "power"])
+def test_calibration_before_a_run_recorded_apart(tmp_path, monkeypatch, command):
+    # a scenario without kappa^2 calibrates it first, in one process; the
+    # manifest records that stage's draw thread and seconds beside the run's
+    from tmgpanel import cli, montecarlo
+
+    calibrate = cli.calibrate_kappa
+    monkeypatch.setattr(
+        cli, "calibrate_kappa", lambda cfg, usage: calibrate(cfg, r_kappa=5, n_cal=50, usage=usage)
+    )
+    payload = scenario_payload(reps=4, n=60)
+    del payload["kappa2"]
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(payload))
+    argv = [command, str(scen), "--out", str(tmp_path), "--jobs", "1"]
+    assert main(argv + (["--grid-points", "3"] if command == "power" else [])) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    timings = manifest["timings"]
+    assert manifest["calibrate_draw_threads"] == montecarlo._draw_threads(1)
+    assert timings["calibrate_draw_seconds"] > 0.0 and timings["calibrate_fit_seconds"] > 0.0
+    assert (
+        timings["calibrate_draw_seconds"] + timings["calibrate_fit_seconds"]
+        <= timings["calibrate_seconds"]
+    )
+    assert timings["draw_seconds"] + timings["fit_seconds"] <= timings["replicate_seconds"]
 
 
 def test_simulate_reports_failures_by_reason(tmp_path, capsys):

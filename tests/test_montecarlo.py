@@ -794,17 +794,20 @@ def eager_switches():
     sys.setswitchinterval(interval)
 
 
-def _outputs(cfg, tmp_path, label):
+def _outputs(cfg, tmp_path, label, threaded):
     """Everything a cell's streams give: a replication's panel and truth, a
-    block's, kappa^2 and results.csv from simulate with --jobs 1 and 2."""
+    block's, drawn as a run draws it, kappa^2 and results.csv from simulate
+    with --jobs 1 and 2."""
     import dataclasses
     import json
 
+    from tmgpanel import montecarlo
     from tmgpanel.cli import main
-    from tmgpanel.montecarlo import generate_block
 
     panel, truth = generate_replication(cfg, 4)
-    block, block_truth = generate_block(cfg, [1, 2, 3])
+    reps = [1, 2, 3]
+    with montecarlo._XDraws(cfg, cfg.n, montecarlo._ROLE_X, reps, threaded=threaded) as draws:
+        block, block_truth = montecarlo._generate_block(cfg, reps, draws)
     arrays = [panel.y, panel.x, block.y, block.x]
     arrays += [getattr(t, f.name) for t in (truth, block_truth) for f in dataclasses.fields(t)]
     scen = tmp_path / f"{label}.json"
@@ -833,7 +836,7 @@ def test_draw_thread_changes_no_bit(monkeypatch, tmp_path, eager_switches, field
     runs = []
     for threaded in (False, True):
         monkeypatch.setattr(montecarlo, "_DRAW_THREAD", threaded)
-        runs.append(_outputs(cfg, tmp_path, str(threaded)))
+        runs.append(_outputs(cfg, tmp_path, str(threaded), threaded))
     (a, kappa_a, csv_a), (b, kappa_b, csv_b) = runs
     for x, y in zip(a, b):
         assert x.tobytes() == y.tobytes()
@@ -946,3 +949,14 @@ def test_draw_threads_follow_the_cores(monkeypatch, cores, jobs, threads):
     usage = {}
     calibrate_kappa(base_cfg(n=30), r_kappa=3, n_cal=30, usage=usage)
     assert (usage["processes"], usage["draw_threads"]) == (1, int(len(cores) >= 2))
+
+
+def test_a_stand_alone_block_fills_inline(monkeypatch):
+    # one block has nothing to overlap, so it starts no draw thread
+    from tmgpanel import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_DRAW_THREAD", True)
+    fills = _fills_on(monkeypatch)
+    montecarlo.generate_block(base_cfg(n=30), [0, 1])
+    generate_replication(base_cfg(n=30), 2)
+    assert fills == ["MainThread"] * 3
