@@ -27,7 +27,6 @@ from . import __version__
 from .designs import blockwise
 from .errors import NumericalError, PanelInputError
 from .estimators import DEFAULT_ALPHA_GP
-from .hausman import hausman_no_te, hausman_te
 from .montecarlo import (
     MAX_REPS,
     MAX_UNITS,
@@ -288,8 +287,7 @@ def _run_test(args) -> int:
     t0 = time.perf_counter()
     panel, csv_sha256 = _read_input(args.csv)
     t_read = time.perf_counter()
-    trim_cfg = TrimConfig(alpha=args.alpha)
-    res = hausman_te(panel, trim_cfg) if args.te else hausman_no_te(panel, trim_cfg)
+    res = _fit(panel, "hausman_te" if args.te else "hausman", TrimConfig(alpha=args.alpha), None)
     t_fit = time.perf_counter()
     out = _out_dir(args)
     path = out / "hausman.json"

@@ -10,9 +10,10 @@ Replications are drawn and fitted in blocks: B replications stack on a leading
 axis, every estimator runs once over the block, and each replication fails
 alone, with its reason. A replication's numbers do not depend on its block.
 
-A process with two cores or more of its own fills each replication's
-regressor draws on one draw thread, into a ring of slots ahead of the fits;
-the thread only fills, and the numbers do not depend on it either.
+Every stream of a replication is filled into one draw slot, and a process
+with two cores or more of its own fills the slots on one draw thread, in a
+ring ahead of the fits; the thread only fills, and the numbers do not depend
+on it either.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import os
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -217,8 +218,8 @@ class ReplicationTruth:
 #: T^2), and T is short, so the cap counts units. It keeps the n=1000 cells
 #: (B = 4 at T = 2 and T = 3) within 3% of the one-replication peak RSS, and a
 #: design with more units runs one replication at a time. It caps the fits,
-#: not the draws: the draw thread fills replications ahead across block
-#: boundaries, blocks of one included. Results do not depend on it.
+#: not the draws: the draw thread fills every stream of a replication ahead
+#: across block boundaries, blocks of one included. Results do not depend on it.
 MAX_BLOCK_UNITS = 4000
 
 
@@ -256,63 +257,72 @@ def _cores() -> int:
 
 
 def _draw_threads(processes: int) -> int:
-    """Draw threads per process of a run split over ``processes``: one when
-    the process has two cores or more of its own (cores // processes), else
-    none. With one core to a process the thread was measured 0-3% slower
-    than filling inline, and its ring costs memory (BENCH_pr18.json)."""
+    """Draw threads per process of a run split over ``processes``: one,
+    filling every stream of each replication, when the process has two cores
+    or more of its own (cores // processes), else none. With one core to a
+    process the thread was measured 0-3% slower than filling inline, and its
+    ring costs memory (BENCH_pr18.json)."""
     if _DRAW_THREAD is not None:
         return int(_DRAW_THREAD)
     return int(_cores() // processes >= 2)
 
 
-class _XDraws:
-    """The regressor-stream draws of a run of replications, one slot per
-    replication, taken in replication order.
+def _roles(cfg: DgpConfig, n: int, calibration: bool = False) -> list:
+    """The streams a replication of an n-unit design draws from: (role,
+    parts), each part (name, shape, drawn uniform) in the stream's own order,
+    the regressor stream first. A calibration draws no outcomes, and its
+    replications share one factor path, so they draw no factor shocks."""
+    steps = _BURN_IN + cfg.T
+    x = [("alpha", (n,), False), ("z", (n,), False)]
+    if cfg.rho_ix_mode == "uniform095":
+        x.append(("rho", (n,), True))
+    if cfg.interactive_x:
+        x.append(("gamma", (n,), True))
+        if not calibration:
+            x.append(("shocks", (steps,), False))
+    x.append(("e", (n, steps), cfg.x_error_dist == "uniform"))
+    coef = [("coef", (2, n), False)]  # eps_alpha, then eps_beta
+    if calibration:
+        return [(_ROLE_CAL_X, x), (_ROLE_CAL_COEF, coef)]
+    y = [("z_iu", (n,), False)] if cfg.heterosked == "random" else []
+    if cfg.rho_ie_mode == "uniform095":
+        y.append(("rho_ie", (n,), True))
+    y += [("e0", (n,), False), ("g", (1 if cfg.y_error_dist == "gaussian" else 2, n, cfg.T), False)]
+    return [(_ROLE_X, x), (_ROLE_COEF, coef), (_ROLE_Y, y)]
 
-    A slot is one float64 array holding the stream's raw draws in its own
-    order: alpha (n), z (n), rho (n, with ``uniform095``), gamma (n) and the
-    factor shocks (50 + T, with ``interactive_x`` and no shared factor path),
-    then the (n, 50 + T) innovations. A fill uses only ``standard_normal(out=)``
-    and ``random(out=)`` on the slot's parts, so the consumer, applying
-    numpy's own ``normal(loc, s) = loc + s z`` and ``uniform(lo, hi) =
-    lo + (hi - lo) u``, gets every bit that ``normal`` and ``uniform`` give.
+
+class _Draws:
+    """The raw draws of a run of replications, one slot per replication,
+    taken in replication order.
+
+    A slot holds a float64 array for each part of each stream of ``roles``
+    (see :func:`_roles`), each stream opened from its (seed, rep, role) key.
+    A fill uses only ``standard_normal(out=)`` and ``random(out=)`` on the
+    slot's parts, so the consumer, applying numpy's own ``normal(loc, s) =
+    loc + s z`` and ``uniform(lo, hi) = lo + (hi - lo) u``, gets every bit
+    that ``normal`` and ``uniform`` give.
 
     Inline, one slot is filled when it is taken. With ``threaded``, a draw
     thread fills a ring of _RING_SLOTS slots (fewer for fewer replications)
-    ahead of the consumer, across block boundaries. It only fills: numpy releases the GIL while it fills,
-    and any arithmetic on the thread would contend with the fits for it. A
-    fill's exception is raised by :meth:`take`. Leaving the context stops and
-    joins the thread.
+    ahead of the consumer, across block boundaries. It only fills: numpy
+    releases the GIL while it fills, and any arithmetic on the thread would
+    contend with the fits for it. A fill's exception is raised by
+    :meth:`take`. Leaving the context stops and joins the thread.
     """
 
-    def __init__(self, cfg: DgpConfig, n: int, role: int, reps: Sequence[int],
-                 shared_factor: bool = False, threaded: bool = False):
-        steps = _BURN_IN + cfg.T
-        self._shape = (n, steps)
-        # (part, size, drawn uniform) in the stream's order
-        self._parts = [("alpha", n, False), ("z", n, False)]
-        if cfg.rho_ix_mode == "uniform095":
-            self._parts.append(("rho", n, True))
-        if cfg.interactive_x:
-            self._parts.append(("gamma", n, True))
-            if not shared_factor:
-                self._parts.append(("shocks", steps, False))
-        self._parts.append(("e", n * steps, cfg.x_error_dist == "uniform"))
-        self._seed, self._role, self._reps = cfg.seed, role, iter(reps)
+    def __init__(self, seed: int, roles: list, reps: Sequence[int], threaded: bool = False):
+        self.roles, self._seed, self._reps = roles, seed, iter(reps)
         self._threaded, self._thread, self._stop = threaded, None, False
         self._ring = min(_RING_SLOTS, len(reps))
 
     def _slot(self) -> dict:
-        buf, slot, at = np.empty(sum(size for _, size, _ in self._parts)), {}, 0
-        for part, size, _ in self._parts:
-            slot[part], at = buf[at:at + size], at + size
-        slot["e"] = slot["e"].reshape(self._shape)
-        return slot
+        return {part: np.empty(shape) for _, stream in self.roles for part, shape, _ in stream}
 
     def _fill(self, slot: dict, rep: int) -> None:
-        rng = _stream(self._seed, rep, self._role)
-        for part, _, uniform in self._parts:
-            (rng.random if uniform else rng.standard_normal)(out=slot[part])
+        for role, stream in self.roles:
+            rng = _stream(self._seed, rep, role)
+            for part, _, uniform in stream:
+                (rng.random if uniform else rng.standard_normal)(out=slot[part])
 
     def _run(self) -> None:
         try:
@@ -359,13 +369,14 @@ class _XDraws:
             self._free.put(slot)
 
 
-def _draw_x(draws: _XDraws, B: int, cfg: DgpConfig, n: int, f_path: np.ndarray | None = None):
+def _draw_x(draws: _Draws, B: int, cfg: DgpConfig, n: int, f_path: np.ndarray | None = None):
     """Factor-augmented heterogeneous AR(1) regressor paths for a block of B
     replications, the next B slots of ``draws``.
 
     The recursion starts at zero and runs 50 burn-in periods before the T
     retained observations. Returns the paths, the retained innovations and
-    the per-unit innovation scales, each with a leading replication axis.
+    the per-unit innovation scales, each with a leading replication axis, and
+    the raw draws of the other streams by part, stacked on that axis.
     ``f_path`` is a common factor path shared by every replication; without
     it each draws its own.
 
@@ -377,9 +388,14 @@ def _draw_x(draws: _XDraws, B: int, cfg: DgpConfig, n: int, f_path: np.ndarray |
     alpha_ix, z_ix = np.empty((B, n)), np.empty((B, n))
     rho_ix, gamma_ix = np.zeros((B, n)), np.zeros((B, n))
     out, e_ret = np.empty((B, n, cfg.T)), np.empty((B, n, cfg.T))
+    raw = {  # the other streams' parts, copied out of each slot
+        part: np.empty((B,) + shape) for _, stream in draws.roles[1:] for part, shape, _ in stream
+    }
     x = np.empty(n)
     for b in range(B):
         slot = draws.take()
+        for part, block in raw.items():
+            block[b] = slot[part]
         # numpy's normal(1, 1) and uniform(lo, hi), from the slot's raw draws
         alpha_ix[b] = 1.0 + 1.0 * slot["alpha"]
         z_ix[b] = slot["z"]
@@ -408,12 +424,7 @@ def _draw_x(draws: _XDraws, B: int, cfg: DgpConfig, n: int, f_path: np.ndarray |
             if j >= _BURN_IN:
                 out[b, :, j - _BURN_IN] = x
         draws.give(slot)
-    return out, e_ret, np.sqrt(0.5 * (1.0 + z_ix**2))
-
-
-def draw_factor_path(rng, steps: int) -> np.ndarray:
-    """AR(0.9) common factor started at zero."""
-    return _factor_path(rng.standard_normal(steps))
+    return out, e_ret, np.sqrt(0.5 * (1.0 + z_ix**2)), raw
 
 
 def _factor_path(shocks: np.ndarray) -> np.ndarray:
@@ -434,40 +445,24 @@ def standardized_quadratic(e_ret: np.ndarray, T: int, gamma2: float) -> np.ndarr
     return (q - (T - 1)) / np.sqrt(var)
 
 
-def _normals(rngs, shape: tuple) -> np.ndarray:
-    """One standard-normal draw of ``shape`` from each generator, stacked."""
-    out = np.empty((len(rngs),) + shape)
-    for b, rng in enumerate(rngs):
-        rng.standard_normal(out=out[b])
-    return out
-
-
-def _draw_coefficients(rngs, cfg: DgpConfig, lam: np.ndarray, n: int):
+def _draw_coefficients(z: np.ndarray, cfg: DgpConfig, lam: np.ndarray):
+    """alpha_i and beta_i of a block from its (B, 2, n) standard normals."""
     se_a = np.sqrt(cfg.sigma2_eps_alpha)
     se_b = np.sqrt(cfg.sigma2_eps_beta)
-    z = _normals(rngs, (2, n))  # eps_alpha, then eps_beta, per replication
     alpha_i = cfg.theta0[0] + cfg.psi_alpha * lam + z[:, 0] * se_a
     beta_i = cfg.theta0[1] + cfg.psi_beta * lam + z[:, 1] * se_b
     return alpha_i, beta_i
 
 
-def _draw_errors(rngs, cfg: DgpConfig, n: int, lam: np.ndarray, e_ret: np.ndarray):
-    B, T = len(rngs), cfg.T
-    z_iu, rho_ie, e0 = np.empty((B, n)), np.zeros((B, n)), np.empty((B, n))
-    g = np.empty((B, 1 if cfg.y_error_dist == "gaussian" else 2, n, T))
-    for b, rng in enumerate(rngs):
-        if cfg.heterosked == "random":
-            rng.standard_normal(out=z_iu[b])
-        if cfg.rho_ie_mode == "uniform095":
-            rho_ie[b] = rng.uniform(0.0, 0.95, n)
-        rng.standard_normal(out=e0[b])
-        rng.standard_normal(out=g[b])
+def _draw_errors(raw: dict, cfg: DgpConfig, lam: np.ndarray, e_ret: np.ndarray):
+    """The outcome errors of a block from its outcome stream's raw draws."""
     if cfg.heterosked == "random":
-        sigma_it = np.sqrt(0.5 * (1.0 + z_iu**2))[..., None]
+        sigma_it = np.sqrt(0.5 * (1.0 + raw["z_iu"] ** 2))[..., None]
     elif cfg.heterosked == "lambda2":
         sigma_it = np.abs(lam)[..., None]
     else:  # ex2
         sigma_it = np.abs(e_ret)
+    g = raw["g"]
     if cfg.y_error_dist == "gaussian":
         shocks = g[:, 0]
     else:
@@ -476,9 +471,10 @@ def _draw_errors(rngs, cfg: DgpConfig, n: int, lam: np.ndarray, e_ret: np.ndarra
         e = shocks
     else:
         e = np.empty_like(shocks)
-        prev = e0
+        prev = raw["e0"]
+        rho_ie = 0.0 + 0.95 * raw["rho_ie"]  # numpy's uniform(0, 0.95)
         innov = np.sqrt(1.0 - rho_ie**2)
-        for t in range(T):
+        for t in range(cfg.T):
             prev = rho_ie * prev + innov * shocks[..., t]
             e[..., t] = prev
     return sigma_it * e
@@ -489,24 +485,21 @@ def generate_block(cfg: DgpConfig, reps: Sequence[int]) -> tuple[PanelBlock, Rep
     axis and a truth record whose arrays carry the same axis. Each replication
     draws from its own (seed, rep, role) streams, so its values do not depend
     on the block it is drawn in."""
-    with _XDraws(cfg, cfg.n, _ROLE_X, reps) as x_draws:
-        return _generate_block(cfg, reps, x_draws)
+    with _Draws(cfg.seed, _roles(cfg, cfg.n), reps) as draws:
+        return _generate_block(cfg, reps, draws)
 
 
 def _generate_block(
-    cfg: DgpConfig, reps: Sequence[int], x_draws: _XDraws
+    cfg: DgpConfig, reps: Sequence[int], draws: _Draws
 ) -> tuple[PanelBlock, ReplicationTruth]:
-    """:func:`generate_block`, with the regressor draws taken from
-    ``x_draws``, a run's draws whose next slots are those of ``reps``."""
+    """:func:`generate_block`, with the raw draws taken from ``draws``, a
+    run's draws whose next slots are those of ``reps``."""
     if cfg.kappa2 is None:
         raise ScenarioError("kappa2 is unset; calibrate it first (see calibrate_kappa)")
-    n = cfg.n
-    rng_c = [_stream(cfg.seed, r, _ROLE_COEF) for r in reps]
-    rng_y = [_stream(cfg.seed, r, _ROLE_Y) for r in reps]
-    x, e_ret, sigma_ix = _draw_x(x_draws, len(reps), cfg, n)
+    x, e_ret, sigma_ix, raw = _draw_x(draws, len(reps), cfg, cfg.n)
     lam = standardized_quadratic(e_ret, cfg.T, cfg.excess_kurtosis_x)
-    alpha_i, beta_i = _draw_coefficients(rng_c, cfg, lam, n)
-    u = np.sqrt(cfg.kappa2) * _draw_errors(rng_y, cfg, n, lam, e_ret)
+    alpha_i, beta_i = _draw_coefficients(raw["coef"], cfg, lam)
+    u = np.sqrt(cfg.kappa2) * _draw_errors(raw, cfg, lam, e_ret)
     phi = cfg.phi()
     y = alpha_i[..., None] + phi + beta_i[..., None] * x + u
     truth = ReplicationTruth(
@@ -547,20 +540,17 @@ def calibrate_kappa(
     _check("n_cal", n_cal)
     f_path = None
     if cfg.interactive_x:
-        f_path = draw_factor_path(
-            _stream(cfg.seed, 0, _ROLE_FACTOR), _BURN_IN + cfg.T
-        )
+        f_path = _factor_path(_stream(cfg.seed, 0, _ROLE_FACTOR).standard_normal(_BURN_IN + cfg.T))
     a_acc = 0.0
     b_acc = 0.0
     threads, seconds = _draw_threads(1), Counter()
-    with _XDraws(cfg, n_cal, _ROLE_CAL_X, range(r_kappa), shared_factor=cfg.interactive_x,
-                 threaded=threads > 0) as x_draws:
+    with _Draws(cfg.seed, _roles(cfg, n_cal, calibration=True), range(r_kappa),
+                threaded=threads > 0) as draws:
         for reps in _blocks(range(r_kappa), block_size(n_cal)):
             t0 = time.perf_counter()
-            rng_c = [_stream(cfg.seed, r, _ROLE_CAL_COEF) for r in reps]
-            x, e_ret, _ = _draw_x(x_draws, len(reps), cfg, n_cal, f_path=f_path)
+            x, e_ret, _, raw = _draw_x(draws, len(reps), cfg, n_cal, f_path=f_path)
             lam = standardized_quadratic(e_ret, cfg.T, cfg.excess_kurtosis_x)
-            _, beta_i = _draw_coefficients(rng_c, cfg, lam, n_cal)
+            _, beta_i = _draw_coefficients(raw["coef"], cfg, lam)
             t1 = time.perf_counter()
             bx = beta_i[..., None] * x
             for a, b in zip(np.mean(bx * bx, axis=(1, 2)), np.mean(bx, axis=(1, 2))):
@@ -651,10 +641,10 @@ _TAG_FITS = {
 
 def _block_records(
     cfg: DgpConfig, reps: Sequence[int], tags: Sequence[str], trim_cfg: TrimConfig,
-    alpha_gp: float, x_draws: _XDraws, seconds: Counter,
+    alpha_gp: float, draws: _Draws, seconds: Counter,
 ) -> dict:
-    """Estimate every requested tag on one block of replications, drawn with
-    the regressor draws ``x_draws``; the draw and fit seconds add to ``seconds``.
+    """Estimate every requested tag on one block of replications, drawn from
+    the run's ``draws``; the draw and fit seconds add to ``seconds``.
 
     Returns per tag the arrays (coef (B, width), se (B, width), trimmed
     fraction (B,), reason (B,)): the slope and phi_1..phi_{T-1} with their
@@ -663,7 +653,7 @@ def _block_records(
     others have reason None.
     """
     t0 = time.perf_counter()
-    block = _generate_block(cfg, reps, x_draws)[0]
+    block = _generate_block(cfg, reps, draws)[0]
     t1 = time.perf_counter()
     B = len(reps)
     out = {}
@@ -715,13 +705,13 @@ def _worker(args):
     """The :func:`_block_records` arrays of the replications ``reps``, fitted
     in the fewest blocks of at most :func:`block_size` consecutive entries,
     of balanced sizes, and joined in replication order, with the draw and fit
-    seconds. With ``threads``, one draw thread fills the regressor draws of
-    every block ahead of the fits; it is joined before this returns."""
+    seconds. With ``threads``, one draw thread fills the draws of every
+    block ahead of the fits; it is joined before this returns."""
     cfg, reps, tags, trim_cfg, alpha_gp, threads = args
     seconds = Counter()
-    with _XDraws(cfg, cfg.n, _ROLE_X, reps, threaded=threads > 0) as x_draws:
+    with _Draws(cfg.seed, _roles(cfg, cfg.n), reps, threaded=threads > 0) as draws:
         parts = [
-            _block_records(cfg, block, tags, trim_cfg, alpha_gp, x_draws, seconds)
+            _block_records(cfg, block, tags, trim_cfg, alpha_gp, draws, seconds)
             for block in _blocks(reps, block_size(cfg.n))
         ]
     return _concat(parts), seconds
@@ -786,7 +776,7 @@ def run_experiment(
     replications; neither the block size nor ``jobs`` changes any result.
 
     Each worker process with two cores or more of its own (cores // workers)
-    fills its regressor draws on one draw thread, ahead of its fits; this
+    fills its draws on one draw thread, ahead of its fits; this
     changes no result either. ``usage``, if given, receives ``processes``,
     ``draw_threads`` (per process) and ``draw_seconds`` and ``fit_seconds``,
     summed over the workers; draw seconds include waits for the draw thread.
@@ -830,7 +820,7 @@ def scenario_from_dict(raw: dict) -> tuple[DgpConfig, dict]:
     for key in raw:
         if key not in cfg_fields and key not in _EXTRAS:
             raise ScenarioError(f"unknown scenario field {key!r}")
-    missing = [k for k in ("n", "T") if k not in raw]
+    missing = [k for k, f in cfg_fields.items() if f.default is MISSING and k not in raw]
     if missing:
         raise ScenarioError(f"scenario missing required fields {missing}")
     cfg = DgpConfig(**{

@@ -17,6 +17,11 @@ from tmgpanel import (
 )
 from tmgpanel.designs import PanelDesign
 from tmgpanel.montecarlo import (
+    _ROLE_CAL_COEF,
+    _ROLE_CAL_X,
+    _ROLE_COEF,
+    _ROLE_X,
+    _ROLE_Y,
     load_scenario,
     scenario_from_dict,
     standardized_quadratic,
@@ -771,16 +776,39 @@ def test_import_leaves_process_pool_out():
 # the draw thread
 # ---------------------------------------------------------------------------
 
-#: One cell of every regressor-stream variant: rho_ix zero and uniform095, a
-#: factor path of each replication's own (calibration shares one), and
-#: uniform x errors, at T = 2 and 3.
-X_STREAMS = {
+#: Cells that between them draw every optional part of every stream: rho_ix
+#: zero and uniform095, a factor path of each replication's own (calibration
+#: shares one), uniform x errors, each heteroskedasticity, AR outcome errors
+#: and Gaussian outcome errors, at T = 2 and 3.
+STREAMS = {
     "T2": dict(T=2),
     "T3-rho0-te": dict(T=3, rho_ix_mode="zero", time_effects=True),
     "T2-factor": dict(T=2, interactive_x=True),
     "T3-factor-rho0-uniform": dict(T=3, interactive_x=True, rho_ix_mode="zero",
                                    x_error_dist="uniform"),
     "T2-uniform-lambda2": dict(T=2, x_error_dist="uniform", heterosked="lambda2"),
+    "T3-ar-gaussian-ex2": dict(T=3, rho_ie_mode="uniform095", y_error_dist="gaussian",
+                               heterosked="ex2"),
+}
+
+#: sha256 of each STREAMS cell's generate_block(cfg, [1, 2, 3]) arrays (y, x,
+#: then the truth fields) and of repr(calibrate_kappa(cfg, r_kappa=7,
+#: n_cal=50)). They were computed at the commit before the coefficient and
+#: outcome draws moved into the draw slots, with the thread on and off alike.
+STREAM_DIGESTS = {
+    "T2": ("797391440fc9f4dd6e2a3591a0a010ae72dcae043e1faa5e158b76bb05c65ada",
+           "04b224e744dd7f1acbf1f60a65779bec6e5947d762d63694b0aa4ef08d0f0670"),
+    "T3-rho0-te": ("5e3097e1902eb46daf16d54bccec3b9a84340769acc2b2c96b89f6914ac033b7",
+                   "90b2d14a994079ad8761400653d731ff3d525e9e7afa3e91eaf18233213be158"),
+    "T2-factor": ("cc29e75bd17ec2ce64eceb80943510221e4d4c62c60a9e773e4c644f378f2a38",
+                  "8811bfc4ab41273deba076a2efaf988900875f1e11e2b62abb88e7f6f52e85be"),
+    "T3-factor-rho0-uniform": (
+        "5e56c3faddc0cf69387dc4c525aea83d7ce91f0a99ba69a78f24157da51bacc7",
+        "3dbf46841f9672c32daa57c11283f49a019bf99e3c701b37bf7d369a825e509f"),
+    "T2-uniform-lambda2": ("a7e54880e8a4821960cbdb312e1df001c8295e385d5d4d19b800549154c43bca",
+                           "a4d347df2ceb358f43af3d2438dabc45b99cd6b20ceaf75f016f6c45eac1965f"),
+    "T3-ar-gaussian-ex2": ("6d1f0a3f88008f08d582878900ef2fbc1b88f51794854e0a22406be62d3e7520",
+                           "f3a0cc2a40b467d8bb5e0881d8478d071934da14fafabd7257fac8f8d034d243"),
 }
 
 
@@ -806,7 +834,7 @@ def _outputs(cfg, tmp_path, label, threaded):
 
     panel, truth = generate_replication(cfg, 4)
     reps = [1, 2, 3]
-    with montecarlo._XDraws(cfg, cfg.n, montecarlo._ROLE_X, reps, threaded=threaded) as draws:
+    with montecarlo._Draws(cfg.seed, montecarlo._roles(cfg, cfg.n), reps, threaded) as draws:
         block, block_truth = montecarlo._generate_block(cfg, reps, draws)
     arrays = [panel.y, panel.x, block.y, block.x]
     arrays += [getattr(t, f.name) for t in (truth, block_truth) for f in dataclasses.fields(t)]
@@ -824,7 +852,7 @@ def _outputs(cfg, tmp_path, label, threaded):
     return arrays, kappa2, csvs[0]
 
 
-@pytest.mark.parametrize("fields", X_STREAMS.values(), ids=X_STREAMS)
+@pytest.mark.parametrize("fields", STREAMS.values(), ids=STREAMS)
 def test_draw_thread_changes_no_bit(monkeypatch, tmp_path, eager_switches, fields):
     # the draws filled inline and on the draw thread give the same bits in
     # every output, across blocks of three and two worker processes
@@ -856,8 +884,29 @@ def test_draw_thread_changes_no_bit_in_blocks_of_one(monkeypatch, eager_switches
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("threaded", [False, True])
+@pytest.mark.parametrize("cell", STREAMS)
+def test_fixed_seed_draws_keep_their_bits(monkeypatch, cell, threaded):
+    # a refactor of the draws that moves one bit of a stream fails here; a
+    # stand-alone block fills inline either way, and the threaded block path
+    # is held to the inline one by test_draw_thread_changes_no_bit
+    import dataclasses
+    import hashlib
+
+    from tmgpanel import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_DRAW_THREAD", threaded)
+    cfg = base_cfg(n=40, seed=77, **STREAMS[cell])
+    block, truth = montecarlo.generate_block(cfg, [1, 2, 3])
+    digest = hashlib.sha256()
+    for a in [block.y, block.x] + [getattr(truth, f.name) for f in dataclasses.fields(truth)]:
+        digest.update(a.tobytes())
+    kappa2 = repr(calibrate_kappa(cfg, r_kappa=7, n_cal=50)).encode()
+    assert (digest.hexdigest(), hashlib.sha256(kappa2).hexdigest()) == STREAM_DIGESTS[cell]
+
+
 def _fills_on(monkeypatch, fail_at=None):
-    """Record the thread of each regressor-stream fill; the fill of
+    """Record the (role, thread) of each stream a fill opens; the fill of
     replication ``fail_at`` raises."""
     import functools
     import inspect
@@ -865,19 +914,28 @@ def _fills_on(monkeypatch, fail_at=None):
 
     from tmgpanel import montecarlo
 
-    threads = []
+    fills = []
     original = inspect.unwrap(montecarlo._stream)  # not an earlier call's wrapper
 
     @functools.wraps(original)
     def stream(seed, rep, role):
-        if role in (montecarlo._ROLE_X, montecarlo._ROLE_CAL_X):
-            threads.append(threading.current_thread().name)
+        if role != montecarlo._ROLE_FACTOR:  # calibration's shared path is no fill
+            fills.append((role, threading.current_thread().name))
             if rep == fail_at:
                 raise MemoryError(f"fill of replication {rep}")
         return original(seed, rep, role)
 
     monkeypatch.setattr(montecarlo, "_stream", stream)
-    return threads
+    return fills
+
+
+#: The streams a replication of a run fills, and those a calibration fills.
+_RUN_ROLES = {_ROLE_X, _ROLE_COEF, _ROLE_Y}
+_CAL_ROLES = {_ROLE_CAL_X, _ROLE_CAL_COEF}
+
+
+def _on(thread, roles):
+    return {(role, thread) for role in roles}
 
 
 @pytest.mark.parametrize("call", ["run_experiment", "calibrate_kappa"])
@@ -891,14 +949,14 @@ def test_no_draw_thread_outlives_a_call(monkeypatch, call):
     monkeypatch.setattr(montecarlo, "_DRAW_THREAD", True)
     monkeypatch.setattr(montecarlo, "MAX_BLOCK_UNITS", 2 * 30)
     cfg = base_cfg(n=30)
-    run = {
-        "run_experiment": lambda: run_experiment(cfg, ["fe"], reps=5),
-        "calibrate_kappa": lambda: calibrate_kappa(cfg, r_kappa=5, n_cal=30),
+    run, roles = {
+        "run_experiment": (lambda: run_experiment(cfg, ["fe"], reps=5), _RUN_ROLES),
+        "calibrate_kappa": (lambda: calibrate_kappa(cfg, r_kappa=5, n_cal=30), _CAL_ROLES),
     }[call]
     before = threading.active_count()
-    threads = _fills_on(monkeypatch)
+    fills = _fills_on(monkeypatch)
     run()
-    assert threads and set(threads) == {"tmgpanel-draws"}
+    assert len(fills) == 5 * len(roles) and set(fills) == _on("tmgpanel-draws", roles)
     assert threading.active_count() == before
     # a fill's exception reaches the caller
     _fills_on(monkeypatch, fail_at=3)
@@ -945,10 +1003,11 @@ def test_draw_threads_follow_the_cores(monkeypatch, cores, jobs, threads):
     assert (usage["processes"], usage["draw_threads"]) == (min(jobs, len(cores)), threads)
     assert usage["draw_seconds"] > 0.0 and usage["fit_seconds"] > 0.0
     if jobs == 1:  # a worker process records its fills in its own memory
-        assert set(fills) == {"tmgpanel-draws" if threads else "MainThread"}
-    usage = {}
+        assert set(fills) == _on("tmgpanel-draws" if threads else "MainThread", _RUN_ROLES)
+    usage, fills[:] = {}, []
     calibrate_kappa(base_cfg(n=30), r_kappa=3, n_cal=30, usage=usage)
     assert (usage["processes"], usage["draw_threads"]) == (1, int(len(cores) >= 2))
+    assert set(fills) == _on("tmgpanel-draws" if len(cores) >= 2 else "MainThread", _CAL_ROLES)
 
 
 def test_a_stand_alone_block_fills_inline(monkeypatch):
@@ -959,4 +1018,4 @@ def test_a_stand_alone_block_fills_inline(monkeypatch):
     fills = _fills_on(monkeypatch)
     montecarlo.generate_block(base_cfg(n=30), [0, 1])
     generate_replication(base_cfg(n=30), 2)
-    assert fills == ["MainThread"] * 3
+    assert fills == [(role, "MainThread") for role in [_ROLE_X, _ROLE_COEF, _ROLE_Y] * 3]
