@@ -194,14 +194,20 @@ def _write_per_unit(path: Path, names, unit_ids, est) -> None:
             fh.write((line * chunk.shape[0]) % tuple(cells))
 
 
-def _trimming_record(state) -> dict:
+def _trimming_record(est) -> dict | None:
     """The threshold a_n, the trimmed fraction pi_n and the trimmed-unit
-    count of a TMG-family fit, from its ``TrimState``."""
-    return {
-        "a_n": float(state.a_n),
-        "pi_n": float(state.pi_n),
-        "trimmed": int(np.count_nonzero(state.trimmed)),
-    }
+    count of a TMG-family fit, from its ``TrimState``; the squared bandwidth
+    h_n^2, the kept-unit count m and the excluded fraction pi_n of a
+    GP-family fit; None for any other fit."""
+    if est.trim is not None:
+        return {
+            "a_n": float(est.trim.a_n),
+            "pi_n": float(est.trim.pi_n),
+            "trimmed": int(np.count_nonzero(est.trim.trimmed)),
+        }
+    if est.h_n2 is not None:
+        return {"h_n2": float(est.h_n2), "m": int(est.n_used), "pi_n": float(est.pi_n)}
+    return None
 
 
 #: The time-effects variant of each --method that has one: the tag --te selects.
@@ -267,9 +273,8 @@ def _run_estimate(args) -> int:
         "T": panel.T,
     }
     stages = _stages(t0, t_read, t_fit)
-    extra = None
-    if est.trim is not None:
-        extra = {"trimming": _trimming_record(est.trim)}
+    trimming = _trimming_record(est)
+    extra = None if trimming is None else {"trimming": trimming}
     outputs.append(
         _write_manifest(
             out, "estimate", params, None, outputs, time.perf_counter() - t0, stages, extra
@@ -334,29 +339,34 @@ def _mc_stages(
     calibrate: float, replicate: float, t_write: float, usage: dict, cal_usage: dict
 ) -> dict:
     """Calibrate, replicate and write seconds of a Monte Carlo command, the
-    draw and fit seconds of its run's ``usage`` and, if it calibrated kappa^2
-    before the run, those of the calibration's ``cal_usage``; writing runs
-    from ``t_write`` until now."""
+    draw, fit and draw-wait seconds of its run's ``usage`` and, if it
+    calibrated kappa^2 before the run, those of the calibration's
+    ``cal_usage``; writing runs from ``t_write`` until now."""
     stages = {
         "calibrate_seconds": calibrate,
         "replicate_seconds": replicate,
         "write_seconds": time.perf_counter() - t_write,
-        "draw_seconds": usage["draw_seconds"],
-        "fit_seconds": usage["fit_seconds"],
     }
-    if cal_usage:
-        stages["calibrate_draw_seconds"] = cal_usage["draw_seconds"]
-        stages["calibrate_fit_seconds"] = cal_usage["fit_seconds"]
+    for prefix, record in (("", usage), ("calibrate_", cal_usage)):
+        if record:
+            for key in ("draw_seconds", "fit_seconds", "draw_wait_seconds"):
+                stages[prefix + key] = record[key]
     return stages
 
 
 def _parallelism(usage: dict, cal_usage: dict) -> dict:
-    """The manifest's record of the processes and draw threads a run used,
-    and the draw threads of a calibration before it, which runs in one
+    """The manifest's record of the processes and draw threads a run used and
+    of the replications whose innovations its consumer filled, and the draw
+    threads and consumer fills of a calibration before it, which runs in one
     process."""
-    record = {"processes": usage["processes"], "draw_threads": usage["draw_threads"]}
+    record = {
+        "processes": usage["processes"],
+        "draw_threads": usage["draw_threads"],
+        "consumer_fills": usage["consumer_fills"],
+    }
     if cal_usage:
         record["calibrate_draw_threads"] = cal_usage["draw_threads"]
+        record["calibrate_consumer_fills"] = cal_usage["consumer_fills"]
     return record
 
 

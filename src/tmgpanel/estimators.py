@@ -51,6 +51,7 @@ class Estimate:
     per_unit: np.ndarray | None = None  # (..., n, k); zero rows outside ``keep``
     coef_names: tuple = field(default=())
     trim: TrimState | None = None  # threshold state of a TMG-family fit
+    h_n2: float | np.ndarray | None = None  # squared bandwidth h_n^2 of a GP-family fit
     keep: np.ndarray | None = None  # units that enter the average; None is every unit
     fail: tuple | None = None  # per-replication failures of a block fit
     scores: np.ndarray | None = None  # (..., n, k') s_i = xw_i'nu~_i of a pooled fit
@@ -130,6 +131,7 @@ class Weighting:
     pi_n: float | np.ndarray
     alpha: float | None
     trim: TrimState | None = None
+    h_n2: np.ndarray | None = None  # GP's squared bandwidth
     fail: tuple | None = None
 
     @property
@@ -212,7 +214,8 @@ def gp_threshold(pd: PanelDesign, alpha_gp: float):
 
 def gp_weighting(pd: PanelDesign, alpha_gp: float) -> Weighting:
     """The units with d_i > h_n^2, den_i = d_i, equal weights."""
-    keep = pd.d > col(gp_threshold(pd, alpha_gp))
+    h_n2 = gp_threshold(pd, alpha_gp)
+    keep = pd.d > col(h_n2)
     m = keep.sum(axis=-1)
     fail = flag(
         no_failures(pd.lead), m == 0, lambda i: AllTrimmedError("bandwidth excluded every unit")
@@ -223,6 +226,7 @@ def gp_weighting(pd: PanelDesign, alpha_gp: float) -> Weighting:
         scale=1.0,
         pi_n=1.0 - m / pd.n,
         alpha=alpha_gp,
+        h_n2=h_n2,
         fail=fail,
     )
 
@@ -253,6 +257,7 @@ def weighted_mean_group(
         per_unit=tilde,
         coef_names=_mg_names(pd.k - 1),
         trim=wt.trim,
+        h_n2=wt.h_n2,
         keep=wt.keep,
         fail=wt.fail,
     )

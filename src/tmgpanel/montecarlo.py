@@ -10,18 +10,20 @@ Replications are drawn and fitted in blocks: B replications stack on a leading
 axis, every estimator runs once over the block, and each replication fails
 alone, with its reason. A replication's numbers do not depend on its block.
 
-Every stream of a replication is filled into one draw slot, and a process
-with two cores or more of its own fills the slots on one draw thread, in a
-ring ahead of the fits; the thread only fills, and the numbers do not depend
-on it either.
+Every stream of a replication is filled into one draw slot. A process with
+two cores or more of its own fills the slots' innovations on one draw thread,
+in a ring ahead of the fits, one call per replication, and the consumer
+fills them itself rather than wait; the numbers do not depend on who fills.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
 import os
+import queue
 import threading
 import time
 from collections import Counter
@@ -218,8 +220,8 @@ class ReplicationTruth:
 #: T^2), and T is short, so the cap counts units. It keeps the n=1000 cells
 #: (B = 4 at T = 2 and T = 3) within 3% of the one-replication peak RSS, and a
 #: design with more units runs one replication at a time. It caps the fits,
-#: not the draws: the draw thread fills every stream of a replication ahead
-#: across block boundaries, blocks of one included. Results do not depend on it.
+#: not the draws: the draw slots are opened and filled ahead across block
+#: boundaries, blocks of one included. Results do not depend on it.
 MAX_BLOCK_UNITS = 4000
 
 
@@ -240,8 +242,9 @@ def _stream(seed: int, rep: int, role: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, rep, role))))
 
 
-#: Slots in a draw thread's ring: the consumer burns in one replication's
-#: draws while the thread fills up to two more.
+#: Slots in a threaded run's ring: the consumer burns in one replication
+#: while up to two more wait, opened, for their innovations. An inline run
+#: needs one slot.
 _RING_SLOTS = 3
 
 #: For tests only: True or False forces the draw thread on or off; None
@@ -258,10 +261,10 @@ def _cores() -> int:
 
 def _draw_threads(processes: int) -> int:
     """Draw threads per process of a run split over ``processes``: one,
-    filling every stream of each replication, when the process has two cores
-    or more of its own (cores // processes), else none. With one core to a
-    process the thread was measured 0-3% slower than filling inline, and its
-    ring costs memory (BENCH_pr18.json)."""
+    filling the innovations of each replication (see :class:`_Draws`), when
+    the process has two cores or more of its own (cores // processes), else
+    none. With one core to a process the thread was measured 0-3% slower
+    than filling inline, and its ring costs memory (BENCH_pr18.json)."""
     if _DRAW_THREAD is not None:
         return int(_DRAW_THREAD)
     return int(_cores() // processes >= 2)
@@ -291,82 +294,151 @@ def _roles(cfg: DgpConfig, n: int, calibration: bool = False) -> list:
     return [(_ROLE_X, x), (_ROLE_COEF, coef), (_ROLE_Y, y)]
 
 
+def _fill(rng: np.random.Generator, run: np.ndarray, uniform: bool) -> None:
+    (rng.random if uniform else rng.standard_normal)(out=run)
+
+
+class _Slot(dict):
+    """One replication's raw draws by part, each a view of its run's flat
+    array. ``runs`` holds (role, [(array, uniform)]) for each stream;
+    ``index`` is the replication's place in the run, and ``rng`` its
+    regressor stream, open until the stream's last run is filled."""
+
+
 class _Draws:
     """The raw draws of a run of replications, one slot per replication,
     taken in replication order.
 
-    A slot holds a float64 array for each part of each stream of ``roles``
-    (see :func:`_roles`), each stream opened from its (seed, rep, role) key.
-    A fill uses only ``standard_normal(out=)`` and ``random(out=)`` on the
-    slot's parts, so the consumer, applying numpy's own ``normal(loc, s) =
+    A slot holds one flat float64 array for each run of consecutive parts of
+    one kind (normal or uniform) of each stream of ``roles`` (see
+    :func:`_roles`), and the parts are views of it. A run is filled with one
+    ``standard_normal(out=)`` or ``random(out=)`` call. A Generator keeps no
+    state between such calls, so a run holds the bits of its parts filled
+    one by one, and the consumer, applying numpy's own ``normal(loc, s) =
     loc + s z`` and ``uniform(lo, hi) = lo + (hi - lo) u``, gets every bit
     that ``normal`` and ``uniform`` give.
 
-    Inline, one slot is filled when it is taken. With ``threaded``, a draw
-    thread fills a ring of _RING_SLOTS slots (fewer for fewer replications)
-    ahead of the consumer, across block boundaries. It only fills: numpy
-    releases the GIL while it fills, and any arithmetic on the thread would
-    contend with the fits for it. A fill's exception is raised by
-    :meth:`take`. Leaving the context stops and joins the thread.
+    The consumer opens each replication: for the first ring and whenever a
+    slot is handed back, it opens the replication's streams from their
+    (seed, rep, role) keys and fills every run but the regressor stream's
+    last, which ends with the (n, 50 + T) innovations and holds most of the
+    draws ("the innovations" below). That run is one call, and numpy releases the GIL while it fills. With
+    ``threaded``, a draw thread fills it for the opened slots in order, so
+    the thread takes the GIL back once per replication and does nothing
+    else: opening a stream, or any arithmetic, on the thread would contend
+    with the fits for the GIL. When the next slot in replication order is
+    not finished, the consumer fills the oldest opened slot itself, and it
+    blocks only while the thread holds every opened one. Finished slots are
+    kept by index and taken in order. Inline, the same code runs on a ring
+    of one slot, filled when it is taken.
+
+    A threaded ring has _RING_SLOTS slots (fewer for fewer replications) and
+    reaches across block boundaries. A fill's exception on the thread is
+    raised by :meth:`take`. Leaving the context stops and joins the thread.
+    ``waited`` counts the seconds the consumer blocked on the thread, and
+    ``consumer_fills`` the replications whose innovations it filled itself.
     """
 
     def __init__(self, seed: int, roles: list, reps: Sequence[int], threaded: bool = False):
-        self.roles, self._seed, self._reps = roles, seed, iter(reps)
+        self.roles, self._seed, self._reps = roles, seed, reps
         self._threaded, self._thread, self._stop = threaded, None, False
-        self._ring = min(_RING_SLOTS, len(reps))
+        self._ring = min(_RING_SLOTS if threaded else 1, len(reps))
+        self._opened, self._taken, self._finished = 0, 0, {}
+        self.waited, self.consumer_fills = 0.0, 0
 
-    def _slot(self) -> dict:
-        return {part: np.empty(shape) for _, stream in self.roles for part, shape, _ in stream}
-
-    def _fill(self, slot: dict, rep: int) -> None:
+    def _slot(self) -> _Slot:
+        slot = _Slot()
+        slot.runs = []
         for role, stream in self.roles:
+            arrays = []
+            for uniform, parts in itertools.groupby(stream, key=lambda part: part[2]):
+                sizes = [(part, shape, math.prod(shape)) for part, shape, _ in parts]
+                run, offset = np.empty(sum(size for _, _, size in sizes)), 0
+                for part, shape, size in sizes:
+                    slot[part] = run[offset:offset + size].reshape(shape)
+                    offset += size
+                arrays.append((run, uniform))
+            slot.runs.append((role, arrays))
+        return slot
+
+    def _open(self, slot: _Slot) -> None:
+        """Open the next replication's streams in ``slot``, fill all but its
+        innovations and queue it, if a replication is left to open."""
+        if self._opened == len(self._reps):
+            return
+        rep, slot.index = self._reps[self._opened], self._opened
+        self._opened += 1
+        (role, runs), *others = slot.runs
+        slot.rng = _stream(self._seed, rep, role)
+        for run, uniform in runs[:-1]:
+            _fill(slot.rng, run, uniform)
+        for role, runs in others:
             rng = _stream(self._seed, rep, role)
-            for part, _, uniform in stream:
-                (rng.random if uniform else rng.standard_normal)(out=slot[part])
+            for run, uniform in runs:
+                _fill(rng, run, uniform)
+        self._opened_slots.put(slot)
+
+    @staticmethod
+    def _finish(slot: _Slot) -> None:
+        """Fill the innovations of an opened slot, in one call."""
+        _fill(slot.rng, *slot.runs[0][1][-1])
+        slot.rng = None
 
     def _run(self) -> None:
         try:
-            for rep in self._reps:
-                slot = self._free.get()
+            while True:
+                slot = self._opened_slots.get()
                 if self._stop:
                     return
-                self._fill(slot, rep)
-                self._ready.put(slot)
+                self._finish(slot)
+                self._filled.put(slot)
         except BaseException as exc:  # raised again by take, in the consumer
-            self._ready.put(exc)
+            self._filled.put(exc)
 
     def __enter__(self):
-        if not self._threaded:
-            self._own = self._slot()
-            return self
-        import queue  # only a threaded run pays its import
-
-        self._free, self._ready = queue.SimpleQueue(), queue.SimpleQueue()
-        for _ in range(self._ring):
-            self._free.put(self._slot())
-        self._thread = threading.Thread(target=self._run, name="tmgpanel-draws", daemon=True)
-        self._thread.start()
+        self._opened_slots, self._filled = queue.SimpleQueue(), queue.SimpleQueue()
+        if self._threaded:
+            self._thread = threading.Thread(target=self._run, name="tmgpanel-draws", daemon=True)
+            self._thread.start()
+        try:
+            for _ in range(self._ring):
+                self._open(self._slot())
+        except BaseException:
+            self.__exit__()
+            raise
         return self
 
     def __exit__(self, *exc) -> None:
         if self._thread is not None:
             self._stop = True
-            self._free.put(None)
+            self._opened_slots.put(None)
             self._thread.join()
 
-    def take(self) -> dict:
-        """The next replication's filled slot; hand it back with :meth:`give`."""
-        if not self._threaded:
-            self._fill(self._own, next(self._reps))
-            return self._own
-        slot = self._ready.get()
-        if isinstance(slot, BaseException):
-            raise slot
-        return slot
+    def take(self) -> _Slot:
+        """The next replication's finished slot; hand it back with :meth:`give`."""
+        index = self._taken
+        while index not in self._finished:
+            try:  # a slot the thread has finished
+                slot = self._filled.get_nowait()
+            except queue.Empty:
+                try:  # else the oldest opened slot, finished here
+                    slot = self._opened_slots.get_nowait()
+                except queue.Empty:  # else the thread holds them all
+                    t0 = time.perf_counter()
+                    slot = self._filled.get()
+                    self.waited += time.perf_counter() - t0
+                else:
+                    self._finish(slot)
+                    self.consumer_fills += 1
+            if isinstance(slot, BaseException):
+                raise slot
+            self._finished[slot.index] = slot
+        self._taken += 1
+        return self._finished.pop(index)
 
-    def give(self, slot: dict) -> None:
-        if self._threaded:
-            self._free.put(slot)
+    def give(self, slot: _Slot) -> None:
+        """Hand a taken slot back; it opens the next replication to open."""
+        self._open(slot)
 
 
 def _draw_x(draws: _Draws, B: int, cfg: DgpConfig, n: int, f_path: np.ndarray | None = None):
@@ -382,7 +454,7 @@ def _draw_x(draws: _Draws, B: int, cfg: DgpConfig, n: int, f_path: np.ndarray | 
 
     The burn-in runs one replication at a time, in place in its slot, and
     hands the slot back before the next is taken, so a block holds no
-    (B, n, 50 + T) array and the draw thread refills the slot meanwhile.
+    (B, n, 50 + T) array and the slot opens a later replication meanwhile.
     """
     steps = _BURN_IN + cfg.T
     alpha_ix, z_ix = np.empty((B, n)), np.empty((B, n))
@@ -543,7 +615,7 @@ def calibrate_kappa(
         f_path = _factor_path(_stream(cfg.seed, 0, _ROLE_FACTOR).standard_normal(_BURN_IN + cfg.T))
     a_acc = 0.0
     b_acc = 0.0
-    threads, seconds = _draw_threads(1), Counter()
+    threads, tally = _draw_threads(1), Counter()
     with _Draws(cfg.seed, _roles(cfg, n_cal, calibration=True), range(r_kappa),
                 threaded=threads > 0) as draws:
         for reps in _blocks(range(r_kappa), block_size(n_cal)):
@@ -556,19 +628,24 @@ def calibrate_kappa(
             for a, b in zip(np.mean(bx * bx, axis=(1, 2)), np.mean(bx, axis=(1, 2))):
                 a_acc += a
                 b_acc += b
-            seconds.update(draw=t1 - t0, fit=time.perf_counter() - t1)
-    _record(usage, 1, threads, seconds)
+            tally.update(draw=t1 - t0, fit=time.perf_counter() - t1)
+    tally.update(wait=draws.waited, consumer_fills=draws.consumer_fills)
+    _record(usage, 1, threads, tally)
     a_acc /= r_kappa
     b_acc /= r_kappa
     return float((1.0 - cfg.pr2) / cfg.pr2 * (a_acc - b_acc**2))
 
 
-def _record(usage: dict | None, processes: int, threads: int, seconds: Counter) -> None:
-    """The processes and draw threads per process a run used, and its draw
-    and fit seconds summed over processes, into ``usage`` if given."""
+def _record(usage: dict | None, processes: int, threads: int, tally: Counter) -> None:
+    """The processes and draw threads per process a run used, and, summed
+    over processes, its draw and fit seconds, the draw seconds it spent
+    blocked on the draw thread and the replications whose innovations the
+    consumer filled, into ``usage`` if given."""
     if usage is not None:
         usage.update(processes=processes, draw_threads=threads,
-                     draw_seconds=float(seconds["draw"]), fit_seconds=float(seconds["fit"]))
+                     draw_seconds=float(tally["draw"]), fit_seconds=float(tally["fit"]),
+                     draw_wait_seconds=float(tally["wait"]),
+                     consumer_fills=int(tally["consumer_fills"]))
 
 
 # ---------------------------------------------------------------------------
@@ -641,10 +718,10 @@ _TAG_FITS = {
 
 def _block_records(
     cfg: DgpConfig, reps: Sequence[int], tags: Sequence[str], trim_cfg: TrimConfig,
-    alpha_gp: float, draws: _Draws, seconds: Counter,
+    alpha_gp: float, draws: _Draws, tally: Counter,
 ) -> dict:
     """Estimate every requested tag on one block of replications, drawn from
-    the run's ``draws``; the draw and fit seconds add to ``seconds``.
+    the run's ``draws``; the draw and fit seconds add to ``tally``.
 
     Returns per tag the arrays (coef (B, width), se (B, width), trimmed
     fraction (B,), reason (B,)): the slope and phi_1..phi_{T-1} with their
@@ -677,7 +754,7 @@ def _block_records(
             coef, se = void(coef, fail), void(se, fail)
         reason = np.array([None if f is None else type(f).__name__ for f in fail], dtype=object)
         out[tag] = coef, se, pi, reason
-    seconds.update(draw=t1 - t0, fit=time.perf_counter() - t1)
+    tally.update(draw=t1 - t0, fit=time.perf_counter() - t1)
     return out
 
 
@@ -704,17 +781,18 @@ def _concat(parts: list[dict]) -> dict:
 def _worker(args):
     """The :func:`_block_records` arrays of the replications ``reps``, fitted
     in the fewest blocks of at most :func:`block_size` consecutive entries,
-    of balanced sizes, and joined in replication order, with the draw and fit
-    seconds. With ``threads``, one draw thread fills the draws of every
-    block ahead of the fits; it is joined before this returns."""
+    of balanced sizes, and joined in replication order, with the tally of
+    :func:`_record`. With ``threads``, one draw thread fills the innovations
+    of every block ahead of the fits; it is joined before this returns."""
     cfg, reps, tags, trim_cfg, alpha_gp, threads = args
-    seconds = Counter()
+    tally = Counter()
     with _Draws(cfg.seed, _roles(cfg, cfg.n), reps, threaded=threads > 0) as draws:
         parts = [
-            _block_records(cfg, block, tags, trim_cfg, alpha_gp, draws, seconds)
+            _block_records(cfg, block, tags, trim_cfg, alpha_gp, draws, tally)
             for block in _blocks(reps, block_size(cfg.n))
         ]
-    return _concat(parts), seconds
+    tally.update(wait=draws.waited, consumer_fills=draws.consumer_fills)
+    return _concat(parts), tally
 
 
 def _aggregate(tag, cfg: DgpConfig, coef, se, pi, reason, beta0_grid) -> McResult:
@@ -776,10 +854,12 @@ def run_experiment(
     replications; neither the block size nor ``jobs`` changes any result.
 
     Each worker process with two cores or more of its own (cores // workers)
-    fills its draws on one draw thread, ahead of its fits; this
+    fills its innovations on one draw thread, ahead of its fits; this
     changes no result either. ``usage``, if given, receives ``processes``,
-    ``draw_threads`` (per process) and ``draw_seconds`` and ``fit_seconds``,
-    summed over the workers; draw seconds include waits for the draw thread.
+    ``draw_threads`` (per process) and, summed over the workers,
+    ``draw_seconds`` and ``fit_seconds``, ``draw_wait_seconds``, the part
+    of the draw seconds blocked on the draw thread, and ``consumer_fills``,
+    the replications whose innovations the main thread filled itself.
     """
     _check("reps", reps)
     _check("jobs", jobs)

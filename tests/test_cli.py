@@ -518,7 +518,8 @@ _scenario_files = st.one_of(
 
 #: What a stand-in for calibrate_kappa or run_experiment records in the
 #: ``usage`` dict the CLI passes it, as the real ones do.
-_STAND_IN_USAGE = {"processes": 1, "draw_threads": 0, "draw_seconds": 0.0, "fit_seconds": 0.0}
+_STAND_IN_USAGE = {"processes": 1, "draw_threads": 0, "draw_seconds": 0.0, "fit_seconds": 0.0,
+                   "draw_wait_seconds": 0.0, "consumer_fills": 0}
 
 
 @settings(max_examples=150, deadline=None)
@@ -686,16 +687,27 @@ def test_per_unit_writer_matches_row_by_row_format(tmp_path, extra, subset):
     assert (tmp_path / "per_unit.csv").read_bytes() == want.encode()
 
 
-@pytest.mark.parametrize("method", ["tmg", "tmgte", "gp", "fe"])
+@pytest.mark.parametrize("method", ["tmg", "tmgte", "gp", "gpte", "fe"])
 def test_manifest_records_the_trimming_of_tmg_fits(hetero_csv, tmp_path, method):
-    from tmgpanel import tmg, tmg_te
+    # TMG fits record a_n, pi_n and the trimmed count; GP fits (gpte is
+    # gp --te) the squared bandwidth h_n^2, the kept count m and pi_n
+    from tmgpanel import PanelBlock, tmg, tmg_te
+    from tmgpanel.estimators import gp_threshold
 
-    assert main(["estimate", str(hetero_csv), "--method", method, "--out", str(tmp_path)]) == 0
+    argv = ["--method", "gp", "--te"] if method == "gpte" else ["--method", method]
+    assert main(["estimate", str(hetero_csv), *argv, "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    if method in ("gp", "fe"):
+    if method == "fe":
         assert "trimming" not in manifest
         return
     panel = read_panel_csv(hetero_csv)
+    if method in ("gp", "gpte"):  # T = k: both keep the same units
+        design = PanelBlock(y=panel.y[None], x=panel.x[None]).design
+        h_n2 = gp_threshold(design, DEFAULT_ALPHA_GP)[0]
+        m = int((design.d[0] > h_n2).sum())
+        assert manifest["trimming"] == {"h_n2": h_n2, "m": m, "pi_n": 1.0 - m / panel.n}
+        assert 0 < m < panel.n
+        return
     state = (tmg(panel) if method == "tmg" else tmg_te(panel)[0]).trim
     assert manifest["trimming"] == {
         "a_n": state.a_n, "pi_n": state.pi_n, "trimmed": int(state.trimmed.sum())
@@ -742,7 +754,14 @@ def test_monte_carlo_stage_timings(tmp_path, command):
     assert manifest["processes"] == 1 and manifest["draw_threads"] in (0, 1)
     assert timings["draw_seconds"] > 0.0 and timings["fit_seconds"] > 0.0
     assert timings["draw_seconds"] + timings["fit_seconds"] <= run
+    # the consumer's waits on the draw thread lie within its draw seconds
+    assert 0.0 <= timings["draw_wait_seconds"] <= timings["draw_seconds"]
+    reps = 1000 if command == "calibrate" else 4
+    assert 0 <= manifest["consumer_fills"] <= reps
+    if manifest["draw_threads"] == 0:  # inline, the consumer fills every replication
+        assert manifest["consumer_fills"] == reps
     assert "calibrate_draw_threads" not in manifest and "calibrate_draw_seconds" not in timings
+    assert "calibrate_consumer_fills" not in manifest
 
 
 @pytest.mark.parametrize("command", ["simulate", "power"])
@@ -769,6 +788,8 @@ def test_calibration_before_a_run_recorded_apart(tmp_path, monkeypatch, command)
         timings["calibrate_draw_seconds"] + timings["calibrate_fit_seconds"]
         <= timings["calibrate_seconds"]
     )
+    assert 0.0 <= timings["calibrate_draw_wait_seconds"] <= timings["calibrate_draw_seconds"]
+    assert 0 <= manifest["calibrate_consumer_fills"] <= 5
     assert timings["draw_seconds"] + timings["fit_seconds"] <= timings["replicate_seconds"]
 
 

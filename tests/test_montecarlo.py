@@ -905,8 +905,29 @@ def test_fixed_seed_draws_keep_their_bits(monkeypatch, cell, threaded):
     assert (digest.hexdigest(), hashlib.sha256(kappa2).hexdigest()) == STREAM_DIGESTS[cell]
 
 
+class _Recorded:
+    """A stream that records the (rep, role, thread) of each fill call."""
+
+    def __init__(self, rng, rep, role, calls):
+        self._rng, self._key, self._calls = rng, (rep, role), calls
+
+    def _record(self):
+        import threading
+
+        self._calls.append(self._key + (threading.current_thread().name,))
+
+    def standard_normal(self, out):
+        self._record()
+        return self._rng.standard_normal(out=out)
+
+    def random(self, out):
+        self._record()
+        return self._rng.random(out=out)
+
+
 def _fills_on(monkeypatch, fail_at=None):
-    """Record the (role, thread) of each stream a fill opens; the fill of
+    """Record the (role, thread) of each stream a run opens and the (rep,
+    role, thread) of each fill call on it; the innovations fill of the run's
     replication ``fail_at`` raises."""
     import functools
     import inspect
@@ -914,24 +935,38 @@ def _fills_on(monkeypatch, fail_at=None):
 
     from tmgpanel import montecarlo
 
-    fills = []
+    opens, calls = [], []
     original = inspect.unwrap(montecarlo._stream)  # not an earlier call's wrapper
+    finish = inspect.unwrap(montecarlo._Draws._finish)
 
     @functools.wraps(original)
     def stream(seed, rep, role):
-        if role != montecarlo._ROLE_FACTOR:  # calibration's shared path is no fill
-            fills.append((role, threading.current_thread().name))
-            if rep == fail_at:
-                raise MemoryError(f"fill of replication {rep}")
-        return original(seed, rep, role)
+        if role == montecarlo._ROLE_FACTOR:  # calibration's shared path is no fill
+            return original(seed, rep, role)
+        opens.append((role, threading.current_thread().name))
+        return _Recorded(original(seed, rep, role), rep, role, calls)
+
+    @functools.wraps(finish)
+    def finished(slot):
+        if slot.index == fail_at:
+            raise MemoryError(f"innovations of replication {fail_at}")
+        finish(slot)
 
     monkeypatch.setattr(montecarlo, "_stream", stream)
-    return fills
+    monkeypatch.setattr(montecarlo._Draws, "_finish", staticmethod(finished))
+    return opens, calls
+
+
+def _innovations(calls, role):
+    """The thread that filled each replication's innovations: the last fill
+    call on its regressor stream ``role``."""
+    return {rep: thread for rep, r, thread in calls if r == role}
 
 
 #: The streams a replication of a run fills, and those a calibration fills.
 _RUN_ROLES = {_ROLE_X, _ROLE_COEF, _ROLE_Y}
 _CAL_ROLES = {_ROLE_CAL_X, _ROLE_CAL_COEF}
+_EITHER = {"MainThread", "tmgpanel-draws"}
 
 
 def _on(thread, roles):
@@ -940,8 +975,9 @@ def _on(thread, roles):
 
 @pytest.mark.parametrize("call", ["run_experiment", "calibrate_kappa"])
 def test_no_draw_thread_outlives_a_call(monkeypatch, call):
-    # the draws run on the draw thread, and the thread is joined before the
-    # call returns, when it raises from a fill, and when it raises after one
+    # the streams open on the main thread and the innovations fill on either
+    # thread, and the draw thread is joined before the call returns, when it
+    # raises from a fill, and when it raises after one
     import threading
 
     from tmgpanel import montecarlo
@@ -949,18 +985,22 @@ def test_no_draw_thread_outlives_a_call(monkeypatch, call):
     monkeypatch.setattr(montecarlo, "_DRAW_THREAD", True)
     monkeypatch.setattr(montecarlo, "MAX_BLOCK_UNITS", 2 * 30)
     cfg = base_cfg(n=30)
-    run, roles = {
-        "run_experiment": (lambda: run_experiment(cfg, ["fe"], reps=5), _RUN_ROLES),
-        "calibrate_kappa": (lambda: calibrate_kappa(cfg, r_kappa=5, n_cal=30), _CAL_ROLES),
+    run, roles, x_role = {
+        "run_experiment": (lambda: run_experiment(cfg, ["fe"], reps=5), _RUN_ROLES, _ROLE_X),
+        "calibrate_kappa": (
+            lambda: calibrate_kappa(cfg, r_kappa=5, n_cal=30), _CAL_ROLES, _ROLE_CAL_X
+        ),
     }[call]
     before = threading.active_count()
-    fills = _fills_on(monkeypatch)
+    opens, calls = _fills_on(monkeypatch)
     run()
-    assert len(fills) == 5 * len(roles) and set(fills) == _on("tmgpanel-draws", roles)
+    assert len(opens) == 5 * len(roles) and set(opens) == _on("MainThread", roles)
+    fillers = _innovations(calls, x_role)
+    assert sorted(fillers) == list(range(5)) and set(fillers.values()) <= _EITHER
     assert threading.active_count() == before
-    # a fill's exception reaches the caller
+    # a fill's exception reaches the caller, from either thread
     _fills_on(monkeypatch, fail_at=3)
-    with pytest.raises(MemoryError, match="fill of replication 3"):
+    with pytest.raises(MemoryError, match="innovations of replication 3"):
         run()
     assert threading.active_count() == before
     # so does one raised by the consumer while the thread fills ahead
@@ -973,6 +1013,80 @@ def test_no_draw_thread_outlives_a_call(monkeypatch, call):
 
 def _raises(*args):
     raise RuntimeError("consumer")
+
+
+def test_fill_calls_per_replication(monkeypatch):
+    # the default T = 2 cell fills a replication in 5 calls: on the consumer,
+    # the regressor stream's alpha and z (one normal run) and rho (uniform),
+    # the coefficients, and the outcome stream's z_iu, e0 and g (one normal
+    # run); on the draw thread, the innovations
+    import time
+    from collections import Counter
+
+    from tmgpanel import montecarlo
+
+    cfg, reps = base_cfg(n=30), [0, 1, 2]
+    opens, calls = _fills_on(monkeypatch)
+    with montecarlo._Draws(cfg.seed, montecarlo._roles(cfg, cfg.n), reps, True) as draws:
+        deadline = time.monotonic() + 60
+        while draws._filled.qsize() < len(reps):  # the thread finishes the ring
+            assert time.monotonic() < deadline
+            time.sleep(1e-3)
+        for _ in reps:
+            draws.give(draws.take())
+    assert draws.consumer_fills == 0
+    for rep in reps:
+        assert Counter((role, thread) for r, role, thread in calls if r == rep) == {
+            (_ROLE_X, "MainThread"): 2, (_ROLE_X, "tmgpanel-draws"): 1,
+            (_ROLE_COEF, "MainThread"): 1, (_ROLE_Y, "MainThread"): 1,
+        }
+    # a fill's exception on the draw thread is raised when its slot is taken
+    _fills_on(monkeypatch, fail_at=1)
+    with montecarlo._Draws(cfg.seed, montecarlo._roles(cfg, cfg.n), reps, True) as draws:
+        draws._thread.join(timeout=60)  # it finishes replication 0 and stops at 1
+        assert not draws._thread.is_alive()
+        draws.give(draws.take())
+        with pytest.raises(MemoryError, match="innovations of replication 1"):
+            draws.take()
+
+
+def test_a_stalled_draw_thread_leaves_the_consumer_filling(monkeypatch):
+    # with the draw thread's loop stalled, the consumer fills every
+    # replication's innovations itself and never blocks: the run and the
+    # calibration complete with the bits of inline ones, and no thread is
+    # left alive
+    import threading
+    import time
+
+    from tmgpanel import montecarlo
+
+    run = montecarlo._Draws._run
+
+    def stalled(draws):
+        # a consumer that waits instead of filling is served after 30 s, so
+        # the test fails on its counts instead of hanging
+        deadline = time.monotonic() + 30
+        while not draws._stop and time.monotonic() < deadline:
+            time.sleep(1e-3)
+        if not draws._stop:
+            run(draws)
+
+    monkeypatch.setattr(montecarlo, "MAX_BLOCK_UNITS", 2 * 30)
+    cfg = base_cfg(n=30, seed=3)
+    runs = []
+    for threaded in (False, True):
+        monkeypatch.setattr(montecarlo, "_DRAW_THREAD", threaded)
+        monkeypatch.setattr(montecarlo._Draws, "_run", stalled)
+        before = threading.active_count()
+        usage, cal_usage = {}, {}
+        results = run_experiment(cfg, ["fe", "tmg"], reps=5, usage=usage)
+        kappa2 = calibrate_kappa(cfg, r_kappa=4, n_cal=30, usage=cal_usage)
+        assert threading.active_count() == before
+        assert usage["draw_threads"] == cal_usage["draw_threads"] == int(threaded)
+        assert (usage["consumer_fills"], cal_usage["consumer_fills"]) == (5, 4)
+        assert usage["draw_wait_seconds"] == cal_usage["draw_wait_seconds"] == 0.0
+        runs.append(([r.rows() for r in results], kappa2))
+    assert runs[0] == runs[1]
 
 
 def test_workers_fork_after_a_threaded_calibration(monkeypatch):
@@ -995,19 +1109,29 @@ def test_workers_fork_after_a_threaded_calibration(monkeypatch):
     "cores,jobs,threads", [({0}, 1, 0), ({0, 1}, 1, 1), ({0, 1}, 2, 0), ({0, 1, 2, 3}, 2, 1)]
 )
 def test_draw_threads_follow_the_cores(monkeypatch, cores, jobs, threads):
-    # threads per process = cores // processes, and a draw thread only at >= 2
+    # threads per process = cores // processes, and a draw thread only at >= 2;
+    # the streams open on the main thread, and without a draw thread the
+    # consumer fills every replication's innovations
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
-    fills = _fills_on(monkeypatch)
+    opens, calls = _fills_on(monkeypatch)
     usage = {}
     run_experiment(base_cfg(n=30), ["fe"], reps=4, jobs=jobs, usage=usage)
     assert (usage["processes"], usage["draw_threads"]) == (min(jobs, len(cores)), threads)
     assert usage["draw_seconds"] > 0.0 and usage["fit_seconds"] > 0.0
+    assert 0.0 <= usage["draw_wait_seconds"] <= usage["draw_seconds"]
+    assert 0 <= usage["consumer_fills"] <= 4 and (threads or usage["consumer_fills"] == 4)
     if jobs == 1:  # a worker process records its fills in its own memory
-        assert set(fills) == _on("tmgpanel-draws" if threads else "MainThread", _RUN_ROLES)
-    usage, fills[:] = {}, []
+        assert set(opens) == _on("MainThread", _RUN_ROLES)
+        fillers = list(_innovations(calls, _ROLE_X).values())
+        assert set(fillers) <= (_EITHER if threads else {"MainThread"})
+        assert fillers.count("MainThread") == usage["consumer_fills"]
+    usage, opens[:], calls[:] = {}, [], []
     calibrate_kappa(base_cfg(n=30), r_kappa=3, n_cal=30, usage=usage)
     assert (usage["processes"], usage["draw_threads"]) == (1, int(len(cores) >= 2))
-    assert set(fills) == _on("tmgpanel-draws" if len(cores) >= 2 else "MainThread", _CAL_ROLES)
+    assert set(opens) == _on("MainThread", _CAL_ROLES)
+    fillers = list(_innovations(calls, _ROLE_CAL_X).values())
+    assert set(fillers) <= (_EITHER if len(cores) >= 2 else {"MainThread"})
+    assert fillers.count("MainThread") == usage["consumer_fills"]
 
 
 def test_a_stand_alone_block_fills_inline(monkeypatch):
@@ -1015,7 +1139,8 @@ def test_a_stand_alone_block_fills_inline(monkeypatch):
     from tmgpanel import montecarlo
 
     monkeypatch.setattr(montecarlo, "_DRAW_THREAD", True)
-    fills = _fills_on(monkeypatch)
+    opens, calls = _fills_on(monkeypatch)
     montecarlo.generate_block(base_cfg(n=30), [0, 1])
     generate_replication(base_cfg(n=30), 2)
-    assert fills == [(role, "MainThread") for role in [_ROLE_X, _ROLE_COEF, _ROLE_Y] * 3]
+    assert opens == [(role, "MainThread") for role in [_ROLE_X, _ROLE_COEF, _ROLE_Y] * 3]
+    assert {thread for _, _, thread in calls} == {"MainThread"}
