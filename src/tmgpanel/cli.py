@@ -355,18 +355,14 @@ def _mc_stages(
 
 
 def _parallelism(usage: dict, cal_usage: dict) -> dict:
-    """The manifest's record of the processes and draw threads a run used and
-    of the replications whose innovations its consumer filled, and the draw
-    threads and consumer fills of a calibration before it, which runs in one
-    process."""
-    record = {
-        "processes": usage["processes"],
-        "draw_threads": usage["draw_threads"],
-        "consumer_fills": usage["consumer_fills"],
-    }
+    """The manifest's record of the processes and draw threads a run used, of
+    the replications whose innovations its consumer filled and of the blocks
+    it fitted, and the draw threads, consumer fills and blocks of a
+    calibration before it, which runs in one process."""
+    keys = ("draw_threads", "consumer_fills", "blocks")
+    record = {"processes": usage["processes"], **{key: usage[key] for key in keys}}
     if cal_usage:
-        record["calibrate_draw_threads"] = cal_usage["draw_threads"]
-        record["calibrate_consumer_fills"] = cal_usage["consumer_fills"]
+        record.update({"calibrate_" + key: cal_usage[key] for key in keys})
     return record
 
 
@@ -449,9 +445,10 @@ def _run_monte_carlo(args) -> int:
         "kappa2_calibrated": calibrated,
     }
     stages = _mc_stages(cal_seconds, t_write - t_rep, t_write, usage, cal_usage)
+    failed = {res.estimator: res.failed_replications for res in results}
     _write_manifest(
         out, args.command, params, cfg.seed, [path], time.perf_counter() - t0, stages,
-        _parallelism(usage, cal_usage),
+        {**_parallelism(usage, cal_usage), "failed_replications": failed},
     )
     if grid is not None:
         print(f"wrote power curve over {grid.size} grid points to {path}")

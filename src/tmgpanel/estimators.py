@@ -14,6 +14,7 @@ replication axis, and ``Estimate.fail`` names the failure of each replication
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,6 +197,34 @@ def tmg_weighting(pd: PanelDesign, cfg: TrimConfig) -> Weighting:
     )
 
 
+def quartiles(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The upper and lower quartiles over the last axis, with the bits of
+    ``np.percentile(a, [75, 25], axis=-1)``, NaN where a row holds a NaN.
+
+    This is numpy's linear method: the order statistics at floor((n-1)q) and
+    the next, clamped at n - 1, taken from one ``np.partition`` over the kth
+    set numpy's own call uses (so even the sign of a zero and the NaN kept
+    match), then its lerp, which interpolates down from the upper statistic
+    when t >= 1/2. ``np.percentile`` itself builds that set with
+    ``np.unique``, which imports numpy.ma on first use.
+    """
+    n = a.shape[-1]
+    picks = []
+    for q in (0.75, 0.25):
+        v = (n - 1) * q
+        lo = math.floor(v)
+        picks.append((lo, min(lo + 1, n - 1), v - lo))
+    part = np.partition(a, sorted({0, -1} | {i for lo, hi, _ in picks for i in (lo, hi)}), axis=-1)
+    nan = np.isnan(part[..., -1])
+    out = []
+    for lo, hi, t in picks:
+        below, above = part[..., lo], part[..., hi]
+        diff = above - below
+        value = above - diff * (1 - t) if t >= 0.5 else below + diff * t
+        out.append(np.where(nan, part[..., -1], value))
+    return out[0], out[1]
+
+
 def gp_threshold(pd: PanelDesign, alpha_gp: float):
     """Squared trim-by-exclusion bandwidth h_n^2, (B,).
 
@@ -205,7 +234,7 @@ def gp_threshold(pd: PanelDesign, alpha_gp: float):
     if pd.W.shape[-2] == pd.k:
         # d_i = det(W_i)^2 when W_i is square; bandwidth set on det(W_i) itself
         det_w = det_stack(pd.W)
-        q75, q25 = np.percentile(det_w, [75, 25], axis=-1)
+        q75, q25 = quartiles(det_w)
         c = 0.5 * np.minimum(det_w.std(axis=-1, ddof=1), (q75 - q25) / IQR_NORMAL_SCALE)
     else:
         c = np.sqrt(pd.d.mean(axis=-1))

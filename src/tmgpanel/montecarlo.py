@@ -214,15 +214,16 @@ class ReplicationTruth:
 
 #: Cap on B*n, the units that a block of B replications of an n-unit design
 #: holds at once. Blocking pays the per-call overhead of the fits, and of the
-#: draws after the burn-in, once per block. Its price is peak memory: every
-#: per-unit array of the fits gains the leading axis. Those arrays grow with
-#: n*T*k at most (the projectors are kept in factor form, so none grows with
-#: T^2), and T is short, so the cap counts units. It keeps the n=1000 cells
-#: (B = 4 at T = 2 and T = 3) within 3% of the one-replication peak RSS, and a
-#: design with more units runs one replication at a time. It caps the fits,
-#: not the draws: the draw slots are opened and filled ahead across block
-#: boundaries, blocks of one included. Results do not depend on it.
-MAX_BLOCK_UNITS = 4000
+#: draws after the burn-in, once per block; at n = 1000 that overhead is about
+#: twice one replication's own fit time (README, "The cap"). Its price is
+#: peak memory: every per-unit array of the fits gains the leading axis.
+#: Those arrays grow with n*T*k at most (the projectors are kept in factor
+#: form, so none grows with T^2), and T is short, so the cap counts units.
+#: The n = 1000 cells run blocks of ten, a 5000-unit design blocks of two and
+#: a design of more than 5000 units one replication at a time. It caps the
+#: fits, not the draws: the draw slots are opened and filled ahead across
+#: block boundaries, blocks of one included. Results do not depend on it.
+MAX_BLOCK_UNITS = 10000
 
 
 def block_size(n: int) -> int:
@@ -628,7 +629,7 @@ def calibrate_kappa(
             for a, b in zip(np.mean(bx * bx, axis=(1, 2)), np.mean(bx, axis=(1, 2))):
                 a_acc += a
                 b_acc += b
-            tally.update(draw=t1 - t0, fit=time.perf_counter() - t1)
+            tally.update(draw=t1 - t0, fit=time.perf_counter() - t1, blocks=1)
     tally.update(wait=draws.waited, consumer_fills=draws.consumer_fills)
     _record(usage, 1, threads, tally)
     a_acc /= r_kappa
@@ -639,13 +640,13 @@ def calibrate_kappa(
 def _record(usage: dict | None, processes: int, threads: int, tally: Counter) -> None:
     """The processes and draw threads per process a run used, and, summed
     over processes, its draw and fit seconds, the draw seconds it spent
-    blocked on the draw thread and the replications whose innovations the
-    consumer filled, into ``usage`` if given."""
+    blocked on the draw thread, the replications whose innovations the
+    consumer filled and the blocks it fitted, into ``usage`` if given."""
     if usage is not None:
         usage.update(processes=processes, draw_threads=threads,
                      draw_seconds=float(tally["draw"]), fit_seconds=float(tally["fit"]),
                      draw_wait_seconds=float(tally["wait"]),
-                     consumer_fills=int(tally["consumer_fills"]))
+                     consumer_fills=int(tally["consumer_fills"]), blocks=int(tally["blocks"]))
 
 
 # ---------------------------------------------------------------------------
@@ -671,6 +672,9 @@ class McResult:
     #: failed replications by reason: the NumericalError class name, or
     #: NONFINITE_SE for a finite estimate without a finite standard error
     failures_by_reason: dict = field(default_factory=dict)
+    #: the first FIRST_FAILURES failed replications of each reason, by index
+    #: (``generate_replication(cfg, index)`` draws the panel again)
+    failed_replications: dict = field(default_factory=dict)
 
     def rows(self) -> list[tuple[str, str, str, float]]:
         """Flatten to (estimator, metric, coefficient, value) rows."""
@@ -695,6 +699,9 @@ class McResult:
 #: Failure reason of a replication whose estimate is finite but whose
 #: standard error is not (e.g. GP keeping a single unit).
 NONFINITE_SE = "NonFiniteStandardError"
+
+#: Failed replications named per tag and reason (``McResult.failed_replications``).
+FIRST_FAILURES = 5
 
 
 #: What each tag fits on a block, given the block, the trim config and the GP
@@ -754,7 +761,7 @@ def _block_records(
             coef, se = void(coef, fail), void(se, fail)
         reason = np.array([None if f is None else type(f).__name__ for f in fail], dtype=object)
         out[tag] = coef, se, pi, reason
-    tally.update(draw=t1 - t0, fit=time.perf_counter() - t1)
+    tally.update(draw=t1 - t0, fit=time.perf_counter() - t1, blocks=1)
     return out
 
 
@@ -796,15 +803,19 @@ def _worker(args):
 
 
 def _aggregate(tag, cfg: DgpConfig, coef, se, pi, reason, beta0_grid) -> McResult:
-    """Metrics of one tag over its replications. A row with a non-finite
-    estimate or standard error is a failure: it is counted by reason and left
-    out of every metric. A tag with no OK replication reports NaN metrics and
+    """Metrics of one tag over its replications, row r being replication r.
+    A row with a non-finite estimate or standard error is a failure: it is
+    counted by reason, its first indices are kept, and it is left out of
+    every metric. A tag with no OK replication reports NaN metrics and
     no power curve, and a test reports only its rejection rate (in ``size``)."""
     names = _tag_coef_names(tag, cfg.T)
     # a finite estimate with a non-finite se (e.g. GP keeping one unit)
     # cannot be tested, so it counts as a failure, not a non-rejection
     ok = np.isfinite(coef).all(axis=1) & np.isfinite(se).all(axis=1)
-    by_reason = dict(sorted(Counter(r or NONFINITE_SE for r in reason[~ok]).items()))
+    failed = np.flatnonzero(~ok).tolist()  # replication indices: rows join in their order
+    reasons = [r or NONFINITE_SE for r in reason[failed]]
+    by_reason = dict(sorted(Counter(reasons).items()))
+    first = {r: [i for i, s in zip(failed, reasons) if s == r][:FIRST_FAILURES] for r in by_reason}
     r_ok = int(ok.sum())
     coef, se, pi = coef[ok], se[ok], pi[ok]
     bias, rmse, size, mc_se_bias, mc_se_size = np.full((5, len(names)), np.nan)
@@ -829,7 +840,7 @@ def _aggregate(tag, cfg: DgpConfig, coef, se, pi, reason, beta0_grid) -> McResul
     return McResult(
         estimator=tag, reps=r_ok, failures=len(ok) - r_ok, coef_names=names, bias=bias,
         rmse=rmse, size=size, pi_hat=pi_hat, mc_se_bias=mc_se_bias, mc_se_size=mc_se_size,
-        power_curve=power, failures_by_reason=by_reason,
+        power_curve=power, failures_by_reason=by_reason, failed_replications=first,
     )
 
 
@@ -858,8 +869,9 @@ def run_experiment(
     changes no result either. ``usage``, if given, receives ``processes``,
     ``draw_threads`` (per process) and, summed over the workers,
     ``draw_seconds`` and ``fit_seconds``, ``draw_wait_seconds``, the part
-    of the draw seconds blocked on the draw thread, and ``consumer_fills``,
-    the replications whose innovations the main thread filled itself.
+    of the draw seconds blocked on the draw thread, ``consumer_fills``, the
+    replications whose innovations the main thread filled itself, and
+    ``blocks``, the blocks fitted.
     """
     _check("reps", reps)
     _check("jobs", jobs)

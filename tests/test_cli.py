@@ -519,7 +519,7 @@ _scenario_files = st.one_of(
 #: What a stand-in for calibrate_kappa or run_experiment records in the
 #: ``usage`` dict the CLI passes it, as the real ones do.
 _STAND_IN_USAGE = {"processes": 1, "draw_threads": 0, "draw_seconds": 0.0, "fit_seconds": 0.0,
-                   "draw_wait_seconds": 0.0, "consumer_fills": 0}
+                   "draw_wait_seconds": 0.0, "consumer_fills": 0, "blocks": 0}
 
 
 @settings(max_examples=150, deadline=None)
@@ -761,7 +761,9 @@ def test_monte_carlo_stage_timings(tmp_path, command):
     if manifest["draw_threads"] == 0:  # inline, the consumer fills every replication
         assert manifest["consumer_fills"] == reps
     assert "calibrate_draw_threads" not in manifest and "calibrate_draw_seconds" not in timings
-    assert "calibrate_consumer_fills" not in manifest
+    assert "calibrate_consumer_fills" not in manifest and "calibrate_blocks" not in manifest
+    # 4 replications of 60 units are one block; 1000 of 50 are five of 200
+    assert manifest["blocks"] == (5 if command == "calibrate" else 1)
 
 
 @pytest.mark.parametrize("command", ["simulate", "power"])
@@ -790,6 +792,7 @@ def test_calibration_before_a_run_recorded_apart(tmp_path, monkeypatch, command)
     )
     assert 0.0 <= timings["calibrate_draw_wait_seconds"] <= timings["calibrate_draw_seconds"]
     assert 0 <= manifest["calibrate_consumer_fills"] <= 5
+    assert manifest["calibrate_blocks"] == manifest["blocks"] == 1
     assert timings["draw_seconds"] + timings["fit_seconds"] <= timings["replicate_seconds"]
 
 
@@ -803,3 +806,14 @@ def test_simulate_reports_failures_by_reason(tmp_path, capsys):
     assert tmg_rows[-2:] == ["tmg,failures,,4", "tmg,failures.AllTrimmedError,,4"]
     assert not any(r.startswith("fe,failures.") for r in rows)
     assert "tmg: failures=4 (AllTrimmedError=4)" in capsys.readouterr().out
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["failed_replications"] == {"fe": {}, "tmg": {"AllTrimmedError": [0, 1, 2, 3]}}
+
+
+def test_simulate_fits_n_1000_in_blocks_of_ten(tmp_path):
+    # with kappa^2 given, 20 replications of 1000 units are two blocks
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(scenario_payload(n=1000, reps=20)))
+    assert main(["simulate", str(scen), "--out", str(tmp_path), "--jobs", "1"]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["blocks"] == 2 and "calibrate_blocks" not in manifest

@@ -1,7 +1,16 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import tmgpanel
 
 from tmgpanel import (
     AllTrimmedError,
@@ -16,6 +25,7 @@ from tmgpanel import (
     tmg,
 )
 from tmgpanel.designs import PanelDesign
+from tmgpanel.estimators import quartiles
 
 from _helpers import random_panel
 from test_designs import panel_from_x
@@ -200,3 +210,40 @@ class TestGp:
         p = panel_from_x([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
         with pytest.raises(AllTrimmedError):
             gp(p)
+
+
+#: Entries with ties, zeros of both signs and NaN, and any double.
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.nan]), st.floats(width=64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.sampled_from([1, 3]), st.integers(2, 60)),
+                  elements=_ENTRIES))
+@example(np.array([[0.0, np.nan]]))
+@example(np.array([[1.0, -0.0, 0.0], [2.5, 2.5, -1.0], [0.0, np.nan, 1.0]]))
+def test_quartiles_have_the_bits_of_percentile(a):
+    # GP's bandwidth reads the quartiles of det(W_i); they must be those of
+    # np.percentile bit for bit, so h_n^2 and every GP fit keep their bits
+    with np.errstate(all="ignore"):
+        want = np.percentile(a, [75, 25], axis=-1)
+        got = quartiles(a)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def test_gp_fit_leaves_numpy_ma_out():
+    # np.percentile's np.unique imports numpy.ma on first use; the T = k
+    # bandwidth's quartiles do without it
+    src = str(Path(tmgpanel.__file__).resolve().parents[1])
+    script = (
+        "import sys, numpy as np; from tmgpanel import BalancedPanel, gp\n"
+        "rng = np.random.default_rng(0); x = rng.standard_normal((50, 2, 1))\n"
+        "p = BalancedPanel(y=x[..., 0] + rng.standard_normal((50, 2)), x=x,\n"
+        "                  unit_ids=tuple(range(50)), time_ids=(1, 2))\n"
+        "assert np.isfinite(gp(p).coef).all()\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "False\n"

@@ -455,15 +455,48 @@ def test_results_independent_of_block_size_and_jobs(monkeypatch, cfg):
             _fields_equal(a, b)
 
 
+def test_failed_replications_named_whatever_the_split(monkeypatch):
+    # each tag names the first five failed replications of each reason by
+    # index, the same for one and two workers, blocks of three or the whole
+    # run, and the draw thread forced on or off; generate_replication draws a
+    # named one again, and it fails alone for that reason
+    import itertools
+
+    from tmgpanel import AllTrimmedError, TrimConfig, montecarlo, tmg
+
+    cfg, trim_cfg = base_cfg(n=3, T=3), TrimConfig(c_n=3.0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    named = set()
+    for cap, jobs, threaded in itertools.product((3 * cfg.n, 10000), (1, 2), (False, True)):
+        monkeypatch.setattr(montecarlo, "MAX_BLOCK_UNITS", cap)
+        monkeypatch.setattr(montecarlo, "_DRAW_THREAD", threaded)
+        results = run_experiment(cfg, ["tmg", "gp", "hausman"], 60, trim_cfg=trim_cfg, jobs=jobs)
+        named.add(repr([(r.failures_by_reason, r.failed_replications) for r in results]))
+    trimmed = {"AllTrimmedError": [5, 9, 12, 14, 25]}
+    assert named == {repr([
+        ({"AllTrimmedError": 8}, trimmed),
+        ({"NonFiniteStandardError": 17}, {"NonFiniteStandardError": [1, 4, 6, 15, 16]}),
+        ({"AllTrimmedError": 8}, trimmed),
+    ])}
+    for rep in trimmed["AllTrimmedError"]:
+        with pytest.raises(AllTrimmedError):
+            tmg(generate_replication(cfg, rep)[0], trim_cfg)
+    assert np.isfinite(tmg(generate_replication(cfg, 6)[0], trim_cfg).coef).all()
+    assert not np.isfinite(gp(generate_replication(cfg, 6)[0]).se).all()
+
+
 @pytest.mark.parametrize(
     "n,reps,sizes",
     [
-        (1000, 6, [3, 3]),
-        (1000, 10, [3, 3, 4]),
-        (1000, 2000, [4] * 500),
+        (1000, 6, [6]),  # fewer replications than a block holds
+        (1000, 10, [10]),  # the n = 1000 cells run blocks of ten
+        (1000, 2000, [10] * 200),
         (1000, 1, [1]),
-        (5000, 3, [1, 1, 1]),
-        (100, 45, [22, 23]),
+        (5000, 3, [1, 2]),  # 5000 units run blocks of two, balanced
+        (100, 45, [45]),
+        (1000, 25, [8, 8, 9]),  # the fewest blocks, lengths differing by one
+        (5000, 1000, [2] * 500),  # the default calibration, n_cal = 5000
+        (5001, 3, [1, 1, 1]),  # more than half the cap: one at a time
     ],
 )
 def test_fewest_balanced_blocks(n, reps, sizes):
@@ -629,17 +662,20 @@ def _oracle_results(cfg, tags, reps, trim_cfg, grid):
         se = np.array([r[1] for r in recs])
         pi = np.array([r[2] for r in recs])
         ok = np.isfinite(est).all(axis=1) & np.isfinite(se).all(axis=1)
-        by_reason = {}
-        for (_, _, _, reason), good in zip(recs, ok):
+        by_reason, first = {}, {}
+        for rep, ((_, _, _, reason), good) in enumerate(zip(recs, ok)):
             if not good:
                 reason = reason or NONFINITE_SE
                 by_reason[reason] = by_reason.get(reason, 0) + 1
+                if len(first.setdefault(reason, [])) < 5:
+                    first[reason].append(rep)
         est, se, pi, r_ok = est[ok], se[ok], pi[ok], int(ok.sum())
         width = est.shape[1]
         nan = np.full(width, np.nan)
         res = dict(
             estimator=tag, reps=r_ok, failures=reps - r_ok,
             failures_by_reason=dict(sorted(by_reason.items())),
+            failed_replications=dict(sorted(first.items())),
             bias=nan, rmse=nan, size=nan, pi_hat=np.nan, mc_se_bias=nan, mc_se_size=nan,
         )
         if tag.startswith("hausman"):
@@ -1120,6 +1156,7 @@ def test_draw_threads_follow_the_cores(monkeypatch, cores, jobs, threads):
     assert usage["draw_seconds"] > 0.0 and usage["fit_seconds"] > 0.0
     assert 0.0 <= usage["draw_wait_seconds"] <= usage["draw_seconds"]
     assert 0 <= usage["consumer_fills"] <= 4 and (threads or usage["consumer_fills"] == 4)
+    assert usage["blocks"] == usage["processes"]  # each worker's replications make one block
     if jobs == 1:  # a worker process records its fills in its own memory
         assert set(opens) == _on("MainThread", _RUN_ROLES)
         fillers = list(_innovations(calls, _ROLE_X).values())
@@ -1132,6 +1169,7 @@ def test_draw_threads_follow_the_cores(monkeypatch, cores, jobs, threads):
     fillers = list(_innovations(calls, _ROLE_CAL_X).values())
     assert set(fillers) <= (_EITHER if len(cores) >= 2 else {"MainThread"})
     assert fillers.count("MainThread") == usage["consumer_fills"]
+    assert usage["blocks"] == 1
 
 
 def test_a_stand_alone_block_fills_inline(monkeypatch):
