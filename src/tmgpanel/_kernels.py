@@ -35,8 +35,12 @@ USE_NUMBA = False
 # ---------------------------------------------------------------------------
 
 
+def _det_2(g):
+    return g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+
+
 def _det_adj_2(g):
-    d = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+    d = _det_2(g)
     adj = np.empty_like(g)
     adj[:, 0, 0] = g[:, 1, 1]
     adj[:, 0, 1] = -g[:, 0, 1]
@@ -45,11 +49,21 @@ def _det_adj_2(g):
     return d, adj
 
 
-def _det_adj_3(g):
+def _cofactors_3(g):
+    """The cofactors of row 0: column 0 of the adjugate."""
     c00 = g[:, 1, 1] * g[:, 2, 2] - g[:, 1, 2] * g[:, 2, 1]
     c01 = g[:, 1, 2] * g[:, 2, 0] - g[:, 1, 0] * g[:, 2, 2]
     c02 = g[:, 1, 0] * g[:, 2, 1] - g[:, 1, 1] * g[:, 2, 0]
-    d = g[:, 0, 0] * c00 + g[:, 0, 1] * c01 + g[:, 0, 2] * c02
+    return c00, c01, c02
+
+
+def _det_3(g, c00, c01, c02):
+    return g[:, 0, 0] * c00 + g[:, 0, 1] * c01 + g[:, 0, 2] * c02
+
+
+def _det_adj_3(g):
+    c00, c01, c02 = _cofactors_3(g)
+    d = _det_3(g, c00, c01, c02)
     adj = np.empty_like(g)
     adj[:, 0, 0] = c00
     adj[:, 1, 0] = c01
@@ -63,9 +77,8 @@ def _det_adj_3(g):
     return d, adj
 
 
-def _det_adj_4(g):
-    # 2x2 complementary-minor (Laplace on rows 0,1 vs 2,3) for the determinant,
-    # cofactors of 3x3 minors for the adjugate.
+def _minors_4(g):
+    """The 2x2 minors of rows 0, 1 (s) and of rows 2, 3 (c)."""
     s0 = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
     s1 = g[:, 0, 0] * g[:, 1, 2] - g[:, 0, 2] * g[:, 1, 0]
     s2 = g[:, 0, 0] * g[:, 1, 3] - g[:, 0, 3] * g[:, 1, 0]
@@ -78,7 +91,20 @@ def _det_adj_4(g):
     c2 = g[:, 2, 0] * g[:, 3, 3] - g[:, 2, 3] * g[:, 3, 0]
     c1 = g[:, 2, 0] * g[:, 3, 2] - g[:, 2, 2] * g[:, 3, 0]
     c0 = g[:, 2, 0] * g[:, 3, 1] - g[:, 2, 1] * g[:, 3, 0]
-    d = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
+    return (s0, s1, s2, s3, s4, s5), (c0, c1, c2, c3, c4, c5)
+
+
+def _det_4(s, c):
+    return s[0] * c[5] - s[1] * c[4] + s[2] * c[3] + s[3] * c[2] - s[4] * c[1] + s[5] * c[0]
+
+
+def _det_adj_4(g):
+    # 2x2 complementary-minor (Laplace on rows 0,1 vs 2,3) for the determinant,
+    # cofactors of 3x3 minors for the adjugate.
+    s, c = _minors_4(g)
+    s0, s1, s2, s3, s4, s5 = s
+    c0, c1, c2, c3, c4, c5 = c
+    d = _det_4(s, c)
     adj = np.empty_like(g)
     adj[:, 0, 0] = g[:, 1, 1] * c5 - g[:, 1, 2] * c4 + g[:, 1, 3] * c3
     adj[:, 0, 1] = -g[:, 0, 1] * c5 + g[:, 0, 2] * c4 - g[:, 0, 3] * c3
@@ -130,12 +156,24 @@ def _det_adj_stack(g):
     return d.reshape(lead), adj.reshape(lead + (k, k))
 
 
+#: The determinant alone of a (m, k, k) stack, k <= 4: the expression that
+#: ``_det_adj_stack`` evaluates, so the same bits.
+_DETS = {
+    1: lambda g: g[:, 0, 0].copy(),
+    2: _det_2,
+    3: lambda g: _det_3(g, *_cofactors_3(g)),
+    4: lambda g: _det_4(*_minors_4(g)),
+}
+
+
 def det_stack(g):
     """Determinants of k x k matrices stacked on any leading axes: the cofactor
-    expansion for k <= 4, LU beyond (without the adjugate's k^2 minors)."""
-    if g.shape[-1] > 4:
+    expansion for k <= 4, without the adjugate; LU beyond (without the
+    adjugate's k^2 minors)."""
+    lead, k = g.shape[:-2], g.shape[-1]
+    if k > 4:
         return np.linalg.det(g)
-    return _det_adj_stack(g)[0]
+    return _DETS[k](g.reshape(-1, k, k)).reshape(lead)
 
 
 def _gram(W: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Command-line surface: estimate | test | simulate | calibrate | power.
 
 Every run writes a manifest (command, config hash, seed, versions, timings,
-output paths); a Monte Carlo run's also records the processes and draw
-threads it used, and splits its timings into draw and fit seconds.
+output paths); a CSV command's timings also record the processes that parsed
+the CSV, and a Monte Carlo run's manifest the processes and draw threads it
+used, with its timings split into draw and fit seconds.
 Simulation and calibration outputs are byte-reproducible for a given
 scenario and seed, independent of the jobs flag and of the draw thread.
 """
@@ -132,18 +133,21 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _read_input(path):
-    """The panel in ``path`` and the sha256 of the very bytes it was parsed from."""
+def _read_input(path, usage: dict):
+    """The panel in ``path`` and the sha256 of the very bytes it was parsed
+    from; the read records its ``usage``."""
     data = Path(path).read_bytes()
-    return read_panel_csv(io.BytesIO(data)), hashlib.sha256(data).hexdigest()
+    return read_panel_csv(io.BytesIO(data), usage), hashlib.sha256(data).hexdigest()
 
 
-def _stages(t0: float, t_read: float, t_fit: float) -> dict:
-    """Read, fit and write seconds of a CSV command; writing runs until now."""
+def _stages(t0: float, t_read: float, t_fit: float, usage: dict) -> dict:
+    """Read, fit and write seconds of a CSV command, writing until now, and
+    the processes that parsed the CSV."""
     return {
         "read_seconds": t_read - t0,
         "fit_seconds": t_fit - t_read,
         "write_seconds": time.perf_counter() - t_fit,
+        "read_processes": usage["read_processes"],
     }
 
 
@@ -215,14 +219,16 @@ _TE_VARIANT = {"fe": "fete", "tmg": "tmgte", "gp": "gpte"}
 
 
 @blockwise
-def _fit(block, tag: str, trim_cfg: TrimConfig, alpha_gp: float):
-    """The fit of ``tag`` on a block, or on one panel as its block of one."""
-    return _TAG_FITS[tag](block, trim_cfg, alpha_gp)
+def _fit(block, tags: tuple, trim_cfg: TrimConfig, alpha_gp: float) -> tuple:
+    """The fits of ``tags``, in order, on a block, or on one panel as its
+    block of one; a later tag reads the fits an earlier one cached."""
+    return tuple(_TAG_FITS[tag](block, trim_cfg, alpha_gp) for tag in tags)
 
 
 def _run_estimate(args) -> int:
     t0 = time.perf_counter()
-    panel, csv_sha256 = _read_input(args.csv)
+    usage: dict = {}
+    panel, csv_sha256 = _read_input(args.csv, usage)
     t_read = time.perf_counter()
     tag = args.method
     if args.te and tag not in TE_TAGS:
@@ -230,7 +236,7 @@ def _run_estimate(args) -> int:
         if tag is None:
             raise PanelInputError(f"method {args.method!r} has no time-effects variant")
     te = tag in TE_TAGS
-    fit = _fit(panel, tag, TrimConfig(alpha=args.alpha), args.alpha_gp)
+    (fit,) = _fit(panel, (tag,), TrimConfig(alpha=args.alpha), args.alpha_gp)
     est, te_result = fit if te else (fit, None)
 
     names = est.coef_names
@@ -272,7 +278,7 @@ def _run_estimate(args) -> int:
         "n": panel.n,
         "T": panel.T,
     }
-    stages = _stages(t0, t_read, t_fit)
+    stages = _stages(t0, t_read, t_fit, usage)
     trimming = _trimming_record(est)
     extra = None if trimming is None else {"trimming": trimming}
     outputs.append(
@@ -290,13 +296,17 @@ def _run_estimate(args) -> int:
 
 def _run_test(args) -> int:
     t0 = time.perf_counter()
-    panel, csv_sha256 = _read_input(args.csv)
+    usage: dict = {}
+    panel, csv_sha256 = _read_input(args.csv, usage)
     t_read = time.perf_counter()
-    res = _fit(panel, "hausman_te" if args.te else "hausman", TrimConfig(alpha=args.alpha), None)
+    tags = ("hausman_te", "tmgte") if args.te else ("hausman", "tmg")
+    res, tmg_fit = _fit(panel, tags, TrimConfig(alpha=args.alpha), None)
+    trim = (tmg_fit[0] if args.te else tmg_fit).trim  # the fit the test compared
     t_fit = time.perf_counter()
     out = _out_dir(args)
     path = out / "hausman.json"
-    path.write_text(json.dumps(res.to_record(), indent=2) + "\n", encoding="utf-8")
+    record = {**res.to_record(), "a_n": float(trim.a_n), "pi_n": float(trim.pi_n)}
+    path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(
         f"Hausman [{res.variant}] statistic={res.statistic:.4f} df={res.df} p={res.p_value:.4f}"
     )
@@ -306,7 +316,7 @@ def _run_test(args) -> int:
         "alpha": args.alpha,
         "te": args.te,
     }
-    stages = _stages(t0, t_read, t_fit)
+    stages = _stages(t0, t_read, t_fit, usage)
     _write_manifest(out, "test", params, None, [path], time.perf_counter() - t0, stages)
     return EXIT_OK
 

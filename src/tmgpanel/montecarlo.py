@@ -22,7 +22,6 @@ import itertools
 import json
 import math
 import numbers
-import os
 import queue
 import threading
 import time
@@ -36,7 +35,7 @@ from .designs import void, within
 from .errors import NumericalError, ScenarioError
 from .estimators import DEFAULT_ALPHA_GP, fe, gp, mg, tmg
 from .hausman import HausmanResult, hausman_no_te, hausman_te
-from .panel import BalancedPanel, PanelBlock
+from .panel import BalancedPanel, PanelBlock, _cores
 from .timeeffects import fete, gp_te, tmg_te
 from .trimming import DEFAULT_ALPHA, TrimConfig
 
@@ -251,13 +250,6 @@ _RING_SLOTS = 3
 #: For tests only: True or False forces the draw thread on or off; None
 #: follows the core rule of :func:`_draw_threads`.
 _DRAW_THREAD = None
-
-
-def _cores() -> int:
-    """The cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _draw_threads(processes: int) -> int:

@@ -221,6 +221,67 @@ def test_manifest_hashes_the_csv_and_times_each_stage(hetero_csv, tmp_path, comm
     stages = [timings[k] for k in ("read_seconds", "fit_seconds", "write_seconds")]
     assert all(s >= 0 for s in stages)
     assert sum(stages) <= timings["wall_seconds"]
+    assert timings["read_processes"] == 1  # below the reader's size constant
+
+
+def test_csv_parsed_by_children_writes_the_same_outputs(hetero_csv, tmp_path, monkeypatch):
+    # every output and manifest field but the timings is the same whether
+    # this process parses the CSV or forked children parse runs of it
+    import os
+
+    from tmgpanel import panel
+
+    def run(out, cores):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        monkeypatch.setattr(panel, "SPLIT_BYTES", 1)
+        manifests = []
+        for j, argv in enumerate((["estimate", "--te", "--dump-units"], ["test", "--te"], ["test"])):
+            out_dir = out / str(j)
+            assert main([argv[0], str(hetero_csv), *argv[1:], "--out", str(out_dir)]) == 0
+            manifest = json.loads((out_dir / "manifest.json").read_text())
+            manifest.pop("outputs")
+            manifests.append((manifest.pop("timings")["read_processes"], manifest))
+        return manifests
+
+    whole, split = run(tmp_path / "whole", 1), run(tmp_path / "split", 2)
+    assert [p for p, _ in whole] == [1, 1, 1] and [p for p, _ in split] == [2, 2, 2]
+    assert [m for _, m in whole] == [m for _, m in split]
+    for name in ("0/estimate.csv", "0/per_unit.csv", "1/hausman.json", "2/hausman.json"):
+        assert (tmp_path / "whole" / name).read_bytes() == (tmp_path / "split" / name).read_bytes()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("te", [False, True])
+def test_hausman_json_records_the_tmg_trimming(hetero_csv, tmp_path, monkeypatch, te):
+    # the threshold a_n and trimmed fraction pi_n of the TMG fit the test
+    # compared, read from the block's fit cache: TMG is fitted once
+    import sys
+
+    from tmgpanel import TrimConfig, tmg, tmg_te
+
+    fit = tmg_te if te else tmg
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fit(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("tmgpanel"):
+            for key, value in list(vars(mod).items()):
+                if value is fit:
+                    monkeypatch.setattr(mod, key, counted)
+    argv = ["test", str(hetero_csv), "--alpha", "0.05", "--out", str(tmp_path)]
+    assert main(argv + ["--te"] * te) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    panel, cfg = read_panel_csv(hetero_csv), TrimConfig(alpha=0.05)
+    state = (tmg_te(panel, cfg)[0] if te else tmg(panel, cfg)).trim
+    rec = json.loads((tmp_path / "hausman.json").read_text())
+    assert list(rec) == ["variant", "statistic", "df", "p_value", "a_n", "pi_n"]
+    assert (rec["a_n"], rec["pi_n"]) == (state.a_n, state.pi_n)
+    assert 0.0 < rec["pi_n"] < 1.0
 
 
 class TestHausmanCommand:

@@ -191,3 +191,20 @@ def test_routed_products_keep_einsum_values(rng, k_prime):
                 np.testing.assert_array_equal(bits(got), bits(want))
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * abs(want).max())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_det_stack_is_the_cofactor_determinant(rng, k):
+    # det_stack evaluates the determinant expression of _det_adj_stack alone:
+    # the same bits, on random, singular and signed-zero stacks, with leading
+    # axes kept
+    g = rng.normal(0, 1, (3, 40, k, k)) * 10.0 ** rng.uniform(-3, 3, (3, 40, 1, 1))
+    g[0, :10, -1] = g[0, :10, 0]  # repeated rows: singular
+    g[0, 10:20] = 0.0
+    g[0, 20:30] = -0.0
+    g[1][rng.random((40, k, k)) < 0.3] = 0.0
+    g[2][rng.random((40, k, k)) < 0.3] = -0.0
+    want = _kernels._det_adj_stack(g)[0]
+    got = _kernels.det_stack(g)
+    assert got.shape == want.shape == (3, 40)
+    assert got.tobytes() == want.tobytes()

@@ -1,6 +1,8 @@
+import contextlib
 import io
 import math
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 import tmgpanel
 
 from _helpers import QUOTED_IDS_CSV
+from tmgpanel import panel as panel_module
 from tmgpanel import (
     BalancedPanel,
     DuplicateCellError,
@@ -156,6 +159,35 @@ def test_shape_mismatch_rejected():
 HEADER = "unit_id,time_id,y,x1\n"
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def cores(count, split_bytes=None):
+    """Reads as on a machine of ``count`` cores, and with ``split_bytes`` for
+    the reader's size constant if given; no child may outlive the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+        if split_bytes is not None:
+            mp.setattr(panel_module, "SPLIT_BYTES", split_bytes)
+        yield
+    assert_no_child_left()
+
+
+def split_read(source):
+    """``read_panel_csv(source)`` with every CSV of two bytes or more cut into
+    two runs, each parsed by a forked child where the reader allows it."""
+    with cores(2, split_bytes=1):
+        return read_panel_csv(source)
+
+
+def assert_same_panel(got, want):
+    assert got.unit_ids == want.unit_ids and got.time_ids == want.time_ids
+    assert got.y.tobytes() == want.y.tobytes() and got.x.tobytes() == want.x.tobytes()
+
+
 def test_blank_lines_emit_no_warning(tmp_path):
     text = HEADER + "\n1,1,0.5,1.0\n\n1,2,1.5,2.0\n\n2,1,0.0,0.5\n2,2,1.0,1.5\n\n"
     path = tmp_path / "blank.csv"
@@ -276,6 +308,11 @@ def test_csv_error_names_the_problem(text, error, message):
         read_panel_csv(io.StringIO(text))
     assert type(info.value) is error
     assert str(info.value) == message
+    # the same error where forked children parse the rows
+    with pytest.raises(PanelInputError) as info:
+        split_read(io.StringIO(text))
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -290,6 +327,10 @@ def test_csv_outside_the_dialect_is_an_input_error(data, prefix):
     with pytest.raises(PanelInputError) as info:
         read_panel_csv(io.BytesIO(data))
     assert str(info.value).startswith(prefix)
+    message = str(info.value)
+    with pytest.raises(PanelInputError) as info:
+        split_read(io.BytesIO(data))
+    assert str(info.value) == message
 
 
 def test_record_non_finite_names_the_record():
@@ -350,11 +391,11 @@ def _assert_reads_like_records(k_prime, units, times, records, quoted, blank_aft
         lines.append(",".join([_csv_field(u, q), _csv_field(t, q)] + [repr(c) for c in v]))
         if blank:
             lines.append("")
-    got = read_panel_csv(io.StringIO("\n".join(lines) + "\n"))
+    text = "\n".join(lines) + "\n"
+    got = read_panel_csv(io.StringIO(text))
     want = load_panel(records)
-    assert got.unit_ids == want.unit_ids
-    assert got.time_ids == want.time_ids
-    assert got.y.tobytes() == want.y.tobytes() and got.x.tobytes() == want.x.tobytes()
+    assert_same_panel(got, want)
+    assert_same_panel(split_read(io.StringIO(text)), got)
 
     assert got.unit_ids == tuple(sorted(units, key=_id_key))
     assert got.time_ids == tuple(sorted(times, key=_id_key))
@@ -488,3 +529,113 @@ def test_id_order_matches_the_brute_force_rule(seed):
         cell = {(u, t): y for u, t, y, _ in records}
         want = [[cell[u, t] for t in panel.time_ids] for u in panel.unit_ids]
         np.testing.assert_array_equal(panel.y, want)
+
+
+# ---------------------------------------------------------------------------
+# reads split over forked children
+# ---------------------------------------------------------------------------
+
+
+def _large_csv(rng, units=24000):
+    """A CSV of two periods per unit, above two of the reader's size constant:
+    BOM, CRLF line ends, a blank line after every 1000th row and no final
+    line end."""
+    cells = [(u, t) for u in range(units) for t in (1, 2)]
+    values = rng.standard_normal((len(cells), 2)).tolist()
+    rows = [f"{u},{t},{y!r},{x!r}" for (u, t), (y, x) in zip(cells, values)]
+    for i in range(999, len(rows), 1000):
+        rows[i] += "\r\n"
+    text = "\ufeff" + HEADER.replace("\n", "\r\n") + "\r\n".join(rows)
+    assert len(text.encode()) >= 2 * panel_module.SPLIT_BYTES
+    return text
+
+
+def test_large_csv_reads_alike_in_children(rng):
+    # at the size constant's own value: two runs on two cores, the same table
+    # as the whole read, and a bad value in the last run named by its line
+    text = _large_csv(rng)
+    data = text.encode()
+    usage = {}
+    with cores(1):
+        whole = read_panel_csv(io.BytesIO(data), usage)
+    assert usage == {"read_processes": 1}
+    with cores(2):
+        split = read_panel_csv(io.BytesIO(data), usage)
+    assert usage == {"read_processes": 2}
+    assert_same_panel(split, whole)
+
+    at = text.rindex("\r\n", 0, len(text) - 100) + 2  # a row in the last run
+    lineno = text.count("\n", 0, at) + 1
+    bad = text[:at] + "7,1,oops,1.0\r\n" + text[at:]
+    message = f"line {lineno}: could not convert string to float: 'oops'"
+    for count in (1, 2):
+        with cores(count), pytest.raises(PanelInputError, match=f"^{message}$"):
+            read_panel_csv(io.StringIO(bad))
+
+
+def test_read_processes_follow_the_cores(rng):
+    # the core rule of the process: one child per core, at most one per
+    # size constant, and none where the process may run on one core only
+    data = _large_csv(rng).encode()
+    usage = {}
+    read_panel_csv(io.BytesIO(data), usage)
+    runs = min(len(os.sched_getaffinity(0)), len(data) // panel_module.SPLIT_BYTES)
+    assert usage["read_processes"] == (runs if runs >= 2 else 1)
+    assert_no_child_left()
+
+
+def test_quoted_csv_is_read_whole():
+    # with a quote in the data an LF may sit inside a field: no split
+    usage = {}
+    with cores(2, split_bytes=1):
+        read_panel_csv(io.StringIO(QUOTED_IDS_CSV), usage)
+    assert usage == {"read_processes": 1}
+
+
+@pytest.mark.parametrize("fault", ["child killed", "child exits 7 after writing", "second fork fails"])
+def test_failed_split_leaves_the_read_to_this_process(monkeypatch, fault):
+    text = HEADER + "".join(f"{u},{t},{u * t}.5,{u - t}.25\n" for u in range(9) for t in (1, 2))
+    whole = read_panel_csv(io.StringIO(text))
+    usage = {}
+    with cores(2, split_bytes=1):
+        read_panel_csv(io.StringIO(text), usage)
+    assert usage == {"read_processes": 2}
+
+    parent, loadtxt, fork, exit_ = os.getpid(), panel_module._loadtxt, os.fork, os._exit
+    forks = []
+
+    def exit_7(status):
+        exit_(7 if os.getpid() != parent else status)
+
+    def crash_in_child(*args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return loadtxt(*args, **kwargs)
+
+    def fork_once():
+        forks.append(1)
+        if len(forks) > 1:
+            raise BlockingIOError("fork: Resource temporarily unavailable")
+        return fork()
+
+    faults = {
+        "child killed": (panel_module, "_loadtxt", crash_in_child),
+        "child exits 7 after writing": (os, "_exit", exit_7),
+        "second fork fails": (os, "fork", fork_once),
+    }
+    monkeypatch.setattr(*faults[fault])
+    with cores(2, split_bytes=1):
+        got = read_panel_csv(io.StringIO(text), usage)
+    assert usage == {"read_processes": 1}
+    assert_same_panel(got, whole)
+
+
+def test_interrupted_read_reaps_every_child(monkeypatch):
+    text = HEADER + "".join(f"{u},{t},{u * t}.5,{u - t}.25\n" for u in range(9) for t in (1, 2))
+
+    def interrupt(pipe, buf):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(panel_module, "_fill", interrupt)
+    with cores(2, split_bytes=1), pytest.raises(KeyboardInterrupt):
+        read_panel_csv(io.StringIO(text))
