@@ -592,13 +592,16 @@ def test_quoted_csv_is_read_whole():
     assert usage == {"read_processes": 1}
 
 
+#: nine units of two periods: two runs of whole lines with a split size of 1
+SMALL_CSV = HEADER + "".join(f"{u},{t},{u * t}.5,{u - t}.25\n" for u in range(9) for t in (1, 2))
+
+
 @pytest.mark.parametrize("fault", ["child killed", "child exits 7 after writing", "second fork fails"])
 def test_failed_split_leaves_the_read_to_this_process(monkeypatch, fault):
-    text = HEADER + "".join(f"{u},{t},{u * t}.5,{u - t}.25\n" for u in range(9) for t in (1, 2))
-    whole = read_panel_csv(io.StringIO(text))
+    whole = read_panel_csv(io.StringIO(SMALL_CSV))
     usage = {}
     with cores(2, split_bytes=1):
-        read_panel_csv(io.StringIO(text), usage)
+        read_panel_csv(io.StringIO(SMALL_CSV), usage)
     assert usage == {"read_processes": 2}
 
     parent, loadtxt, fork, exit_ = os.getpid(), panel_module._loadtxt, os.fork, os._exit
@@ -625,17 +628,16 @@ def test_failed_split_leaves_the_read_to_this_process(monkeypatch, fault):
     }
     monkeypatch.setattr(*faults[fault])
     with cores(2, split_bytes=1):
-        got = read_panel_csv(io.StringIO(text), usage)
+        got = read_panel_csv(io.StringIO(SMALL_CSV), usage)
     assert usage == {"read_processes": 1}
     assert_same_panel(got, whole)
 
 
 def test_interrupted_read_reaps_every_child(monkeypatch):
-    text = HEADER + "".join(f"{u},{t},{u * t}.5,{u - t}.25\n" for u in range(9) for t in (1, 2))
 
     def interrupt(pipe, buf):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(panel_module, "_fill", interrupt)
     with cores(2, split_bytes=1), pytest.raises(KeyboardInterrupt):
-        read_panel_csv(io.StringIO(text))
+        read_panel_csv(io.StringIO(SMALL_CSV))
