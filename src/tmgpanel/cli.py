@@ -266,6 +266,9 @@ def _run_estimate(args) -> int:
         print(f"{name:>8} {c:14.6f} {s:12.6f} {t:9.3f} {p:9.4f}")
     if est.pi_n > 0 or est.alpha_used is not None:
         print(f"trimmed fraction pi_hat = {est.pi_n:.4f}")
+    trimming = _trimming_record(est)
+    if trimming is not None:  # the manifest's record, pi_n printed above
+        print("  ".join(f"{key} = {value!r}" for key, value in trimming.items() if key != "pi_n"))
 
     params = {
         "csv": str(args.csv),
@@ -279,7 +282,6 @@ def _run_estimate(args) -> int:
         "T": panel.T,
     }
     stages = _stages(t0, t_read, t_fit, usage)
-    trimming = _trimming_record(est)
     extra = None if trimming is None else {"trimming": trimming}
     outputs.append(
         _write_manifest(
@@ -345,35 +347,24 @@ def _ensure_kappa(cfg: DgpConfig, usage: dict) -> tuple[DgpConfig, bool, float]:
     return cfg, True, time.perf_counter() - t0
 
 
-def _mc_stages(
+def _mc_record(
     calibrate: float, replicate: float, t_write: float, usage: dict, cal_usage: dict
-) -> dict:
-    """Calibrate, replicate and write seconds of a Monte Carlo command, the
-    draw, fit and draw-wait seconds of its run's ``usage`` and, if it
-    calibrated kappa^2 before the run, those of the calibration's
-    ``cal_usage``; writing runs from ``t_write`` until now."""
-    stages = {
+) -> tuple[dict, dict]:
+    """The manifest's timings and record of a Monte Carlo command: its
+    calibrate, replicate and write seconds, writing from ``t_write`` until
+    now, then every key of its run's ``usage`` and, prefixed ``calibrate_``,
+    of the ``cal_usage`` of a calibration before the run. A key ending in
+    ``_seconds`` is a timing; the others go in the record."""
+    timings = {
         "calibrate_seconds": calibrate,
         "replicate_seconds": replicate,
         "write_seconds": time.perf_counter() - t_write,
     }
-    for prefix, record in (("", usage), ("calibrate_", cal_usage)):
-        if record:
-            for key in ("draw_seconds", "fit_seconds", "draw_wait_seconds"):
-                stages[prefix + key] = record[key]
-    return stages
-
-
-def _parallelism(usage: dict, cal_usage: dict) -> dict:
-    """The manifest's record of the processes and draw threads a run used, of
-    the replications whose innovations its consumer filled and of the blocks
-    it fitted, and the draw threads, consumer fills and blocks of a
-    calibration before it, which runs in one process."""
-    keys = ("draw_threads", "consumer_fills", "blocks")
-    record = {"processes": usage["processes"], **{key: usage[key] for key in keys}}
-    if cal_usage:
-        record.update({"calibrate_" + key: cal_usage[key] for key in keys})
-    return record
+    record: dict = {}
+    for prefix, run in (("", usage), ("calibrate_", cal_usage)):
+        for key, value in run.items():
+            (timings if key.endswith("_seconds") else record)[prefix + key] = value
+    return timings, record
 
 
 def _write_results_csv(path: Path, results) -> None:
@@ -454,11 +445,10 @@ def _run_monte_carlo(args) -> int:
         "alpha_gp": alpha_gp,
         "kappa2_calibrated": calibrated,
     }
-    stages = _mc_stages(cal_seconds, t_write - t_rep, t_write, usage, cal_usage)
-    failed = {res.estimator: res.failed_replications for res in results}
+    stages, extra = _mc_record(cal_seconds, t_write - t_rep, t_write, usage, cal_usage)
+    extra["failed_replications"] = {res.estimator: res.failed_replications for res in results}
     _write_manifest(
-        out, args.command, params, cfg.seed, [path], time.perf_counter() - t0, stages,
-        {**_parallelism(usage, cal_usage), "failed_replications": failed},
+        out, args.command, params, cfg.seed, [path], time.perf_counter() - t0, stages, extra
     )
     if grid is not None:
         print(f"wrote power curve over {grid.size} grid points to {path}")
@@ -485,10 +475,9 @@ def _run_calibrate(args) -> int:
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(f"kappa2(T={cfg.T}) = {kappa2:.6f}")
     params = {"scenario": asdict(cfg), "r_kappa": args.reps, "n_cal": args.n_cal}
-    stages = _mc_stages(t_write - t_cal, 0.0, t_write, usage, {})
+    stages, extra = _mc_record(t_write - t_cal, 0.0, t_write, usage, {})
     _write_manifest(
-        out, "calibrate", params, cfg.seed, [path], time.perf_counter() - t0, stages,
-        _parallelism(usage, {}),
+        out, "calibrate", params, cfg.seed, [path], time.perf_counter() - t0, stages, extra
     )
     return EXIT_OK
 

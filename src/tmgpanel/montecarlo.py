@@ -26,7 +26,7 @@ import queue
 import threading
 import time
 from collections import Counter
-from dataclasses import MISSING, dataclass, field
+from dataclasses import MISSING, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -596,34 +596,22 @@ def calibrate_kappa(
     Simulates coefficient and regressor draws only (no outcomes), accumulates
     the pooled second moments of beta_i * x_it, and scales their variance by
     (1 - PR^2)/PR^2. The common factor path, when present, is drawn once and
-    shared across calibration replications. Replications run in blocks, as in
-    :func:`run_experiment`, and are accumulated in order. ``usage``, if given,
-    receives what :func:`run_experiment` records, the moment sums counting as
-    the fit.
+    shared across calibration replications. Replications run as in
+    :func:`run_experiment`, in one process, and their :func:`_moments` are
+    accumulated in order. ``usage``, if given, receives what
+    :func:`run_experiment` records, the moments counting as the fit.
     """
     _check("r_kappa", r_kappa)
     _check("n_cal", n_cal)
     f_path = None
     if cfg.interactive_x:
         f_path = _factor_path(_stream(cfg.seed, 0, _ROLE_FACTOR).standard_normal(_BURN_IN + cfg.T))
+    moments = _run(replace(cfg, n=n_cal), r_kappa, True, (f_path,), 1, usage)["moments"]
     a_acc = 0.0
     b_acc = 0.0
-    threads, tally = _draw_threads(1), Counter()
-    with _Draws(cfg.seed, _roles(cfg, n_cal, calibration=True), range(r_kappa),
-                threaded=threads > 0) as draws:
-        for reps in _blocks(range(r_kappa), block_size(n_cal)):
-            t0 = time.perf_counter()
-            x, e_ret, _, raw = _draw_x(draws, len(reps), cfg, n_cal, f_path=f_path)
-            lam = standardized_quadratic(e_ret, cfg.T, cfg.excess_kurtosis_x)
-            _, beta_i = _draw_coefficients(raw["coef"], cfg, lam)
-            t1 = time.perf_counter()
-            bx = beta_i[..., None] * x
-            for a, b in zip(np.mean(bx * bx, axis=(1, 2)), np.mean(bx, axis=(1, 2))):
-                a_acc += a
-                b_acc += b
-            tally.update(draw=t1 - t0, fit=time.perf_counter() - t1, blocks=1)
-    tally.update(wait=draws.waited, consumer_fills=draws.consumer_fills)
-    _record(usage, 1, threads, tally)
+    for a, b in zip(*moments):
+        a_acc += a
+        b_acc += b
     a_acc /= r_kappa
     b_acc /= r_kappa
     return float((1.0 - cfg.pr2) / cfg.pr2 * (a_acc - b_acc**2))
@@ -757,6 +745,20 @@ def _block_records(
     return out
 
 
+def _moments(cfg: DgpConfig, reps: Sequence[int], f_path, draws: _Draws, tally: Counter) -> dict:
+    """A calibration's :func:`_block_records`: per replication, mean(bx^2)
+    and mean(bx) of bx = beta_i x_it, every one on the factor path ``f_path``."""
+    t0 = time.perf_counter()
+    x, e_ret, _, raw = _draw_x(draws, len(reps), cfg, cfg.n, f_path=f_path)
+    lam = standardized_quadratic(e_ret, cfg.T, cfg.excess_kurtosis_x)
+    _, beta_i = _draw_coefficients(raw["coef"], cfg, lam)
+    t1 = time.perf_counter()
+    bx = beta_i[..., None] * x
+    out = {"moments": (np.mean(bx * bx, axis=(1, 2)), np.mean(bx, axis=(1, 2)))}
+    tally.update(draw=t1 - t0, fit=time.perf_counter() - t1, blocks=1)
+    return out
+
+
 def _tag_coef_names(tag: str, T: int) -> tuple:
     """Reported coefficients: the slope, then phi_1..phi_{T-1} for TE tags."""
     if tag in TE_TAGS:
@@ -778,20 +780,38 @@ def _concat(parts: list[dict]) -> dict:
 
 
 def _worker(args):
-    """The :func:`_block_records` arrays of the replications ``reps``, fitted
-    in the fewest blocks of at most :func:`block_size` consecutive entries,
-    of balanced sizes, and joined in replication order, with the tally of
+    """The :func:`_block_records` (a calibration's :func:`_moments`) of the
+    replications ``reps``, each block's call given ``extra``, fitted in the
+    fewest blocks of at most :func:`block_size` consecutive entries, of
+    balanced sizes, and joined in replication order, with the tally of
     :func:`_record`. With ``threads``, one draw thread fills the innovations
     of every block ahead of the fits; it is joined before this returns."""
-    cfg, reps, tags, trim_cfg, alpha_gp, threads = args
+    cfg, reps, calibration, extra, threads = args
+    records = _moments if calibration else _block_records
     tally = Counter()
-    with _Draws(cfg.seed, _roles(cfg, cfg.n), reps, threaded=threads > 0) as draws:
-        parts = [
-            _block_records(cfg, block, tags, trim_cfg, alpha_gp, draws, tally)
-            for block in _blocks(reps, block_size(cfg.n))
-        ]
+    with _Draws(cfg.seed, _roles(cfg, cfg.n, calibration), reps, threaded=threads > 0) as draws:
+        blocks = _blocks(reps, block_size(cfg.n))
+        parts = [records(cfg, block, *extra, draws, tally) for block in blocks]
     tally.update(wait=draws.waited, consumer_fills=draws.consumer_fills)
     return _concat(parts), tally
+
+
+def _run(cfg: DgpConfig, reps: int, calibration: bool, extra: tuple, jobs: int, usage) -> dict:
+    """The :func:`_worker` records of replications 0..reps-1, split into runs
+    of consecutive ones over ``jobs`` processes, at most one per core this
+    process may run on, and joined in order; :func:`_record` into ``usage``."""
+    chunks = _blocks(range(reps), -(-reps // min(jobs, _cores())))
+    threads = _draw_threads(len(chunks))
+    work = [(cfg, c, calibration, extra, threads) for c in chunks]
+    if len(chunks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a split run pays its import
+
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            parts = list(pool.map(_worker, work))
+    else:
+        parts = [_worker(work[0])]
+    _record(usage, len(chunks), threads, sum((s for _, s in parts), Counter()))
+    return _concat([p for p, _ in parts])
 
 
 def _aggregate(tag, cfg: DgpConfig, coef, se, pi, reason, beta0_grid) -> McResult:
@@ -872,18 +892,7 @@ def run_experiment(
     _check_tags(estimators)
     tags = list(dict.fromkeys(estimators))
 
-    chunks = _blocks(range(reps), -(-reps // min(jobs, _cores())))
-    threads = _draw_threads(len(chunks))
-    work = [(cfg, c, tags, trim_cfg, alpha_gp, threads) for c in chunks]
-    if len(chunks) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a split run pays its import
-
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(_worker, work))
-    else:
-        parts = [_worker(work[0])]
-    records = _concat([p for p, _ in parts])
-    _record(usage, len(chunks), threads, sum((s for _, s in parts), Counter()))
+    records = _run(cfg, reps, False, (tags, trim_cfg, alpha_gp), jobs, usage)
     return [_aggregate(tag, cfg, *records[tag], beta0_grid) for tag in tags]
 
 

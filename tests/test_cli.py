@@ -749,18 +749,23 @@ def test_per_unit_writer_matches_row_by_row_format(tmp_path, extra, subset):
 
 
 @pytest.mark.parametrize("method", ["tmg", "tmgte", "gp", "gpte", "fe"])
-def test_manifest_records_the_trimming_of_tmg_fits(hetero_csv, tmp_path, method):
+def test_manifest_records_the_trimming_of_tmg_fits(hetero_csv, tmp_path, capsys, method):
     # TMG fits record a_n, pi_n and the trimmed count; GP fits (gpte is
-    # gp --te) the squared bandwidth h_n^2, the kept count m and pi_n
+    # gp --te) the squared bandwidth h_n^2, the kept count m and pi_n. The
+    # line after the trimmed fraction prints the same record, less pi_n
     from tmgpanel import PanelBlock, tmg, tmg_te
     from tmgpanel.estimators import gp_threshold
 
     argv = ["--method", "gp", "--te"] if method == "gpte" else ["--method", method]
     assert main(["estimate", str(hetero_csv), *argv, "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
+    lines = capsys.readouterr().out.splitlines()
     if method == "fe":
         assert "trimming" not in manifest
         return
+    keys = ["h_n2", "m"] if method in ("gp", "gpte") else ["a_n", "trimmed"]
+    assert lines[-2].startswith("trimmed fraction pi_hat")
+    assert lines[-1] == "  ".join(f"{key} = {manifest['trimming'][key]!r}" for key in keys)
     panel = read_panel_csv(hetero_csv)
     if method in ("gp", "gpte"):  # T = k: both keep the same units
         design = PanelBlock(y=panel.y[None], x=panel.x[None]).design
@@ -821,8 +826,9 @@ def test_monte_carlo_stage_timings(tmp_path, command):
     assert 0 <= manifest["consumer_fills"] <= reps
     if manifest["draw_threads"] == 0:  # inline, the consumer fills every replication
         assert manifest["consumer_fills"] == reps
-    assert "calibrate_draw_threads" not in manifest and "calibrate_draw_seconds" not in timings
-    assert "calibrate_consumer_fills" not in manifest and "calibrate_blocks" not in manifest
+    # no calibration ran before the run: no calibrate_ key beside the stage's
+    assert [key for key in manifest if key.startswith("calibrate_")] == []
+    assert [key for key in timings if key.startswith("calibrate_")] == ["calibrate_seconds"]
     # 4 replications of 60 units are one block; 1000 of 50 are five of 200
     assert manifest["blocks"] == (5 if command == "calibrate" else 1)
 
@@ -830,7 +836,7 @@ def test_monte_carlo_stage_timings(tmp_path, command):
 @pytest.mark.parametrize("command", ["simulate", "power"])
 def test_calibration_before_a_run_recorded_apart(tmp_path, monkeypatch, command):
     # a scenario without kappa^2 calibrates it first, in one process; the
-    # manifest records that stage's draw thread and seconds beside the run's
+    # manifest records that stage's keys, prefixed, beside the run's
     from tmgpanel import cli, montecarlo
 
     calibrate = cli.calibrate_kappa
@@ -845,6 +851,7 @@ def test_calibration_before_a_run_recorded_apart(tmp_path, monkeypatch, command)
     assert main(argv + (["--grid-points", "3"] if command == "power" else [])) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     timings = manifest["timings"]
+    assert manifest["calibrate_processes"] == 1
     assert manifest["calibrate_draw_threads"] == montecarlo._draw_threads(1)
     assert timings["calibrate_draw_seconds"] > 0.0 and timings["calibrate_fit_seconds"] > 0.0
     assert (

@@ -425,13 +425,18 @@ def _fields_equal(a, b):
 def test_results_independent_of_block_size_and_jobs(monkeypatch, cfg):
     # every McResult field is identical for one replication per block, an
     # intermediate block, the whole run in one block, and one to three workers;
-    # the tiny designs make failures (GP keeping one unit) part of the check
+    # the tiny designs make failures (GP keeping one unit) part of the check.
+    # kappa^2 of a cell with a shared factor path and uniform x errors, whose
+    # calibration blocks as the runs do, keeps its bits at each cap too
+    from dataclasses import replace
+
     from tmgpanel import montecarlo
-    from tmgpanel.montecarlo import ESTIMATOR_TAGS, TEST_TAGS
+    from tmgpanel.montecarlo import ESTIMATOR_TAGS, TEST_TAGS, _blocks, block_size
 
     tags = list(ESTIMATOR_TAGS + TEST_TAGS)
     reps = 40
     runs = []
+    cal_cfg, kappas = replace(cfg, interactive_x=True, x_error_dist="uniform"), set()
     blocks = []  # replications per block of each single-worker run
     original = montecarlo._block_records
 
@@ -447,8 +452,12 @@ def test_results_independent_of_block_size_and_jobs(monkeypatch, cfg):
         for jobs in (1, 2, 3):  # three workers take 13 + 13 + 14 replications
             blocks.append([])
             runs.append(run_experiment(cfg, tags, reps, beta0_grid=[0.5, 1.0], jobs=jobs))
+        usage = {}
+        kappas.add(repr(calibrate_kappa(cal_cfg, reps, cfg.n, usage)))
+        assert usage["blocks"] == len(_blocks(range(reps), block_size(cfg.n)))
     # the workers count in their own processes
     assert blocks[::3] == [[1] * reps, [4] * (reps // 4), [reps]]
+    assert len(kappas) == 1, kappas
     assert any(r.failures for r in runs[0])
     for other in runs[1:]:
         for a, b in zip(runs[0], other):
