@@ -4,8 +4,9 @@ Every run writes a manifest (command, config hash, seed, versions, timings,
 output paths); a CSV command's timings also record the processes that parsed
 the CSV, and a Monte Carlo run's manifest the processes and draw threads it
 used, with its timings split into draw and fit seconds.
-Simulation and calibration outputs are byte-reproducible for a given
-scenario and seed, independent of the jobs flag and of the draw thread.
+A Monte Carlo run splits over the cores the process may run on (``taskset``
+limits them) as its size allows; simulation and calibration outputs are
+byte-reproducible for a given scenario and seed, whatever the split.
 """
 
 from __future__ import annotations
@@ -120,7 +121,6 @@ def _checked(cast, ok, what: str):
 
 _ALPHA = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _POSITIVE = _checked(float, lambda v: v > 0.0, "positive")
-_AT_LEAST_1 = _checked(int, lambda v: v >= 1, "at least 1")
 _REPS = _checked(int, lambda v: 1 <= v <= MAX_REPS, f"at least 1 and at most {MAX_REPS}")
 _N_CAL = _checked(int, lambda v: 2 <= v <= MAX_UNITS, f"at least 2 and at most {MAX_UNITS}")
 _GRID_POINTS = _checked(int, lambda v: 1 <= v <= 10**4, "at least 1 and at most 10000")
@@ -414,7 +414,6 @@ def _run_monte_carlo(args) -> int:
         beta0_grid=grid,
         trim_cfg=trim_cfg,
         alpha_gp=alpha_gp,
-        jobs=args.jobs,
         usage=usage,
     )
     t_write = time.perf_counter()
@@ -517,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("scenario")
     p_sim.add_argument("--reps", type=_REPS)
     p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--jobs", type=_AT_LEAST_1, default=1)
     p_sim.add_argument("--out", default="tmgpanel_out")
     p_sim.set_defaults(func=_run_monte_carlo)
 
@@ -538,7 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pow.add_argument("--grid-points", type=_GRID_POINTS, default=21)
     p_pow.add_argument("--reps", type=_REPS)
     p_pow.add_argument("--seed", type=int)
-    p_pow.add_argument("--jobs", type=_AT_LEAST_1, default=1)
     p_pow.add_argument("--out", default="tmgpanel_out")
     p_pow.set_defaults(func=_run_monte_carlo)
     return parser

@@ -35,7 +35,7 @@ from .designs import void, within
 from .errors import NumericalError, ScenarioError
 from .estimators import DEFAULT_ALPHA_GP, fe, gp, mg, tmg
 from .hausman import HausmanResult, hausman_no_te, hausman_te
-from .panel import BalancedPanel, PanelBlock, _cores
+from .panel import BalancedPanel, PanelBlock, _cores, _processes
 from .timeeffects import fete, gp_te, tmg_te
 from .trimming import DEFAULT_ALPHA, TrimConfig
 
@@ -127,7 +127,7 @@ _FIELDS = {
     "seed": (_integer(0), "non-negative: an integer >= 0"),
     "estimators": (_list(lambda t: isinstance(t, str)), "a list of tags, at least one"),
     "reps": _REPS,
-    "jobs": (_integer(1), "an integer >= 1"),
+    "jobs": (_or_none(_integer(1)), "an integer >= 1, or None"),
     "beta0_grid": (_or_none(_list(_real(math.isfinite))), "a non-empty list of finite numbers"),
     "trim_alpha": (_real(), "a number"),
     "trim_c_n": (_or_none(_real()), "a number, or null"),
@@ -247,9 +247,10 @@ def _stream(seed: int, rep: int, role: int) -> np.random.Generator:
 #: needs one slot.
 _RING_SLOTS = 3
 
-#: For tests only: True or False forces the draw thread on or off; None
-#: follows the core rule of :func:`_draw_threads`.
-_DRAW_THREAD = None
+#: Units (replications x n) of a run per process when ``jobs`` is not given,
+#: so a run splits from twice this, where two processes without the draw thread
+#: broke even with one with it, in calibration (BENCH_pr24.json).
+SPLIT_UNITS = 10**6
 
 
 def _draw_threads(processes: int) -> int:
@@ -258,8 +259,6 @@ def _draw_threads(processes: int) -> int:
     the process has two cores or more of its own (cores // processes), else
     none. With one core to a process the thread was measured 0-3% slower
     than filling inline, and its ring costs memory (BENCH_pr18.json)."""
-    if _DRAW_THREAD is not None:
-        return int(_DRAW_THREAD)
     return int(_cores() // processes >= 2)
 
 
@@ -597,8 +596,8 @@ def calibrate_kappa(
     the pooled second moments of beta_i * x_it, and scales their variance by
     (1 - PR^2)/PR^2. The common factor path, when present, is drawn once and
     shared across calibration replications. Replications run as in
-    :func:`run_experiment`, in one process, and their :func:`_moments` are
-    accumulated in order. ``usage``, if given, receives what
+    :func:`run_experiment` without ``jobs``, and their :func:`_moments`
+    are accumulated in order. ``usage``, if given, receives what
     :func:`run_experiment` records, the moments counting as the fit.
     """
     _check("r_kappa", r_kappa)
@@ -606,9 +605,8 @@ def calibrate_kappa(
     f_path = None
     if cfg.interactive_x:
         f_path = _factor_path(_stream(cfg.seed, 0, _ROLE_FACTOR).standard_normal(_BURN_IN + cfg.T))
-    moments = _run(replace(cfg, n=n_cal), r_kappa, True, (f_path,), 1, usage)["moments"]
-    a_acc = 0.0
-    b_acc = 0.0
+    moments = _run(replace(cfg, n=n_cal), r_kappa, True, (f_path,), None, usage)["moments"]
+    a_acc, b_acc = 0.0, 0.0
     for a, b in zip(*moments):
         a_acc += a
         b_acc += b
@@ -796,11 +794,11 @@ def _worker(args):
     return _concat(parts), tally
 
 
-def _run(cfg: DgpConfig, reps: int, calibration: bool, extra: tuple, jobs: int, usage) -> dict:
+def _run(cfg: DgpConfig, reps: int, calibration: bool, extra: tuple, jobs, usage) -> dict:
     """The :func:`_worker` records of replications 0..reps-1, split into runs
-    of consecutive ones over ``jobs`` processes, at most one per core this
-    process may run on, and joined in order; :func:`_record` into ``usage``."""
-    chunks = _blocks(range(reps), -(-reps // min(jobs, _cores())))
+    of consecutive ones over ``jobs`` processes (else one per SPLIT_UNITS
+    units), at most one per core, and joined in order; :func:`_record` into ``usage``."""
+    chunks = _blocks(range(reps), -(-reps // _processes(reps * cfg.n, SPLIT_UNITS, jobs)))
     threads = _draw_threads(len(chunks))
     work = [(cfg, c, calibration, extra, threads) for c in chunks]
     if len(chunks) > 1:
@@ -863,7 +861,7 @@ def run_experiment(
     beta0_grid: np.ndarray | None = None,
     trim_cfg: TrimConfig = TrimConfig(),
     alpha_gp: float = DEFAULT_ALPHA_GP,
-    jobs: int = 1,
+    jobs: int | None = None,
     usage: dict | None = None,
 ) -> list[McResult]:
     """Run ``reps`` independent replications and aggregate per-estimator metrics.
@@ -872,9 +870,9 @@ def run_experiment(
     ``beta0_grid`` adds a power curve (rejection of beta = b over the grid)
     for every coefficient-reporting estimator. Failures propagate as skipped
     replications, counted per estimator and by reason. Replications are drawn
-    and fitted in blocks (see MAX_BLOCK_UNITS), and each of ``jobs`` workers,
-    at most one per core this process may run on, takes a run of consecutive
-    replications; neither the block size nor ``jobs`` changes any result.
+    and fitted in blocks (see MAX_BLOCK_UNITS), and each worker (``jobs``,
+    else see SPLIT_UNITS; at most one per core) takes a run of consecutive
+    replications; neither the block size nor the workers change any result.
 
     Each worker process with two cores or more of its own (cores // workers)
     fills its innovations on one draw thread, ahead of its fits; this

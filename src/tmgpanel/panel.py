@@ -519,6 +519,11 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
+def _processes(work: int, unit: int, jobs: int | None = None) -> int:
+    """``jobs``, else one process per ``unit`` of ``work`` (at least one); at most one per core."""
+    return min(_cores(), max(1, work // unit) if jobs is None else jobs)
+
+
 def _runs(data: bytes, start: int) -> list:
     """The runs of whole lines, as (start, end) byte offsets, that forked
     children parse of a CSV whose data rows begin at ``start``; [] where this
@@ -529,7 +534,7 @@ def _runs(data: bytes, start: int) -> list:
     ``fork`` and a process with no other Python thread, and there must be two
     runs or more, each holding a data row.
     """
-    count = min(_cores(), len(data) // SPLIT_BYTES)
+    count = _processes(len(data), SPLIT_BYTES)
     if (
         count < 2
         or not sys.platform.startswith("linux")

@@ -319,7 +319,7 @@ class TestHausmanCommand:
         (["test", "{csv}", "--alpha", "1.5"], "--alpha: must be in (0, 1)"),
         (["estimate", "{csv}", "--method", "gp", "--alpha-gp", "-1"], "--alpha-gp: must be"),
         (["power", "{scen}", "--grid-points", "0"], "--grid-points: must be at least 1"),
-        (["simulate", "{scen}", "--jobs", "0"], "--jobs: must be at least 1"),
+        (["simulate", "{scen}", "--jobs", "2"], "unrecognized arguments: --jobs"),
         (["calibrate", "{scen}", "--n-cal", "1"], "--n-cal: must be at least 2"),
         (["simulate", "{bad_trim}"], "alpha must be in (0,1)"),
         (["calibrate", "{scen}", "--n-cal", "10000000000000"], "--n-cal: must be at least 2"),
@@ -359,13 +359,26 @@ class TestSimulate:
         assert manifest["parameters"]["reps"] == 12
         assert manifest["config_hash"]
 
-    def test_jobs_do_not_change_bytes(self, tmp_path):
+    def test_jobs_do_not_change_bytes(self, tmp_path, monkeypatch):
+        # one process on one core, and two on two cores with the split size
+        # lowered to a fifth of the run's 8 x 120 units
+        import os
+
+        from tmgpanel import montecarlo
+
         scen = tmp_path / "scen.json"
         scen.write_text(json.dumps(scenario_payload(reps=8)))
-        out1, out2 = tmp_path / "j1", tmp_path / "j2"
-        assert main(["simulate", str(scen), "--jobs", "1", "--out", str(out1)]) == 0
-        assert main(["simulate", str(scen), "--jobs", "2", "--out", str(out2)]) == 0
-        assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+        monkeypatch.setattr(montecarlo, "SPLIT_UNITS", 8 * 120 // 5)
+        runs = []
+        for cores in (1, 2):
+            cpus = set(range(cores))
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            out = tmp_path / f"cores{cores}"
+            assert main(["simulate", str(scen), "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            runs.append((manifest["processes"], (out / "results.csv").read_bytes()))
+        assert [p for p, _ in runs] == [1, 2]
+        assert runs[0][1] == runs[1][1]
 
     def test_results_parse_losslessly(self, tmp_path):
         scen = tmp_path / "scen.json"
@@ -604,7 +617,7 @@ def test_any_scenario_file_exits_0_2_or_3(content):
         return 15.5
 
     def run_experiment(cfg, estimators, reps, beta0_grid=None, trim_cfg=None, alpha_gp=None,
-                       jobs=1, usage=None):
+                       jobs=None, usage=None):
         np.empty((0, cfg.n, cfg.T))
         np.float64([alpha_gp, trim_cfg.alpha, trim_cfg.c_n or 0.0])
         if usage is not None:
@@ -618,8 +631,6 @@ def test_any_scenario_file_exits_0_2_or_3(content):
         scen.write_bytes(content)
         for command in ("simulate", "power", "calibrate"):
             argv = [command, str(scen), "--out", str(Path(tmp) / command)]
-            if command != "calibrate":
-                argv += ["--jobs", "1"]
             assert main(argv) in (0, 2, 3)
 
 
@@ -847,7 +858,7 @@ def test_calibration_before_a_run_recorded_apart(tmp_path, monkeypatch, command)
     del payload["kappa2"]
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps(payload))
-    argv = [command, str(scen), "--out", str(tmp_path), "--jobs", "1"]
+    argv = [command, str(scen), "--out", str(tmp_path)]
     assert main(argv + (["--grid-points", "3"] if command == "power" else [])) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     timings = manifest["timings"]
@@ -862,6 +873,40 @@ def test_calibration_before_a_run_recorded_apart(tmp_path, monkeypatch, command)
     assert 0 <= manifest["calibrate_consumer_fills"] <= 5
     assert manifest["calibrate_blocks"] == manifest["blocks"] == 1
     assert timings["draw_seconds"] + timings["fit_seconds"] <= timings["replicate_seconds"]
+
+
+def test_calibration_splits_over_the_cores(tmp_path, monkeypatch):
+    # a scenario without kappa^2 calibrates it over the cores: with the split
+    # size at half the calibration's 5 x 50 units, two cores run it in two
+    # processes and the smaller 4 x 60 run in one, and kappa^2 and
+    # results.csv are those of one core
+    import os
+
+    from tmgpanel import cli, montecarlo
+
+    calibrate = cli.calibrate_kappa
+    monkeypatch.setattr(
+        cli, "calibrate_kappa", lambda cfg, usage: calibrate(cfg, r_kappa=5, n_cal=50, usage=usage)
+    )
+    monkeypatch.setattr(montecarlo, "SPLIT_UNITS", 5 * 50 // 2)
+    payload = scenario_payload(reps=4, n=60)
+    del payload["kappa2"]
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(payload))
+    runs = []
+    for cores in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        out = tmp_path / f"cores{cores}"
+        assert main(["simulate", str(scen), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["calibrate_blocks"] == cores
+        runs.append((
+            (manifest["calibrate_processes"], manifest["processes"]),
+            manifest["parameters"]["scenario"]["kappa2"],
+            (out / "results.csv").read_bytes(),
+        ))
+    assert [r[0] for r in runs] == [(1, 1), (2, 1)]
+    assert runs[0][1:] == runs[1][1:]
 
 
 def test_simulate_reports_failures_by_reason(tmp_path, capsys):
@@ -882,6 +927,6 @@ def test_simulate_fits_n_1000_in_blocks_of_ten(tmp_path):
     # with kappa^2 given, 20 replications of 1000 units are two blocks
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps(scenario_payload(n=1000, reps=20)))
-    assert main(["simulate", str(scen), "--out", str(tmp_path), "--jobs", "1"]) == 0
+    assert main(["simulate", str(scen), "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["blocks"] == 2 and "calibrate_blocks" not in manifest

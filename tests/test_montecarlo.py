@@ -467,18 +467,20 @@ def test_results_independent_of_block_size_and_jobs(monkeypatch, cfg):
 def test_failed_replications_named_whatever_the_split(monkeypatch):
     # each tag names the first five failed replications of each reason by
     # index, the same for one and two workers, blocks of three or the whole
-    # run, and the draw thread forced on or off; generate_replication draws a
+    # run, and with a draw thread per process or none (one or two cores to a
+    # process, four cores for two threaded workers); generate_replication draws a
     # named one again, and it fails alone for that reason
     import itertools
 
     from tmgpanel import AllTrimmedError, TrimConfig, montecarlo, tmg
 
     cfg, trim_cfg = base_cfg(n=3, T=3), TrimConfig(c_n=3.0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     named = set()
     for cap, jobs, threaded in itertools.product((3 * cfg.n, 10000), (1, 2), (False, True)):
         monkeypatch.setattr(montecarlo, "MAX_BLOCK_UNITS", cap)
-        monkeypatch.setattr(montecarlo, "_DRAW_THREAD", threaded)
+        cores = set(range(jobs * (1 + threaded)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+        assert montecarlo._draw_threads(jobs) == threaded
         results = run_experiment(cfg, ["tmg", "gp", "hausman"], 60, trim_cfg=trim_cfg, jobs=jobs)
         named.add(repr([(r.failures_by_reason, r.failed_replications) for r in results]))
     trimmed = {"AllTrimmedError": [5, 9, 12, 14, 25]}
@@ -867,15 +869,19 @@ def eager_switches():
     sys.setswitchinterval(interval)
 
 
-def _outputs(cfg, tmp_path, label, threaded):
+def _outputs(monkeypatch, cfg, tmp_path, label, threaded):
     """Everything a cell's streams give: a replication's panel and truth, a
-    block's, drawn as a run draws it, kappa^2 and results.csv from simulate
-    with --jobs 1 and 2."""
+    block's, drawn as a run draws it, kappa^2, and results.csv from simulate
+    in one process and split over two, with a draw thread per process if
+    ``threaded`` (one or two cores to a process: one, two or four cores)."""
     import dataclasses
     import json
 
     from tmgpanel import montecarlo
     from tmgpanel.cli import main
+
+    def on_cores(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
     panel, truth = generate_replication(cfg, 4)
     reps = [1, 2, 3]
@@ -888,11 +894,17 @@ def _outputs(cfg, tmp_path, label, threaded):
     tags = ["fe", "tmg", "gp", "hausman"] + (["tmgte", "hausman_te"] if cfg.T > 2 else [])
     scen.write_text(json.dumps({**fields, "estimators": tags, "reps": 7}))
     csvs = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"{label}-{jobs}"
-        assert main(["simulate", str(scen), "--jobs", jobs, "--out", str(out)]) == 0
+    for processes in (1, 2):
+        on_cores(processes * (1 + threaded))
+        with monkeypatch.context() as mp:  # the run's 7 x n units in two processes
+            mp.setattr(montecarlo, "SPLIT_UNITS", 7 * cfg.n // processes)
+            out = tmp_path / f"{label}-{processes}"
+            assert main(["simulate", str(scen), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["processes"], manifest["draw_threads"]) == (processes, int(threaded))
         csvs.append((out / "results.csv").read_bytes())
     assert csvs[0] == csvs[1]
+    on_cores(1 + threaded)
     kappa2 = calibrate_kappa(cfg, r_kappa=7, n_cal=50)
     return arrays, kappa2, csvs[0]
 
@@ -903,13 +915,9 @@ def test_draw_thread_changes_no_bit(monkeypatch, tmp_path, eager_switches, field
     # every output, across blocks of three and two worker processes
     from tmgpanel import montecarlo
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(montecarlo, "MAX_BLOCK_UNITS", 3 * 40)
     cfg = base_cfg(n=40, seed=77, **fields)
-    runs = []
-    for threaded in (False, True):
-        monkeypatch.setattr(montecarlo, "_DRAW_THREAD", threaded)
-        runs.append(_outputs(cfg, tmp_path, str(threaded), threaded))
+    runs = [_outputs(monkeypatch, cfg, tmp_path, str(t), t) for t in (False, True)]
     (a, kappa_a, csv_a), (b, kappa_b, csv_b) = runs
     for x, y in zip(a, b):
         assert x.tobytes() == y.tobytes()
@@ -922,8 +930,9 @@ def test_draw_thread_changes_no_bit_in_blocks_of_one(monkeypatch, eager_switches
 
     cfg = base_cfg(n=5001, seed=5)
     runs = []
-    for threaded in (False, True):
-        monkeypatch.setattr(montecarlo, "_DRAW_THREAD", threaded)
+    for cores in ({0}, {0, 1}):  # inline, then a draw thread
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+        assert montecarlo._draw_threads(1) == len(cores) - 1
         results = run_experiment(cfg, ["fe", "tmg"], reps=3)
         runs.append(([r.rows() for r in results], calibrate_kappa(cfg, r_kappa=3, n_cal=5001)))
     assert runs[0] == runs[1]
@@ -940,7 +949,9 @@ def test_fixed_seed_draws_keep_their_bits(monkeypatch, cell, threaded):
 
     from tmgpanel import montecarlo
 
-    monkeypatch.setattr(montecarlo, "_DRAW_THREAD", threaded)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if threaded else {0},
+                        raising=False)
+    assert montecarlo._draw_threads(1) == threaded
     cfg = base_cfg(n=40, seed=77, **STREAMS[cell])
     block, truth = montecarlo.generate_block(cfg, [1, 2, 3])
     digest = hashlib.sha256()
@@ -1027,7 +1038,7 @@ def test_no_draw_thread_outlives_a_call(monkeypatch, call):
 
     from tmgpanel import montecarlo
 
-    monkeypatch.setattr(montecarlo, "_DRAW_THREAD", True)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(montecarlo, "MAX_BLOCK_UNITS", 2 * 30)
     cfg = base_cfg(n=30)
     run, roles, x_role = {
@@ -1120,7 +1131,8 @@ def test_a_stalled_draw_thread_leaves_the_consumer_filling(monkeypatch):
     cfg = base_cfg(n=30, seed=3)
     runs = []
     for threaded in (False, True):
-        monkeypatch.setattr(montecarlo, "_DRAW_THREAD", threaded)
+        cores = {0, 1} if threaded else {0}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
         monkeypatch.setattr(montecarlo._Draws, "_run", stalled)
         before = threading.active_count()
         usage, cal_usage = {}, {}
@@ -1137,12 +1149,14 @@ def test_a_stalled_draw_thread_leaves_the_consumer_filling(monkeypatch):
 def test_workers_fork_after_a_threaded_calibration(monkeypatch):
     from tmgpanel import montecarlo
 
-    monkeypatch.setattr(montecarlo, "_DRAW_THREAD", True)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # four cores: a calibration in one process and a run in two, each with a
+    # draw thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     from dataclasses import replace
 
-    cfg = base_cfg(n=40, seed=9, kappa2=None)
-    cfg = replace(cfg, kappa2=calibrate_kappa(cfg, r_kappa=5, n_cal=40))
+    cfg, usage = base_cfg(n=40, seed=9, kappa2=None), {}
+    cfg = replace(cfg, kappa2=calibrate_kappa(cfg, r_kappa=5, n_cal=40, usage=usage))
+    assert usage["processes"] == 1 and usage["draw_threads"] == 1
     usage = {}
     split = run_experiment(cfg, ["fe", "tmg"], reps=6, jobs=2, usage=usage)
     assert usage["processes"] == 2 and usage["draw_threads"] == 1
@@ -1181,11 +1195,37 @@ def test_draw_threads_follow_the_cores(monkeypatch, cores, jobs, threads):
     assert usage["blocks"] == 1
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [dict(T=2), dict(T=3, time_effects=True),
+     dict(T=2, interactive_x=True, x_error_dist="uniform")],
+    ids=["T2", "T3-te", "T2-factor-uniform"],
+)
+def test_calibration_splits_over_the_cores(monkeypatch, fields):
+    # with SPLIT_UNITS at half its 7 x 50 units, a calibration runs in two
+    # processes on two cores (no draw thread) and on four (a thread each),
+    # in blocks of two, and kappa^2 keeps the bits of one process, inline
+    # on one core or threaded on two
+    from tmgpanel import montecarlo
+
+    monkeypatch.setattr(montecarlo, "MAX_BLOCK_UNITS", 2 * 50)
+    cfg, kappas, used = base_cfg(seed=8, **fields), set(), []
+    for cores, split in ((1, False), (2, False), (2, True), (4, True)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        monkeypatch.setattr(montecarlo, "SPLIT_UNITS", 7 * 50 // (2 if split else 1))
+        usage = {}
+        kappas.add(repr(calibrate_kappa(cfg, r_kappa=7, n_cal=50, usage=usage)))
+        used.append((usage["processes"], usage["draw_threads"], usage["blocks"]))
+    assert used == [(1, 0, 4), (1, 1, 4), (2, 0, 4), (2, 1, 4)]
+    assert len(kappas) == 1, kappas
+
+
 def test_a_stand_alone_block_fills_inline(monkeypatch):
     # one block has nothing to overlap, so it starts no draw thread
     from tmgpanel import montecarlo
 
-    monkeypatch.setattr(montecarlo, "_DRAW_THREAD", True)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert montecarlo._draw_threads(1) == 1
     opens, calls = _fills_on(monkeypatch)
     montecarlo.generate_block(base_cfg(n=30), [0, 1])
     generate_replication(base_cfg(n=30), 2)
