@@ -10,22 +10,24 @@ Replications are drawn and fitted in blocks: B replications stack on a leading
 axis, every estimator runs once over the block, and each replication fails
 alone, with its reason. A replication's numbers do not depend on its block.
 
-Every stream of a replication is filled into one draw slot. A process with
-two cores or more of its own fills the slots' innovations on one draw thread,
-in a ring ahead of the fits, one call per replication, and the consumer
-fills them itself rather than wait; the numbers do not depend on who fills.
+Every stream of a replication is filled into one draw slot, one array per
+part. The slots form a ring, taken in replication order ahead of the fits. A
+process with two cores or more of its own fills the slots' innovations on
+one draw thread, one call per replication, and while the next slot is not
+filled the consumer fills the oldest unclaimed one itself rather than wait;
+the numbers do not depend on who fills.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import numbers
 import queue
+import sys
 import threading
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import MISSING, dataclass, field, replace
 from typing import Sequence
 
@@ -286,115 +288,111 @@ def _roles(cfg: DgpConfig, n: int, calibration: bool = False) -> list:
     return [(_ROLE_X, x), (_ROLE_COEF, coef), (_ROLE_Y, y)]
 
 
-def _fill(rng: np.random.Generator, run: np.ndarray, uniform: bool) -> None:
-    (rng.random if uniform else rng.standard_normal)(out=run)
+def _fill(rng: np.random.Generator, out: np.ndarray, uniform: bool) -> None:
+    (rng.random if uniform else rng.standard_normal)(out=out)
 
 
 class _Slot(dict):
-    """One replication's raw draws by part, each a view of its run's flat
-    array. ``runs`` holds (role, [(array, uniform)]) for each stream;
-    ``index`` is the replication's place in the run, and ``rng`` its
-    regressor stream, open until the stream's last run is filled."""
+    """One replication's raw draws, one array per part. ``index`` is the
+    replication's place in the run and ``rng`` its regressor stream, open
+    until ``innovations`` (the array and its kind) is filled; ``done`` is
+    set once it is, and ``error`` holds the draw thread's exception if that
+    fill failed."""
 
 
 class _Draws:
     """The raw draws of a run of replications, one slot per replication,
     taken in replication order.
 
-    A slot holds one flat float64 array for each run of consecutive parts of
-    one kind (normal or uniform) of each stream of ``roles`` (see
-    :func:`_roles`), and the parts are views of it. A run is filled with one
-    ``standard_normal(out=)`` or ``random(out=)`` call. A Generator keeps no
-    state between such calls, so a run holds the bits of its parts filled
-    one by one, and the consumer, applying numpy's own ``normal(loc, s) =
-    loc + s z`` and ``uniform(lo, hi) = lo + (hi - lo) u``, gets every bit
-    that ``normal`` and ``uniform`` give.
+    A slot holds one float64 array for each part of each stream of ``roles``
+    (see :func:`_roles`), filled in stream order by one
+    ``standard_normal(out=)`` or ``random(out=)`` call. The consumer,
+    applying numpy's own ``normal(loc, s) = loc + s z`` and ``uniform(lo,
+    hi) = lo + (hi - lo) u``, gets every bit that ``normal`` and ``uniform``
+    give.
 
     The consumer opens each replication: for the first ring and whenever a
     slot is handed back, it opens the replication's streams from their
-    (seed, rep, role) keys and fills every run but the regressor stream's
-    last, which ends with the (n, 50 + T) innovations and holds most of the
-    draws ("the innovations" below). That run is one call, and numpy releases the GIL while it fills. With
-    ``threaded``, a draw thread fills it for the opened slots in order, so
-    the thread takes the GIL back once per replication and does nothing
-    else: opening a stream, or any arithmetic, on the thread would contend
-    with the fits for the GIL. When the next slot in replication order is
-    not finished, the consumer fills the oldest opened slot itself, and it
-    blocks only while the thread holds every opened one. Finished slots are
-    kept by index and taken in order. Inline, the same code runs on a ring
-    of one slot, filled when it is taken.
+    (seed, rep, role) keys and fills every part but the regressor stream's
+    last, the (n, 50 + T) innovations, which hold most of the draws. That
+    part is one call, and numpy releases the GIL while it fills. An opened
+    slot joins the back of the ring and of one queue of unclaimed slots.
+    With ``threaded``, a draw thread claims slots from that queue in order
+    and fills their innovations, so it takes the GIL back once per
+    replication and does nothing else: opening a stream, or any arithmetic,
+    on the thread would contend with the fits for the GIL. :meth:`take` pops
+    the ring's head; while the head is not done, the consumer claims the
+    oldest unclaimed slot and fills it itself, and it waits on the head only
+    while the thread holds it. Inline, the same code runs on a ring of one
+    slot, filled when it is taken.
 
     A threaded ring has _RING_SLOTS slots (fewer for fewer replications) and
     reaches across block boundaries. A fill's exception on the thread is
-    raised by :meth:`take`. Leaving the context stops and joins the thread.
-    ``waited`` counts the seconds the consumer blocked on the thread, and
-    ``consumer_fills`` the replications whose innovations it filled itself.
+    raised by the :meth:`take` of its slot. Leaving the context stops and
+    joins the thread. ``waited`` counts the seconds the consumer blocked on
+    the thread, and ``consumer_fills`` the replications whose innovations it
+    filled itself.
     """
 
     def __init__(self, seed: int, roles: list, reps: Sequence[int], threaded: bool = False):
         self.roles, self._seed, self._reps = roles, seed, reps
         self._threaded, self._thread, self._stop = threaded, None, False
-        self._ring = min(_RING_SLOTS if threaded else 1, len(reps))
-        self._opened, self._taken, self._finished = 0, 0, {}
+        self._opened = 0
         self.waited, self.consumer_fills = 0.0, 0
 
     def _slot(self) -> _Slot:
-        slot = _Slot()
-        slot.runs = []
-        for role, stream in self.roles:
-            arrays = []
-            for uniform, parts in itertools.groupby(stream, key=lambda part: part[2]):
-                sizes = [(part, shape, math.prod(shape)) for part, shape, _ in parts]
-                run, offset = np.empty(sum(size for _, _, size in sizes)), 0
-                for part, shape, size in sizes:
-                    slot[part] = run[offset:offset + size].reshape(shape)
-                    offset += size
-                arrays.append((run, uniform))
-            slot.runs.append((role, arrays))
+        slot = _Slot((part, np.empty(shape)) for _, parts in self.roles for part, shape, _ in parts)
+        part, _, uniform = self.roles[0][1][-1]
+        slot.innovations, slot.done = (slot[part], uniform), threading.Event()
         return slot
 
-    def _open(self, slot: _Slot) -> None:
-        """Open the next replication's streams in ``slot``, fill all but its
-        innovations and queue it, if a replication is left to open."""
+    def give(self, slot: _Slot) -> None:
+        """Hand a taken slot (or a new one) back: open the next replication's
+        streams in it, fill all but its innovations and queue it, if a
+        replication is left to open."""
         if self._opened == len(self._reps):
             return
-        rep, slot.index = self._reps[self._opened], self._opened
+        rep, slot.index, slot.error = self._reps[self._opened], self._opened, None
         self._opened += 1
-        (role, runs), *others = slot.runs
+        slot.done.clear()
+        (role, parts), *others = self.roles
         slot.rng = _stream(self._seed, rep, role)
-        for run, uniform in runs[:-1]:
-            _fill(slot.rng, run, uniform)
-        for role, runs in others:
+        for part, _, uniform in parts[:-1]:
+            _fill(slot.rng, slot[part], uniform)
+        for role, parts in others:
             rng = _stream(self._seed, rep, role)
-            for run, uniform in runs:
-                _fill(rng, run, uniform)
-        self._opened_slots.put(slot)
+            for part, _, uniform in parts:
+                _fill(rng, slot[part], uniform)
+        self._ring.append(slot)
+        self._unclaimed.put(slot)
 
     @staticmethod
     def _finish(slot: _Slot) -> None:
         """Fill the innovations of an opened slot, in one call."""
-        _fill(slot.rng, *slot.runs[0][1][-1])
+        _fill(slot.rng, *slot.innovations)
         slot.rng = None
 
     def _run(self) -> None:
-        try:
-            while True:
-                slot = self._opened_slots.get()
-                if self._stop:
-                    return
+        while True:
+            slot = self._unclaimed.get()
+            if self._stop:
+                return
+            try:
                 self._finish(slot)
-                self._filled.put(slot)
-        except BaseException as exc:  # raised again by take, in the consumer
-            self._filled.put(exc)
+            except BaseException as exc:  # raised again by take, in the consumer
+                slot.error = exc
+                return
+            finally:
+                slot.done.set()
 
     def __enter__(self):
-        self._opened_slots, self._filled = queue.SimpleQueue(), queue.SimpleQueue()
+        self._ring, self._unclaimed = deque(), queue.SimpleQueue()
         if self._threaded:
             self._thread = threading.Thread(target=self._run, name="tmgpanel-draws", daemon=True)
             self._thread.start()
         try:
-            for _ in range(self._ring):
-                self._open(self._slot())
+            for _ in range(min(_RING_SLOTS if self._threaded else 1, len(self._reps))):
+                self.give(self._slot())
         except BaseException:
             self.__exit__()
             raise
@@ -403,37 +401,29 @@ class _Draws:
     def __exit__(self, *exc) -> None:
         if self._thread is not None:
             self._stop = True
-            self._opened_slots.put(None)
+            self._unclaimed.put(None)
             self._thread.join()
 
     def take(self) -> _Slot:
-        """The next replication's finished slot; hand it back with :meth:`give`."""
-        index = self._taken
-        while index not in self._finished:
-            try:  # a slot the thread has finished
-                slot = self._filled.get_nowait()
-            except queue.Empty:
-                try:  # else the oldest opened slot, finished here
-                    slot = self._opened_slots.get_nowait()
-                except queue.Empty:  # else the thread holds them all
-                    t0 = time.perf_counter()
-                    slot = self._filled.get()
-                    self.waited += time.perf_counter() - t0
-                else:
-                    self._finish(slot)
-                    self.consumer_fills += 1
-            if isinstance(slot, BaseException):
-                raise slot
-            self._finished[slot.index] = slot
-        self._taken += 1
-        return self._finished.pop(index)
-
-    def give(self, slot: _Slot) -> None:
-        """Hand a taken slot back; it opens the next replication to open."""
-        self._open(slot)
+        """The next replication's filled slot; hand it back with :meth:`give`."""
+        head = self._ring.popleft()
+        while not head.done.is_set():
+            try:  # the oldest slot no one has claimed, filled here
+                slot = self._unclaimed.get_nowait()
+            except queue.Empty:  # else the thread holds the head
+                t0 = time.perf_counter()
+                head.done.wait()
+                self.waited += time.perf_counter() - t0
+            else:
+                self._finish(slot)
+                slot.done.set()
+                self.consumer_fills += 1
+        if head.error is not None:
+            raise head.error
+        return head
 
 
-def _draw_x(draws: _Draws, B: int, cfg: DgpConfig, n: int, f_path: np.ndarray | None = None):
+def _draw_x(draws: _Draws, B: int, cfg: DgpConfig, f_path: np.ndarray | None = None):
     """Factor-augmented heterogeneous AR(1) regressor paths for a block of B
     replications, the next B slots of ``draws``.
 
@@ -448,7 +438,7 @@ def _draw_x(draws: _Draws, B: int, cfg: DgpConfig, n: int, f_path: np.ndarray | 
     hands the slot back before the next is taken, so a block holds no
     (B, n, 50 + T) array and the slot opens a later replication meanwhile.
     """
-    steps = _BURN_IN + cfg.T
+    n, steps = cfg.n, _BURN_IN + cfg.T
     alpha_ix, z_ix = np.empty((B, n)), np.empty((B, n))
     rho_ix, gamma_ix = np.zeros((B, n)), np.zeros((B, n))
     out, e_ret = np.empty((B, n, cfg.T)), np.empty((B, n, cfg.T))
@@ -560,7 +550,7 @@ def _generate_block(
     run's draws whose next slots are those of ``reps``."""
     if cfg.kappa2 is None:
         raise ScenarioError("kappa2 is unset; calibrate it first (see calibrate_kappa)")
-    x, e_ret, sigma_ix, raw = _draw_x(draws, len(reps), cfg, cfg.n)
+    x, e_ret, sigma_ix, raw = _draw_x(draws, len(reps), cfg)
     lam = standardized_quadratic(e_ret, cfg.T, cfg.excess_kurtosis_x)
     alpha_i, beta_i = _draw_coefficients(raw["coef"], cfg, lam)
     u = np.sqrt(cfg.kappa2) * _draw_errors(raw, cfg, lam, e_ret)
@@ -747,7 +737,7 @@ def _moments(cfg: DgpConfig, reps: Sequence[int], f_path, draws: _Draws, tally: 
     """A calibration's :func:`_block_records`: per replication, mean(bx^2)
     and mean(bx) of bx = beta_i x_it, every one on the factor path ``f_path``."""
     t0 = time.perf_counter()
-    x, e_ret, _, raw = _draw_x(draws, len(reps), cfg, cfg.n, f_path=f_path)
+    x, e_ret, _, raw = _draw_x(draws, len(reps), cfg, f_path=f_path)
     lam = standardized_quadratic(e_ret, cfg.T, cfg.excess_kurtosis_x)
     _, beta_i = _draw_coefficients(raw["coef"], cfg, lam)
     t1 = time.perf_counter()
@@ -802,9 +792,13 @@ def _run(cfg: DgpConfig, reps: int, calibration: bool, extra: tuple, jobs, usage
     threads = _draw_threads(len(chunks))
     work = [(cfg, c, calibration, extra, threads) for c in chunks]
     if len(chunks) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a split run pays its import
+        import multiprocessing  # only a split run pays the imports
+        from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        # forked on Linux, as the CSV reader forks, whatever the default start
+        # method: the workers see this module as the caller left it
+        fork = multiprocessing.get_context("fork") if sys.platform.startswith("linux") else None
+        with ProcessPoolExecutor(max_workers=len(chunks), mp_context=fork) as pool:
             parts = list(pool.map(_worker, work))
     else:
         parts = [_worker(work[0])]

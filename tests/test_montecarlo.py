@@ -261,7 +261,7 @@ class TestRunExperiment:
         sizes = []
 
         class InProcessPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context=None):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -1072,10 +1072,10 @@ def _raises(*args):
 
 
 def test_fill_calls_per_replication(monkeypatch):
-    # the default T = 2 cell fills a replication in 5 calls: on the consumer,
-    # the regressor stream's alpha and z (one normal run) and rho (uniform),
-    # the coefficients, and the outcome stream's z_iu, e0 and g (one normal
-    # run); on the draw thread, the innovations
+    # the default T = 2 cell fills a replication in 8 calls, one per part: on
+    # the consumer, the regressor stream's alpha, z and rho, the coefficients,
+    # and the outcome stream's z_iu, e0 and g; on the draw thread, the
+    # innovations
     import time
     from collections import Counter
 
@@ -1085,7 +1085,7 @@ def test_fill_calls_per_replication(monkeypatch):
     opens, calls = _fills_on(monkeypatch)
     with montecarlo._Draws(cfg.seed, montecarlo._roles(cfg, cfg.n), reps, True) as draws:
         deadline = time.monotonic() + 60
-        while draws._filled.qsize() < len(reps):  # the thread finishes the ring
+        while not all(slot.done.is_set() for slot in draws._ring):  # the thread fills the ring
             assert time.monotonic() < deadline
             time.sleep(1e-3)
         for _ in reps:
@@ -1093,8 +1093,8 @@ def test_fill_calls_per_replication(monkeypatch):
     assert draws.consumer_fills == 0
     for rep in reps:
         assert Counter((role, thread) for r, role, thread in calls if r == rep) == {
-            (_ROLE_X, "MainThread"): 2, (_ROLE_X, "tmgpanel-draws"): 1,
-            (_ROLE_COEF, "MainThread"): 1, (_ROLE_Y, "MainThread"): 1,
+            (_ROLE_X, "MainThread"): 3, (_ROLE_X, "tmgpanel-draws"): 1,
+            (_ROLE_COEF, "MainThread"): 1, (_ROLE_Y, "MainThread"): 3,
         }
     # a fill's exception on the draw thread is raised when its slot is taken
     _fills_on(monkeypatch, fail_at=1)
@@ -1143,6 +1143,56 @@ def test_a_stalled_draw_thread_leaves_the_consumer_filling(monkeypatch):
         assert (usage["consumer_fills"], cal_usage["consumer_fills"]) == (5, 4)
         assert usage["draw_wait_seconds"] == cal_usage["draw_wait_seconds"] == 0.0
         runs.append(([r.rows() for r in results], kappa2))
+    assert runs[0] == runs[1]
+
+
+def test_a_jittered_ring_hands_out_replications_in_order(monkeypatch, eager_switches):
+    # random sleeps before every innovations fill, on the draw thread and on
+    # the consumer, change which slot is filled first: take still hands out
+    # the replications in order, each one's innovations are filled once, and
+    # the outputs keep the bits of inline draws
+    import random
+    import threading
+    import time
+    from collections import Counter
+
+    from tmgpanel import montecarlo
+
+    monkeypatch.setattr(montecarlo, "MAX_BLOCK_UNITS", 3 * 30)
+    cfg, reps, r_kappa = base_cfg(n=30, seed=14), 40, 9
+    parts = len(montecarlo._roles(cfg, cfg.n)[0][1])  # fill calls on the regressor stream
+    runs = []
+    for threaded in (False, True):
+        with monkeypatch.context() as mp:
+            cores = {0, 1} if threaded else {0}
+            mp.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+            _, calls = _fills_on(mp)
+            finish, take = montecarlo._Draws._finish, montecarlo._Draws.take
+            sleeps = {name: random.Random(seed) for seed, name in enumerate(sorted(_EITHER))}
+            taken = []
+
+            def jittered(slot):
+                time.sleep(sleeps[threading.current_thread().name].uniform(0.0, 2e-3))
+                finish(slot)
+
+            def recorded(draws):
+                slot = take(draws)
+                taken.append(slot.index)
+                return slot
+
+            mp.setattr(montecarlo._Draws, "_finish", staticmethod(jittered))
+            mp.setattr(montecarlo._Draws, "take", recorded)
+            usage, cal_usage = {}, {}
+            results = run_experiment(cfg, ["fe", "tmg", "hausman"], reps=reps, usage=usage)
+            kappa2 = calibrate_kappa(cfg, r_kappa=r_kappa, n_cal=30, usage=cal_usage)
+        assert taken == list(range(reps)) + list(range(r_kappa))
+        for role, count, used in ((_ROLE_X, reps, usage), (_ROLE_CAL_X, r_kappa, cal_usage)):
+            assert used["draw_threads"] == int(threaded)
+            fills = [(rep, thread) for rep, r, thread in calls if r == role]
+            assert Counter(rep for rep, _ in fills) == {rep: parts for rep in range(count)}
+            on_main = sum(thread == "MainThread" for _, thread in fills)
+            assert on_main - (parts - 1) * count == used["consumer_fills"]
+        runs.append(repr(([r.rows() for r in results], kappa2)))  # repr: the rows hold NaN
     assert runs[0] == runs[1]
 
 
@@ -1218,6 +1268,30 @@ def test_calibration_splits_over_the_cores(monkeypatch, fields):
         used.append((usage["processes"], usage["draw_threads"], usage["blocks"]))
     assert used == [(1, 0, 4), (1, 1, 4), (2, 0, 4), (2, 1, 4)]
     assert len(kappas) == 1, kappas
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers fork on Linux")
+def test_split_runs_fork_whatever_the_default_start_method(monkeypatch):
+    # under forkserver, Python 3.14's default on Linux, a split calibration's
+    # workers still fork, so they fit blocks of the MAX_BLOCK_UNITS patched
+    # here and kappa^2 keeps the bits of one process
+    import multiprocessing
+
+    from tmgpanel import montecarlo
+
+    monkeypatch.setattr(montecarlo, "MAX_BLOCK_UNITS", 2 * 50)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg, usage = base_cfg(seed=8), {}
+    one = calibrate_kappa(cfg, r_kappa=7, n_cal=50)
+    monkeypatch.setattr(montecarlo, "SPLIT_UNITS", 7 * 50 // 2)
+    method = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("forkserver", force=True)
+    try:
+        split = calibrate_kappa(cfg, r_kappa=7, n_cal=50, usage=usage)
+    finally:
+        multiprocessing.set_start_method(method, force=True)
+    assert (usage["processes"], usage["blocks"]) == (2, 4)
+    assert repr(split) == repr(one)
 
 
 def test_a_stand_alone_block_fills_inline(monkeypatch):
