@@ -23,8 +23,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import pickle
 import queue
-import sys
 import threading
 import time
 from collections import Counter, deque
@@ -37,7 +37,7 @@ from .designs import void, within
 from .errors import NumericalError, ScenarioError
 from .estimators import DEFAULT_ALPHA_GP, fe, gp, mg, tmg
 from .hausman import HausmanResult, hausman_no_te, hausman_te
-from .panel import BalancedPanel, PanelBlock, _cores, _processes
+from .panel import BalancedPanel, PanelBlock, _cores, _forked, _processes
 from .timeeffects import fete, gp_te, tmg_te
 from .trimming import DEFAULT_ALPHA, TrimConfig
 
@@ -218,18 +218,23 @@ class ReplicationTruth:
 #: draws after the burn-in, once per block; at n = 1000 that overhead is about
 #: twice one replication's own fit time (README, "The cap"). Its price is
 #: peak memory: every per-unit array of the fits gains the leading axis.
-#: Those arrays grow with n*T*k at most (the projectors are kept in factor
-#: form, so none grows with T^2), and T is short, so the cap counts units.
 #: The n = 1000 cells run blocks of ten, a 5000-unit design blocks of two and
 #: a design of more than 5000 units one replication at a time. It caps the
 #: fits, not the draws: the draw slots are opened and filled ahead across
 #: block boundaries, blocks of one included. Results do not depend on it.
 MAX_BLOCK_UNITS = 10000
 
+#: Cap on B*n*T, the (unit, period) cells of a block. The fits' arrays grow
+#: with n*T*k at most (the projectors are kept in factor form, so none grows
+#: with T^2), about 30 doubles a cell with time effects. At T <= 8 the units
+#: cap is the lower, so this one binds only at longer T: n = 200 at T = 400
+#: runs one replication at a time, where a block of 50 peaked at 954 MiB.
+MAX_BLOCK_CELLS = 8 * MAX_BLOCK_UNITS
 
-def block_size(n: int) -> int:
-    """Most replications per block for an n-unit design."""
-    return max(1, MAX_BLOCK_UNITS // n)
+
+def block_size(n: int, T: int) -> int:
+    """Most replications per block for an n-unit, T-period design."""
+    return max(1, min(MAX_BLOCK_UNITS // n, MAX_BLOCK_CELLS // (n * T)))
 
 
 def _blocks(reps: Sequence[int], size: int) -> list[Sequence[int]]:
@@ -264,12 +269,12 @@ def _draw_threads(processes: int) -> int:
     return int(_cores() // processes >= 2)
 
 
-def _roles(cfg: DgpConfig, n: int, calibration: bool = False) -> list:
-    """The streams a replication of an n-unit design draws from: (role,
+def _roles(cfg: DgpConfig, calibration: bool = False) -> list:
+    """The streams a replication of ``cfg`` draws from: (role,
     parts), each part (name, shape, drawn uniform) in the stream's own order,
     the regressor stream first. A calibration draws no outcomes, and its
     replications share one factor path, so they draw no factor shocks."""
-    steps = _BURN_IN + cfg.T
+    n, steps = cfg.n, _BURN_IN + cfg.T
     x = [("alpha", (n,), False), ("z", (n,), False)]
     if cfg.rho_ix_mode == "uniform095":
         x.append(("rho", (n,), True))
@@ -539,7 +544,7 @@ def generate_block(cfg: DgpConfig, reps: Sequence[int]) -> tuple[PanelBlock, Rep
     axis and a truth record whose arrays carry the same axis. Each replication
     draws from its own (seed, rep, role) streams, so its values do not depend
     on the block it is drawn in."""
-    with _Draws(cfg.seed, _roles(cfg, cfg.n), reps) as draws:
+    with _Draws(cfg.seed, _roles(cfg), reps) as draws:
         return _generate_block(cfg, reps, draws)
 
 
@@ -767,18 +772,18 @@ def _concat(parts: list[dict]) -> dict:
     return {tag: tuple(map(np.concatenate, zip(*[p[tag] for p in parts]))) for tag in parts[0]}
 
 
-def _worker(args):
+def _worker(cfg: DgpConfig, reps: Sequence[int], calibration: bool, extra: tuple, processes: int):
     """The :func:`_block_records` (a calibration's :func:`_moments`) of the
     replications ``reps``, each block's call given ``extra``, fitted in the
     fewest blocks of at most :func:`block_size` consecutive entries, of
     balanced sizes, and joined in replication order, with the tally of
-    :func:`_record`. With ``threads``, one draw thread fills the innovations
+    :func:`_record`. It is one of a run's ``processes``, and where
+    :func:`_draw_threads` gives it one, a draw thread fills the innovations
     of every block ahead of the fits; it is joined before this returns."""
-    cfg, reps, calibration, extra, threads = args
     records = _moments if calibration else _block_records
     tally = Counter()
-    with _Draws(cfg.seed, _roles(cfg, cfg.n, calibration), reps, threaded=threads > 0) as draws:
-        blocks = _blocks(reps, block_size(cfg.n))
+    with _Draws(cfg.seed, _roles(cfg, calibration), reps, _draw_threads(processes) > 0) as draws:
+        blocks = _blocks(reps, block_size(cfg.n, cfg.T))
         parts = [records(cfg, block, *extra, draws, tally) for block in blocks]
     tally.update(wait=draws.waited, consumer_fills=draws.consumer_fills)
     return _concat(parts), tally
@@ -786,23 +791,22 @@ def _worker(args):
 
 def _run(cfg: DgpConfig, reps: int, calibration: bool, extra: tuple, jobs, usage) -> dict:
     """The :func:`_worker` records of replications 0..reps-1, split into runs
-    of consecutive ones over ``jobs`` processes (else one per SPLIT_UNITS
-    units), at most one per core, and joined in order; :func:`_record` into ``usage``."""
+    of consecutive ones over :func:`_processes` processes (``jobs``, else one
+    per SPLIT_UNITS units), each run in a forked child (:func:`_forked`) where
+    there are two or more, and joined in order; :func:`_record` into
+    ``usage``. If a child fails, this process runs them all, as a run of one
+    process does."""
     chunks = _blocks(range(reps), -(-reps // _processes(reps * cfg.n, SPLIT_UNITS, jobs)))
-    threads = _draw_threads(len(chunks))
-    work = [(cfg, c, calibration, extra, threads) for c in chunks]
-    if len(chunks) > 1:
-        import multiprocessing  # only a split run pays the imports
-        from concurrent.futures import ProcessPoolExecutor
-
-        # forked on Linux, as the CSV reader forks, whatever the default start
-        # method: the workers see this module as the caller left it
-        fork = multiprocessing.get_context("fork") if sys.platform.startswith("linux") else None
-        with ProcessPoolExecutor(max_workers=len(chunks), mp_context=fork) as pool:
-            parts = list(pool.map(_worker, work))
+    # each worker's pickle is read whole, and loaded once every worker exited 0
+    blobs = _forked(
+        chunks, lambda c, pipe: pickle.dump(_worker(cfg, c, calibration, extra, len(chunks)), pipe),
+        lambda pipes: [p.read() for p in pipes],
+    ) if len(chunks) > 1 else None
+    if blobs is None:  # one process, as chosen or after a failed worker
+        parts = [_worker(cfg, range(reps), calibration, extra, 1)]
     else:
-        parts = [_worker(work[0])]
-    _record(usage, len(chunks), threads, sum((s for _, s in parts), Counter()))
+        parts = list(map(pickle.loads, blobs))
+    _record(usage, len(parts), _draw_threads(len(parts)), sum((s for _, s in parts), Counter()))
     return _concat([p for p, _ in parts])
 
 
@@ -864,9 +868,12 @@ def run_experiment(
     ``beta0_grid`` adds a power curve (rejection of beta = b over the grid)
     for every coefficient-reporting estimator. Failures propagate as skipped
     replications, counted per estimator and by reason. Replications are drawn
-    and fitted in blocks (see MAX_BLOCK_UNITS), and each worker (``jobs``,
-    else see SPLIT_UNITS; at most one per core) takes a run of consecutive
-    replications; neither the block size nor the workers change any result.
+    and fitted in blocks (see MAX_BLOCK_UNITS and MAX_BLOCK_CELLS), and each
+    worker (``jobs``, else see SPLIT_UNITS; at most one per core) takes a run
+    of consecutive replications; neither the block size nor the workers
+    change any result. Workers are forked only on Linux with no other Python
+    thread alive (``panel._processes``); otherwise, and if a worker fails,
+    this process runs every replication.
 
     Each worker process with two cores or more of its own (cores // workers)
     fills its innovations on one draw thread, ahead of its fits; this

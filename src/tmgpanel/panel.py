@@ -21,8 +21,8 @@ A UTF-8 byte-order mark at the start of a CSV (Excel's "CSV UTF-8") is
 skipped.
 
 A large CSV is parsed on every core the process may run on: forked children
-each parse a run of whole lines, and the parent reads their rows into the one
-table (:func:`_split_loadtxt`).
+(:func:`_forked`) each parse a run of whole lines, and the parent reads their
+rows into the one table (:func:`_split_loadtxt`).
 
 An id column is parsed at 16 bytes per id. If any id fills that width it may
 have been cut short, so that column alone is parsed again at four times the
@@ -520,8 +520,14 @@ def _cores() -> int:
 
 
 def _processes(work: int, unit: int, jobs: int | None = None) -> int:
-    """``jobs``, else one process per ``unit`` of ``work`` (at least one); at most one per core."""
-    return min(_cores(), max(1, work // unit) if jobs is None else jobs)
+    """``jobs``, else one process per ``unit`` of ``work`` (at least one); at
+    most one per core. It is 1 where this process may not fork (see
+    :func:`_forked`): off Linux, without ``os.fork``, or with another Python
+    thread alive, which may hold a lock at the fork that the child then
+    waits on for ever."""
+    if sys.platform.startswith("linux") and hasattr(os, "fork") and threading.active_count() == 1:
+        return min(_cores(), max(1, work // unit) if jobs is None else jobs)
+    return 1
 
 
 def _runs(data: bytes, start: int) -> list:
@@ -529,19 +535,13 @@ def _runs(data: bytes, start: int) -> list:
     children parse of a CSV whose data rows begin at ``start``; [] where this
     process parses it whole.
 
-    A run ends after an LF, which ends a record only where no field is
-    quoted, so a CSV holding ``"`` is not cut. Forked children need Linux's
-    ``fork`` and a process with no other Python thread, and there must be two
+    The runs are one per process of :func:`_processes`, which forks only
+    where it may. A run ends after an LF, which ends a record only where no
+    field is quoted, so a CSV holding ``"`` is not cut; and there must be two
     runs or more, each holding a data row.
     """
     count = _processes(len(data), SPLIT_BYTES)
-    if (
-        count < 2
-        or not sys.platform.startswith("linux")
-        or not hasattr(os, "fork")
-        or threading.active_count() > 1
-        or b'"' in data
-    ):
+    if count < 2 or b'"' in data:
         return []
     cuts = [0]
     for i in range(1, count):
@@ -557,42 +557,25 @@ def _runs(data: bytes, start: int) -> list:
 
 def _split_loadtxt(data: bytes, dtype: np.dtype, runs: list) -> np.ndarray | None:
     """``_loadtxt(data, dtype)``, parsed by one forked child per run of
-    ``runs``, or None if a child fails.
+    ``runs`` (:func:`_forked`), or None if a child fails.
 
     Each child slices its own run and parses it with the same arguments (only
-    the first run skips the header); it writes its row count and then its raw
-    rows to a pipe, and ends with ``os._exit``. This process parses nothing:
-    it reads every count, allocates the one table, and reads each child's
-    rows into it, in order. Every child is reaped on every path, and one
-    still running when the read ends early is killed first.
-
-    Fork and a pipe, not ``multiprocessing``: fork, ``_exit`` and ``waitpid``
-    take 3-5 ms, where spawning a process and importing numpy take about
-    0.19 s, about the whole parse it would save (2-core x86-64 VM, numpy
-    2.4). The children's memory is outside this process's ``ru_maxrss``.
+    the first run skips the header), and writes its row count and then its
+    raw rows. A warning fails it too, so the in-process parse that follows
+    gives the warning as it would without children. This process parses
+    nothing: it reads every count, allocates the one table, and reads each
+    child's rows into it, in order.
     """
-    children: list = []  # pids not yet reaped
-    with contextlib.ExitStack() as stack:
-        stack.callback(_reap, children, kill=True)
-        pipes = []
-        # a child blocks SIGINT for its whole life: an interrupt reaches this
-        # process only, which then kills and reaps the children
-        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
-            for lo, hi in runs:
-                r, w = os.pipe()
-                pipes.append(stack.enter_context(open(r, "rb", buffering=0)))
-                try:
-                    pid = os.fork()
-                    if pid == 0:
-                        _parse_run(data[lo:hi], dtype, lo == 0, w, [p.fileno() for p in pipes])
-                finally:
-                    os.close(w)
-                children.append(pid)
-        except OSError:  # no pipe or process to be had: this process parses
-            return None
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+
+    def parse(run, pipe):
+        lo, hi = run
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = _loadtxt(data[lo:hi], dtype, skiprows=int(lo == 0))
+        pipe.write(len(table).to_bytes(8, "little"))
+        pipe.write(table.view(np.uint8))
+
+    def read(pipes):
         counts = np.zeros(len(pipes), dtype="<i8")
         if not all(_fill(p, counts[j : j + 1]) for j, p in enumerate(pipes)):
             return None
@@ -602,26 +585,63 @@ def _split_loadtxt(data: bytes, dtype: np.dtype, runs: list) -> np.ndarray | Non
         for p, lo, hi in zip(pipes, [0, *ends[:-1].tolist()], ends.tolist()):
             if not _fill(p, rows[lo:hi]):
                 return None
-        if not _reap(children):
-            return None
         return table
 
+    return _forked(runs, parse, read)
 
-def _parse_run(run: bytes, dtype: np.dtype, first: bool, out: int, inherited: list):
-    """A forked child's whole life: parse ``run`` and write its row count and
-    raw rows to the pipe ``out``. It never returns; its exit status is 0 only
-    if every row was written. A warning fails it too, so the in-process parse
-    that follows gives the warning as it would without children."""
+
+def _forked(items: Sequence, work, read):
+    """``read(pipes)``, the read ends of the pipes of one forked child per
+    item of ``items``, each child running ``work(item, pipe)`` on the write
+    end of its own pipe; or None if a fork or pipe fails, ``read`` returns
+    None or a child does not exit with status 0.
+
+    A child runs ``work`` and ends with ``os._exit``, with status 0 only if
+    ``work`` returned. Every child is reaped on every path, and one still
+    running when ``read`` ends early, fails or is interrupted is killed
+    first. Only :func:`_processes` decides whether this process may fork.
+
+    Fork and a pipe, not a spawned process pool: fork, ``_exit`` and ``waitpid``
+    take 3-5 ms, where spawning a process and importing numpy take about
+    0.19 s, about the whole CSV parse it would save (2-core x86-64 VM, numpy
+    2.4), and a child sees its parent's module state as the caller left it.
+    The children's memory is outside this process's ``ru_maxrss``.
+    """
+    children: list = []  # pids not yet reaped
+    with contextlib.ExitStack() as stack:
+        stack.callback(_reap, children, kill=True)
+        pipes = []
+        # a child blocks SIGINT for its whole life: an interrupt reaches this
+        # process only, which then kills and reaps the children
+        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for item in items:
+                r, w = os.pipe()
+                pipes.append(stack.enter_context(open(r, "rb", buffering=0)))
+                with open(w, "wb", buffering=0) as out:
+                    pid = os.fork()
+                    if pid == 0:
+                        _child(work, item, out, [p.fileno() for p in pipes])
+                children.append(pid)
+        except OSError:  # no pipe or process to be had
+            return None
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+        result = read(pipes)
+        if result is None or not _reap(children):
+            return None
+        return result
+
+
+def _child(work, item, out, inherited: list):
+    """A forked child's whole life: ``work(item, pipe)`` on a buffered writer
+    over ``out``, the raw write end of its pipe. It never returns."""
     status = 1
     try:
         for fd in inherited:  # the read ends: a write must fail once the parent is gone
             os.close(fd)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = _loadtxt(run, dtype, skiprows=int(first))
-        with open(out, "wb") as pipe:
-            pipe.write(len(table).to_bytes(8, "little"))
-            pipe.write(table.view(np.uint8))
+        with io.BufferedWriter(out) as pipe:  # a raw write to a pipe may be partial
+            work(item, pipe)
         status = 0
     finally:
         os._exit(status)

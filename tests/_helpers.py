@@ -1,4 +1,9 @@
+import contextlib
+import os
+import threading
+
 import numpy as np
+import pytest
 
 from tmgpanel import BalancedPanel
 
@@ -22,3 +27,22 @@ QUOTED_IDS_CSV = (
     '"a,b",1,0.5,1\n"a,b",2,"0.5",2\n" 1",1,0,1\n" 1",2,1,3\n'
     '"q""x",1,0,1\n"q""x",2,1,5\n1,1,0,1\n1,2,1,7\n#2,1,0,1\n#2,2,1,9\n'
 )
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def foreign_thread():
+    """A second Python thread, alive for the block and joined after it."""
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, name="foreign")
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()

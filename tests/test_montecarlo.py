@@ -254,31 +254,13 @@ class TestRunExperiment:
             run_experiment(base_cfg(n=20), ["fe"], **args)
 
     def test_workers_capped_at_the_cores(self, monkeypatch):
-        # jobs=64 on two cores starts two workers, and the results are those
-        # of one; the pool runs in this process and records its size
-        import concurrent.futures
-
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers, mp_context=None):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        # jobs=64 on two cores runs in two processes, and the results are
+        # those of one
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        cfg = base_cfg(n=80, seed=31)
+        cfg, usage = base_cfg(n=80, seed=31), {}
         one = run_experiment(cfg, ["fe", "tmg", "hausman"], reps=8, jobs=1)
-        many = run_experiment(cfg, ["fe", "tmg", "hausman"], reps=8, jobs=64)
-        assert sizes == [2]
+        many = run_experiment(cfg, ["fe", "tmg", "hausman"], reps=8, jobs=64, usage=usage)
+        assert usage["processes"] == 2
         for a, b in zip(one, many):
             _fields_equal(a, b)
 
@@ -454,7 +436,7 @@ def test_results_independent_of_block_size_and_jobs(monkeypatch, cfg):
             runs.append(run_experiment(cfg, tags, reps, beta0_grid=[0.5, 1.0], jobs=jobs))
         usage = {}
         kappas.add(repr(calibrate_kappa(cal_cfg, reps, cfg.n, usage)))
-        assert usage["blocks"] == len(_blocks(range(reps), block_size(cfg.n)))
+        assert usage["blocks"] == len(_blocks(range(reps), block_size(cfg.n, cfg.T)))
     # the workers count in their own processes
     assert blocks[::3] == [[1] * reps, [4] * (reps // 4), [reps]]
     assert len(kappas) == 1, kappas
@@ -514,7 +496,7 @@ def test_fewest_balanced_blocks(n, reps, sizes):
     # the fewest blocks of at most MAX_BLOCK_UNITS units, as equal as possible
     from tmgpanel.montecarlo import _blocks, block_size
 
-    blocks = _blocks(list(range(reps)), block_size(n))
+    blocks = _blocks(list(range(reps)), block_size(n, 2))
     assert [len(b) for b in blocks] == sizes
     assert [r for b in blocks for r in b] == list(range(reps))
 
@@ -809,7 +791,7 @@ class TestScenario:
 
 
 def test_import_leaves_process_pool_out():
-    # run_experiment imports the process pool only when it splits the work
+    # a split run forks its workers itself, with no process pool
     src = str(Path(tmgpanel.__file__).resolve().parents[1])
     script = "import sys, tmgpanel; print('concurrent.futures.process' in sys.modules)"
     proc = subprocess.run(
@@ -885,7 +867,7 @@ def _outputs(monkeypatch, cfg, tmp_path, label, threaded):
 
     panel, truth = generate_replication(cfg, 4)
     reps = [1, 2, 3]
-    with montecarlo._Draws(cfg.seed, montecarlo._roles(cfg, cfg.n), reps, threaded) as draws:
+    with montecarlo._Draws(cfg.seed, montecarlo._roles(cfg), reps, threaded) as draws:
         block, block_truth = montecarlo._generate_block(cfg, reps, draws)
     arrays = [panel.y, panel.x, block.y, block.x]
     arrays += [getattr(t, f.name) for t in (truth, block_truth) for f in dataclasses.fields(t)]
@@ -1083,7 +1065,7 @@ def test_fill_calls_per_replication(monkeypatch):
 
     cfg, reps = base_cfg(n=30), [0, 1, 2]
     opens, calls = _fills_on(monkeypatch)
-    with montecarlo._Draws(cfg.seed, montecarlo._roles(cfg, cfg.n), reps, True) as draws:
+    with montecarlo._Draws(cfg.seed, montecarlo._roles(cfg), reps, True) as draws:
         deadline = time.monotonic() + 60
         while not all(slot.done.is_set() for slot in draws._ring):  # the thread fills the ring
             assert time.monotonic() < deadline
@@ -1098,7 +1080,7 @@ def test_fill_calls_per_replication(monkeypatch):
         }
     # a fill's exception on the draw thread is raised when its slot is taken
     _fills_on(monkeypatch, fail_at=1)
-    with montecarlo._Draws(cfg.seed, montecarlo._roles(cfg, cfg.n), reps, True) as draws:
+    with montecarlo._Draws(cfg.seed, montecarlo._roles(cfg), reps, True) as draws:
         draws._thread.join(timeout=60)  # it finishes replication 0 and stops at 1
         assert not draws._thread.is_alive()
         draws.give(draws.take())
@@ -1160,7 +1142,7 @@ def test_a_jittered_ring_hands_out_replications_in_order(monkeypatch, eager_swit
 
     monkeypatch.setattr(montecarlo, "MAX_BLOCK_UNITS", 3 * 30)
     cfg, reps, r_kappa = base_cfg(n=30, seed=14), 40, 9
-    parts = len(montecarlo._roles(cfg, cfg.n)[0][1])  # fill calls on the regressor stream
+    parts = len(montecarlo._roles(cfg)[0][1])  # fill calls on the regressor stream
     runs = []
     for threaded in (False, True):
         with monkeypatch.context() as mp:
@@ -1292,6 +1274,118 @@ def test_split_runs_fork_whatever_the_default_start_method(monkeypatch):
         multiprocessing.set_start_method(method, force=True)
     assert (usage["processes"], usage["blocks"]) == (2, 4)
     assert repr(split) == repr(one)
+
+
+# ---------------------------------------------------------------------------
+# the fork rule and failed workers
+# ---------------------------------------------------------------------------
+
+
+def _split_run(monkeypatch):
+    """Two patched cores and a 20-replication n = 40 run that splits in two
+    on them; its arguments and the rows of the run in one process."""
+    from tmgpanel import montecarlo
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(montecarlo, "SPLIT_UNITS", 20 * 40 // 2)
+    cfg, tags = base_cfg(n=40, seed=13), ["fe", "tmg", "hausman"]
+    return (cfg, tags, 20), run_experiment(cfg, tags, 20, jobs=1)
+
+
+def test_no_fork_with_another_thread_alive(monkeypatch):
+    # a thread that holds a lock at a fork can leave the child waiting for
+    # ever: with another thread alive a run of a split size stays in this
+    # process, with the draw thread of one process on two cores
+    from _helpers import foreign_thread
+
+    args, whole = _split_run(monkeypatch)
+    fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    usage = {}
+    with foreign_thread():
+        got = run_experiment(*args, usage=usage)
+    assert (usage["processes"], usage["draw_threads"], len(forks)) == (1, 1, 0)
+    for a, b in zip(whole, got):
+        _fields_equal(a, b)
+    run_experiment(*args, usage=usage)  # the same run forks without the thread
+    assert (usage["processes"], len(forks)) == (2, 2)
+
+
+@pytest.mark.parametrize("fault", ["child killed", "child exits 7 after writing", "second fork fails"])
+def test_failed_worker_leaves_the_run_to_this_process(monkeypatch, fault):
+    import signal
+
+    from _helpers import assert_no_child_left
+    from tmgpanel import montecarlo
+
+    args, whole = _split_run(monkeypatch)
+    parent, records, fork, exit_ = os.getpid(), montecarlo._block_records, os.fork, os._exit
+    forks = []
+
+    def exit_7(status):
+        exit_(7 if os.getpid() != parent else status)
+
+    def crash_in_child(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return records(*args)
+
+    def fork_once():
+        forks.append(1)
+        if len(forks) > 1:
+            raise BlockingIOError("fork: Resource temporarily unavailable")
+        return fork()
+
+    faults = {
+        "child killed": (montecarlo, "_block_records", crash_in_child),
+        "child exits 7 after writing": (os, "_exit", exit_7),
+        "second fork fails": (os, "fork", fork_once),
+    }
+    monkeypatch.setattr(*faults[fault])
+    usage = {}
+    got = run_experiment(*args, usage=usage)
+    assert_no_child_left()
+    assert (usage["processes"], usage["draw_threads"]) == (1, 1)
+    for a, b in zip(whole, got):
+        _fields_equal(a, b)
+
+
+def test_interrupted_run_reaps_every_child(monkeypatch):
+    # the first worker interrupts this process while it reads the results,
+    # then sleeps: every worker is killed and reaped before the interrupt
+    # leaves run_experiment. The worker waits for the forks to end first: a
+    # SIGINT sent while this process blocks it goes to another of its threads
+    # (numpy's BLAS has one), which can leave the read blocked to its end
+    import signal
+    import time
+
+    from _helpers import assert_no_child_left
+    from tmgpanel import montecarlo
+
+    args, _ = _split_run(monkeypatch)
+    parent, records = os.getpid(), montecarlo._block_records
+
+    def interrupt_then_sleep(cfg, reps, *args):
+        if os.getpid() != parent and reps[0] == 0:
+            time.sleep(0.5)
+            os.kill(parent, signal.SIGINT)
+            time.sleep(20)
+        return records(cfg, reps, *args)
+
+    monkeypatch.setattr(montecarlo, "_block_records", interrupt_then_sleep)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(*args)
+    assert_no_child_left()
+    assert time.perf_counter() - t0 < 10
+
+
+def test_long_panels_block_by_cells():
+    # at n = 200, T = 400 a replication holds the whole cells cap: blocks of
+    # one, where the units cap alone allowed 50
+    usage = {}
+    run_experiment(base_cfg(n=200, T=400), ["fe"], reps=4, jobs=1, usage=usage)
+    assert usage["blocks"] == 4
 
 
 def test_a_stand_alone_block_fills_inline(monkeypatch):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import tmgpanel
 
-from _helpers import QUOTED_IDS_CSV
+from _helpers import QUOTED_IDS_CSV, assert_no_child_left, foreign_thread
 from tmgpanel import panel as panel_module
 from tmgpanel import (
     BalancedPanel,
@@ -157,11 +157,6 @@ def test_shape_mismatch_rejected():
 
 
 HEADER = "unit_id,time_id,y,x1\n"
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @contextlib.contextmanager
@@ -594,6 +589,16 @@ def test_quoted_csv_is_read_whole():
 
 #: nine units of two periods: two runs of whole lines with a split size of 1
 SMALL_CSV = HEADER + "".join(f"{u},{t},{u * t}.5,{u - t}.25\n" for u in range(9) for t in (1, 2))
+
+
+def test_no_split_read_with_another_thread_alive():
+    # the fork rule: a thread that holds a lock at a fork can leave the child
+    # waiting for ever, so with another thread alive this process parses
+    usage = {}
+    with foreign_thread(), cores(2, split_bytes=1):
+        got = read_panel_csv(io.StringIO(SMALL_CSV), usage)
+    assert usage == {"read_processes": 1}
+    assert_same_panel(got, read_panel_csv(io.StringIO(SMALL_CSV)))
 
 
 @pytest.mark.parametrize("fault", ["child killed", "child exits 7 after writing", "second fork fails"])
