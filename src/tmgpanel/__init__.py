@@ -3,6 +3,9 @@
 Trimmed mean group estimators (with and without common time effects),
 pooled fixed-effects baselines, Hausman tests of correlated heterogeneity,
 and a reproducible Monte Carlo engine.
+
+The engine's names load :mod:`tmgpanel.montecarlo` on first use, so
+``import tmgpanel`` and the CSV commands start without it.
 """
 
 __version__ = "0.1.0"
@@ -35,14 +38,6 @@ from .estimators import (
     tmg,
 )
 from .hausman import HausmanResult, chisq_sf, hausman_no_te, hausman_te
-from .montecarlo import (
-    DgpConfig,
-    McResult,
-    ReplicationTruth,
-    calibrate_kappa,
-    generate_replication,
-    run_experiment,
-)
 from .panel import BalancedPanel, PanelBlock, load_panel, read_panel_csv
 from .timeeffects import (
     TimeEffects,
@@ -104,3 +99,25 @@ __all__ = [
     "tmg_te",
     "within",
 ]
+
+#: The names of the Monte Carlo engine, resolved on first use (PEP 562).
+_MONTE_CARLO = frozenset({
+    "DgpConfig",
+    "McResult",
+    "ReplicationTruth",
+    "calibrate_kappa",
+    "generate_replication",
+    "run_experiment",
+})
+
+
+def __getattr__(name: str):
+    if name in _MONTE_CARLO:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    return sorted(globals().keys() | _MONTE_CARLO)

@@ -7,6 +7,9 @@ used, with its timings split into draw and fit seconds.
 A Monte Carlo run splits over the cores the process may run on (``taskset``
 limits them) as its size allows; simulation and calibration outputs are
 byte-reproducible for a given scenario and seed, whatever the split.
+
+Only the Monte Carlo commands import the Monte Carlo engine
+(:mod:`tmgpanel.montecarlo`), so ``estimate`` and ``test`` start without it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import time
 from dataclasses import asdict, replace
 from itertools import compress
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,19 +33,12 @@ from . import __version__
 from .designs import blockwise
 from .errors import NumericalError, PanelInputError
 from .estimators import DEFAULT_ALPHA_GP
-from .montecarlo import (
-    MAX_REPS,
-    MAX_UNITS,
-    TE_TAGS,
-    TEST_TAGS,
-    _TAG_FITS,
-    DgpConfig,
-    calibrate_kappa,
-    load_scenario,
-    run_experiment,
-)
 from .panel import read_panel_csv
+from .tags import MAX_REPS, MAX_UNITS, TE_TAGS, TEST_TAGS, _TAG_FITS
 from .trimming import DEFAULT_ALPHA, TrimConfig
+
+if TYPE_CHECKING:
+    from .montecarlo import DgpConfig
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -330,7 +327,9 @@ def _run_test(args) -> int:
 
 def _prepare_scenario(args):
     """The scenario, checked as it loads, with --seed applied, and its settings."""
-    cfg, extras = load_scenario(args.scenario)
+    from . import montecarlo
+
+    cfg, extras = montecarlo.load_scenario(args.scenario)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg, extras
@@ -340,10 +339,12 @@ def _ensure_kappa(cfg: DgpConfig, usage: dict) -> tuple[DgpConfig, bool, float]:
     """The scenario with kappa^2 set, whether it was calibrated, and the
     seconds the calibration took (0 when the scenario gives kappa^2); a
     calibration records its ``usage``."""
+    from . import montecarlo
+
     if cfg.kappa2 is not None:
         return cfg, False, 0.0
     t0 = time.perf_counter()
-    cfg = replace(cfg, kappa2=calibrate_kappa(cfg, usage=usage))
+    cfg = replace(cfg, kappa2=montecarlo.calibrate_kappa(cfg, usage=usage))
     return cfg, True, time.perf_counter() - t0
 
 
@@ -398,6 +399,8 @@ def _power_grid(args, cfg: DgpConfig, extras: dict) -> np.ndarray:
 
 def _run_monte_carlo(args) -> int:
     """simulate, or power: the same run with a slope grid, written as a curve."""
+    from . import montecarlo
+
     t0 = time.perf_counter()
     cfg, extras = _prepare_scenario(args)
     reps = args.reps if args.reps is not None else extras["reps"]
@@ -407,7 +410,7 @@ def _run_monte_carlo(args) -> int:
     cfg, calibrated, cal_seconds = _ensure_kappa(cfg, cal_usage)
     t_rep = time.perf_counter()
     usage: dict = {}
-    results = run_experiment(
+    results = montecarlo.run_experiment(
         cfg,
         extras["estimators"],
         reps,
@@ -455,11 +458,13 @@ def _run_monte_carlo(args) -> int:
 
 
 def _run_calibrate(args) -> int:
+    from . import montecarlo
+
     t0 = time.perf_counter()
     cfg, _ = _prepare_scenario(args)
     t_cal = time.perf_counter()
     usage: dict = {}
-    kappa2 = calibrate_kappa(cfg, r_kappa=args.reps, n_cal=args.n_cal, usage=usage)
+    kappa2 = montecarlo.calibrate_kappa(cfg, r_kappa=args.reps, n_cal=args.n_cal, usage=usage)
     t_write = time.perf_counter()
     out = _out_dir(args)
     path = out / "kappa2.json"

@@ -35,10 +35,18 @@ import numpy as np
 
 from .designs import void, within
 from .errors import NumericalError, ScenarioError
-from .estimators import DEFAULT_ALPHA_GP, fe, gp, mg, tmg
-from .hausman import HausmanResult, hausman_no_te, hausman_te
-from .panel import BalancedPanel, PanelBlock, _cores, _forked, _processes
-from .timeeffects import fete, gp_te, tmg_te
+from .estimators import DEFAULT_ALPHA_GP
+from .hausman import HausmanResult
+from .panel import BalancedPanel, PanelBlock, _cores, _forked, _processes, _read_all
+from .tags import (
+    ESTIMATOR_TAGS,
+    MAX_PERIODS,
+    MAX_REPS,
+    MAX_UNITS,
+    TE_TAGS,
+    TEST_TAGS,
+    _TAG_FITS,
+)
 from .trimming import DEFAULT_ALPHA, TrimConfig
 
 CRIT_5PCT = 1.959964  # two-sided 5% standard normal critical value
@@ -58,16 +66,6 @@ Y_ERROR_DISTS = ("gaussian", "chisq2")
 X_ERROR_DISTS = ("gaussian", "uniform")
 RHO_MODES = ("zero", "uniform095")
 HETEROSKED_MODES = ("random", "lambda2", "ex2")
-
-ESTIMATOR_TAGS = ("fe", "mg", "tmg", "gp", "fete", "tmgte", "gpte")
-TEST_TAGS = ("hausman", "hausman_te")
-#: the estimators that also report the period effects phi_1..phi_{T-1}
-TE_TAGS = ("fete", "tmgte", "gpte")
-
-
-#: Upper bounds of a scenario's sizes: a size no run could hold fails before numpy
-#: sees it, but a size within them can still exceed the machine's memory.
-MAX_UNITS, MAX_PERIODS, MAX_REPS = 10**7, 10**4, 10**6
 
 
 # The kinds of the field table's tests. A plain int or float skips the slower
@@ -677,25 +675,6 @@ NONFINITE_SE = "NonFiniteStandardError"
 FIRST_FAILURES = 5
 
 
-#: What each tag fits on a block, given the block, the trim config and the GP
-#: exponent: an Estimate, an (Estimate, TimeEffects) pair or a test. Each
-#: entry asks the block (:meth:`PanelBlock.fit`), so a fit that several tags
-#: read, as the Hausman tests read the fits they compare, runs once per
-#: block. The entries look the fits up by name when called, so a fit rebound
-#: on this module (as the benchmark's layer trace does) is the one that runs.
-_TAG_FITS = {
-    "fe": lambda b, t, a: b.fit(fe),
-    "mg": lambda b, t, a: b.fit(mg),
-    "tmg": lambda b, t, a: b.fit(tmg, t),
-    "gp": lambda b, t, a: b.fit(gp, a),
-    "fete": lambda b, t, a: b.fit(fete),
-    "tmgte": lambda b, t, a: b.fit(tmg_te, t),
-    "gpte": lambda b, t, a: b.fit(gp_te, a),
-    "hausman": lambda b, t, a: b.fit(hausman_no_te, t),
-    "hausman_te": lambda b, t, a: b.fit(hausman_te, t),
-}
-
-
 def _block_records(
     cfg: DgpConfig, reps: Sequence[int], tags: Sequence[str], trim_cfg: TrimConfig,
     alpha_gp: float, draws: _Draws, tally: Counter,
@@ -800,7 +779,7 @@ def _run(cfg: DgpConfig, reps: int, calibration: bool, extra: tuple, jobs, usage
     # each worker's pickle is read whole, and loaded once every worker exited 0
     blobs = _forked(
         chunks, lambda c, pipe: pickle.dump(_worker(cfg, c, calibration, extra, len(chunks)), pipe),
-        lambda pipes: [p.read() for p in pipes],
+        lambda pipes: list(map(_read_all, pipes)),
     ) if len(chunks) > 1 else None
     if blobs is None:  # one process, as chosen or after a failed worker
         parts = [_worker(cfg, range(reps), calibration, extra, 1)]

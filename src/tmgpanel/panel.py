@@ -45,6 +45,7 @@ import csv
 import io
 import os
 import re
+import select
 import signal
 import sys
 import threading
@@ -599,7 +600,9 @@ def _forked(items: Sequence, work, read):
     A child runs ``work`` and ends with ``os._exit``, with status 0 only if
     ``work`` returned. Every child is reaped on every path, and one still
     running when ``read`` ends early, fails or is interrupted is killed
-    first. Only :func:`_processes` decides whether this process may fork.
+    first. ``read`` reads the pipes with :func:`_fill` or :func:`_read_all`,
+    which wait in polls, so an interrupt does not wait for the children.
+    Only :func:`_processes` decides whether this process may fork.
 
     Fork and a pipe, not a spawned process pool: fork, ``_exit`` and ``waitpid``
     take 3-5 ms, where spawning a process and importing numpy take about
@@ -647,15 +650,47 @@ def _child(work, item, out, inherited: list):
         os._exit(status)
 
 
+#: Seconds a read of a child's pipe waits for bytes before it looks again. A
+#: SIGINT that another thread of this process takes (numpy's BLAS keeps one
+#: alive) sets Python's flag but does not wake a blocked read, so the readers
+#: wait in polls this long, and the interrupt is raised between two of them.
+_POLL_SECONDS = 0.1
+
+#: Bytes :func:`_read_all` asks a pipe for at a time: a Linux pipe's default
+#: capacity, the most one read returns.
+_PIPE_CHUNK = 1 << 16
+
+
+def _ready(pipe) -> None:
+    """Return once ``pipe`` has bytes to read or is at its end of file.
+    ``poll``, unlike ``select``, takes a descriptor of any number."""
+    poller = select.poll()
+    poller.register(pipe, select.POLLIN)
+    while not poller.poll(1000 * _POLL_SECONDS):
+        pass
+
+
 def _fill(pipe, buf: np.ndarray) -> bool:
     """Read ``buf``'s bytes from ``pipe``; False at an early end of file."""
     view = memoryview(buf.view(np.uint8))
     while view.nbytes:
+        _ready(pipe)
         got = pipe.readinto(view)
         if not got:
             return False
         view = view[got:]
     return True
+
+
+def _read_all(pipe) -> bytearray:
+    """Every byte of ``pipe`` up to its end of file."""
+    out = bytearray()
+    while True:
+        _ready(pipe)
+        chunk = pipe.read(_PIPE_CHUNK)
+        if not chunk:
+            return out
+        out += chunk
 
 
 def _reap(children: list, kill: bool = False) -> bool:

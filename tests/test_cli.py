@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import QUOTED_IDS_CSV
+from _helpers import QUOTED_IDS_CSV, random_panel
 from tmgpanel import BalancedPanel, DgpConfig, generate_replication, read_panel_csv
 from tmgpanel.cli import _t_rows, main
 from tmgpanel.estimators import DEFAULT_ALPHA_GP
@@ -515,12 +515,12 @@ def test_invalid_scenario_values_exit_2(
     tmp_path, capsys, monkeypatch, command, extra, payload, message
 ):
     # without kappa2 every command calibrates: a bad value must stop it first
-    from tmgpanel import cli
+    from tmgpanel import montecarlo
 
     def calibrate_kappa(*args, **kwargs):
         raise AssertionError("an invalid scenario reached the calibration")
 
-    monkeypatch.setattr(cli, "calibrate_kappa", calibrate_kappa)
+    monkeypatch.setattr(montecarlo, "calibrate_kappa", calibrate_kappa)
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps(scenario_payload(**{"reps": 4, "kappa2": None, **payload})))
     argv = [command, str(scen), *extra, "--out", str(tmp_path / "out")]
@@ -608,7 +608,7 @@ def test_any_scenario_file_exits_0_2_or_3(content):
     # and that the fit settings are doubles, and then return at once.
     from unittest import mock
 
-    from tmgpanel import cli
+    from tmgpanel import montecarlo
 
     def calibrate_kappa(cfg, *args, usage=None, **kwargs):
         np.empty((0, cfg.n, cfg.T))
@@ -625,8 +625,8 @@ def test_any_scenario_file_exits_0_2_or_3(content):
         return []
 
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(cli, "calibrate_kappa", calibrate_kappa), \
-            mock.patch.object(cli, "run_experiment", run_experiment):
+            mock.patch.object(montecarlo, "calibrate_kappa", calibrate_kappa), \
+            mock.patch.object(montecarlo, "run_experiment", run_experiment):
         scen = Path(tmp) / "scen.json"
         scen.write_bytes(content)
         for command in ("simulate", "power", "calibrate"):
@@ -639,9 +639,9 @@ def test_calibrate_draws_as_many_replications_as_simulate(tmp_path, monkeypatch)
     # ones: calibrate without --reps gives the kappa^2 that simulate would use
     import inspect
 
-    from tmgpanel import cli
+    from tmgpanel import montecarlo
 
-    real, seen = cli.calibrate_kappa, []
+    real, seen = montecarlo.calibrate_kappa, []
 
     def spy(*args, **kwargs):
         call = inspect.signature(real).bind(*args, **kwargs)
@@ -651,7 +651,7 @@ def test_calibrate_draws_as_many_replications_as_simulate(tmp_path, monkeypatch)
             call.arguments["usage"].update(_STAND_IN_USAGE)
         return 15.5
 
-    monkeypatch.setattr(cli, "calibrate_kappa", spy)
+    monkeypatch.setattr(montecarlo, "calibrate_kappa", spy)
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps({"n": 100, "T": 2, "reps": 20}))
     assert main(["calibrate", str(scen), "--out", str(tmp_path / "cal")]) == 0
@@ -848,11 +848,12 @@ def test_monte_carlo_stage_timings(tmp_path, command):
 def test_calibration_before_a_run_recorded_apart(tmp_path, monkeypatch, command):
     # a scenario without kappa^2 calibrates it first, in one process; the
     # manifest records that stage's keys, prefixed, beside the run's
-    from tmgpanel import cli, montecarlo
+    from tmgpanel import montecarlo
 
-    calibrate = cli.calibrate_kappa
+    calibrate = montecarlo.calibrate_kappa
     monkeypatch.setattr(
-        cli, "calibrate_kappa", lambda cfg, usage: calibrate(cfg, r_kappa=5, n_cal=50, usage=usage)
+        montecarlo, "calibrate_kappa",
+        lambda cfg, usage: calibrate(cfg, r_kappa=5, n_cal=50, usage=usage),
     )
     payload = scenario_payload(reps=4, n=60)
     del payload["kappa2"]
@@ -882,11 +883,12 @@ def test_calibration_splits_over_the_cores(tmp_path, monkeypatch):
     # results.csv are those of one core
     import os
 
-    from tmgpanel import cli, montecarlo
+    from tmgpanel import montecarlo
 
-    calibrate = cli.calibrate_kappa
+    calibrate = montecarlo.calibrate_kappa
     monkeypatch.setattr(
-        cli, "calibrate_kappa", lambda cfg, usage: calibrate(cfg, r_kappa=5, n_cal=50, usage=usage)
+        montecarlo, "calibrate_kappa",
+        lambda cfg, usage: calibrate(cfg, r_kappa=5, n_cal=50, usage=usage),
     )
     monkeypatch.setattr(montecarlo, "SPLIT_UNITS", 5 * 50 // 2)
     payload = scenario_payload(reps=4, n=60)
@@ -930,3 +932,34 @@ def test_simulate_fits_n_1000_in_blocks_of_ten(tmp_path):
     assert main(["simulate", str(scen), "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["blocks"] == 2 and "calibrate_blocks" not in manifest
+
+
+def test_csv_commands_start_without_the_engine(tmp_path):
+    # estimate and test read their tag table from tmgpanel.tags: neither they
+    # nor a bare import load the Monte Carlo engine, which this process has
+    import os
+    import subprocess
+    import sys
+
+    import tmgpanel
+
+    assert "tmgpanel.montecarlo" in sys.modules
+    csv_path = tmp_path / "small.csv"
+    write_panel_csv(csv_path, random_panel(np.random.default_rng(3), n=40, T=3))
+    script = (
+        "import sys, tmgpanel\n"
+        "bare = 'tmgpanel.montecarlo' in sys.modules\n"
+        "from tmgpanel.cli import main\n"
+        "csv, out = sys.argv[1:]\n"
+        "codes = [main(['estimate', csv, '--te', '--dump-units', '--out', out]),\n"
+        "         main(['test', csv, '--te', '--out', out])]\n"
+        "print(bare, codes, 'tmgpanel.montecarlo' in sys.modules)\n"
+    )
+    src = str(Path(tmgpanel.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(csv_path), str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "False [0, 0] False"
+    assert (tmp_path / "out" / "per_unit.csv").exists()
+    assert (tmp_path / "out" / "hausman.json").exists()

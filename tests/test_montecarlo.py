@@ -801,6 +801,22 @@ def test_import_leaves_process_pool_out():
     assert proc.stdout == "False\n"
 
 
+def test_engine_names_resolve_on_first_use():
+    # the package binds the engine's six names lazily (PEP 562): each is the
+    # engine's own object, a star import binds all of __all__, dir lists
+    # them, and any other missing name is an AttributeError naming it
+    lazy = {"DgpConfig", "McResult", "ReplicationTruth", "calibrate_kappa",
+            "generate_replication", "run_experiment"}
+    assert tmgpanel.DgpConfig is tmgpanel.montecarlo.DgpConfig
+    assert all(getattr(tmgpanel, name) is getattr(tmgpanel.montecarlo, name) for name in lazy)
+    namespace = {}
+    exec("from tmgpanel import *", namespace)
+    assert set(tmgpanel.__all__) <= namespace.keys()
+    assert lazy <= set(dir(tmgpanel)) and lazy <= set(tmgpanel.__all__)
+    with pytest.raises(AttributeError, match="'nope'"):
+        tmgpanel.nope
+
+
 # ---------------------------------------------------------------------------
 # the draw thread
 # ---------------------------------------------------------------------------

@@ -646,3 +646,33 @@ def test_interrupted_read_reaps_every_child(monkeypatch):
     monkeypatch.setattr(panel_module, "_fill", interrupt)
     with cores(2, split_bytes=1), pytest.raises(KeyboardInterrupt):
         read_panel_csv(io.StringIO(SMALL_CSV))
+
+
+@pytest.mark.parametrize("reader", ["_fill", "_read_all"])
+def test_interrupt_another_thread_takes_ends_the_read(reader):
+    # a SIGINT that another thread of this process takes does not wake the
+    # main thread's blocked pipe read: the readers of the CSV split (_fill)
+    # and of the Monte Carlo split (_read_all) wait in polls, so the interrupt
+    # comes within one poll, not once the child's 20-s sleep ends
+    import threading
+    import time
+
+    read = {
+        "_fill": lambda pipes: panel_module._fill(pipes[0], np.zeros(1)),
+        "_read_all": lambda pipes: panel_module._read_all(pipes[0]),
+    }[reader]
+
+    def interrupt():
+        time.sleep(0.3)
+        signal.pthread_kill(threading.get_ident(), signal.SIGINT)
+
+    thread = threading.Thread(target=interrupt, name="interrupter")
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        thread.start()
+        panel_module._forked([1], lambda item, pipe: time.sleep(20), read)
+    elapsed = time.perf_counter() - t0
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert elapsed < 5
+    assert_no_child_left()
