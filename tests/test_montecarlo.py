@@ -791,14 +791,18 @@ class TestScenario:
 
 
 def test_import_leaves_process_pool_out():
-    # a split run forks its workers itself, with no process pool
+    # a split run forks its workers itself, with no process pool; the package
+    # loads the engine lazily, so the engine is imported after it as well
     src = str(Path(tmgpanel.__file__).resolve().parents[1])
-    script = "import sys, tmgpanel; print('concurrent.futures.process' in sys.modules)"
+    script = (
+        "import sys, tmgpanel; print('concurrent.futures.process' in sys.modules)\n"
+        "import tmgpanel.montecarlo; print('concurrent.futures.process' in sys.modules)"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", script],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     )
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False\nFalse\n"
 
 
 def test_engine_names_resolve_on_first_use():
