@@ -34,7 +34,7 @@ from .designs import blockwise
 from .errors import NumericalError, PanelInputError
 from .estimators import DEFAULT_ALPHA_GP
 from .panel import read_panel_csv
-from .tags import MAX_REPS, MAX_UNITS, TE_TAGS, TEST_TAGS, _TAG_FITS
+from .tags import ESTIMATOR_TAGS, MAX_REPS, MAX_UNITS, TE_TAGS, TEST_TAGS, _TAG_FITS
 from .trimming import DEFAULT_ALPHA, TrimConfig
 
 if TYPE_CHECKING:
@@ -500,9 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="estimate average effects from a CSV panel")
     p_est.add_argument("csv")
-    p_est.add_argument(
-        "--method", choices=["fe", "mg", "tmg", "gp", "fete", "tmgte"], default="tmg"
-    )
+    p_est.add_argument("--method", choices=ESTIMATOR_TAGS, default="tmg")
     p_est.add_argument("--alpha", type=_ALPHA, default=DEFAULT_ALPHA)
     p_est.add_argument("--alpha-gp", type=_POSITIVE, default=DEFAULT_ALPHA_GP)
     p_est.add_argument("--te", action="store_true", help="include common time effects")

@@ -37,7 +37,7 @@ from .designs import void, within
 from .errors import NumericalError, ScenarioError
 from .estimators import DEFAULT_ALPHA_GP
 from .hausman import HausmanResult
-from .panel import BalancedPanel, PanelBlock, _cores, _forked, _processes, _read_all
+from .panel import BalancedPanel, PanelBlock, _cores, _forked, _processes
 from .tags import (
     ESTIMATOR_TAGS,
     MAX_PERIODS,
@@ -777,14 +777,18 @@ def _run(cfg: DgpConfig, reps: int, calibration: bool, extra: tuple, jobs, usage
     process does."""
     chunks = _blocks(range(reps), -(-reps // _processes(reps * cfg.n, SPLIT_UNITS, jobs)))
     # each worker's pickle is read whole, and loaded once every worker exited 0
-    blobs = _forked(
-        chunks, lambda c, pipe: pickle.dump(_worker(cfg, c, calibration, extra, len(chunks)), pipe),
-        lambda pipes: list(map(_read_all, pipes)),
+    joined = _forked(
+        chunks,
+        lambda c: np.frombuffer(
+            pickle.dumps(_worker(cfg, c, calibration, extra, len(chunks))), np.uint8
+        ),
+        np.uint8,
     ) if len(chunks) > 1 else None
-    if blobs is None:  # one process, as chosen or after a failed worker
+    if joined is None:  # one process, as chosen or after a failed worker
         parts = [_worker(cfg, range(reps), calibration, extra, 1)]
     else:
-        parts = list(map(pickle.loads, blobs))
+        blob, sizes = joined
+        parts = [pickle.loads(b) for b in np.split(blob, np.cumsum(sizes)[:-1])]
     _record(usage, len(parts), _draw_threads(len(parts)), sum((s for _, s in parts), Counter()))
     return _concat([p for p, _ in parts])
 

@@ -390,8 +390,8 @@ def load_panel(rows: Iterable[Mapping | Sequence]) -> BalancedPanel:
         k_prime = sum(1 for key in first if str(key).startswith("x"))
         if k_prime == 0:
             raise PanelInputError("no regressor columns x1..xk' found")
-        fields = itemgetter("unit_id", "time_id", "y", *(f"x{j + 1}" for j in range(k_prime)))
-        table = list(map(fields, chain([first], rows)))
+        names = ("unit_id", "time_id", "y", *(f"x{j + 1}" for j in range(k_prime)))
+        table = list(_fields(chain([first], rows), names))
     else:
         table = list(map(tuple, chain([first], rows)))
         width = len(table[0])
@@ -401,10 +401,37 @@ def load_panel(rows: Iterable[Mapping | Sequence]) -> BalancedPanel:
             if len(row) != width:
                 raise PanelInputError("inconsistent regressor count across rows")
     columns = list(zip(*table))
-    values = np.array(columns[2:], dtype=np.float64).T
+    try:
+        values = np.array(columns[2:], dtype=np.float64).T
+    except (TypeError, ValueError) as exc:
+        raise _first_bad_value(table) or PanelInputError(
+            f"could not read values: {exc}"
+        ) from None
     return _assemble(
         _factorise(columns[0]), _factorise(columns[1]), values, lambda r: f"record {r + 1}"
     )
+
+
+def _fields(records: Iterable[Mapping], names: tuple):
+    """The values of ``names`` in each mapping record, as a tuple."""
+    fields = itemgetter(*names)
+    for r, record in enumerate(records):
+        try:
+            yield fields(record)
+        except KeyError as exc:
+            raise PanelInputError(f"record {r + 1}: missing field {exc.args[0]!r}") from None
+
+
+def _first_bad_value(table: list) -> PanelInputError | None:
+    """The error of the first record holding a y or x value that is not a
+    number; error paths only."""
+    for r, row in enumerate(table):
+        try:
+            for v in row[2:]:
+                float(v)
+        except (TypeError, ValueError) as exc:
+            return PanelInputError(f"record {r + 1}: {exc}")
+    return None
 
 
 CSV_HEADER_PREFIX = ("unit_id", "time_id", "y")
@@ -561,48 +588,37 @@ def _split_loadtxt(data: bytes, dtype: np.dtype, runs: list) -> np.ndarray | Non
     ``runs`` (:func:`_forked`), or None if a child fails.
 
     Each child slices its own run and parses it with the same arguments (only
-    the first run skips the header), and writes its row count and then its
-    raw rows. A warning fails it too, so the in-process parse that follows
-    gives the warning as it would without children. This process parses
-    nothing: it reads every count, allocates the one table, and reads each
-    child's rows into it, in order.
+    the first run skips the header). A warning fails it too, so the in-process
+    parse that follows gives the warning as it would without children. This
+    process parses nothing: the children's rows are read straight into the one
+    table.
     """
 
-    def parse(run, pipe):
+    def parse(run):
         lo, hi = run
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = _loadtxt(data[lo:hi], dtype, skiprows=int(lo == 0))
-        pipe.write(len(table).to_bytes(8, "little"))
-        pipe.write(table.view(np.uint8))
+            return _loadtxt(data[lo:hi], dtype, skiprows=int(lo == 0))
 
-    def read(pipes):
-        counts = np.zeros(len(pipes), dtype="<i8")
-        if not all(_fill(p, counts[j : j + 1]) for j, p in enumerate(pipes)):
-            return None
-        table = np.empty(int(counts.sum()), dtype)
-        rows = table.view(np.uint8)
-        ends = np.cumsum(counts) * dtype.itemsize
-        for p, lo, hi in zip(pipes, [0, *ends[:-1].tolist()], ends.tolist()):
-            if not _fill(p, rows[lo:hi]):
-                return None
-        return table
-
-    return _forked(runs, parse, read)
+    joined = _forked(runs, parse, dtype)
+    return None if joined is None else joined[0]
 
 
-def _forked(items: Sequence, work, read):
-    """``read(pipes)``, the read ends of the pipes of one forked child per
-    item of ``items``, each child running ``work(item, pipe)`` on the write
-    end of its own pipe; or None if a fork or pipe fails, ``read`` returns
-    None or a child does not exit with status 0.
+def _forked(items: Sequence, work, dtype) -> tuple | None:
+    """The arrays ``work(item)`` of ``dtype`` that one forked child per item
+    of ``items`` computes, joined in order into one array, and each child's
+    count of elements; or None if a fork or pipe fails, a read ends short, a
+    size is bad or a child does not exit with status 0.
 
-    A child runs ``work`` and ends with ``os._exit``, with status 0 only if
-    ``work`` returned. Every child is reaped on every path, and one still
-    running when ``read`` ends early, fails or is interrupted is killed
-    first. ``read`` reads the pipes with :func:`_fill` or :func:`_read_all`,
-    which wait in polls, so an interrupt does not wait for the children.
-    Only :func:`_processes` decides whether this process may fork.
+    This is the one pipe format: a child writes its array's byte size, as 8
+    little-endian bytes, then the array's bytes (:func:`_child`). This process
+    reads every size with :func:`_fill`, allocates the one array and fills
+    each child's bytes into its place, so nothing is copied after the read.
+    A child ends with ``os._exit``, with status 0 only if it wrote it all.
+    Every child is reaped on every path, and one still running when the read
+    ends early, fails or is interrupted is killed first. :func:`_fill` waits
+    in polls, so an interrupt does not wait for the children. Only
+    :func:`_processes` decides whether this process may fork.
 
     Fork and a pipe, not a spawned process pool: fork, ``_exit`` and ``waitpid``
     take 3-5 ms, where spawning a process and importing numpy take about
@@ -630,21 +646,31 @@ def _forked(items: Sequence, work, read):
             return None
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
-        result = read(pipes)
-        if result is None or not _reap(children):
+        itemsize = np.dtype(dtype).itemsize
+        sizes = np.zeros(len(pipes), dtype="<i8")
+        if not all(_fill(p, sizes[j : j + 1]) for j, p in enumerate(pipes)):
             return None
-        return result
+        if (sizes < 0).any() or (sizes % itemsize).any():
+            return None
+        joined = np.empty(int(sizes.sum()) // itemsize, dtype)
+        raw, ends = joined.view(np.uint8), np.cumsum(sizes).tolist()
+        if not all(_fill(p, raw[lo:hi]) for p, lo, hi in zip(pipes, [0, *ends[:-1]], ends)):
+            return None
+        return (joined, sizes // itemsize) if _reap(children) else None
 
 
 def _child(work, item, out, inherited: list):
-    """A forked child's whole life: ``work(item, pipe)`` on a buffered writer
-    over ``out``, the raw write end of its pipe. It never returns."""
+    """A forked child's whole life: ``work(item)``, then the array's byte
+    size and bytes written to ``out``, the raw write end of its pipe. It
+    never returns."""
     status = 1
     try:
         for fd in inherited:  # the read ends: a write must fail once the parent is gone
             os.close(fd)
+        array = work(item)
         with io.BufferedWriter(out) as pipe:  # a raw write to a pipe may be partial
-            work(item, pipe)
+            pipe.write(array.nbytes.to_bytes(8, "little"))
+            pipe.write(array.view(np.uint8))
         status = 0
     finally:
         os._exit(status)
@@ -652,13 +678,9 @@ def _child(work, item, out, inherited: list):
 
 #: Seconds a read of a child's pipe waits for bytes before it looks again. A
 #: SIGINT that another thread of this process takes (numpy's BLAS keeps one
-#: alive) sets Python's flag but does not wake a blocked read, so the readers
-#: wait in polls this long, and the interrupt is raised between two of them.
+#: alive) sets Python's flag but does not wake a blocked read, so the reader
+#: waits in polls this long, and the interrupt is raised between two of them.
 _POLL_SECONDS = 0.1
-
-#: Bytes :func:`_read_all` asks a pipe for at a time: a Linux pipe's default
-#: capacity, the most one read returns.
-_PIPE_CHUNK = 1 << 16
 
 
 def _ready(pipe) -> None:
@@ -680,17 +702,6 @@ def _fill(pipe, buf: np.ndarray) -> bool:
             return False
         view = view[got:]
     return True
-
-
-def _read_all(pipe) -> bytearray:
-    """Every byte of ``pipe`` up to its end of file."""
-    out = bytearray()
-    while True:
-        _ready(pipe)
-        chunk = pipe.read(_PIPE_CHUNK)
-        if not chunk:
-            return out
-        out += chunk
 
 
 def _reap(children: list, kill: bool = False) -> bool:

@@ -1,5 +1,7 @@
 import contextlib
+import io
 import os
+import signal
 import threading
 
 import numpy as np
@@ -46,3 +48,22 @@ def foreign_thread():
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+class KilledMidPayload(io.BufferedWriter):
+    """Set over ``io.BufferedWriter``, a forked child's pipe writer: the
+    child's size and the first byte of its payload reach the pipe, then the
+    child is SIGKILLed. In this process it writes as usual."""
+
+    parent = os.getpid()
+
+    def write(self, b):
+        if os.getpid() == self.parent:
+            return super().write(b)
+        payload = getattr(self, "sized", False)
+        self.sized = True
+        written = super().write(memoryview(b)[:1] if payload else b)
+        self.flush()
+        if payload:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return written

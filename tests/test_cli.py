@@ -87,6 +87,14 @@ class TestEstimate:
         names = [r.split(",")[0] for r in rows[1:]]
         assert names == ["alpha", "beta1", "phi1", "phi2"]
 
+    def test_gpte_method_is_gp_with_te(self, hetero_csv, tmp_path):
+        # every estimator tag is a --method: gpte, as fete and tmgte are
+        tables = []
+        for j, argv in enumerate((["--method", "gpte"], ["--method", "gp", "--te"])):
+            assert main(["estimate", str(hetero_csv), *argv, "--out", str(tmp_path / str(j))]) == 0
+            tables.append((tmp_path / str(j) / "estimate.csv").read_bytes())
+        assert tables[0] == tables[1]
+
     def test_dump_units(self, hetero_csv, tmp_path):
         rc = main(
             ["estimate", str(hetero_csv), "--method", "tmg", "--dump-units",
@@ -936,7 +944,9 @@ def test_simulate_fits_n_1000_in_blocks_of_ten(tmp_path):
 
 def test_csv_commands_start_without_the_engine(tmp_path):
     # estimate and test read their tag table from tmgpanel.tags: neither they
-    # nor a bare import load the Monte Carlo engine, which this process has
+    # nor a bare import load the Monte Carlo engine, which this process has.
+    # No bytecode is written, so the child compiles what it imports, as a
+    # command does where none can be written
     import os
     import subprocess
     import sys
@@ -958,7 +968,8 @@ def test_csv_commands_start_without_the_engine(tmp_path):
     src = str(Path(tmgpanel.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", script, str(csv_path), str(tmp_path / "out")],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, check=True,
     )
     assert proc.stdout.splitlines()[-1] == "False [0, 0] False"
     assert (tmp_path / "out" / "per_unit.csv").exists()

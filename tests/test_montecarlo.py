@@ -1331,11 +1331,16 @@ def test_no_fork_with_another_thread_alive(monkeypatch):
     assert (usage["processes"], len(forks)) == (2, 2)
 
 
-@pytest.mark.parametrize("fault", ["child killed", "child exits 7 after writing", "second fork fails"])
+@pytest.mark.parametrize(
+    "fault",
+    ["child killed", "child killed mid-payload", "child exits 7 after writing",
+     "second fork fails"],
+)
 def test_failed_worker_leaves_the_run_to_this_process(monkeypatch, fault):
+    import io
     import signal
 
-    from _helpers import assert_no_child_left
+    from _helpers import KilledMidPayload, assert_no_child_left
     from tmgpanel import montecarlo
 
     args, whole = _split_run(monkeypatch)
@@ -1358,6 +1363,7 @@ def test_failed_worker_leaves_the_run_to_this_process(monkeypatch, fault):
 
     faults = {
         "child killed": (montecarlo, "_block_records", crash_in_child),
+        "child killed mid-payload": (io, "BufferedWriter", KilledMidPayload),
         "child exits 7 after writing": (os, "_exit", exit_7),
         "second fork fails": (os, "fork", fork_once),
     }

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import tmgpanel
 
-from _helpers import QUOTED_IDS_CSV, assert_no_child_left, foreign_thread
+from _helpers import QUOTED_IDS_CSV, KilledMidPayload, assert_no_child_left, foreign_thread
 from tmgpanel import panel as panel_module
 from tmgpanel import (
     BalancedPanel,
@@ -335,6 +336,34 @@ def test_record_non_finite_names_the_record():
         load_panel(bad)
 
 
+def _mapping_records():
+    return [{"unit_id": u, "time_id": t, "y": yv, "x1": xv} for u, t, yv, xv in rows_2x3()]
+
+
+def _with(records, r, **fields):
+    """``records`` with record ``r`` (from 0) updated by ``fields``."""
+    records[r] = {**records[r], **fields}
+    return records
+
+
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        (_with(_mapping_records(), 0, x3=1.0), "record 1: missing field 'x2'"),
+        (_mapping_records() + [{"unit_id": 3, "time_id": 1, "y": 0.0}],
+         "record 7: missing field 'x1'"),
+        (_with(_mapping_records(), 3, y="abc"),
+         "record 4: could not convert string to float: 'abc'"),
+        (rows_2x3()[:4] + [(2, 2, 1.0, "abc"), rows_2x3()[5]],
+         "record 5: could not convert string to float: 'abc'"),
+    ],
+    ids=["first-without-x2", "later-without-x1", "mapping-text-y", "sequence-text-x1"],
+)
+def test_malformed_record_names_the_record(records, message):
+    with pytest.raises(PanelInputError, match=f"^{re.escape(message)}$"):
+        load_panel(records)
+
+
 def _id_key(v):
     """The documented id order, written out for string ids."""
     try:
@@ -601,7 +630,11 @@ def test_no_split_read_with_another_thread_alive():
     assert_same_panel(got, read_panel_csv(io.StringIO(SMALL_CSV)))
 
 
-@pytest.mark.parametrize("fault", ["child killed", "child exits 7 after writing", "second fork fails"])
+@pytest.mark.parametrize(
+    "fault",
+    ["child killed", "child killed mid-payload", "child exits 7 after writing",
+     "second fork fails"],
+)
 def test_failed_split_leaves_the_read_to_this_process(monkeypatch, fault):
     whole = read_panel_csv(io.StringIO(SMALL_CSV))
     usage = {}
@@ -628,6 +661,7 @@ def test_failed_split_leaves_the_read_to_this_process(monkeypatch, fault):
 
     faults = {
         "child killed": (panel_module, "_loadtxt", crash_in_child),
+        "child killed mid-payload": (io, "BufferedWriter", KilledMidPayload),
         "child exits 7 after writing": (os, "_exit", exit_7),
         "second fork fails": (os, "fork", fork_once),
     }
@@ -648,19 +682,22 @@ def test_interrupted_read_reaps_every_child(monkeypatch):
         read_panel_csv(io.StringIO(SMALL_CSV))
 
 
-@pytest.mark.parametrize("reader", ["_fill", "_read_all"])
-def test_interrupt_another_thread_takes_ends_the_read(reader):
+def test_forked_joins_the_children_arrays_in_order():
+    # the one pipe format: each child's byte size, then its bytes, read into
+    # one array; a size of no whole number of elements gives no result
+    joined, counts = panel_module._forked([2, 3], lambda k: np.arange(k, k + k / 2, 0.5), float)
+    assert joined.tolist() == [2.0, 2.5, 3.0, 3.5, 4.0] and counts.tolist() == [2, 3]
+    assert panel_module._forked([3], lambda k: np.zeros(k, np.uint8), float) is None
+    assert_no_child_left()
+
+
+def test_interrupt_another_thread_takes_ends_the_read():
     # a SIGINT that another thread of this process takes does not wake the
-    # main thread's blocked pipe read: the readers of the CSV split (_fill)
-    # and of the Monte Carlo split (_read_all) wait in polls, so the interrupt
-    # comes within one poll, not once the child's 20-s sleep ends
+    # main thread's blocked pipe read: the one pipe reader (_fill) waits in
+    # polls, so the interrupt comes within one poll, not once the child's
+    # 20-s sleep ends
     import threading
     import time
-
-    read = {
-        "_fill": lambda pipes: panel_module._fill(pipes[0], np.zeros(1)),
-        "_read_all": lambda pipes: panel_module._read_all(pipes[0]),
-    }[reader]
 
     def interrupt():
         time.sleep(0.3)
@@ -670,7 +707,7 @@ def test_interrupt_another_thread_takes_ends_the_read(reader):
     t0 = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
         thread.start()
-        panel_module._forked([1], lambda item, pipe: time.sleep(20), read)
+        panel_module._forked([1], lambda item: time.sleep(20), np.uint8)
     elapsed = time.perf_counter() - t0
     thread.join(timeout=10)
     assert not thread.is_alive()
