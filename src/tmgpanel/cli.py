@@ -10,6 +10,11 @@ byte-reproducible for a given scenario and seed, whatever the split.
 
 Only the Monte Carlo commands import the Monte Carlo engine
 (:mod:`tmgpanel.montecarlo`), so ``estimate`` and ``test`` start without it.
+
+``estimate`` and ``test`` keep the panel they parsed in ``panel.npz`` in
+``--out``, and the next of them to read the same CSV bytes into that
+directory loads it instead of parsing (:func:`_read_input`); the outputs are
+the same bytes either way.
 """
 
 from __future__ import annotations
@@ -19,9 +24,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import sys
 import time
+import zipfile
 from dataclasses import asdict, replace
 from itertools import compress
 from pathlib import Path
@@ -33,7 +40,7 @@ from . import __version__
 from .designs import blockwise
 from .errors import NumericalError, PanelInputError
 from .estimators import DEFAULT_ALPHA_GP
-from .panel import read_panel_csv
+from .panel import BalancedPanel, read_panel_csv
 from .tags import ESTIMATOR_TAGS, MAX_REPS, MAX_UNITS, TE_TAGS, TEST_TAGS, _TAG_FITS
 from .trimming import DEFAULT_ALPHA, TrimConfig
 
@@ -130,11 +137,71 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _read_input(path, usage: dict):
-    """The panel in ``path`` and the sha256 of the very bytes it was parsed
-    from; the read records its ``usage``."""
+#: The file in ``--out`` that keeps the panel a CSV command parsed.
+_CACHE_NAME = "panel.npz"
+
+#: The format of ``panel.npz``, part of its key: bump it whenever what a CSV
+#: parses to changes (its values, its ids or their order) or what the file holds.
+_CACHE_FORMAT = 1
+
+
+def _cache_key(csv_sha256: str) -> list:
+    return [csv_sha256, __version__, str(_CACHE_FORMAT)]
+
+
+def _read_input(path, out: Path, usage: dict):
+    """The panel in ``path`` and the sha256 of its bytes.
+
+    The panel is loaded from ``panel.npz`` in ``out`` if that file was
+    written for these bytes by this version and format and holds a valid
+    panel; ``usage["read_processes"]`` is then 0. Otherwise it is parsed from
+    the bytes that were hashed, and the parse records its ``usage``.
+    """
     data = Path(path).read_bytes()
-    return read_panel_csv(io.BytesIO(data), usage), hashlib.sha256(data).hexdigest()
+    csv_sha256 = hashlib.sha256(data).hexdigest()
+    try:
+        # np.load leaves a file it opened open when the archive is bad
+        with open(out / _CACHE_NAME, "rb") as fh, np.load(fh, allow_pickle=False) as cache:
+            if cache["key"].tolist() == _cache_key(csv_sha256):
+                ids = cache["ids"].tobytes().decode("utf-8").split("\0")
+                n = int(cache["units"])
+                panel = BalancedPanel(
+                    y=cache["y"], x=cache["x"], unit_ids=ids[:n], time_ids=ids[n:]
+                )
+                usage["read_processes"] = 0
+                return panel, csv_sha256
+    except (OSError, ValueError, KeyError, EOFError, TypeError, zipfile.BadZipFile,
+            PanelInputError):
+        # a missing, truncated, foreign or inconsistent file is parsed past; a
+        # .npy file loads as an array, which is no context manager (TypeError)
+        pass
+    return read_panel_csv(io.BytesIO(data), usage), csv_sha256
+
+
+def _write_cache(out: Path, panel: BalancedPanel, csv_sha256: str, usage: dict) -> list:
+    """After a parse (``usage["read_processes"]`` above 0), keep ``panel``
+    in ``panel.npz`` in ``out``, keyed by the sha256 of its CSV bytes; the
+    paths written: none after a load, or where the file could not be written,
+    which changes no other output. The file is written under a name of this
+    process and moved into place, so a reader never sees it half written, and
+    no temporary file outlives the call."""
+    if not usage["read_processes"]:
+        return []
+    # the reader rejects NUL bytes, so NUL joins the ids and splits them again
+    ids = "\0".join(panel.unit_ids + panel.time_ids).encode("utf-8")
+    path, tmp = out / _CACHE_NAME, out / f"{_CACHE_NAME}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(
+                fh, y=panel.y, x=panel.x, ids=np.frombuffer(ids, dtype=np.uint8),
+                units=len(panel.unit_ids), key=np.array(_cache_key(csv_sha256)),
+            )
+        os.replace(tmp, path)
+        return [path]
+    except OSError:
+        return []
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _stages(t0: float, t_read: float, t_fit: float, usage: dict) -> dict:
@@ -225,7 +292,7 @@ def _fit(block, tags: tuple, trim_cfg: TrimConfig, alpha_gp: float) -> tuple:
 def _run_estimate(args) -> int:
     t0 = time.perf_counter()
     usage: dict = {}
-    panel, csv_sha256 = _read_input(args.csv, usage)
+    panel, csv_sha256 = _read_input(args.csv, Path(args.out), usage)
     t_read = time.perf_counter()
     tag = args.method
     if args.te and tag not in TE_TAGS:
@@ -255,6 +322,7 @@ def _run_estimate(args) -> int:
         dump_path = out / "per_unit.csv"
         _write_per_unit(dump_path, names, panel.unit_ids, est)
         outputs.append(dump_path)
+    outputs += _write_cache(out, panel, csv_sha256, usage)
 
     print(f"method={est.method}  n={panel.n}  T={panel.T}  k'={panel.k_prime}")
     header = f"{'coef':>8} {'estimate':>14} {'se':>12} {'t':>9} {'p':>9}"
@@ -296,7 +364,7 @@ def _run_estimate(args) -> int:
 def _run_test(args) -> int:
     t0 = time.perf_counter()
     usage: dict = {}
-    panel, csv_sha256 = _read_input(args.csv, usage)
+    panel, csv_sha256 = _read_input(args.csv, Path(args.out), usage)
     t_read = time.perf_counter()
     tags = ("hausman_te", "tmgte") if args.te else ("hausman", "tmg")
     res, tmg_fit = _fit(panel, tags, TrimConfig(alpha=args.alpha), None)
@@ -306,6 +374,7 @@ def _run_test(args) -> int:
     path = out / "hausman.json"
     record = {**res.to_record(), "a_n": float(trim.a_n), "pi_n": float(trim.pi_n)}
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    outputs = [path, *_write_cache(out, panel, csv_sha256, usage)]
     print(
         f"Hausman [{res.variant}] statistic={res.statistic:.4f} df={res.df} p={res.p_value:.4f}"
     )
@@ -316,7 +385,7 @@ def _run_test(args) -> int:
         "te": args.te,
     }
     stages = _stages(t0, t_read, t_fit, usage)
-    _write_manifest(out, "test", params, None, [path], time.perf_counter() - t0, stages)
+    _write_manifest(out, "test", params, None, outputs, time.perf_counter() - t0, stages)
     return EXIT_OK
 
 
@@ -491,6 +560,12 @@ def _run_calibrate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_CSV_OUT_HELP = (
+    "output directory (default tmgpanel_out); it also keeps panel.npz, the parsed CSV, "
+    "which the next estimate or test on the same CSV bytes loads instead of parsing"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tmgpanel",
@@ -505,14 +580,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--alpha-gp", type=_POSITIVE, default=DEFAULT_ALPHA_GP)
     p_est.add_argument("--te", action="store_true", help="include common time effects")
     p_est.add_argument("--dump-units", action="store_true", help="write per-unit estimates")
-    p_est.add_argument("--out", default="tmgpanel_out")
+    p_est.add_argument("--out", default="tmgpanel_out", help=_CSV_OUT_HELP)
     p_est.set_defaults(func=_run_estimate)
 
     p_test = sub.add_parser("test", help="Hausman test of correlated heterogeneity")
     p_test.add_argument("csv")
     p_test.add_argument("--alpha", type=_ALPHA, default=DEFAULT_ALPHA)
     p_test.add_argument("--te", action="store_true")
-    p_test.add_argument("--out", default="tmgpanel_out")
+    p_test.add_argument("--out", default="tmgpanel_out", help=_CSV_OUT_HELP)
     p_test.set_defaults(func=_run_test)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo scenario")

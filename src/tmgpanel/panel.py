@@ -407,9 +407,13 @@ def load_panel(rows: Iterable[Mapping | Sequence]) -> BalancedPanel:
         raise _first_bad_value(table) or PanelInputError(
             f"could not read values: {exc}"
         ) from None
-    return _assemble(
-        _factorise(columns[0]), _factorise(columns[1]), values, lambda r: f"record {r + 1}"
-    )
+    try:
+        units, times = _factorise(columns[0]), _factorise(columns[1])
+    except TypeError as exc:
+        raise _first_unhashable_id(table) or PanelInputError(
+            f"could not read ids: {exc}"
+        ) from None
+    return _assemble(units, times, values, lambda r: f"record {r + 1}")
 
 
 def _fields(records: Iterable[Mapping], names: tuple):
@@ -420,6 +424,22 @@ def _fields(records: Iterable[Mapping], names: tuple):
             yield fields(record)
         except KeyError as exc:
             raise PanelInputError(f"record {r + 1}: missing field {exc.args[0]!r}") from None
+        except TypeError:
+            raise PanelInputError(
+                f"record {r + 1}: {type(record).__name__} is not a mapping, as record 1 is"
+            ) from None
+
+
+def _first_unhashable_id(table: list) -> PanelInputError | None:
+    """The error of the first record whose unit or time id cannot be hashed,
+    so cannot be factorised; error paths only."""
+    for r, row in enumerate(table):
+        for v in row[:2]:
+            try:
+                hash(v)
+            except TypeError:
+                return PanelInputError(f"record {r + 1}: id {v!r} is not hashable")
+    return None
 
 
 def _first_bad_value(table: list) -> PanelInputError | None:

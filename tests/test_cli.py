@@ -220,16 +220,185 @@ class TestEstimate:
 
 @pytest.mark.parametrize("command", [["estimate", "--te"], ["test"]])
 def test_manifest_hashes_the_csv_and_times_each_stage(hetero_csv, tmp_path, command):
-    rc = main([command[0], str(hetero_csv), *command[1:], "--out", str(tmp_path)])
-    assert rc == 0
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    # the second run loads the panel the first one parsed: the same digest,
+    # no parsing process
     digest = hashlib.sha256(hetero_csv.read_bytes()).hexdigest()
-    assert manifest["parameters"]["csv_sha256"] == digest
-    timings = manifest["timings"]
-    stages = [timings[k] for k in ("read_seconds", "fit_seconds", "write_seconds")]
-    assert all(s >= 0 for s in stages)
-    assert sum(stages) <= timings["wall_seconds"]
-    assert timings["read_processes"] == 1  # below the reader's size constant
+    for processes in (1, 0):  # 1: below the reader's size constant
+        rc = main([command[0], str(hetero_csv), *command[1:], "--out", str(tmp_path)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["parameters"]["csv_sha256"] == digest
+        timings = manifest["timings"]
+        stages = [timings[k] for k in ("read_seconds", "fit_seconds", "write_seconds")]
+        assert all(s >= 0 for s in stages)
+        assert sum(stages) <= timings["wall_seconds"]
+        assert timings["read_processes"] == processes
+
+
+def _run_csv_command(argv, csv_path, out) -> dict:
+    """Run ``argv`` (a command and its options) on ``csv_path`` into ``out``;
+    its manifest."""
+    assert main([argv[0], str(csv_path), *argv[1:], "--out", str(out)]) == 0
+    return json.loads((out / "manifest.json").read_text())
+
+
+#: What each CSV command writes besides its manifest and panel.npz.
+_CSV_OUTPUTS = {"estimate": ("estimate.csv", "per_unit.csv"), "test": ("hausman.json",)}
+
+
+def _assert_same_outputs(out, fresh, command):
+    for name in _CSV_OUTPUTS[command]:
+        assert (out / name).exists() == (fresh / name).exists(), name
+        if (fresh / name).exists():
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+# a file left open is an error where ResourceWarning is (python -X dev -W
+# error::ResourceWarning), raised as the file is collected
+_NO_FILE_LEFT_OPEN = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnraisableExceptionWarning"
+)
+
+
+@_NO_FILE_LEFT_OPEN
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["estimate", "--te", "--dump-units"], ["test", "--te"]),
+        (["estimate"], ["estimate"]),
+    ],
+    ids=["estimate-then-test", "estimate-twice"],
+)
+def test_second_command_loads_the_parsed_panel(hetero_csv, tmp_path, first, second):
+    # the second command on the same CSV bytes into one --out loads the panel
+    # the first one parsed, and writes what it writes into a fresh --out
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    parsed = _run_csv_command(first, hetero_csv, shared)
+    assert parsed["timings"]["read_processes"] == 1
+    assert str(shared / "panel.npz") in parsed["outputs"]
+    loaded = _run_csv_command(second, hetero_csv, shared)
+    reference = _run_csv_command(second, hetero_csv, fresh)
+    assert loaded["timings"]["read_processes"] == 0
+    assert str(shared / "panel.npz") not in loaded["outputs"]
+    _assert_same_outputs(shared, fresh, second[0])
+    # the manifests differ only in timings and in panel.npz among the outputs
+    for manifest in (loaded, reference):
+        manifest.pop("timings")
+        manifest["outputs"] = [Path(p).name for p in manifest["outputs"]]
+    reference["outputs"].remove("panel.npz")
+    assert loaded == reference
+    written = {*_CSV_OUTPUTS[first[0]], *_CSV_OUTPUTS[second[0]], "manifest.json", "panel.npz"}
+    if "--dump-units" not in first + second:
+        written.discard("per_unit.csv")
+    assert {p.name for p in shared.iterdir()} == written  # no temporary file left
+
+
+def _edit_cache(name, edit):
+    """A change to a panel.npz: its array ``name`` becomes ``edit(array)``."""
+
+    def spoil(path):
+        with np.load(path) as cache:
+            held = {key: cache[key] for key in cache.files}
+        held[name] = edit(held[name])
+        np.savez(path, **held)
+
+    return spoil
+
+
+def _npy_file(path):
+    with path.open("wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+@_NO_FILE_LEFT_OPEN
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]),
+        lambda p: p.write_bytes(b"unit_id,time_id,y,x1\n"),
+        _edit_cache("key", lambda key: np.array(["0" * 64, *key[1:]])),
+        _edit_cache("key", lambda key: np.array([*key[:2], str(int(key[2]) + 1)])),
+        _edit_cache("y", lambda y: np.r_[y[:1] * np.nan, y[1:]]),
+        _edit_cache("ids", lambda ids: ids[: ids.tobytes().rindex(b"\0")]),
+        _npy_file,
+    ],
+    ids=[
+        "truncated", "not-a-zip", "other-csv-bytes", "other-format", "nan-in-y", "id-too-few",
+        "npy-file",
+    ],
+)
+@pytest.mark.parametrize("command", [["estimate", "--te", "--dump-units"], ["test", "--te"]])
+def test_unusable_cache_falls_back_to_the_parse(hetero_csv, tmp_path, spoil, command):
+    # a panel.npz the command cannot use changes no exit code or output: the
+    # command parses the CSV and leaves a panel.npz that the next run loads
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    _run_csv_command(["estimate"], hetero_csv, out)
+    spoil(out / "panel.npz")
+    manifest = _run_csv_command(command, hetero_csv, out)
+    _run_csv_command(command, hetero_csv, fresh)
+    assert manifest["timings"]["read_processes"] >= 1
+    assert str(out / "panel.npz") in manifest["outputs"]
+    _assert_same_outputs(out, fresh, command[0])
+    assert _run_csv_command(command, hetero_csv, out)["timings"]["read_processes"] == 0
+    _assert_same_outputs(out, fresh, command[0])
+    names = {"estimate.csv", "manifest.json", "panel.npz", *_CSV_OUTPUTS[command[0]]}
+    assert {p.name for p in out.iterdir()} == names  # no temporary file left
+
+
+def test_edited_csv_is_parsed_again(tmp_path):
+    # one value changed after the cache was written: the command reads the
+    # edited file, not the panel kept for the old one
+    path = tmp_path / "panel.csv"
+    write_panel_csv(path, random_panel(np.random.default_rng(5), n=60, T=3))
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    _run_csv_command(["estimate", "--dump-units"], path, out)
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[7].split(",")
+    fields[2] = repr(float(fields[2]) + 0.5)
+    lines[7] = ",".join(fields)
+    path.write_text("".join(lines))
+    for command in (["estimate", "--dump-units"], ["test"]):
+        manifest = _run_csv_command(command, path, out)
+        assert manifest["timings"]["read_processes"] == (1 if command[0] == "estimate" else 0)
+        _run_csv_command(command, path, fresh)
+        _assert_same_outputs(out, fresh, command[0])
+
+
+@pytest.mark.parametrize(
+    "argv, text, code",
+    [
+        (["test"], "unit_id,time_id,y,x1\n1,1,0.0,1.0\n1,2,1.0,2.0\n2,1,0.5,1.0\n", 2),
+        (["estimate", "--method", "mg", "--te"],
+         "unit_id,time_id,y,x1\n1,1,0.0,2.0\n1,2,1.0,2.5\n2,1,0.5,1.0\n2,2,1.5,3.0\n", 2),
+        (["estimate", "--method", "mg"],
+         "unit_id,time_id,y,x1\n1,1,0.0,2.0\n1,2,1.0,2.0\n2,1,0.5,1.0\n2,2,1.5,3.0\n"
+         "3,1,0.1,0.5\n3,2,0.9,2.5\n", 3),
+    ],
+    ids=["bad-csv", "parsed-then-input-error", "numerical-failure"],
+)
+def test_failed_command_keeps_no_panel(tmp_path, argv, text, code):
+    # only a command that exits 0 writes panel.npz; the last two parse the
+    # CSV before they fail
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    assert main([argv[0], str(path), *argv[1:], "--out", str(tmp_path / "out")]) == code
+    out = tmp_path / "out"
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_unwritable_cache_changes_no_output(hetero_csv, tmp_path, monkeypatch):
+    # a panel.npz that cannot be written is left out: exit 0, the same
+    # outputs, no temporary file, and the manifest does not list it
+    def full(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    _run_csv_command(["test"], hetero_csv, fresh)
+    monkeypatch.setattr(np, "savez", full)
+    manifest = _run_csv_command(["test"], hetero_csv, out)
+    assert {p.name for p in out.iterdir()} == {"hausman.json", "manifest.json"}
+    assert manifest["outputs"] == [str(out / "hausman.json")]
+    _assert_same_outputs(out, fresh, "test")
 
 
 def test_csv_parsed_by_children_writes_the_same_outputs(hetero_csv, tmp_path, monkeypatch):

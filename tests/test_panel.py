@@ -356,8 +356,16 @@ def _with(records, r, **fields):
          "record 4: could not convert string to float: 'abc'"),
         (rows_2x3()[:4] + [(2, 2, 1.0, "abc"), rows_2x3()[5]],
          "record 5: could not convert string to float: 'abc'"),
+        (_mapping_records()[:5] + [rows_2x3()[5]],
+         "record 6: tuple is not a mapping, as record 1 is"),
+        (_with(_mapping_records(), 2, unit_id=[1]), "record 3: id [1] is not hashable"),
+        (rows_2x3()[:3] + [(2, {1: 1}, 1.0, 2.0)] + rows_2x3()[4:],
+         "record 4: id {1: 1} is not hashable"),
     ],
-    ids=["first-without-x2", "later-without-x1", "mapping-text-y", "sequence-text-x1"],
+    ids=[
+        "first-without-x2", "later-without-x1", "mapping-text-y", "sequence-text-x1",
+        "later-not-a-mapping", "unhashable-unit-id", "unhashable-time-id",
+    ],
 )
 def test_malformed_record_names_the_record(records, message):
     with pytest.raises(PanelInputError, match=f"^{re.escape(message)}$"):
