@@ -138,32 +138,24 @@ def _det_adj_lu(g):
     return d, adj
 
 
+#: The cofactor expansions by k <= 4, as (det, det_adj) of a (m, k, k)
+#: stack: ``det`` evaluates the determinant expression of ``det_adj`` alone,
+#: so the same bits. Larger k falls back to LU.
+_EXPANSIONS = {
+    1: (lambda g: g[:, 0, 0].copy(), lambda g: (g[:, 0, 0].copy(), np.ones_like(g))),
+    2: (_det_2, _det_adj_2),
+    3: (lambda g: _det_3(g, *_cofactors_3(g)), _det_adj_3),
+    4: (lambda g: _det_4(*_minors_4(g)), _det_adj_4),
+}
+_LU = (np.linalg.det, _det_adj_lu)
+
+
 def _det_adj_stack(g):
     """Determinants and adjugates of k x k matrices stacked on any leading
     axes, (...,) and (..., k, k)."""
     lead, k = g.shape[:-2], g.shape[-1]
-    g = g.reshape(-1, k, k)
-    if k == 1:
-        d, adj = g[:, 0, 0].copy(), np.ones_like(g)
-    elif k == 2:
-        d, adj = _det_adj_2(g)
-    elif k == 3:
-        d, adj = _det_adj_3(g)
-    elif k == 4:
-        d, adj = _det_adj_4(g)
-    else:
-        d, adj = _det_adj_lu(g)
+    d, adj = _EXPANSIONS.get(k, _LU)[1](g.reshape(-1, k, k))
     return d.reshape(lead), adj.reshape(lead + (k, k))
-
-
-#: The determinant alone of a (m, k, k) stack, k <= 4: the expression that
-#: ``_det_adj_stack`` evaluates, so the same bits.
-_DETS = {
-    1: lambda g: g[:, 0, 0].copy(),
-    2: _det_2,
-    3: lambda g: _det_3(g, *_cofactors_3(g)),
-    4: lambda g: _det_4(*_minors_4(g)),
-}
 
 
 def det_stack(g):
@@ -171,9 +163,7 @@ def det_stack(g):
     expansion for k <= 4, without the adjugate; LU beyond (without the
     adjugate's k^2 minors)."""
     lead, k = g.shape[:-2], g.shape[-1]
-    if k > 4:
-        return np.linalg.det(g)
-    return _DETS[k](g.reshape(-1, k, k)).reshape(lead)
+    return _EXPANSIONS.get(k, _LU)[0](g.reshape(-1, k, k)).reshape(lead)
 
 
 def _gram(W: np.ndarray) -> np.ndarray:

@@ -245,10 +245,10 @@ def _write_per_unit(path: Path, names, unit_ids, est) -> None:
     Each chunk of rows is one ``%`` call over one flat tuple of its cells,
     with ``%.17g`` per value, which renders the same bytes as :func:`_fmt`.
     """
-    rows, ids = est.per_unit, _csv_ids(unit_ids)
-    if est.keep is not None:
-        rows = rows[est.keep]
-        ids = list(compress(ids, est.keep.tolist()))
+    rows, ids, keep = est.per_unit, _csv_ids(unit_ids), est.weighting.keep
+    if keep is not None:
+        rows = rows[keep]
+        ids = list(compress(ids, keep.tolist()))
     width = 1 + rows.shape[1]
     line = "%s," + ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
@@ -263,18 +263,21 @@ def _write_per_unit(path: Path, names, unit_ids, est) -> None:
 
 
 def _trimming_record(est) -> dict | None:
-    """The threshold a_n, the trimmed fraction pi_n and the trimmed-unit
-    count of a TMG-family fit, from its ``TrimState``; the squared bandwidth
+    """From the fit's weighting: the threshold a_n, the trimmed fraction pi_n
+    and the trimmed-unit count of a TMG-family fit; the squared bandwidth
     h_n^2, the kept-unit count m and the excluded fraction pi_n of a
     GP-family fit; None for any other fit."""
-    if est.trim is not None:
+    wt = est.weighting
+    if wt is None:
+        return None
+    if wt.trim is not None:
         return {
-            "a_n": float(est.trim.a_n),
-            "pi_n": float(est.trim.pi_n),
-            "trimmed": int(np.count_nonzero(est.trim.trimmed)),
+            "a_n": float(wt.trim.a_n),
+            "pi_n": float(wt.trim.pi_n),
+            "trimmed": int(np.count_nonzero(wt.trim.trimmed)),
         }
-    if est.h_n2 is not None:
-        return {"h_n2": float(est.h_n2), "m": int(est.n_used), "pi_n": float(est.pi_n)}
+    if wt.h_n2 is not None:
+        return {"h_n2": float(wt.h_n2), "m": int(wt.m), "pi_n": float(wt.pi_n)}
     return None
 
 
@@ -329,10 +332,9 @@ def _run_estimate(args) -> int:
     print(header)
     for name, c, s, t, p in rows:
         print(f"{name:>8} {c:14.6f} {s:12.6f} {t:9.3f} {p:9.4f}")
-    if est.pi_n > 0 or est.alpha_used is not None:
-        print(f"trimmed fraction pi_hat = {est.pi_n:.4f}")
     trimming = _trimming_record(est)
-    if trimming is not None:  # the manifest's record, pi_n printed above
+    if trimming is not None:  # the manifest's record, pi_n first
+        print(f"trimmed fraction pi_hat = {est.pi_n:.4f}")
         print("  ".join(f"{key} = {value!r}" for key, value in trimming.items() if key != "pi_n"))
 
     params = {
@@ -368,7 +370,7 @@ def _run_test(args) -> int:
     t_read = time.perf_counter()
     tags = ("hausman_te", "tmgte") if args.te else ("hausman", "tmg")
     res, tmg_fit = _fit(panel, tags, TrimConfig(alpha=args.alpha), None)
-    trim = (tmg_fit[0] if args.te else tmg_fit).trim  # the fit the test compared
+    trim = (tmg_fit[0] if args.te else tmg_fit).weighting.trim  # the fit the test compared
     t_fit = time.perf_counter()
     out = _out_dir(args)
     path = out / "hausman.json"
@@ -456,14 +458,22 @@ def _write_power_csv(path: Path, results) -> None:
 
 
 def _power_grid(args, cfg: DgpConfig, extras: dict) -> np.ndarray:
-    """The scenario's beta0_grid, else --grid-points values from --grid-min
-    to --grid-max, which default to the true slope -+ 0.5."""
+    """The scenario's beta0_grid, else --grid-points values (default 21) from
+    --grid-min to --grid-max, which default to the true slope -+ 0.5. A grid
+    flag beside a beta0_grid is refused: the grid has one source."""
     if extras["beta0_grid"] is not None:
+        flags = [f"--{f}" for f in ("grid-min", "grid-max", "grid-points")
+                 if getattr(args, f.replace("-", "_")) is not None]
+        if flags:
+            raise PanelInputError(
+                f"the scenario's beta0_grid and {', '.join(flags)} both set the power grid;"
+                " give one"
+            )
         return np.asarray(extras["beta0_grid"], dtype=np.float64)
     beta0 = cfg.theta0[1]
     lo = beta0 - 0.5 if args.grid_min is None else args.grid_min
     hi = beta0 + 0.5 if args.grid_max is None else args.grid_max
-    return np.linspace(lo, hi, args.grid_points)
+    return np.linspace(lo, hi, 21 if args.grid_points is None else args.grid_points)
 
 
 def _run_monte_carlo(args) -> int:
@@ -611,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pow.add_argument("scenario")
     p_pow.add_argument("--grid-min", type=_FINITE, help="default: true slope - 0.5")
     p_pow.add_argument("--grid-max", type=_FINITE, help="default: true slope + 0.5")
-    p_pow.add_argument("--grid-points", type=_GRID_POINTS, default=21)
+    p_pow.add_argument("--grid-points", type=_GRID_POINTS, help="default: 21")
     p_pow.add_argument("--reps", type=_REPS)
     p_pow.add_argument("--seed", type=int)
     p_pow.add_argument("--out", default="tmgpanel_out")

@@ -48,12 +48,9 @@ class Estimate:
     cov: np.ndarray
     n_used: int
     pi_n: float = 0.0
-    alpha_used: float | None = None
-    per_unit: np.ndarray | None = None  # (..., n, k); zero rows outside ``keep``
+    per_unit: np.ndarray | None = None  # (..., n, k); zero rows outside ``weighting.keep``
     coef_names: tuple = field(default=())
-    trim: TrimState | None = None  # threshold state of a TMG-family fit
-    h_n2: float | np.ndarray | None = None  # squared bandwidth h_n^2 of a GP-family fit
-    keep: np.ndarray | None = None  # units that enter the average; None is every unit
+    weighting: Weighting | None = None  # the weights of a mean-group fit; None when pooled
     fail: tuple | None = None  # per-replication failures of a block fit
     scores: np.ndarray | None = None  # (..., n, k') s_i = xw_i'nu~_i of a pooled fit
     bread: np.ndarray | None = None  # (..., k', k') (Psi/n)^{-1} of a pooled fit
@@ -124,14 +121,14 @@ class Weighting:
     """How units enter a weighted mean-group average: unit i contributes
     adj(W_i'W_i) W_i'y_i / den_i, and the mean over the kept units is divided
     by ``scale``. TMG keeps every unit with den_i = max(d_i, a_n) and scale
-    1 + delta_bar; GP keeps d_i > h_n^2 with den_i = d_i and scale 1."""
+    1 + delta_bar; GP keeps d_i > h_n^2 with den_i = d_i and scale 1. A
+    failed replication has den_i and scale 1, so dividing by them is safe."""
 
     keep: np.ndarray | None  # (..., n) retained-unit mask; None keeps every unit
     den: np.ndarray  # (..., n) per-unit denominators
     scale: float | np.ndarray
     pi_n: float | np.ndarray
-    alpha: float | None
-    trim: TrimState | None = None
+    trim: TrimState | None = None  # threshold state of a TMG-family fit
     h_n2: np.ndarray | None = None  # GP's squared bandwidth
     fail: tuple | None = None
 
@@ -191,7 +188,6 @@ def tmg_weighting(pd: PanelDesign, cfg: TrimConfig) -> Weighting:
         den=den,
         scale=scale,
         pi_n=state.pi_n,
-        alpha=cfg.alpha,
         trim=state,
         fail=fail,
     )
@@ -254,7 +250,6 @@ def gp_weighting(pd: PanelDesign, alpha_gp: float) -> Weighting:
         den=np.where(keep, pd.d, 1.0),
         scale=1.0,
         pi_n=1.0 - m / pd.n,
-        alpha=alpha_gp,
         h_n2=h_n2,
         fail=fail,
     )
@@ -282,12 +277,9 @@ def weighted_mean_group(
         cov=void(cov, wt.fail),
         n_used=m,
         pi_n=wt.pi_n,
-        alpha_used=wt.alpha,
         per_unit=tilde,
         coef_names=_mg_names(pd.k - 1),
-        trim=wt.trim,
-        h_n2=wt.h_n2,
-        keep=wt.keep,
+        weighting=wt,
         fail=wt.fail,
     )
 
@@ -301,7 +293,7 @@ def mg_weighting(pd: PanelDesign) -> Weighting:
         lambda i: SingularDesignError(units=np.flatnonzero(sing[i]).tolist()),
     )
     den = np.where(sing, 1.0, pd.d)
-    return Weighting(keep=None, den=den, scale=1.0, pi_n=0.0, alpha=None, fail=fail)
+    return Weighting(keep=None, den=den, scale=1.0, pi_n=0.0, fail=fail)
 
 
 @blockwise

@@ -139,16 +139,15 @@ def _result(stat, df: int, variant: str, delta, fail) -> HausmanResult:
 def hausman_no_te(panel: PanelBlock, cfg: TrimConfig = TrimConfig()) -> HausmanResult:
     """Test of correlated heterogeneity from the FE-vs-TMG slope difference.
 
-    The TMG fit carries the trimming state the weights come from, the FE fit
-    its scores and bread."""
+    The TMG fit carries the weighting its average used, the FE fit its
+    scores and bread."""
     fe_est, tmg_est = panel.fit(fe), panel.fit(tmg, cfg)
     fail = merge(fe_est.fail, tmg_est.fail)
     delta = fe_est.coef - tmg_est.coef[..., 1:]
-    state = tmg_est.trim
-    B = panel.design.bmats(state.a_n, state.trimmed)
+    wt = tmg_est.weighting
+    B = panel.design.bmats(wt.trim.a_n, wt.trim.trimmed)
     b_slope = B[..., 1:, 1:]  # (1+delta_i) (X'MX)^{-1}, finite on the trimmed branch
-    scale = np.where(failed(fail), 1.0, state.weight_scale)  # a failed TMG fit may have 0
-    m = fe_est.bread[..., None, :, :] - b_slope / col(col(col(scale)))
+    m = fe_est.bread[..., None, :, :] - b_slope / col(col(col(wt.scale)))
     # t_i = X_i'nu~_i = X_i'M nu~_i are FE's scores, because nu~ is de-meaned
     scores = small_matvec(m, fe_est.scores)
     v = mt(scores) @ scores / panel.n
@@ -170,9 +169,9 @@ def hausman_te(panel: PanelBlock, cfg: TrimConfig = TrimConfig()) -> HausmanResu
     pd = panel.design
     fail = merge(fete_est.fail, tmgte_est.fail)
     delta = fete_est.coef - tmgte_est.coef[..., 1:]
-    state = tmgte_est.trim
-    scale = col(col(np.where(failed(fail), 1.0, state.weight_scale)))  # as in hausman_no_te
-    B = pd.bmats(state.a_n, state.trimmed)
+    wt = tmgte_est.weighting
+    scale = col(col(wt.scale))
+    B = pd.bmats(wt.trim.a_n, wt.trim.trimmed)
     qx = small_matmul(panel.xd, B[..., 1:, 1:])  # Q_ix
     qx_bar = qx.mean(axis=-3) / scale
 

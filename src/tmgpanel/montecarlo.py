@@ -818,16 +818,20 @@ def _aggregate(tag, cfg: DgpConfig, coef, se, pi, reason, beta0_grid) -> McResul
         err = coef - _tag_truth(tag, cfg)
         bias = err.mean(axis=0)
         rmse = np.sqrt((err**2).mean(axis=0))
-        size = (np.abs(err) / se > CRIT_5PCT).mean(axis=0)
+        # an se of exactly 0 divides as IEEE does: |t| = inf rejects, 0/0 does not
+        with np.errstate(divide="ignore", invalid="ignore"):
+            size = (np.abs(err) / se > CRIT_5PCT).mean(axis=0)
+            if beta0_grid is not None:
+                power = []
+                for b0 in np.asarray(beta0_grid, dtype=np.float64):
+                    rate = (np.abs(coef[:, 0] - b0) / se[:, 0] > CRIT_5PCT).mean()
+                    power.append(
+                        (float(b0), float(rate), float(np.sqrt(rate * (1 - rate) / r_ok)))
+                    )
         mc_se_size = np.sqrt(size * (1 - size) / r_ok)
         if r_ok > 1:
             mc_se_bias = coef.std(axis=0, ddof=1) / np.sqrt(r_ok)
         pi_hat = float(pi.mean())
-        if beta0_grid is not None:
-            power = []
-            for b0 in np.asarray(beta0_grid, dtype=np.float64):
-                rate = (np.abs(coef[:, 0] - b0) / se[:, 0] > CRIT_5PCT).mean()
-                power.append((float(b0), float(rate), float(np.sqrt(rate * (1 - rate) / r_ok))))
     return McResult(
         estimator=tag, reps=r_ok, failures=len(ok) - r_ok, coef_names=names, bias=bias,
         rmse=rmse, size=size, pi_hat=pi_hat, mc_se_bias=mc_se_bias, mc_se_size=mc_se_size,

@@ -454,7 +454,7 @@ def test_hausman_json_records_the_tmg_trimming(hetero_csv, tmp_path, monkeypatch
     assert len(calls) == 1
     monkeypatch.undo()
     panel, cfg = read_panel_csv(hetero_csv), TrimConfig(alpha=0.05)
-    state = (tmg_te(panel, cfg)[0] if te else tmg(panel, cfg)).trim
+    state = (tmg_te(panel, cfg)[0] if te else tmg(panel, cfg)).weighting.trim
     rec = json.loads((tmp_path / "hausman.json").read_text())
     assert list(rec) == ["variant", "statistic", "df", "p_value", "a_n", "pi_n"]
     assert (rec["a_n"], rec["pi_n"]) == (state.a_n, state.pi_n)
@@ -607,6 +607,27 @@ class TestCalibrate:
 
 
 class TestPower:
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--grid-points", "7"], "--grid-points"),
+            (["--grid-min", "0.5", "--grid-max", "1.5"], "--grid-min, --grid-max"),
+        ],
+    )
+    def test_scenario_grid_and_grid_flags_conflict(self, tmp_path, capsys, flags, named):
+        # the grid has one source: a grid flag beside the scenario's
+        # beta0_grid exits 2, naming both, before any output is written
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(scenario_payload(reps=4, beta0_grid=[0.9, 1.1])))
+        out = tmp_path / "pow"
+        assert main(["power", str(scen), *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"the scenario's beta0_grid and {named} both set the power grid" in err
+        assert not out.exists()
+        # the scenario's grid alone still runs
+        assert main(["power", str(scen), "--out", str(out)]) == 0
+        assert len((out / "power.csv").read_text().splitlines()) == 1 + 2 * 2
+
     def test_power_csv_columns(self, tmp_path):
         scen = tmp_path / "scen.json"
         scen.write_text(json.dumps(scenario_payload(estimators=["tmg"], reps=10)))
@@ -888,9 +909,9 @@ def test_per_unit_csv_bytes(hetero_csv, tmp_path, method):
     est = tmg(panel) if method == "tmg" else gp(panel, DEFAULT_ALPHA_GP)
     ids, rows = list(panel.unit_ids), est.per_unit
     if method == "gp":
-        assert 0 < est.keep.sum() < panel.n
-        ids = [uid for uid, kept in zip(ids, est.keep) if kept]
-        rows = rows[est.keep]
+        assert 0 < est.weighting.keep.sum() < panel.n
+        ids = [uid for uid, kept in zip(ids, est.weighting.keep) if kept]
+        rows = rows[est.weighting.keep]
     want = "unit_id,alpha,beta1\n" + "".join(
         str(uid) + "," + ",".join(_fmt(v) for v in row) + "\n" for uid, row in zip(ids, rows)
     )
@@ -926,7 +947,7 @@ def test_per_unit_writer_matches_row_by_row_format(tmp_path, extra, subset):
     keep = rng.random(n) < 0.7 if subset else None
     _write_per_unit(
         tmp_path / "per_unit.csv", ("alpha", "beta1"), ids,
-        SimpleNamespace(per_unit=rows, keep=keep),
+        SimpleNamespace(per_unit=rows, weighting=SimpleNamespace(keep=keep)),
     )
     kept = range(n) if keep is None else np.flatnonzero(keep)
     want = "unit_id,alpha,beta1\n" + "".join(
@@ -936,11 +957,12 @@ def test_per_unit_writer_matches_row_by_row_format(tmp_path, extra, subset):
     assert (tmp_path / "per_unit.csv").read_bytes() == want.encode()
 
 
-@pytest.mark.parametrize("method", ["tmg", "tmgte", "gp", "gpte", "fe"])
+@pytest.mark.parametrize("method", ["tmg", "tmgte", "gp", "gpte", "fe", "mg", "fete"])
 def test_manifest_records_the_trimming_of_tmg_fits(hetero_csv, tmp_path, capsys, method):
     # TMG fits record a_n, pi_n and the trimmed count; GP fits (gpte is
     # gp --te) the squared bandwidth h_n^2, the kept count m and pi_n. The
-    # line after the trimmed fraction prints the same record, less pi_n
+    # line after the trimmed fraction prints the same record, less pi_n.
+    # MG and the pooled fits trim nothing: no record, no trimmed fraction
     from tmgpanel import PanelBlock, tmg, tmg_te
     from tmgpanel.estimators import gp_threshold
 
@@ -948,8 +970,9 @@ def test_manifest_records_the_trimming_of_tmg_fits(hetero_csv, tmp_path, capsys,
     assert main(["estimate", str(hetero_csv), *argv, "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     lines = capsys.readouterr().out.splitlines()
-    if method == "fe":
+    if method in ("fe", "mg", "fete"):
         assert "trimming" not in manifest
+        assert not any(line.startswith("trimmed fraction") for line in lines)
         return
     keys = ["h_n2", "m"] if method in ("gp", "gpte") else ["a_n", "trimmed"]
     assert lines[-2].startswith("trimmed fraction pi_hat")
@@ -962,7 +985,7 @@ def test_manifest_records_the_trimming_of_tmg_fits(hetero_csv, tmp_path, capsys,
         assert manifest["trimming"] == {"h_n2": h_n2, "m": m, "pi_n": 1.0 - m / panel.n}
         assert 0 < m < panel.n
         return
-    state = (tmg(panel) if method == "tmg" else tmg_te(panel)[0]).trim
+    state = (tmg(panel) if method == "tmg" else tmg_te(panel)[0]).weighting.trim
     assert manifest["trimming"] == {
         "a_n": state.a_n, "pi_n": state.pi_n, "trimmed": int(state.trimmed.sum())
     }

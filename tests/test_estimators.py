@@ -212,6 +212,30 @@ class TestGp:
             gp(p)
 
 
+def test_one_panel_fit_carries_its_weighting(rng):
+    # a mean-group fit of one panel keeps the weighting it averaged with, as
+    # its replication's: per-unit arrays lose the block axis, the scale is a
+    # scalar and fail is None. A pooled fit has none
+    p = random_panel(rng, n=60, T=2)
+    pd = PanelDesign(p)
+    wt = tmg(p).weighting
+    assert wt.den.shape == (p.n,) and np.ndim(wt.scale) == 0 and wt.fail is None
+    assert wt.keep is None and wt.h_n2 is None
+    np.testing.assert_array_equal(wt.den, np.where(wt.trim.trimmed, wt.trim.a_n, pd.d))
+    assert wt.scale == wt.trim.weight_scale
+    est = gp(p)
+    wt = est.weighting
+    assert wt.trim is None and np.ndim(wt.h_n2) == 0 and wt.fail is None
+    np.testing.assert_array_equal(wt.keep, pd.d > wt.h_n2)
+    assert wt.m == est.n_used == wt.keep.sum()
+    wt = mg(p).weighting
+    assert (wt.keep, wt.trim, wt.h_n2, wt.scale) == (None, None, None, 1.0)
+    assert fe(p).weighting is None
+    # a failed one-panel fit still raises its failure
+    with pytest.raises(AllTrimmedError):
+        tmg(panel_from_x([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]), TrimConfig(c_n=1.0))
+
+
 #: Entries with ties, zeros of both signs and NaN, and any double.
 _ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.nan]), st.floats(width=64))
 

@@ -224,6 +224,26 @@ class TestRunExperiment:
         rates = [c[1] for c in curve]
         assert all(0.0 <= r <= 1.0 for r in rates)
 
+    def test_zero_standard_error_divides_as_ieee(self):
+        # two units over two periods with time effects: fete's clustered se
+        # is exactly 0 in replications counted as valid. The size and the
+        # power curve divide as IEEE does, without a warning: a nonzero
+        # error over se = 0 rejects, 0 / 0 does not
+        from tmgpanel import fete
+        from tmgpanel.montecarlo import CRIT_5PCT, generate_block
+
+        cfg = base_cfg(n=2, T=2, time_effects=True)
+        grid = [0.5, 1.0]
+        (res,) = run_experiment(cfg, ["fete"], reps=40, beta0_grid=grid)
+        est = fete(generate_block(cfg, range(40))[0])[0]
+        beta, se = est.coef[:, 0], est.se[:, 0]
+        ok = np.isfinite(beta) & np.isfinite(se)
+        assert res.reps == ok.sum() and (se[ok] == 0.0).sum() > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = [np.abs(beta[ok] - b) / se[ok] for b in (cfg.theta0[1], *grid)]
+        assert res.size[0] == (t[0] > CRIT_5PCT).mean()
+        assert [rate for _, rate, _ in res.power_curve] == [(r > CRIT_5PCT).mean() for r in t[1:]]
+
     def test_reproducible_across_jobs(self):
         cfg = base_cfg(n=80, seed=31)
         res1 = run_experiment(cfg, ["fe", "tmg"], reps=8, jobs=1)

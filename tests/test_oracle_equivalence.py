@@ -210,14 +210,14 @@ def test_stress_estimators_match_bruteforce(panel, stayer):
 
     coef, cov, pi_n = oracles.tmg_oracle(y, x, ALPHA)
     est = tmg(panel, TrimConfig(alpha=ALPHA))
-    assert est.trim.trimmed[stayer]
+    assert est.weighting.trim.trimmed[stayer]
     assert_close(est.coef, coef, RTOL)
     assert_close(est.cov, cov, RTOL)
     assert est.pi_n == pytest.approx(pi_n, abs=1e-12)
 
     coef, cov, pi_n = oracles.gp_oracle(y, x, ALPHA)
     est = gp(panel, ALPHA)
-    assert not est.keep[stayer]
+    assert not est.weighting.keep[stayer]
     assert_close(est.coef, coef, RTOL)
     assert_close(est.cov, cov, RTOL)
     assert est.pi_n == pytest.approx(pi_n, abs=1e-12)
@@ -304,5 +304,5 @@ def test_stress_trimming_ignores_regressor_scale(panel, stayer):
             y=panel.y, x=panel.x * s, unit_ids=panel.unit_ids, time_ids=panel.time_ids
         )
         est = tmg(scaled, TrimConfig(alpha=ALPHA))
-        np.testing.assert_array_equal(est.trim.trimmed, base.trim.trimmed)
+        np.testing.assert_array_equal(est.weighting.trim.trimmed, base.weighting.trim.trimmed)
         assert est.pi_n == base.pi_n

@@ -54,7 +54,7 @@ def test_tmg_finite_with_stayer(panel_with_stayer):
     np.testing.assert_allclose(est.per_unit[3], 0.0, atol=1e-12 * scale)
     pd = PanelDesign(panel_with_stayer)
     a_n = compute_threshold(pd.d, TrimConfig())
-    assert est.trim.a_n == a_n and est.trim.trimmed[3]
+    assert est.weighting.trim.a_n == a_n and est.weighting.trim.trimmed[3]
     want = pd.adj[3] @ pd.wty()[3] / a_n  # the adjugate form of the trimmed branch
     np.testing.assert_allclose(est.per_unit[3], want, atol=1e-12 * scale)
 
@@ -93,5 +93,5 @@ def test_near_singular_unit_rounds_to_zero_determinant(rng):
     p = BalancedPanel(y=y, x=x, unit_ids=tuple(range(n)), time_ids=(0, 1))
     assert PanelDesign(p).d[0] == 0.0
     est = tmg(p)
-    assert est.trim.trimmed[0]
+    assert est.weighting.trim.trimmed[0]
     assert np.isfinite(est.coef).all() and np.isfinite(est.se).all()

@@ -90,7 +90,7 @@ class TestTrimmedUnitEstimate:
         p = random_panel(rng, n=4, T=3)
         pd = PanelDesign(p)
         est = tmg(p, threshold_config(pd.d.min() / 2.0, p.n))
-        assert not est.trim.trimmed.any()
+        assert not est.weighting.trim.trimmed.any()
         np.testing.assert_array_equal(est.per_unit, mg(p).per_unit)
         for i in range(p.n):
             np.testing.assert_allclose(
@@ -100,7 +100,7 @@ class TestTrimmedUnitEstimate:
     def test_zero_design_zero_outcome(self):
         p = panel_from_x([[0.0, 0.0], [0.0, 1.0]])
         est = tmg(p)
-        assert PanelDesign(p).d[0] == 0.0 and est.trim.trimmed[0]
+        assert PanelDesign(p).d[0] == 0.0 and est.weighting.trim.trimmed[0]
         np.testing.assert_array_equal(est.per_unit[0], 0.0)
         assert np.isfinite(est.per_unit).all()
 
@@ -110,8 +110,8 @@ class TestTrimmedUnitEstimate:
         pd = PanelDesign(p)
         top = np.sort(pd.d)[-2:]
         est = tmg(p, threshold_config(top.mean(), p.n))
-        a_n = est.trim.a_n
-        trimmed = np.flatnonzero(est.trim.trimmed)
+        a_n = est.weighting.trim.a_n
+        trimmed = np.flatnonzero(est.weighting.trim.trimmed)
         assert trimmed.size == 5
         for i in trimmed:
             want = (pd.d[i] / a_n) * oracles.unit_theta(p.y[i], p.x[i])
