@@ -305,6 +305,8 @@ def _run_estimate(args) -> int:
     te = tag in TE_TAGS
     (fit,) = _fit(panel, (tag,), TrimConfig(alpha=args.alpha), args.alpha_gp)
     est, te_result = fit if te else (fit, None)
+    if args.dump_units and est.per_unit is None:
+        raise PanelInputError(f"method {tag!r} is pooled: it has no per-unit estimates to dump")
 
     names = est.coef_names
     rows = _t_rows(names, est.coef, est.se)
@@ -321,7 +323,7 @@ def _run_estimate(args) -> int:
             fh.write(f"{name},{_fmt(c)},{_fmt(s)},{_fmt(t)},{_fmt(p)}\n")
     outputs = [table_path]
 
-    if args.dump_units and est.per_unit is not None:
+    if args.dump_units:
         dump_path = out / "per_unit.csv"
         _write_per_unit(dump_path, names, panel.unit_ids, est)
         outputs.append(dump_path)
@@ -483,6 +485,9 @@ def _run_monte_carlo(args) -> int:
     t0 = time.perf_counter()
     cfg, extras = _prepare_scenario(args)
     reps = args.reps if args.reps is not None else extras["reps"]
+    if args.command == "power" and set(extras["estimators"]) <= set(TEST_TAGS):
+        tags = list(extras["estimators"])
+        raise PanelInputError(f"estimators {tags} are all tests: a power curve needs a slope")
     grid = _power_grid(args, cfg, extras) if args.command == "power" else None
     trim_cfg, alpha_gp = extras["trim_cfg"], extras["alpha_gp"]
     cal_usage: dict = {}

@@ -7,7 +7,10 @@ freedom under the null. A test runs on a block of replications and gives
 one statistic per replication; a single panel is tested as its block of one.
 A test reads the two estimates it compares, and at T > k the projectors,
 from the block's fit cache (:meth:`~tmgpanel.panel.PanelBlock.fit`), so on a
-block that has fitted them already neither is computed again.
+block that has fitted them already neither is computed again. With time
+effects it reads the inverse the TMG-TE fit solved through
+(``TimeEffects.inv``), so it checks no system of its own. Each test forms
+only its unit scores; :func:`_compare` turns them into the statistic.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .designs import (
     mt,
     mv,
     nonsingular,
-    system_singular,
     void,
     within,
 )
@@ -91,19 +93,24 @@ class HausmanResult:
         }
 
 
-def _quad_form(v, delta, n: int, coef_scale, fail):
-    """n * delta' V^+ delta with a rank-guarded symmetric pseudo-inverse.
+def _compare(panel: PanelBlock, pooled_fit, trimmed_fit, scores, variant: str) -> HausmanResult:
+    """The test of the pooled-minus-trimmed slope difference delta from its
+    unit scores, (..., n, k'): n delta' V^+ delta with V = S'S/n and a
+    rank-guarded symmetric pseudo-inverse, failed where either fit failed.
 
-    V and delta are taken in correlation form, R = S^{-1} V S^{-1} and
-    S^{-1} delta with S the standard deviations of V, so that neither the
+    V and delta are taken in correlation form, R = D^{-1} V D^{-1} and
+    D^{-1} delta with D the standard deviations of V, so that neither the
     rank nor the statistic depends on the units of the coefficients; an
     eigenvalue of R at or below RANK_RTOL is dropped. A difference at
-    floating-point noise level in every coefficient, relative to that
-    coefficient's ``coef_scale``, counts as exactly zero (degenerate fixtures
-    with identical estimators give statistic 0, p-value 1). Rank deficiency is
+    floating-point noise level in every coefficient, relative to the larger
+    of the two estimates, counts as exactly zero (degenerate fixtures with
+    identical estimators give statistic 0, p-value 1). Rank deficiency is
     otherwise an error unless the difference lies in the retained range space.
-    Returns the statistics and the failures.
     """
+    fail = merge(pooled_fit.fail, trimmed_fit.fail)
+    delta = pooled_fit.coef - trimmed_fit.coef[..., 1:]
+    v = mt(scores) @ scores / panel.n
+    coef_scale = np.maximum(np.abs(pooled_fit.coef), np.abs(trimmed_fit.coef[..., 1:]))
     zero = (np.abs(delta) <= RANK_RTOL * coef_scale).all(axis=-1)
     v = nonsingular(0.5 * (v + mt(v)), failed(fail))
     sd = np.sqrt(np.diagonal(v, axis1=-2, axis2=-1))
@@ -124,14 +131,11 @@ def _quad_form(v, delta, n: int, coef_scale, fail):
         ),
     )
     pinv = (u / np.where(keep, w, np.inf)[..., None, :]) @ mt(u)
-    stat = ((n * delta_r)[..., None, :] @ pinv @ delta_r[..., :, None])[..., 0, 0]
-    return void(np.where(zero, 0.0, stat), fail), fail
-
-
-def _result(stat, df: int, variant: str, delta, fail) -> HausmanResult:
-    p_value = np.array([chisq_sf(s, df) for s in stat])
+    stat = ((panel.n * delta_r)[..., None, :] @ pinv @ delta_r[..., :, None])[..., 0, 0]
+    stat = void(np.where(zero, 0.0, stat), fail)
+    p_value = np.array([chisq_sf(s, panel.k_prime) for s in stat])
     return HausmanResult(
-        statistic=stat, df=df, p_value=p_value, variant=variant, delta=delta, fail=fail
+        statistic=stat, df=panel.k_prime, p_value=p_value, variant=variant, delta=delta, fail=fail
     )
 
 
@@ -142,18 +146,12 @@ def hausman_no_te(panel: PanelBlock, cfg: TrimConfig = TrimConfig()) -> HausmanR
     The TMG fit carries the weighting its average used, the FE fit its
     scores and bread."""
     fe_est, tmg_est = panel.fit(fe), panel.fit(tmg, cfg)
-    fail = merge(fe_est.fail, tmg_est.fail)
-    delta = fe_est.coef - tmg_est.coef[..., 1:]
     wt = tmg_est.weighting
     B = panel.design.bmats(wt.trim.a_n, wt.trim.trimmed)
     b_slope = B[..., 1:, 1:]  # (1+delta_i) (X'MX)^{-1}, finite on the trimmed branch
     m = fe_est.bread[..., None, :, :] - b_slope / col(col(col(wt.scale)))
     # t_i = X_i'nu~_i = X_i'M nu~_i are FE's scores, because nu~ is de-meaned
-    scores = small_matvec(m, fe_est.scores)
-    v = mt(scores) @ scores / panel.n
-    coef_scale = np.maximum(np.abs(fe_est.coef), np.abs(tmg_est.coef[..., 1:]))
-    stat, fail = _quad_form(v, delta, panel.n, coef_scale, fail)
-    return _result(stat, panel.k_prime, VARIANT_NO_TE, delta, fail)
+    return _compare(panel, fe_est, tmg_est, small_matvec(m, fe_est.scores), VARIANT_NO_TE)
 
 
 @blockwise
@@ -161,45 +159,28 @@ def hausman_te(panel: PanelBlock, cfg: TrimConfig = TrimConfig()) -> HausmanResu
     """Test of correlated heterogeneity in panels with time effects.
 
     Compares the two-way pooled estimator with the trimmed mean-group TE
-    estimator; the weighting matrix follows the T = k or T > k construction
-    of the trimmed estimator. The FE-TE fit carries its scores, bread and
+    estimator through the inverse the TMG-TE fit solved with
+    (``TimeEffects.inv``): the slope block of (I_k - Qbar'M_T Wbar)^{-1} at
+    T = k, Mbar^{-1} at T > k. The FE-TE fit carries its scores, bread and
     within residuals.
     """
-    fete_est, tmgte_est = panel.fit(fete)[0], panel.fit(tmg_te, cfg)[0]
-    pd = panel.design
-    fail = merge(fete_est.fail, tmgte_est.fail)
-    delta = fete_est.coef - tmgte_est.coef[..., 1:]
+    fete_est, (tmgte_est, te) = panel.fit(fete)[0], panel.fit(tmg_te, cfg)
     wt = tmgte_est.weighting
     scale = col(col(wt.scale))
-    B = pd.bmats(wt.trim.a_n, wt.trim.trimmed)
+    B = panel.design.bmats(wt.trim.a_n, wt.trim.trimmed)
     qx = small_matmul(panel.xd, B[..., 1:, 1:])  # Q_ix
-    qx_bar = qx.mean(axis=-3) / scale
-
     nud = fete_est.resid
     s_pool = fete_est.scores @ fete_est.bread  # (..., n, k')
     # einsum: at k' = 1 the sum runs over unit-stride periods (see _kernels)
     s_trim = np.einsum("...ntq,...nt->...nq", qx, nud)
     if panel.T == panel.k:
-        xbar_d = within(panel.x.mean(axis=-3), axis=-2)  # M_T Xbar
-        a_x = np.eye(panel.k_prime) - mt(qx_bar) @ xbar_d
-        fail = flag(
-            fail,
-            system_singular(nonsingular(a_x, failed(fail)), pd.scales()[..., 1:]),
-            lambda i: SingularVdeltaError("T=k weighting system is not invertible"),
-        )
-        a_x_inv = np.linalg.inv(nonsingular(a_x, failed(fail)))
-        scores = s_pool - s_trim @ mt(a_x_inv) / scale
-        variant = VARIANT_TE_TEQK
-    else:
-        proj = panel.fit(chamberlain_projectors)
-        mbar_inv = np.linalg.inv(nonsingular(proj.M_bar, failed(fail)))
-        mi_nu = proj.apply(nud)
-        # third term of G_iC' M_T nu~: Qbar_nx' M_T Mbar^{-1} (M_i nu~)
-        s_back = mi_nu @ (mbar_inv @ within(qx_bar, axis=-2))
-        scores = s_pool - s_trim / scale + s_back
-        variant = VARIANT_TE_TGTK
-
-    v = mt(scores) @ scores / panel.n
-    coef_scale = np.maximum(np.abs(fete_est.coef), np.abs(tmgte_est.coef[..., 1:]))
-    stat, fail = _quad_form(v, delta, panel.n, coef_scale, fail)
-    return _result(stat, panel.k_prime, variant, delta, fail)
+        # Wbar's intercept column de-means to 0, so the system's slope block
+        # of the inverse is (I_k' - Qbar_x'M_T Xbar)^{-1}
+        scores = s_pool - s_trim @ mt(te.inv[..., 1:, 1:]) / scale
+        return _compare(panel, fete_est, tmgte_est, scores, VARIANT_TE_TEQK)
+    qx_bar = qx.mean(axis=-3) / scale
+    mi_nu = panel.fit(chamberlain_projectors).apply(nud)
+    # third term of G_iC' M_T nu~: Qbar_nx' M_T Mbar^{-1} (M_i nu~)
+    s_back = mi_nu @ (te.inv @ within(qx_bar, axis=-2))
+    scores = s_pool - s_trim / scale + s_back
+    return _compare(panel, fete_est, tmgte_est, scores, VARIANT_TE_TGTK)

@@ -55,12 +55,14 @@ METHOD_FETE = "fete"
 
 @dataclass(frozen=True)
 class TimeEffects:
-    """Estimated period effects phi (tau'phi = 0) with covariance."""
+    """Estimated period effects phi (tau'phi = 0) with covariance, and the
+    inverse they were solved through (None for FE-TE)."""
 
     phi: np.ndarray
     cov: np.ndarray
     method: str
     fail: tuple | None = None  # per-replication failures of a block fit
+    inv: np.ndarray | None = None  # Mbar^{-1} (T > k), (I_k - Qbar'M_T Wbar)^{-1} (T = k)
 
     @property
     def se(self) -> np.ndarray:
@@ -123,7 +125,11 @@ def chamberlain_phi(panel: PanelBlock) -> TimeEffects:
     mbar_inv = np.linalg.inv(mbar)
     cov = mbar_inv @ meat @ mbar_inv / panel.n
     return TimeEffects(
-        phi=void(phi, fail), cov=void(cov, fail), method=METHOD_CHAMBERLAIN, fail=fail
+        phi=void(phi, fail),
+        cov=void(cov, fail),
+        method=METHOD_CHAMBERLAIN,
+        fail=fail,
+        inv=void(mbar_inv, fail),
     )
 
 
@@ -169,7 +175,13 @@ def weighted_mean_group_te(
     xb = np.einsum("...ntp,...p->...nt", panel.x, coef[..., 1:])
     nu = panel.y - xb - phi[..., None, :]
     cov_phi = _phi_cov(panel.x.mean(axis=-3), cov[..., 1:, 1:], nu)
-    te = TimeEffects(phi=void(phi, fail), cov=void(cov_phi, fail), method=METHOD_SYSTEM, fail=fail)
+    te = TimeEffects(
+        phi=void(phi, fail),
+        cov=void(cov_phi, fail),
+        method=METHOD_SYSTEM,
+        fail=fail,
+        inv=void(a_inv, fail),
+    )
     return replace(est, coef=void(coef, fail), cov=void(cov, fail), fail=fail), te
 
 

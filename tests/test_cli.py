@@ -105,6 +105,16 @@ class TestEstimate:
         assert dump[0] == "unit_id,alpha,beta1"
         assert len(dump) == 5001
 
+    @pytest.mark.parametrize("method", [["fe"], ["fete"], ["fe", "--te"]], ids=["fe", "fete", "fe-te"])
+    def test_dump_units_of_a_pooled_fit_is_input_error(self, hetero_csv, tmp_path, capsys, method):
+        # a pooled fit has no per-unit estimates: --dump-units exits 2 with a
+        # message before any output or panel.npz is written
+        out = tmp_path / "out"
+        argv = ["estimate", str(hetero_csv), "--method", *method, "--dump-units"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "is pooled: it has no per-unit estimates to dump" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("te", [False, True])
     def test_gp_dump_units_names_retained_units(self, tmp_path, te):
         # GP drops units; each per-unit row must carry the id of its own unit
@@ -627,6 +637,22 @@ class TestPower:
         # the scenario's grid alone still runs
         assert main(["power", str(scen), "--out", str(out)]) == 0
         assert len((out / "power.csv").read_text().splitlines()) == 1 + 2 * 2
+
+    def test_tests_alone_have_no_power_curve(self, tmp_path, capsys, monkeypatch):
+        # a test has no slope: a scenario whose tags are all tests exits 2,
+        # naming them, before kappa^2 is calibrated or any output is written
+        from tmgpanel import montecarlo
+
+        def calibrate(*args, **kwargs):
+            raise AssertionError("calibrated kappa^2")
+
+        monkeypatch.setattr(montecarlo, "calibrate_kappa", calibrate)
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(scenario_payload(kappa2=None, estimators=["hausman"], reps=4)))
+        out = tmp_path / "pow"
+        assert main(["power", str(scen), "--out", str(out)]) == 2
+        assert "estimators ['hausman'] are all tests" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_power_csv_columns(self, tmp_path):
         scen = tmp_path / "scen.json"

@@ -592,6 +592,31 @@ def test_failing_replication_fails_alone():
             for b in (0, 2):
                 _assert_row(got, fit(panels[b]), b, where)
 
+    # T = k, no unit trimmed: the middle replication's x_i moves by c_i in
+    # period 1 against period 2, with mean(c) mean(1/c) = 1, so its system
+    # I_k - Qbar'M_T Wbar is singular while FE-TE is not. hausman_te checks
+    # no system of its own and fails it with the TMG-TE fit's exception
+    n, cfg = 20, TrimConfig(c_n=1e-6)
+    c = rng.choice([-1.0, 1.0], n - 1) * rng.uniform(0.5, 2.0, n - 1)
+    s1, s2 = c.sum(), (1.0 / c).sum()
+    c = np.append(c, np.roots([s2, s1 * s2 + 1 - n * n, s1]).real[0])
+    x = rng.normal(1.0, 1.0, (n, 1)) + c[:, None] * np.array([0.5, -0.5])
+    y = rng.standard_normal((n, 1)) + 1.3 * x + 0.5 * rng.standard_normal((n, 2))
+    panels = [random_panel(rng, n=n, T=2), None, random_panel(rng, n=n, T=2)]
+    panels[1] = type(panels[0])(y=y, x=x[..., None], unit_ids=tuple(range(n)), time_ids=(1, 2))
+    block = PanelBlock(y=np.stack([p.y for p in panels]), x=np.stack([p.x for p in panels]))
+    assert fete(block)[0].fail == (None, None, None)
+    got = hausman_te(block, cfg)
+    tmgte_fail = block.fit(tmg_te, cfg)[0].fail
+    assert type(tmgte_fail[1]).__name__ == "SingularTeSystemError", tmgte_fail
+    assert got.fail == tmgte_fail and got.fail[1] is tmgte_fail[1]
+    assert np.isnan(got.statistic[1]) and np.isnan(got.p_value[1])
+    with pytest.raises(type(tmgte_fail[1])) as raised:
+        hausman_te(panels[1], cfg)
+    assert str(raised.value) == str(tmgte_fail[1])
+    for b in (0, 2):
+        _assert_row(got, hausman_te(panels[b], cfg), b, "hausman_te T=k")
+
 
 def test_failures_counted_by_reason():
     from tmgpanel import TrimConfig

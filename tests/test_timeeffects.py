@@ -14,7 +14,7 @@ from tmgpanel import (
     tmg,
     tmg_te,
 )
-from tmgpanel.designs import within
+from tmgpanel.designs import PanelDesign, within
 from tmgpanel.errors import SingularUnitGramError
 
 from _helpers import random_panel
@@ -249,6 +249,56 @@ class TestTmgTe:
         p = random_panel(rng, n=40, T=2)
         _, te = tmg_te(p)
         np.testing.assert_allclose(te.cov @ np.ones(p.T), 0.0, atol=1e-10)
+
+
+class TestSolvedInverse:
+    """``TimeEffects.inv``: the inverse the effects were solved through."""
+
+    @pytest.mark.parametrize("k_prime", [1, 2])
+    def test_projector_route_keeps_mbar_inverse(self, rng, k_prime):
+        # T > k: M_bar^{-1}, with the bits of inverting the projector average
+        # on each replication that does not fail; NaN on the one that does
+        panels, _ = scaled_panels(rng, 1.0, n=30, T=k_prime + 2, k_prime=k_prime)
+        bad = panels[1]
+        x = bad.x.copy()
+        x[4, :, 0] = 2.5  # unit 4: a constant regressor
+        panels[1] = BalancedPanel(y=bad.y, x=x, unit_ids=bad.unit_ids, time_ids=bad.time_ids)
+        block = PanelBlock(y=np.stack([p.y for p in panels]), x=np.stack([p.x for p in panels]))
+        te = chamberlain_phi(block)
+        assert te.fail[1] is not None and np.isnan(te.inv[1]).all()
+        m_bar = chamberlain_projectors(block).M_bar
+        for b in (0, 2):
+            np.testing.assert_array_equal(te.inv[b], np.linalg.inv(m_bar[b]))
+        np.testing.assert_array_equal(tmg_te(block)[1].inv, te.inv)  # TMG-TE's effects
+
+    @pytest.mark.parametrize("k_prime", [1, 2, 3])
+    def test_system_inverse_slope_block(self, rng, k_prime):
+        # T = k: Wbar's intercept column de-means to 0, so the system's inverse
+        # has first column e_1 and slope block (I_k' - Qbar_x'M_T Xbar)^{-1}
+        for _ in range(5):
+            p = random_panel(rng, n=40, T=k_prime + 1, k_prime=k_prime)
+            est, te = tmg_te(p)
+            assert te.method == "system"
+            np.testing.assert_array_equal(te.inv[:, 0], np.eye(k_prime + 1)[:, 0])
+            wt = est.weighting
+            B = PanelDesign(p).bmats(wt.trim.a_n, wt.trim.trimmed)
+            xd = within(p.x, axis=-2)
+            qx_bar = np.einsum("ntp,npq->tq", xd, B[:, 1:, 1:]) / p.n / wt.scale
+            a_x = np.eye(k_prime) - qx_bar.T @ within(p.x.mean(axis=0), axis=0)
+            want = np.linalg.inv(a_x)
+            np.testing.assert_allclose(
+                te.inv[1:, 1:], want, rtol=1e-12, atol=1e-12 * abs(want).max()
+            )
+
+    @pytest.mark.parametrize("T", [2, 3])
+    def test_shapes(self, rng, T):
+        # (k, k) at T = k, (T, T) at T > k, stacked over a block; FE-TE has none
+        p = random_panel(rng, n=20, T=T)
+        block = PanelBlock(y=np.stack([p.y, p.y]), x=np.stack([p.x, p.x]))
+        side = max(T, p.k_prime + 1)
+        assert tmg_te(p)[1].inv.shape == (side, side)
+        assert tmg_te(block)[1].inv.shape == (2, side, side)
+        assert fete(p)[1].inv is None and fete(block)[1].inv is None
 
 
 class TestGpTe:
