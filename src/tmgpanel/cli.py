@@ -1,9 +1,10 @@
 """Command-line surface: estimate | test | simulate | calibrate | power.
 
 Every run writes a manifest (command, config hash, seed, versions, timings,
-output paths); a CSV command's timings also record the processes that parsed
-the CSV, and a Monte Carlo run's manifest the processes and draw threads it
-used, with its timings split into draw and fit seconds.
+output paths); its timings also record the peak memory of the process and of
+its largest forked child, a CSV command's the processes that parsed the CSV,
+and a Monte Carlo run's manifest the processes and draw threads it used, with
+its timings split into draw and fit seconds.
 A Monte Carlo run splits over the cores the process may run on (``taskset``
 limits them) as its size allows; simulation and calibration outputs are
 byte-reproducible for a given scenario and seed, whatever the split.
@@ -35,6 +36,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # no getrusage (Windows)
+    resource = None
 
 from . import __version__
 from .designs import blockwise
@@ -85,6 +91,21 @@ def _versions() -> dict:
     }
 
 
+def _peak_rss() -> dict:
+    """Peak resident memory in MiB, from ``getrusage``'s ``ru_maxrss``: of
+    this process (``peak_rss_mb``), and of the largest child it has reaped,
+    such as a CSV parse's or a Monte Carlo run's forked children
+    (``children_peak_rss_mb``, 0 if none). None where the platform has no
+    ``getrusage``."""
+    if resource is None:
+        return {"peak_rss_mb": None, "children_peak_rss_mb": None}
+    unit = 1024.0**2 if sys.platform == "darwin" else 1024.0  # bytes there, KiB elsewhere
+    return {
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit,
+        "children_peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / unit,
+    }
+
+
 def _write_manifest(
     out_dir: Path,
     command: str,
@@ -101,7 +122,7 @@ def _write_manifest(
         "parameters": params,
         "seed": seed,
         "versions": _versions(),
-        "timings": {"wall_seconds": elapsed, **(stages or {})},
+        "timings": {"wall_seconds": elapsed, **(stages or {}), **_peak_rss()},
         "outputs": [str(p) for p in outputs],
         **(extra or {}),
     }

@@ -161,7 +161,8 @@ class ChamberlainProjector:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """M_i v_i = v_i - xdp_i (xd_i'v_i) for every unit, (..., n, T)."""
-        return v - small_matvec(self.xdp, small_matvec(mt(self.xd), v))
+        fitted = small_matvec(self.xdp, small_matvec(mt(self.xd), v))
+        return np.subtract(v, fitted, out=fitted)
 
     @property
     def M(self) -> np.ndarray:
@@ -258,9 +259,11 @@ class PanelDesign:
             self._adj_wty = small_matvec(self.adj, self.wty())
         return self._adj_wty
 
-    def bmats(self, a_n, trimmed: np.ndarray) -> np.ndarray:
+    def bmats(self, a_n, trimmed: np.ndarray, slopes: bool = False) -> np.ndarray:
         """(1 + delta_i) (W'W)^{-1} for every unit, finite on the trimmed branch
-        (NaN for a replication of a block without a threshold, a_n = NaN)."""
+        (NaN for a replication of a block without a threshold, a_n = NaN);
+        only its slope block [1:, 1:] if ``slopes``."""
         a_n = col(a_n)
         den = np.where(trimmed | np.isnan(a_n), a_n, self.d)
-        return self.adj / den[..., None, None]
+        adj = self.adj[..., 1:, 1:] if slopes else self.adj
+        return adj / den[..., None, None]

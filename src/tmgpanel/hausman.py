@@ -147,8 +147,8 @@ def hausman_no_te(panel: PanelBlock, cfg: TrimConfig = TrimConfig()) -> HausmanR
     scores and bread."""
     fe_est, tmg_est = panel.fit(fe), panel.fit(tmg, cfg)
     wt = tmg_est.weighting
-    B = panel.design.bmats(wt.trim.a_n, wt.trim.trimmed)
-    b_slope = B[..., 1:, 1:]  # (1+delta_i) (X'MX)^{-1}, finite on the trimmed branch
+    # (1+delta_i) (X'MX)^{-1}, finite on the trimmed branch
+    b_slope = panel.design.bmats(wt.trim.a_n, wt.trim.trimmed, slopes=True)
     m = fe_est.bread[..., None, :, :] - b_slope / col(col(col(wt.scale)))
     # t_i = X_i'nu~_i = X_i'M nu~_i are FE's scores, because nu~ is de-meaned
     return _compare(panel, fe_est, tmg_est, small_matvec(m, fe_est.scores), VARIANT_NO_TE)
@@ -164,11 +164,13 @@ def hausman_te(panel: PanelBlock, cfg: TrimConfig = TrimConfig()) -> HausmanResu
     T = k, Mbar^{-1} at T > k. The FE-TE fit carries its scores, bread and
     within residuals.
     """
-    fete_est, (tmgte_est, te) = panel.fit(fete)[0], panel.fit(tmg_te, cfg)
+    # TMG-TE first: FE-TE holds less at its peak, so it adds less on top of
+    # the fits the block keeps than TMG-TE would on top of FE-TE's residuals
+    (tmgte_est, te), fete_est = panel.fit(tmg_te, cfg), panel.fit(fete)[0]
     wt = tmgte_est.weighting
     scale = col(col(wt.scale))
-    B = panel.design.bmats(wt.trim.a_n, wt.trim.trimmed)
-    qx = small_matmul(panel.xd, B[..., 1:, 1:])  # Q_ix
+    b_slope = panel.design.bmats(wt.trim.a_n, wt.trim.trimmed, slopes=True)
+    qx = small_matmul(panel.xd, b_slope)  # Q_ix
     nud = fete_est.resid
     s_pool = fete_est.scores @ fete_est.bread  # (..., n, k')
     # einsum: at k' = 1 the sum runs over unit-stride periods (see _kernels)
@@ -179,6 +181,7 @@ def hausman_te(panel: PanelBlock, cfg: TrimConfig = TrimConfig()) -> HausmanResu
         scores = s_pool - s_trim @ mt(te.inv[..., 1:, 1:]) / scale
         return _compare(panel, fete_est, tmgte_est, scores, VARIANT_TE_TEQK)
     qx_bar = qx.mean(axis=-3) / scale
+    del qx  # not held through the projection of nu~
     mi_nu = panel.fit(chamberlain_projectors).apply(nud)
     # third term of G_iC' M_T nu~: Qbar_nx' M_T Mbar^{-1} (M_i nu~)
     s_back = mi_nu @ (te.inv @ within(qx_bar, axis=-2))

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import pickle
 import queue
 import threading
 import time
@@ -776,19 +775,12 @@ def _run(cfg: DgpConfig, reps: int, calibration: bool, extra: tuple, jobs, usage
     ``usage``. If a child fails, this process runs them all, as a run of one
     process does."""
     chunks = _blocks(range(reps), -(-reps // _processes(reps * cfg.n, SPLIT_UNITS, jobs)))
-    # each worker's pickle is read whole, and loaded once every worker exited 0
-    joined = _forked(
-        chunks,
-        lambda c: np.frombuffer(
-            pickle.dumps(_worker(cfg, c, calibration, extra, len(chunks))), np.uint8
-        ),
-        np.uint8,
+    # each worker's result is read whole, and loaded once every worker exited 0
+    parts = _forked(
+        chunks, lambda c: _worker(cfg, c, calibration, extra, len(chunks))
     ) if len(chunks) > 1 else None
-    if joined is None:  # one process, as chosen or after a failed worker
+    if parts is None:  # one process, as chosen or after a failed worker
         parts = [_worker(cfg, range(reps), calibration, extra, 1)]
-    else:
-        blob, sizes = joined
-        parts = [pickle.loads(b) for b in np.split(blob, np.cumsum(sizes)[:-1])]
     _record(usage, len(parts), _draw_threads(len(parts)), sum((s for _, s in parts), Counter()))
     return _concat([p for p, _ in parts])
 

@@ -4,31 +4,36 @@ A panel is strictly balanced: every unit is observed at every period.
 Unbalanced input is rejected rather than silently dropped, because every
 downstream formula assumes a common T.
 
-Ingestion is columnar. ``read_panel_csv`` parses the file once, with numpy's
-C reader, into two fixed-width byte id columns and a value matrix
-(y, x1..xk'), and factorises each id column on its bytes, read as big-endian
-64-bit words, so only the distinct ids become Python strings. The distinct
-ids leave that factorisation in byte order, which for UTF-8 is ``str`` order,
-and an id of 1 to 15 ASCII digits is valued from its bytes (exactly, so the
-value is the one ``float()`` gives); an id holding an ASCII letter that
-``float()`` never accepts is text, and only the other ids go through
-``float()``. ``load_panel`` factorises its records' ids with a dict and sorts
-the distinct ids by ``str`` once. One assembler orders the distinct ids,
-checks duplicates and balance with ``np.bincount`` over the cell index and
-scatters the values into the (n, T) and (n, T, k') arrays.
+Ingestion is columnar. ``read_panel_csv`` parses the file in runs of whole
+lines (:func:`_parse_run`), each with numpy's C reader, into two fixed-width
+byte id columns and a value matrix (y, x1..xk'). Each run factorises its own
+id columns on their bytes, read as big-endian 64-bit words, and keeps only
+its values, its distinct ids and each row's code into them; its table and
+the factorisation's temporaries end with the run. The runs' distinct ids are
+then merged (:func:`_merge_ids`), so only the distinct ids of the whole file
+become Python strings. The merged ids come out in byte order, which for
+UTF-8 is ``str`` order, and an id of 1 to 15 ASCII digits is valued from its
+bytes (exactly, so the value is the one ``float()`` gives); an id holding an
+ASCII letter that ``float()`` never accepts is text, and only the other ids
+go through ``float()``. ``load_panel`` factorises its records' ids with a
+dict and sorts the distinct ids by ``str`` once, as one run. One assembler
+orders the distinct ids, maps each run's codes to its rows' (unit, period)
+cells, checks duplicates and balance with a mark per cell and scatters each
+run's values into the (n, T) and (n, T, k') arrays.
 
 A UTF-8 byte-order mark at the start of a CSV (Excel's "CSV UTF-8") is
 skipped.
 
 A large CSV is parsed on every core the process may run on: forked children
-(:func:`_forked`) each parse a run of whole lines, and the parent reads their
-rows into the one table (:func:`_split_loadtxt`).
+(:func:`_forked`) each parse and factorise a run of whole lines, and the
+parent merges and assembles what they return. Otherwise this process parses
+runs of about ``SPLIT_BYTES`` one after another.
 
-An id column is parsed at 16 bytes per id. If any id fills that width it may
-have been cut short, so that column alone is parsed again at four times the
-width until no id fills it: ids are never truncated. A fixed-width byte
-field cannot hold a trailing NUL, so a NUL byte anywhere in a CSV is an input
-error naming its line.
+An id column is parsed at 16 bytes per id. If any id of a run fills that
+width it may have been cut short, so that run's column alone is parsed again
+at four times the width until no id fills it: ids are never truncated. A
+fixed-width byte field cannot hold a trailing NUL, so a NUL byte anywhere in
+a CSV is an input error naming its line.
 
 Units and periods follow one total order on ids. An id that ``float()``
 parses to a number other than NaN is numeric and sorts first, by that value;
@@ -44,6 +49,7 @@ import contextlib
 import csv
 import io
 import os
+import pickle
 import re
 import select
 import signal
@@ -51,7 +57,7 @@ import sys
 import threading
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, islice
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -109,28 +115,17 @@ class _PanelShape:
     def k(self) -> int:
         return self.k_prime + 1
 
-    # de-meaned regressors and outcomes, computed once and shared by the
-    # estimators, projectors and tests that use them
-
     @cached_property
     def xd(self) -> np.ndarray:
-        """M_T X_i: regressors de-meaned over time, (..., n, T, k')."""
+        """M_T X_i: regressors de-meaned over time, (..., n, T, k'), computed
+        once and shared by the estimators, projectors and tests that use them."""
         return within(self.x, axis=-2)
 
-    @cached_property
+    @property
     def yd(self) -> np.ndarray:
-        """M_T y_i: outcomes de-meaned over time, (..., n, T)."""
+        """M_T y_i: outcomes de-meaned over time, (..., n, T). Each fit that
+        reads it reads it once, so it is not kept."""
         return within(self.y, axis=-1)
-
-    @cached_property
-    def xc(self) -> np.ndarray:
-        """X_i - Xbar: regressors less their cross-section mean, (..., n, T, k')."""
-        return self.x - self.x.mean(axis=-3, keepdims=True)
-
-    @cached_property
-    def xcd(self) -> np.ndarray:
-        """M_T (X_i - Xbar): the two-way de-meaned regressors."""
-        return within(self.xc, axis=-2)
 
     def design_tensor(self) -> np.ndarray:
         """Per-unit W_i = (1, X_i) stacked into an (..., n, T, k) array."""
@@ -217,7 +212,7 @@ class PanelBlock(_PanelShape):
 
 def _factorise(column) -> tuple[list, np.ndarray, np.ndarray]:
     """Distinct ids in ``str`` order (equal strings in order of first
-    appearance), each row's index into them, and each id's numeric value."""
+    appearance), each id's numeric value, and each row's index into them."""
     index: dict = {}
     codes = np.asarray([index.setdefault(v, len(index)) for v in column], dtype=np.intp)
     seen = list(index)
@@ -225,7 +220,7 @@ def _factorise(column) -> tuple[list, np.ndarray, np.ndarray]:
     order = sorted(range(len(seen)), key=text.__getitem__)
     ids = [seen[i] for i in order]
     value = np.fromiter(map(_numeric_value, ids), dtype=np.float64, count=len(ids))
-    return ids, _ranks(np.asarray(order, dtype=np.intp))[codes], value
+    return ids, value, _ranks(np.asarray(order, dtype=np.intp))[codes]
 
 
 def _id_bytes(column: np.ndarray) -> np.ndarray:
@@ -257,31 +252,42 @@ def _digit_values(raw: np.ndarray) -> np.ndarray:
     return np.where(plain, shifted / 10.0 ** (head.shape[0] - length), np.nan)
 
 
-def _factorise_bytes(raw: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
-    """Distinct ids of a (rows, width) matrix of NUL-padded UTF-8 ids without
-    NUL bytes of their own, each row's index into them, and each id's numeric
-    value.
-
-    Each id's bytes, zero-padded to whole 8-byte words, are read as big-endian
-    ``uint64`` words; two ids are equal exactly when their words are, and the
-    distinct ids come out in byte order, which for UTF-8 is ``str`` order.
-    Only the distinct ids are decoded, and only those that are neither plain
-    digits nor :func:`_never_float` are passed to ``float()``.
-    """
+def _id_words(raw: np.ndarray) -> np.ndarray:
+    """A (rows, width) matrix of NUL-padded UTF-8 ids without NUL bytes of
+    their own as rows of native ``uint64`` words: each id's bytes, zero-padded
+    to whole 8-byte words, read big-endian, and only as many words as the
+    longest id uses. Two ids are equal exactly when their words are, and
+    their words sort in byte order, which for UTF-8 is ``str`` order; native
+    words sort faster than big-endian ones."""
     used = [j for j, word in enumerate(raw.view(np.uint64).T) if word.any()]
-    # the used words, read big-endian and converted to native order, which sorts faster
-    words = raw[:, : 8 * (used[-1] + 1 if used else 1)].view(">u8").astype(np.uint64)
-    if words.shape[1] == 1:
-        distinct, codes = np.unique(words[:, 0], return_inverse=True)
-    else:
-        order = np.lexsort(words.T[::-1])
-        ranked = words[order]
-        new = np.ones(order.size, dtype=bool)
-        new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-        codes = np.empty(order.size, dtype=np.intp)
-        codes[order] = np.cumsum(new) - 1
-        distinct = ranked[new]
-    distinct = distinct.reshape(distinct.shape[0], -1).astype(">u8")
+    return raw[:, : 8 * (used[-1] + 1 if used else 1)].view(">u8").astype(np.uint64)
+
+
+def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a (rows, w) ``uint64`` matrix in order, and each
+    row's index into them, in the narrowest unsigned type that holds it. The
+    sorted copy is freed before the indices are built."""
+    order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T[::-1])
+    ranked = words[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    distinct = ranked[new]
+    del ranked
+    rank = np.cumsum(new)
+    rank -= 1
+    codes = np.empty(order.size, dtype=np.min_scalar_type(len(distinct)))
+    codes[order] = rank
+    return distinct, codes
+
+
+def _decode_ids(distinct: np.ndarray) -> tuple[list, np.ndarray]:
+    """The ids of distinct :func:`_id_words` rows, in their order, and each
+    id's numeric value.
+
+    Only these ids are decoded, and only those that are neither plain digits
+    nor :func:`_never_float` are passed to ``float()``.
+    """
+    distinct = distinct.astype(">u8")
     # ids hold no NUL, so NUL joins them and splits the one decoded text
     text = b"\0".join(distinct.view(f"S{8 * distinct.shape[1]}").ravel().tolist())
     ids = text.decode("utf-8").split("\0")
@@ -290,7 +296,24 @@ def _factorise_bytes(raw: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
     others = np.flatnonzero(np.isnan(value))
     others = others[~_never_float(id_bytes[others])]
     value[others] = [_numeric_value(ids[i]) for i in others.tolist()]
-    return ids, codes, value
+    return ids, value
+
+
+def _merge_ids(columns: list) -> tuple[list, np.ndarray, list]:
+    """One id column's own factorisations in the runs of a CSV, each the
+    run's distinct :func:`_id_words` rows and its rows' codes into them,
+    merged: the distinct ids of all runs in ``str`` order, each id's numeric
+    value, and for each run the index among them of each of its own ids.
+    The runs' words are zero-padded to the widest, which keeps their order."""
+    sizes = [len(words) for words, _ in columns]
+    stacked = np.zeros((sum(sizes), max(words.shape[1] for words, _ in columns)), np.uint64)
+    at = 0
+    for words, _ in columns:
+        stacked[at : at + len(words), : words.shape[1]] = words
+        at += len(words)
+    distinct, inverse = _distinct_rows(stacked)
+    ids, value = _decode_ids(distinct)
+    return ids, value, np.split(inverse, np.cumsum(sizes)[:-1])
 
 
 # The bytes of the ASCII letters float() never accepts: it accepts only those
@@ -331,47 +354,76 @@ def _sort_ids(ids: list, value: np.ndarray) -> tuple[list, np.ndarray]:
     return [ids[i] for i in order.tolist()], _ranks(order)
 
 
-def _assemble(units, times, values: np.ndarray, label) -> BalancedPanel:
-    """Build the panel from long-format columns.
+def _assemble(units, times, runs: list, label) -> BalancedPanel:
+    """Build the panel from long-format rows, given in runs.
 
-    ``units`` and ``times`` are factorised id columns: (distinct ids in
-    ``str`` order, each row's index into them, each id's numeric value).
-    ``values`` is the (rows, 1 + k') matrix of y, x1..xk'. ``label(r)`` names
-    row ``r`` in the non-finite error ("line 7" for a CSV, "record 3" for
-    records).
+    ``units`` and ``times`` are each id column's distinct ids in ``str`` order
+    and each id's numeric value. Each run is (values, unit codes, unit map,
+    time codes, time map): the (rows, 1 + k') matrix of y, x1..xk', each
+    row's code into the run's own distinct ids of a column, and the index of
+    each of those ids among the column's distinct ids. ``label(r)`` names row
+    ``r``, counted over the runs in order, in the non-finite error ("line 7"
+    for a CSV, "record 3" for records).
     """
-    (unit_seen, unit_code, unit_value), (time_seen, time_code, time_value) = units, times
+    (unit_seen, unit_value), (time_seen, time_value) = units, times
     unit_ids, unit_rank = _sort_ids(unit_seen, unit_value)
     time_ids, time_rank = _sort_ids(time_seen, time_value)
     n, T = len(unit_ids), len(time_ids)
-    cell = unit_rank[unit_code] * T + time_rank[time_code]
-    counts = np.bincount(cell, minlength=n * T)
-    if counts.max() > 1:
+
+    def cells(run):  # each row's index into the (n, T) cells, built in place
+        _, unit_code, unit_map, time_code, time_map = run
+        cell = unit_rank[unit_map][unit_code]
+        cell *= T
+        cell += time_rank[time_map][time_code]
+        return cell
+
+    rows = sum(len(run[0]) for run in runs)
+    # the values are scattered as the cells are marked, where there is a cell
+    # for each row: with more or fewer rows than cells, a check fails below
+    y = x = None
+    if rows == n * T:
+        y, x = np.empty(n * T), np.empty((n * T, runs[0][0].shape[1] - 1))
+    seen = np.zeros(n * T, dtype=bool)
+    for run in runs:
+        cell = cells(run)
+        seen[cell] = True
+        if y is not None:
+            y[cell] = run[0][:, 0]
+            x[cell] = run[0][:, 1:]
+    if rows > np.count_nonzero(seen):  # a cell holds two rows
+        cell = np.concatenate([cells(run) for run in runs])
         repeat = np.ones(cell.size, dtype=bool)
         repeat[np.unique(cell, return_index=True)[1]] = False
-        r = int(np.flatnonzero(repeat)[0])
-        unit, time = unit_seen[unit_code[r]], time_seen[time_code[r]]
+        _, unit_code, unit_map, time_code, time_map, r = _row(runs, int(np.flatnonzero(repeat)[0]))
+        unit, time = unit_seen[unit_map[unit_code[r]]], time_seen[time_map[time_code[r]]]
         raise DuplicateCellError(f"duplicate cell (unit={unit!r}, time={time!r})")
-    missing = np.flatnonzero(counts == 0)
+    missing = np.flatnonzero(~seen)
     if missing.size:
         examples = [(unit_ids[c // T], time_ids[c % T]) for c in missing[:5].tolist()]
         raise UnbalancedPanelError(f"{missing.size} missing cells, e.g. {examples}")
-    y = np.empty(n * T)
-    y[cell] = values[:, 0]
-    x = np.empty((n * T, values.shape[1] - 1))
-    x[cell] = values[:, 1:]
     try:
         return BalancedPanel(
             y=y.reshape(n, T), x=x.reshape(n, T, -1), unit_ids=unit_ids, time_ids=time_ids
         )
     except NonFiniteValueError:
-        bad = ~np.isfinite(values)
-        r = int(np.flatnonzero(bad.any(axis=1))[0])
-        j = int(np.flatnonzero(bad[r])[0])
+        bad = np.concatenate([~np.isfinite(run[0]).all(axis=1) for run in runs])
+        r = int(np.flatnonzero(bad)[0])
+        values, *_, row = _row(runs, r)
+        j = int(np.flatnonzero(~np.isfinite(values[row]))[0])
         column = "y" if j == 0 else f"x{j}"
         raise NonFiniteValueError(
             f"{label(r)}: NaN or infinite value in column {column}"
         ) from None
+
+
+def _row(runs: list, r: int) -> tuple:
+    """The run that holds row ``r``, counted over the runs in order, and the
+    row's index in it; error paths only."""
+    for run in runs:
+        if r < len(run[0]):
+            return (*run, r)
+        r -= len(run[0])
+    raise IndexError(r)
 
 
 def load_panel(rows: Iterable[Mapping | Sequence]) -> BalancedPanel:
@@ -408,12 +460,18 @@ def load_panel(rows: Iterable[Mapping | Sequence]) -> BalancedPanel:
             f"could not read values: {exc}"
         ) from None
     try:
-        units, times = _factorise(columns[0]), _factorise(columns[1])
+        (unit_ids, unit_value, unit_code), (time_ids, time_value, time_code) = (
+            _factorise(columns[0]), _factorise(columns[1])
+        )
     except TypeError as exc:
         raise _first_unhashable_id(table) or PanelInputError(
             f"could not read ids: {exc}"
         ) from None
-    return _assemble(units, times, values, lambda r: f"record {r + 1}")
+    # one run, whose own ids are the distinct ids
+    run = (values, unit_code, np.arange(len(unit_ids)), time_code, np.arange(len(time_ids)))
+    return _assemble(
+        (unit_ids, unit_value), (time_ids, time_value), [run], lambda r: f"record {r + 1}"
+    )
 
 
 def _fields(records: Iterable[Mapping], names: tuple):
@@ -459,7 +517,7 @@ CSV_HEADER_PREFIX = ("unit_id", "time_id", "y")
 _CONTENT = re.compile(rb"[^\r\n]")
 
 # bytes per id in the first parse: numeric ids and ISO dates fit. It and every
-# re-read width (x4) are whole 8-byte words, as ``_factorise_bytes`` reads them.
+# re-read width (x4) are whole 8-byte words, as ``_id_words`` reads them.
 _ID_WIDTH = 16
 
 
@@ -514,49 +572,101 @@ def _parse_csv(data: bytes, usage: dict | None) -> BalancedPanel:
         lineno = data.count(b"\n", 0, nul) + 1
         raise PanelInputError(f"line {lineno}: NUL byte")
 
+    width, start = len(header), end + 1
+    count = _processes(len(data), SPLIT_BYTES)
+    runs = _runs(data, start, -(-len(data) // count)) if count > 1 else []
+    # a child fails on a warning too, so the parse here gives it as usual
+    parsed = (
+        _forked(runs, partial(_parse_run, data, width=width, strict=True))
+        if len(runs) > 1 else None
+    )
+    if usage is not None:
+        usage["read_processes"] = 1 if parsed is None else len(runs)
+    if parsed is None:  # a failed child leaves every error to this process
+        parsed = _parse_here(data, start, width)
+    (unit_ids, unit_value, unit_maps), (time_ids, time_value, time_maps) = (
+        _merge_ids([run[j] for run in parsed]) for j in (1, 2)
+    )
+    rows = [
+        (values, unit_code, unit_map, time_code, time_map)
+        for (values, (_, unit_code), (_, time_code)), unit_map, time_map
+        in zip(parsed, unit_maps, time_maps)
+    ]
+    del parsed  # the runs' own distinct ids are merged: free them
+    return _assemble(
+        (unit_ids, unit_value), (time_ids, time_value), rows,
+        lambda r: f"line {_line_of_row(data, r)}",
+    )
+
+
+def _parse_here(data: bytes, start: int, width: int) -> list:
+    """:func:`_parse_run` of each run of about ``SPLIT_BYTES`` of the CSV, in
+    this process. Where one fails, the whole file is parsed as one run, as
+    the reader did before it cut runs, so that the error is the file's own:
+    the first bad record's, else numpy's for the whole file."""
+    try:
+        return [_parse_run(data, run, width) for run in _runs(data, start, SPLIT_BYTES)]
+    except ValueError:
+        pass
+    try:
+        return [_parse_run(data, (0, len(data)), width)]
+    except ValueError as exc:
+        raise _first_bad_record(data, width) or PanelInputError(
+            f"could not parse CSV: {exc}"
+        ) from None
+
+
+def _parse_run(data: bytes, run: tuple, width: int, strict: bool = False) -> tuple:
+    """Parse one run of whole lines of a CSV of ``width`` fields, (lo, hi)
+    byte offsets (:func:`_loadtxt`). Returns the
+    run's (rows, width - 2) values and, for each id column, the run's own
+    factorisation (:func:`_distinct_rows`): its distinct :func:`_id_words`
+    rows and each row's code into them. ``strict`` turns a warning into an
+    error.
+
+    Ids are read at ``_ID_WIDTH`` bytes. If an id of a column fills that
+    width it may have been cut short, so the run's column alone is read
+    again at four times the width until no id fills it.
+    """
     # Without usecols, loadtxt checks every row's field count against the dtype.
     dtype = np.dtype(
         [
             ("unit_id", f"S{_ID_WIDTH}"),
             ("time_id", f"S{_ID_WIDTH}"),
-            ("values", np.float64, (len(header) - 2,)),
+            ("values", np.float64, (width - 2,)),
         ]
     )
-    runs = _runs(data, end + 1)
-    table = _split_loadtxt(data, dtype, runs) if runs else None
-    if usage is not None:
-        usage["read_processes"] = 1 if table is None else len(runs)
-    try:
-        if table is None:  # a failed child leaves every error to this parse
-            table = _loadtxt(data, dtype)
-    except ValueError as exc:
-        raise _first_bad_record(data, len(header)) or PanelInputError(
-            f"could not parse CSV: {exc}"
-        ) from None
-    ids = []
-    for j, name in enumerate(("unit_id", "time_id")):
-        raw, width = _id_bytes(table[name]), _ID_WIDTH
-        while raw[:, -1].any():  # an id fills the width, so it may have been cut
-            width *= 4
-            raw = _id_bytes(_loadtxt(data, f"S{width}", usecols=(j,)))
-        ids.append(_factorise_bytes(raw))
-    return _assemble(
-        ids[0], ids[1], table["values"], lambda r: f"line {_line_of_row(data, r)}"
-    )
+    with warnings.catch_warnings():
+        if strict:
+            warnings.simplefilter("error")
+        table = _loadtxt(data, run, dtype)
+        ids = []
+        for j, name in enumerate(("unit_id", "time_id")):
+            raw, size = _id_bytes(table[name]), _ID_WIDTH
+            while raw[:, -1].any():  # an id fills the width, so it may have been cut
+                size *= 4
+                raw = _id_bytes(_loadtxt(data, run, f"S{size}", usecols=(j,)))
+            ids.append(_distinct_rows(_id_words(raw)))
+    return np.ascontiguousarray(table["values"]), ids[0], ids[1]
 
 
-def _loadtxt(data: bytes, dtype, usecols=None, skiprows: int = 1) -> np.ndarray:
-    """Parse the data rows of a CSV with numpy's C reader. Latin-1 maps each
-    byte to one character, so a bytes field holds the file's exact bytes."""
+def _loadtxt(data: bytes, run: tuple, dtype, usecols=None) -> np.ndarray:
+    """Parse the data rows of one run of whole lines of a CSV, (lo, hi) byte
+    offsets, with numpy's C reader; the run at 0 skips the header. The run's
+    bytes are copied for this call only (a copy is faster to read than the
+    lines of a file over ``data``, and the whole file is not copied). Latin-1
+    maps each byte to one character, so a bytes field holds the file's exact
+    bytes."""
+    lo, hi = run
     return np.loadtxt(
-        io.BytesIO(data), dtype=dtype, delimiter=",", quotechar='"', comments=None,
-        skiprows=skiprows, encoding="latin1", ndmin=1, usecols=usecols,
+        io.BytesIO(data[lo:hi]), dtype=dtype, delimiter=",", quotechar='"', comments=None,
+        skiprows=int(lo == 0), encoding="latin1", ndmin=1, usecols=usecols,
     )
 
 
 #: Bytes of CSV per parsing process. A CSV is cut into at most one run of
-#: whole lines per this many bytes, and per core, and a CSV of one run is
-#: parsed in this process.
+#: whole lines per this many bytes, and per core, for forked children; a CSV
+#: of one such run is parsed in this process, in runs of this many bytes.
 SPLIT_BYTES = 1 << 20
 
 
@@ -578,66 +688,39 @@ def _processes(work: int, unit: int, jobs: int | None = None) -> int:
     return 1
 
 
-def _runs(data: bytes, start: int) -> list:
-    """The runs of whole lines, as (start, end) byte offsets, that forked
-    children parse of a CSV whose data rows begin at ``start``; [] where this
-    process parses it whole.
-
-    The runs are one per process of :func:`_processes`, which forks only
-    where it may. A run ends after an LF, which ends a record only where no
-    field is quoted, so a CSV holding ``"`` is not cut; and there must be two
-    runs or more, each holding a data row.
+def _runs(data: bytes, start: int, size: int) -> list:
+    """The runs of whole lines of a CSV whose data rows begin at ``start``,
+    as (lo, hi) byte offsets: each run but the last ends at the first line
+    end at or after ``size`` bytes, and a run that holds no data row, only
+    blank lines, is left out. A run ends after an LF, which ends a record
+    only where no field is quoted, so a CSV holding ``"`` is one run.
     """
-    count = _processes(len(data), SPLIT_BYTES)
-    if count < 2 or b'"' in data:
-        return []
     cuts = [0]
-    for i in range(1, count):
-        cut = data.find(b"\n", max(start, i * len(data) // count)) + 1
-        if cuts[-1] < cut < len(data):
-            cuts.append(cut)
-    runs = list(zip(cuts, cuts[1:] + [len(data)]))
-    rows = [start] + cuts[1:]  # where each run's data rows begin
-    if len(runs) < 2 or not all(_CONTENT.search(data, r, hi) for r, (_, hi) in zip(rows, runs)):
-        return []
-    return runs
+    quoted = b'"' in data
+    while not quoted:
+        cut = data.find(b"\n", max(start, cuts[-1] + size) - 1) + 1
+        if not cuts[-1] < cut < len(data):
+            break
+        cuts.append(cut)
+    runs = zip(cuts, cuts[1:] + [len(data)])
+    return [(lo, hi) for lo, hi in runs if _CONTENT.search(data, max(lo, start), hi)]
 
 
-def _split_loadtxt(data: bytes, dtype: np.dtype, runs: list) -> np.ndarray | None:
-    """``_loadtxt(data, dtype)``, parsed by one forked child per run of
-    ``runs`` (:func:`_forked`), or None if a child fails.
+def _forked(items: Sequence, work) -> list | None:
+    """What ``work(item)`` returns in one forked child per item of ``items``,
+    in order; or None if a fork or pipe fails, a read ends short, a size is
+    bad or a child does not exit with status 0.
 
-    Each child slices its own run and parses it with the same arguments (only
-    the first run skips the header). A warning fails it too, so the in-process
-    parse that follows gives the warning as it would without children. This
-    process parses nothing: the children's rows are read straight into the one
-    table.
-    """
-
-    def parse(run):
-        lo, hi = run
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return _loadtxt(data[lo:hi], dtype, skiprows=int(lo == 0))
-
-    joined = _forked(runs, parse, dtype)
-    return None if joined is None else joined[0]
-
-
-def _forked(items: Sequence, work, dtype) -> tuple | None:
-    """The arrays ``work(item)`` of ``dtype`` that one forked child per item
-    of ``items`` computes, joined in order into one array, and each child's
-    count of elements; or None if a fork or pipe fails, a read ends short, a
-    size is bad or a child does not exit with status 0.
-
-    This is the one pipe format: a child writes its array's byte size, as 8
-    little-endian bytes, then the array's bytes (:func:`_child`). This process
-    reads every size with :func:`_fill`, allocates the one array and fills
-    each child's bytes into its place, so nothing is copied after the read.
-    A child ends with ``os._exit``, with status 0 only if it wrote it all.
-    Every child is reaped on every path, and one still running when the read
-    ends early, fails or is interrupted is killed first. :func:`_fill` waits
-    in polls, so an interrupt does not wait for the children. Only
+    This is the one pipe format: a child pickles its result with each
+    contiguous array's bytes out of band (protocol 5), then writes the number
+    of parts and each part's byte size, as 8 little-endian bytes each, then
+    the parts: the pickle and the arrays' bytes (:func:`_child`). This
+    process reads each part with :func:`_fill` into a buffer of its own and
+    loads the result over those buffers, so no array is copied after the
+    read. A child ends with ``os._exit``, with status 0 only if it wrote it
+    all. Every child is reaped on every path, and one still running when the
+    read ends early, fails or is interrupted is killed first. :func:`_fill`
+    waits in polls, so an interrupt does not wait for the children. Only
     :func:`_processes` decides whether this process may fork.
 
     Fork and a pipe, not a spawned process pool: fork, ``_exit`` and ``waitpid``
@@ -666,31 +749,38 @@ def _forked(items: Sequence, work, dtype) -> tuple | None:
             return None
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
-        itemsize = np.dtype(dtype).itemsize
-        sizes = np.zeros(len(pipes), dtype="<i8")
-        if not all(_fill(p, sizes[j : j + 1]) for j, p in enumerate(pipes)):
+        results = []
+        for pipe in pipes:
+            count = np.zeros(1, dtype="<i8")
+            if not _fill(pipe, count) or count[0] < 1:
+                return None
+            sizes = np.zeros(int(count[0]), dtype="<i8")
+            if not _fill(pipe, sizes) or (sizes < 0).any():
+                return None
+            parts = [np.empty(int(size), dtype=np.uint8) for size in sizes]
+            if not all(_fill(pipe, part) for part in parts):
+                return None
+            results.append(parts)
+        if not _reap(children):
             return None
-        if (sizes < 0).any() or (sizes % itemsize).any():
-            return None
-        joined = np.empty(int(sizes.sum()) // itemsize, dtype)
-        raw, ends = joined.view(np.uint8), np.cumsum(sizes).tolist()
-        if not all(_fill(p, raw[lo:hi]) for p, lo, hi in zip(pipes, [0, *ends[:-1]], ends)):
-            return None
-        return (joined, sizes // itemsize) if _reap(children) else None
+        return [pickle.loads(head, buffers=arrays) for head, *arrays in results]
 
 
 def _child(work, item, out, inherited: list):
-    """A forked child's whole life: ``work(item)``, then the array's byte
-    size and bytes written to ``out``, the raw write end of its pipe. It
+    """A forked child's whole life: ``work(item)``, then its parts (see
+    :func:`_forked`) written to ``out``, the raw write end of its pipe. It
     never returns."""
     status = 1
     try:
         for fd in inherited:  # the read ends: a write must fail once the parent is gone
             os.close(fd)
-        array = work(item)
+        arrays = []
+        head = pickle.dumps(work(item), protocol=5, buffer_callback=arrays.append)
+        parts = [memoryview(head), *(array.raw() for array in arrays)]
         with io.BufferedWriter(out) as pipe:  # a raw write to a pipe may be partial
-            pipe.write(array.nbytes.to_bytes(8, "little"))
-            pipe.write(array.view(np.uint8))
+            pipe.write(np.array([len(parts), *(p.nbytes for p in parts)], dtype="<i8"))
+            for part in parts:
+                pipe.write(part)
         status = 0
     finally:
         os._exit(status)

@@ -84,12 +84,15 @@ def fete(panel: PanelBlock) -> tuple[Estimate, TimeEffects]:
     """Two-way fixed effects: pooled slopes after unit and period de-meaning,
     with unit-clustered covariance, plus normalized time effects."""
     x, y = panel.x, panel.y
-    xc, xcd = panel.xc, panel.xcd  # X_i - Xbar and its within transform
+    xbar = x.mean(axis=-3)  # (..., T, k')
+    xc = x - xbar[..., None, :, :]  # X_i - Xbar
+    xcd = within(xc, axis=-2)  # and its within transform
     yc = y - y.mean(axis=-2, keepdims=True)
     coef, psi, fail = pooled_slopes(panel, xcd, xc, yc, "pooled de-meaned Gram matrix")
-    nu = yc - np.einsum("...ntp,...p->...nt", xc, coef)  # nu~_{i,FE}
+    # nu~_{i,FE}, written over yc, which nothing reads after it
+    nu = np.subtract(yc, np.einsum("...ntp,...p->...nt", xc, coef), out=yc)
+    del xc  # not held through the fit's last steps
     est = pooled_estimate("fete", panel, xcd, coef, psi, within(nu, axis=-1), fail)
-    xbar = x.mean(axis=-3)  # (..., T, k')
     ybar = y.mean(axis=-2)
     phi = within(ybar - mv(xbar, coef), axis=-1)
     te = TimeEffects(
@@ -117,10 +120,8 @@ def chamberlain_phi(panel: PanelBlock) -> TimeEffects:
         lambda i: SingularMbarError("average annihilator matrix is singular"),
     )
     mbar = nonsingular(mbar, failed(fail))
-    z = proj.apply(panel.yd)
-    phi = np.linalg.solve(mbar, z.mean(axis=-2)[..., None])[..., 0]
-    resid = within(panel.y - phi[..., None, :], axis=-1)
-    wvec = proj.apply(resid)
+    phi = np.linalg.solve(mbar, proj.apply(panel.yd).mean(axis=-2)[..., None])[..., 0]
+    wvec = proj.apply(within(panel.y - phi[..., None, :], axis=-1))
     meat = mt(wvec) @ wvec / panel.n
     mbar_inv = np.linalg.inv(mbar)
     cov = mbar_inv @ meat @ mbar_inv / panel.n
@@ -143,12 +144,12 @@ def weighted_mean_group_te(
     system (I_k - Qbar'M_T Wbar) theta = theta_w - Qbar'M_T ybar jointly.
     """
     pd, keep = panel.design, wt.keep
-    B = pd.adj / wt.den[..., None, None]
-    Q = small_matmul(pd.W, B)  # Q_i = w_i W_i (W'W)^{-1}
+    # the projector-average effects first: Q is not held through their fit
+    te = panel.fit(chamberlain_phi) if panel.T > panel.k else None
+    Q = small_matmul(pd.W, pd.adj / wt.den[..., None, None])  # Q_i = w_i W_i (W'W)^{-1}
     qbar = unit_mean(Q, keep) / col(col(wt.scale))
 
-    if panel.T > panel.k:
-        te = panel.fit(chamberlain_phi)
+    if te is not None:
         wt = replace(wt, fail=merge(wt.fail, te.fail))
         tilde = small_matvec(mt(Q), panel.y - te.phi[..., None, :])
         est = weighted_mean_group(pd, wt, method, tilde)

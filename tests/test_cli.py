@@ -1070,6 +1070,34 @@ def test_monte_carlo_stage_timings(tmp_path, command):
     assert manifest["blocks"] == (5 if command == "calibrate" else 1)
 
 
+def _peak_rss(manifest) -> tuple:
+    timings = manifest["timings"]
+    return timings["peak_rss_mb"], timings["children_peak_rss_mb"]
+
+
+def test_manifest_records_peak_memory_of_the_process_and_its_children(
+    hetero_csv, tmp_path, monkeypatch
+):
+    # estimate on two cores, the CSV cut into two runs: the parse's forked
+    # children are reaped, so their peak is recorded beside this process's;
+    # simulate writes both keys too
+    import os
+
+    from tmgpanel import panel
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(panel, "SPLIT_BYTES", 1)
+    manifest = _run_csv_command(["estimate"], hetero_csv, tmp_path / "estimate")
+    assert manifest["timings"]["read_processes"] == 2
+    own, children = _peak_rss(manifest)
+    assert own > 0.0 and children > 0.0
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(scenario_payload(reps=4, n=60)))
+    assert main(["simulate", str(scen), "--out", str(tmp_path / "simulate")]) == 0
+    own, children = _peak_rss(json.loads((tmp_path / "simulate" / "manifest.json").read_text()))
+    assert own > 0.0 and children >= 0.0
+
+
 @pytest.mark.parametrize("command", ["simulate", "power"])
 def test_calibration_before_a_run_recorded_apart(tmp_path, monkeypatch, command):
     # a scenario without kappa^2 calibrates it first, in one process; the

@@ -479,14 +479,14 @@ def test_ids_with_a_letter_float_never_accepts_are_text():
 def test_text_filter_agrees_with_float(ids):
     # an id the letter filter calls text is one float() rejects, and every
     # id's value is the one float() gives, or NaN
-    from tmgpanel.panel import _factorise_bytes, _never_float, _numeric_value
+    from tmgpanel.panel import _decode_ids, _distinct_rows, _id_words, _never_float, _numeric_value
 
     raw = _id_matrix(ids)
     for text, never in zip(ids, _never_float(raw)):
         if never:
             with pytest.raises(ValueError):
                 float(text)
-    distinct, _, value = _factorise_bytes(raw)
+    distinct, value = _decode_ids(_distinct_rows(_id_words(raw))[0])
     expected = np.array([_numeric_value(i) for i in distinct])
     np.testing.assert_array_equal(value, expected)
 
@@ -605,6 +605,92 @@ def test_large_csv_reads_alike_in_children(rng):
             read_panel_csv(io.StringIO(bad))
 
 
+def _two_runs(rows):
+    """A CSV of ``rows`` (unit, time, y, x) and its two runs' lines, as the
+    split read on two cores cuts it."""
+    text = HEADER + "".join(f"{u},{t},{y!r},{x!r}\n" for u, t, y, x in rows)
+    data = text.encode()
+    start = data.index(b"\n") + 1
+    runs = panel_module._runs(data, start, -(-len(data) // 2))
+    assert len(runs) == 2
+    lines = [data[max(lo, start) : hi].decode().splitlines() for lo, hi in runs]
+    return text, [[line.split(",")[:2] for line in run] for run in lines]
+
+
+def _read_three_ways(text):
+    """The panel, or the error's type and message, of the split read on two
+    cores, of one process reading the CSV as one run and of one process
+    reading it one line per run; all three must agree."""
+    results = []
+    for count, split_bytes, processes in ((2, 1, 2), (1, None, 1), (1, 1, 1)):
+        usage = {}
+        try:
+            with cores(count, split_bytes):
+                got = read_panel_csv(io.StringIO(text), usage)
+            results.append((got.unit_ids, got.time_ids, got.y.tobytes(), got.x.tobytes()))
+        except PanelInputError as exc:
+            results.append((type(exc), str(exc)))
+        assert usage == {"read_processes": processes}
+    assert results[0] == results[1] == results[2]
+    return results[0]
+
+
+def _cells(units, times, seed):
+    values = np.random.default_rng(seed).standard_normal((len(units) * len(times), 2))
+    cells = [(u, t) for u in units for t in times]
+    return [(u, t, float(y), float(x)) for (u, t), (y, x) in zip(cells, values)]
+
+
+def test_runs_merge_a_unit_whose_rows_span_both_runs():
+    rows = _cells(range(10), (1, 2), seed=1)
+    rows.append(rows.pop(1))  # unit 0: period 1 in the first run, period 2 in the last line
+    text, runs = _two_runs(rows)
+    assert ["0", "1"] in runs[0] and ["0", "2"] in runs[1]
+    unit_ids, time_ids, y, _ = _read_three_ways(text)
+    assert unit_ids == tuple(str(u) for u in range(10)) and time_ids == ("1", "2")
+    want = {(str(u), str(t)): value for u, t, value, _ in rows}
+    assert y == np.array([[want[u, t] for t in time_ids] for u in unit_ids]).tobytes()
+
+
+def test_runs_merge_a_time_id_of_one_run():
+    rows = sorted(_cells(range(12), ("2001", "2002"), seed=2), key=lambda r: r[1])
+    text, runs = _two_runs(rows)
+    assert {t for _, t in runs[0]} == {"2001"} and {t for _, t in runs[1]} == {"2002"}
+    unit_ids, time_ids, _, _ = _read_three_ways(text)
+    assert time_ids == ("2001", "2002") and len(unit_ids) == 12
+
+
+def test_runs_merge_ids_read_wider_in_one_run_only():
+    # the second run's id fills the 16-byte first read, so that run alone
+    # reads its unit column again at 64 bytes; its words are the widest,
+    # and the first run's are zero-padded to them in the merge
+    wide, short = "abcdefghijklmnoXYZ", "abcdefghijklmno"
+    units = [short, *(f"u{i}" for i in range(8)), wide]
+    rows = _cells(units, (1, 2), seed=3)
+    text, runs = _two_runs(rows)
+    assert all(len(u) < 16 for u, _ in runs[0]) and [wide, "1"] in runs[1]
+    unit_ids, _, _, _ = _read_three_ways(text)
+    assert unit_ids == tuple(sorted(units))
+
+
+def test_runs_merge_finds_a_duplicate_cell_across_runs():
+    rows = _cells(range(10), (1, 2), seed=4)
+    rows.append((0, 1, 9.5, 0.25))  # (0, 1) again, in the last line
+    text, runs = _two_runs(rows)
+    assert ["0", "1"] in runs[0] and runs[1][-1] == ["0", "1"]
+    error, message = _read_three_ways(text)
+    assert error is DuplicateCellError and message == "duplicate cell (unit='0', time='1')"
+
+
+def test_runs_merge_finds_a_cell_missing_in_one_run():
+    rows = _cells(range(10), (1, 2), seed=5)
+    text, runs = _two_runs(rows[:-1])  # unit 9 lives in the second run, without period 2
+    assert ["9", "1"] in runs[1] and all(u != "9" for u, _ in runs[0])
+    error, message = _read_three_ways(text)
+    assert error is UnbalancedPanelError
+    assert message == "1 missing cells, e.g. [('9', '2')]"
+
+
 def test_read_processes_follow_the_cores(rng):
     # the core rule of the process: one child per core, at most one per
     # size constant, and none where the process may run on one core only
@@ -690,12 +776,17 @@ def test_interrupted_read_reaps_every_child(monkeypatch):
         read_panel_csv(io.StringIO(SMALL_CSV))
 
 
-def test_forked_joins_the_children_arrays_in_order():
-    # the one pipe format: each child's byte size, then its bytes, read into
-    # one array; a size of no whole number of elements gives no result
-    joined, counts = panel_module._forked([2, 3], lambda k: np.arange(k, k + k / 2, 0.5), float)
-    assert joined.tolist() == [2.0, 2.5, 3.0, 3.5, 4.0] and counts.tolist() == [2, 3]
-    assert panel_module._forked([3], lambda k: np.zeros(k, np.uint8), float) is None
+def test_forked_returns_each_childs_result_in_order():
+    # the one pipe format: each child's pickle and its arrays' bytes, read
+    # into buffers of their own; the arrays load over those buffers, and a
+    # child whose work fails gives no result
+    got = panel_module._forked(
+        [2, 3], lambda k: (k, np.arange(k, k + k / 2, 0.5), np.zeros((k, 2), np.uint16))
+    )
+    assert [k for k, _, _ in got] == [2, 3]
+    assert [a.tolist() for _, a, _ in got] == [[2.0, 2.5], [3.0, 3.5, 4.0]]
+    assert [(b.shape, b.dtype) for _, _, b in got] == [((2, 2), np.uint16), ((3, 2), np.uint16)]
+    assert panel_module._forked([2, 0], lambda k: 1 / k) is None
     assert_no_child_left()
 
 
@@ -715,7 +806,7 @@ def test_interrupt_another_thread_takes_ends_the_read():
     t0 = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
         thread.start()
-        panel_module._forked([1], lambda item: time.sleep(20), np.uint8)
+        panel_module._forked([1], lambda item: time.sleep(20))
     elapsed = time.perf_counter() - t0
     thread.join(timeout=10)
     assert not thread.is_alive()
